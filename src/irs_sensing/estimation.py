@@ -11,11 +11,10 @@ from the pulse factor's phase progression and the subcarrier generators.
 """
 from __future__ import annotations
 
-import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .errors import (AmbiguousAlignment, DegenerateProfilePair, DivisionBlowup,
                      EstimationError, NoFeasibleGrid, RankOneChannel,
                      UnwrapInfeasible)
 from .scene import ChannelMatrix, PhaseProfile, steering_vector
-from .synthesis import EchoTensor, doppler_ramp
+from .synthesis import EchoTensor
 
 DOA_GRID_STEP_RAD = math.radians(0.02)
 DOPPLER_GRID_POINTS = 2000          # grid step = half-period / this
@@ -65,16 +64,6 @@ class TargetEstimate:
     velocity_hat: float     # m/s, nu*c/(2*fc)
     gamma_hat: complex      # cross-phase ratio diagnostic
     residual: float         # |gamma_hat - gamma(theta_hat)| at the solution
-
-    def validate(self, doa_prior: tuple[float, float],
-                 waveform: WaveformConfig) -> None:
-        assert abs(self.range_hat - SPEED_OF_LIGHT * self.tau_hat / 2) < 1e-6
-        assert abs(self.velocity_hat - self.nu_hat * SPEED_OF_LIGHT
-                   / (2 * waveform.carrier_freq_hz)) < 1e-9
-        assert doa_prior[0] <= self.theta_hat <= doa_prior[1]
-        window_lo = waveform.full_symbol_s
-        window_hi = window_lo + waveform.cyclic_prefix_s
-        assert window_lo <= self.tau_hat <= window_hi
 
 
 def correlation_matrix(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -154,6 +143,30 @@ def compute_gamma_statistics(aligned: AlignedFactors) -> np.ndarray:
     return b_ratio * a_ratio
 
 
+def _steering_matrix(angles: np.ndarray, arrays: ArrayConfig) -> np.ndarray:
+    """Unit-norm surface steering vectors, one column per angle (N x G)."""
+    n = np.arange(arrays.n_irs_elements)
+    steer = np.exp(2j * np.pi * np.outer(n, arrays.element_spacing_m
+                                         * np.sin(angles) / arrays.wavelength_m))
+    return steer / math.sqrt(arrays.n_irs_elements)
+
+
+@functools.lru_cache(maxsize=8)
+def _doa_dictionary(doa_prior: tuple[float, float], grid_step: float,
+                    arrays: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Direction grid over the prior and its N x G steering matrix.
+
+    Both depend only on the key, so they are built once and shared; the
+    arrays are read-only so no caller can alter what another one gets.
+    """
+    lo, hi = doa_prior
+    grid = np.arange(lo, hi + grid_step * 1e-6, grid_step)
+    steer = _steering_matrix(grid, arrays)
+    grid.setflags(write=False)
+    steer.setflags(write=False)
+    return grid, steer
+
+
 def gamma_ratio_curve(grid: np.ndarray, u: np.ndarray,
                       profiles: tuple[PhaseProfile, PhaseProfile],
                       arrays: ArrayConfig) -> np.ndarray:
@@ -163,13 +176,15 @@ def gamma_ratio_curve(grid: np.ndarray, u: np.ndarray,
     two profiles; points where the second profile's response nearly
     vanishes are excluded from searches.
     """
-    n = np.arange(arrays.n_irs_elements)
-    steer = np.exp(2j * np.pi * np.outer(n, arrays.element_spacing_m
-                                         * np.sin(grid) / arrays.wavelength_m))
-    steer = steer / math.sqrt(arrays.n_irs_elements)
+    return _gamma_ratio(_steering_matrix(grid, arrays), u, profiles)
+
+
+def _gamma_ratio(steer: np.ndarray, u: np.ndarray,
+                 profiles: tuple[PhaseProfile, PhaseProfile]) -> np.ndarray:
+    """gamma at the directions whose steering vectors are the columns of steer."""
     num = (u * profiles[0].diagonal()) @ steer
     den = (u * profiles[1].diagonal()) @ steer
-    out = np.full(grid.shape, np.nan, dtype=complex)
+    out = np.full(num.shape, np.nan, dtype=complex)
     ok = np.abs(den) >= GRID_EXCLUSION_RTOL * np.linalg.norm(u)
     out[ok] = (num[ok] / den[ok]) ** 2
     return out
@@ -198,8 +213,8 @@ def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
     increase the objective.  Returns (theta_hats, gamma_hats, residuals).
     """
     lo, hi = doa_prior
-    grid = np.arange(lo, hi + grid_step * 1e-6, grid_step)
-    curve = gamma_ratio_curve(grid, u, profiles, arrays)
+    grid, steer = _doa_dictionary((lo, hi), grid_step, arrays)
+    curve = _gamma_ratio(steer, u, profiles)
     finite = np.isfinite(curve)
     if not finite.any():
         raise NoFeasibleGrid("every grid point excluded by the denominator test")
@@ -247,28 +262,41 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
         raise RankOneChannel(f"singular-value ratio {ratio:.2e}; "
                              "use the cross-phase ratio method instead")
     lo, hi = doa_prior
-    grid = np.arange(lo, hi + grid_step * 1e-6, grid_step)
+    grid, grid_steer = _doa_dictionary((lo, hi), grid_step, arrays)
 
-    def corr_at(angles: np.ndarray) -> np.ndarray:
-        n = np.arange(arrays.n_irs_elements)
-        steer = np.exp(2j * np.pi * np.outer(n, arrays.element_spacing_m
-                                             * np.sin(angles) / arrays.wavelength_m))
-        steer = steer / math.sqrt(arrays.n_irs_elements)
+    def corr_at(steer: np.ndarray) -> np.ndarray:
         cand = channel.matrix.T @ (profile.diagonal()[:, None] * steer)
         norms = np.linalg.norm(cand, axis=0) * np.linalg.norm(b_hat)
         return np.abs(b_hat.conj() @ cand) / norms
 
-    corr = corr_at(grid)
+    corr = corr_at(grid_steer)
     idx = int(np.argmax(corr))
     best_theta, best_corr = grid[idx], corr[idx]
     if 0 < idx < len(grid) - 1:
         offset = _parabolic_step(corr[idx - 1], corr[idx], corr[idx + 1],
                                  grid_step, maximize=True)
         cand = float(np.clip(grid[idx] + offset, lo, hi))
-        cand_corr = corr_at(np.array([cand]))[0]
+        cand_corr = corr_at(_steering_matrix(np.array([cand]), arrays))[0]
         if cand_corr >= best_corr:
             best_theta = cand
     return best_theta
+
+
+@functools.lru_cache(maxsize=8)
+def _doppler_dictionary(n_pulses: int, pri_s: float,
+                        grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Doppler grid over the unambiguous span and its P x G ramp bank.
+
+    Depends only on the pulse train, so it is built once and shared; the
+    arrays are read-only so no caller can alter what another one gets.
+    """
+    half_span = 1.0 / (2 * pri_s)
+    grid = np.arange(-half_span, half_span + grid_step * 1e-6, grid_step)
+    ramps = np.exp(2j * np.pi * np.outer(np.arange(1, n_pulses + 1) * pri_s,
+                                         grid))
+    grid.setflags(write=False)
+    ramps.setflags(write=False)
+    return grid, ramps
 
 
 def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
@@ -288,9 +316,8 @@ def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
     half_span = 1.0 / (2 * waveform.pri_s)
     if grid_step is None:
         grid_step = half_span / DOPPLER_GRID_POINTS
-    grid = np.arange(-half_span, half_span + grid_step * 1e-6, grid_step)
-    ramps = np.exp(2j * np.pi * np.outer(np.arange(1, waveform.n_pulses + 1)
-                                         * waveform.pri_s, grid))
+    grid, ramps = _doppler_dictionary(waveform.n_pulses, waveform.pri_s,
+                                      grid_step)
     k_total = aligned.n_components
     estimates = np.empty((2, k_total))
     for phase_pos, (triple, profile) in enumerate(
@@ -417,28 +444,3 @@ def estimate_targets(y1: EchoTensor, y2: EchoTensor, n_targets: int,
             residual=float(residuals[k])))
     estimates.sort(key=lambda est: est.tau_hat)
     return estimates
-
-
-ESTIMATES_HEADER = ("trial_id", "k", "theta_deg", "tau_us", "nu_hz",
-                    "range_m", "velocity_mps", "gamma_re", "gamma_im",
-                    "residual")
-
-
-def write_estimates_csv(records, path: str | Path) -> None:
-    """One row per (trial, target): ``records`` yields (trial_id, estimates)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ESTIMATES_HEADER)
-        for trial_id, estimates in records:
-            for k, est in enumerate(estimates, start=1):
-                writer.writerow([
-                    trial_id, k,
-                    f"{math.degrees(est.theta_hat):.17g}",
-                    f"{est.tau_hat * 1e6:.17g}",
-                    f"{est.nu_hat:.17g}",
-                    f"{est.range_hat:.17g}",
-                    f"{est.velocity_hat:.17g}",
-                    f"{est.gamma_hat.real:.17g}",
-                    f"{est.gamma_hat.imag:.17g}",
-                    f"{est.residual:.17g}",
-                ])

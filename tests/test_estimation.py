@@ -5,20 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from irs_sensing.config import ArrayConfig, default_config
+from irs_sensing.config import SPEED_OF_LIGHT, ArrayConfig, default_config
 from irs_sensing.cpd import FactorTriple, cp_decompose, raw_delay
 from irs_sensing.errors import (AmbiguousAlignment, DegenerateProfilePair,
                                 DivisionBlowup, NoFeasibleGrid, RankOneChannel,
                                 UnwrapInfeasible)
-from irs_sensing.estimation import (ESTIMATES_HEADER, AlignedFactors,
-                                    align_columns, compute_gamma_statistics,
-                                    estimate_delay, estimate_doa_multirank,
-                                    estimate_doppler, estimate_targets,
-                                    gamma_ratio_curve, resolve_doa,
-                                    write_estimates_csv)
+from irs_sensing.estimation import (DOA_GRID_STEP_RAD, DOPPLER_GRID_POINTS,
+                                    AlignedFactors, _doa_dictionary,
+                                    _doppler_dictionary, align_columns,
+                                    compute_gamma_statistics, estimate_delay,
+                                    estimate_doa_multirank, estimate_doppler,
+                                    estimate_targets, gamma_ratio_curve,
+                                    resolve_doa)
 from irs_sensing.scene import (PhaseProfile, build_rician_channel,
                                design_beamformers, steering_vector)
-from irs_sensing.synthesis import build_factor_matrices, synthesize_echo_tensor
+from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
+                                   synthesize_echo_tensor)
 
 SPACING = 500e3
 
@@ -283,6 +285,23 @@ def test_doppler_rejects_nulled_combiner(cfg, truth, channel, profiles,
                          cfg.waveform, cfg.arrays)
 
 
+def test_doppler_masks_nulled_pulse(cfg, truth, channel, profiles, combiner):
+    """A pulse whose combiner nulls the AP-side vector is left out, not fatal."""
+    v = channel.rank_one.v
+    masked = combiner.copy()
+    masked[:, 0] = 0
+    masked[0, 0], masked[1, 0] = v[1], -v[0]
+    t1, t2 = _truth_triples(cfg, truth, channel, profiles, masked)
+    for triple in (t1, t2):
+        triple.pulse_factor[0, :] = 1e-6   # what noise leaves in the null
+    out = align_columns(t1, t2, cfg.waveform.subcarrier_spacing_hz)
+    with pytest.warns(UserWarning, match="near-zero divisors"):
+        nus = estimate_doppler(out, truth.thetas(), channel, profiles, masked,
+                               cfg.waveform, cfg.arrays)
+    err = np.abs(nus - truth.dopplers())
+    assert err.max() < 1e-3, f"worst Doppler error {err.max():.3e} Hz"
+
+
 # ---------------------------------------------------------------- delay
 
 def test_delay_noiseless_exact(cfg, truth, aligned):
@@ -348,7 +367,13 @@ def test_estimate_targets_noiseless(cfg, truth, channel, profiles, combiner,
         assert abs(est.theta_hat - tgt.theta_rad) < 1e-5
         assert abs(est.tau_hat - tgt.delay_s) < 1e-12
         assert abs(est.nu_hat - tgt.doppler_hz) < 1.0
-        est.validate(cfg.scene.doa_prior_rad, cfg.waveform)
+        assert abs(est.range_hat - SPEED_OF_LIGHT * est.tau_hat / 2) < 1e-6
+        assert abs(est.velocity_hat - est.nu_hat * SPEED_OF_LIGHT
+                   / (2 * cfg.waveform.carrier_freq_hz)) < 1e-9
+        lo, hi = cfg.scene.doa_prior_rad
+        assert lo <= est.theta_hat <= hi
+        window_lo = cfg.waveform.full_symbol_s
+        assert window_lo <= est.tau_hat <= window_lo + cfg.waveform.cyclic_prefix_s
 
 
 def test_estimate_targets_single_phase_mode(cfg, truth, profiles, combiner):
@@ -384,18 +409,84 @@ def test_estimate_targets_warns_on_component_undercount(cfg, truth, channel,
     assert len(estimates) == 1
 
 
-def test_write_estimates_csv(tmp_path, cfg, truth, channel, profiles,
-                             combiner, clean_pair):
-    k = len(truth.targets)
-    estimates = estimate_targets(clean_pair[0], clean_pair[1], k,
-                                 cfg.scene.doa_prior_rad, channel, profiles,
-                                 combiner, cfg.waveform, cfg.arrays)
-    path = tmp_path / "estimates.csv"
-    write_estimates_csv([(0, estimates), (1, estimates)], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(ESTIMATES_HEADER)
-    assert len(lines) == 1 + 2 * k
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "1"
-    assert float(first[2]) == pytest.approx(
-        math.degrees(estimates[0].theta_hat))
+
+# ---------------------------------------------------------------- dictionaries
+
+def _reference_doa_dictionary(doa_prior, grid_step, arrays):
+    """The per-call direction grid and steering formula the cache replaces."""
+    lo, hi = doa_prior
+    grid = np.arange(lo, hi + grid_step * 1e-6, grid_step)
+    n = np.arange(arrays.n_irs_elements)
+    steer = np.exp(2j * np.pi * np.outer(n, arrays.element_spacing_m
+                                         * np.sin(grid) / arrays.wavelength_m))
+    return grid, steer / math.sqrt(arrays.n_irs_elements)
+
+
+def _reference_doppler_dictionary(n_pulses, pri_s):
+    """The per-call Doppler grid and ramp formula the cache replaces."""
+    half_span = 1.0 / (2 * pri_s)
+    grid_step = half_span / DOPPLER_GRID_POINTS
+    grid = np.arange(-half_span, half_span + grid_step * 1e-6, grid_step)
+    ramps = np.exp(2j * np.pi * np.outer(np.arange(1, n_pulses + 1) * pri_s,
+                                         grid))
+    return grid, ramps
+
+
+def _doppler_key(waveform):
+    return (waveform.n_pulses, waveform.pri_s,
+            1.0 / (2 * waveform.pri_s) / DOPPLER_GRID_POINTS)
+
+
+@pytest.mark.parametrize("n_ap_antennas", [None, 4, 32])
+def test_doa_dictionary_matches_reference(cfg, n_ap_antennas):
+    arrays = (cfg.arrays if n_ap_antennas is None else
+              dataclasses.replace(cfg.arrays, n_ap_antennas=n_ap_antennas))
+    prior = cfg.scene.doa_prior_rad
+    grid, steer = _doa_dictionary(prior, DOA_GRID_STEP_RAD, arrays)
+    want_grid, want_steer = _reference_doa_dictionary(prior, DOA_GRID_STEP_RAD,
+                                                      arrays)
+    assert steer.shape == (arrays.n_irs_elements, len(grid))
+    assert np.array_equal(grid, want_grid)
+    assert np.array_equal(steer, want_steer)
+
+
+@pytest.mark.parametrize("n_pulses", [None, 2, 20])
+def test_doppler_dictionary_matches_reference(cfg, n_pulses):
+    wf = (cfg.waveform if n_pulses is None else
+          dataclasses.replace(cfg.waveform, n_pulses=n_pulses))
+    grid, ramps = _doppler_dictionary(*_doppler_key(wf))
+    want_grid, want_ramps = _reference_doppler_dictionary(wf.n_pulses, wf.pri_s)
+    assert ramps.shape == (wf.n_pulses, len(grid))
+    assert np.array_equal(grid, want_grid)
+    assert np.array_equal(ramps, want_ramps)
+
+
+def test_dictionaries_are_read_only(cfg):
+    shared = (*_doa_dictionary(cfg.scene.doa_prior_rad, DOA_GRID_STEP_RAD,
+                               cfg.arrays),
+              *_doppler_dictionary(*_doppler_key(cfg.waveform)))
+    for arr in shared:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_estimates_same_with_cold_and_warm_cache(cfg, truth, channel,
+                                                 profiles, combiner,
+                                                 clean_pair):
+    rng = np.random.default_rng(5)
+    noisy = tuple(apply_noise(t, 10.0, rng) for t in clean_pair)
+
+    def run():
+        return estimate_targets(noisy[0], noisy[1], len(truth.targets),
+                                cfg.scene.doa_prior_rad, channel, profiles,
+                                combiner, cfg.waveform, cfg.arrays)
+
+    caches = (_doa_dictionary, _doppler_dictionary)
+    for cache in caches:
+        cache.cache_clear()
+    cold = run()
+    hits = [cache.cache_info().hits for cache in caches]
+    warm = run()
+    assert warm == cold
+    for cache, before in zip(caches, hits):
+        assert cache.cache_info().hits > before
