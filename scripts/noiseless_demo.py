@@ -14,10 +14,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from irs_sensing.config import load_config
 from irs_sensing.estimation import estimate_targets
-from irs_sensing.scene import (build_los_channel, derive_target_truth,
-                               design_beamformers, design_phase_profiles,
-                               sensing_limits, validate_scene)
-from irs_sensing.synthesis import build_factor_matrices, synthesize_echo_tensor
+from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
+                               sensing_limits)
+from irs_sensing.synthesis import echo_tensors
 
 
 def main() -> int:
@@ -27,24 +26,19 @@ def main() -> int:
     args = parser.parse_args()
 
     cfg = load_config(args.config)
-    validate_scene(cfg.scene, cfg.waveform, cfg.arrays)
+    profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
+                                     cfg.scene.n_subarrays)
+    point = draw_scene_point(cfg, profiles, np.random.default_rng(args.seed))
+    truth = point.truth
     limits = sensing_limits(cfg.waveform)
     print(f"range window  [{limits.min_range_m:.3f}, {limits.max_range_m:.3f}] m")
     print(f"speed limit   {limits.max_speed_mps:.3f} m/s\n")
 
-    rng = np.random.default_rng(args.seed)
-    truth = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays, rng)
-    channel = build_los_channel(cfg.scene, cfg.arrays, rng)
-    profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
-                                     cfg.scene.n_subarrays)
-    combiner = design_beamformers(channel, cfg.waveform.n_pulses)
-    pair = [synthesize_echo_tensor(build_factor_matrices(
-        truth, channel, prof, combiner, cfg.waveform, cfg.arrays))
-        for prof in profiles]
-
+    pair = echo_tensors(*point, cfg.waveform, cfg.arrays)
     estimates = estimate_targets(pair[0], pair[1], len(truth.targets),
-                                 cfg.scene.doa_prior_rad, channel, profiles,
-                                 combiner, cfg.waveform, cfg.arrays)
+                                 cfg.scene.doa_prior_rad, point.channel,
+                                 profiles, point.combiner, cfg.waveform,
+                                 cfg.arrays)
 
     order = np.argsort(truth.delays())
     header = (f"{'target':>6} {'theta_deg':>12} {'theta_hat':>12} "

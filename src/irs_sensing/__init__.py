@@ -11,11 +11,12 @@ from .config import (SPEED_OF_LIGHT, ArrayConfig, FullConfig, SceneConfig,
                      TargetConfig, WaveformConfig, default_config,
                      load_config, with_overrides)
 from .cpd import (FactorTriple, UniquenessResult, check_uniqueness,
-                  cp_decompose, cp_reconstruct, flat_index, khatri_rao,
-                  reconstruction_error, refold, unfold)
+                  cp_decompose, cp_reconstruct, khatri_rao,
+                  reconstruction_error, unfold)
 from .crb import (CrbBounds, FactorDerivatives, FimMatrix, compute_crb,
                   compute_fim, factor_derivatives, log_likelihood,
-                  mc_score_covariance, noise_cov_map, score, score_fd_check)
+                  mc_score_covariance, parameter_jacobian, score,
+                  score_fd_check)
 from .errors import (AmbiguousAlignment, ConfigError, DegenerateProfilePair,
                      DivisionBlowup, EstimationError, NoFeasibleGrid,
                      RankOneChannel, SensingError, SingularFim,
@@ -26,13 +27,14 @@ from .estimation import (AlignedFactors, TargetEstimate, align_columns,
                          estimate_targets, gamma_ratio_curve, resolve_doa)
 from .experiments import (ExperimentSpec, ResultRow, build_spec, emit_results,
                           run_experiment)
-from .scene import (ChannelMatrix, PhaseProfile, SceneTruth, SensingLimits,
-                    TargetTruth, build_los_channel, build_rician_channel,
-                    derive_target_truth, design_beamformers,
-                    design_phase_profiles, sensing_limits, steering_vector,
-                    validate_scene)
+from .scene import (ChannelMatrix, PhaseProfile, ScenePoint, SceneTruth,
+                    SensingLimits, TargetTruth, build_los_channel,
+                    build_rician_channel, derive_target_truth,
+                    design_beamformers, design_phase_profiles,
+                    draw_scene_point, relayed_response, sensing_limits,
+                    steering_vector, validate_scene)
 from .synthesis import (EchoTensor, GroundTruthFactors, apply_noise,
-                        build_factor_matrices, dump_tensor, load_tensor,
+                        build_factor_matrices, echo_tensors,
                         oracle_prediction, synthesize_echo_tensor,
                         time_domain_oracle)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,8 @@ from .crb import compute_crb, compute_fim
 from .errors import ConfigError
 from .experiments import (DEFAULT_SEED, PRESET_NAMES, build_spec,
                           emit_results, run_experiment)
-from .scene import (build_los_channel, derive_target_truth,
-                    design_beamformers, design_phase_profiles, sensing_limits,
-                    validate_scene)
-from .synthesis import build_factor_matrices, noise_sigma_for_snr, \
-    synthesize_echo_tensor
+from .scene import design_phase_profiles, draw_scene_point, sensing_limits
+from .synthesis import echo_tensors, noise_sigma_for_snr
 
 CRB_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
 
@@ -76,27 +74,20 @@ def _cmd_limits(args) -> int:
 
 
 def _crb_rows(config: FullConfig) -> tuple[list[str], list[list[str]]]:
-    validate_scene(config.scene, config.waveform, config.arrays)
-    rng = np.random.default_rng(DEFAULT_SEED)
-    truth = derive_target_truth(config.scene, config.waveform, config.arrays,
-                                rng)
-    channel = build_los_channel(config.scene, config.arrays, rng)
     profiles = design_phase_profiles(config.scene.doa_prior_rad, config.arrays,
                                      config.scene.n_subarrays)
-    combiner = design_beamformers(channel, config.waveform.n_pulses)
-    tensors = [synthesize_echo_tensor(build_factor_matrices(
-        truth, channel, prof, combiner, config.waveform, config.arrays))
-        for prof in profiles]
-    k_total = len(truth.targets)
+    point = draw_scene_point(config, profiles,
+                             np.random.default_rng(DEFAULT_SEED))
+    tensors = echo_tensors(*point, config.waveform, config.arrays)
+    k_total = point.truth.n_targets
     header = ["snr_db"]
     for fam in ("crb_theta", "crb_nu", "crb_tau"):
         header += [f"{fam}_{k + 1}" for k in range(k_total)]
     body = []
     for snr in CRB_SNR_GRID:
         noise_vars = tuple(noise_sigma_for_snr(t, snr) ** 2 for t in tensors)
-        fim = compute_fim(truth, channel, profiles, combiner, config.waveform,
-                          config.arrays, noise_vars)
-        bounds = compute_crb(fim)
+        bounds = compute_crb(compute_fim(*point, config.waveform,
+                                         config.arrays, noise_vars))
         cells = [f"{snr:.17e}"]
         for fam in (bounds.theta, bounds.doppler, bounds.delay):
             cells += [f"{v:.17e}" for v in fam]
@@ -107,15 +98,11 @@ def _crb_rows(config: FullConfig) -> tuple[list[str], list[list[str]]]:
 def _cmd_crb(args) -> int:
     config = load_config(args.config)
     header, body = _crb_rows(config)
-    if args.out is None:
-        writer = csv.writer(sys.stdout)
+    with (nullcontext(sys.stdout) if args.out is None
+          else open(Path(args.out), "w", newline="")) as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(body)
-    else:
-        with open(Path(args.out), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(body)
     return 0
 
 

@@ -75,6 +75,11 @@ class ArrayConfig:
         if self.element_spacing_m <= 0:
             raise ConfigError("element spacing must be positive")
 
+    @property
+    def surface(self) -> tuple[int, float, float]:
+        """Surface array as steering_vector arguments (N, spacing, wavelength)."""
+        return self.n_irs_elements, self.element_spacing_m, self.wavelength_m
+
     @classmethod
     def for_waveform(cls, waveform: WaveformConfig, n_ap_antennas: int = 16,
                      n_irs_elements: int = 32) -> "ArrayConfig":

@@ -1,8 +1,7 @@
 """Tensor unfoldings, Khatri-Rao products, and the structured CP solver.
 
 The observation tensor has shape (pulses, antennas, subcarriers) =
-(P, M, L).  One flat-index convention is shared by the unfoldings here and
-the noise-covariance bookkeeping in the bound module:
+(P, M, L).  The unfoldings follow one convention:
 
     mode 1: row p, column m + l*M          (P  x LM)
     mode 2: row m, column p + l*P          (M  x LP)
@@ -20,7 +19,6 @@ solves for the remaining factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -42,35 +40,6 @@ def unfold(data: np.ndarray, mode: int) -> np.ndarray:
         return data.transpose(1, 2, 0).reshape(data.shape[1], -1)
     if mode == 3:
         return data.transpose(2, 1, 0).reshape(data.shape[2], -1)
-    raise DimensionMismatch(f"mode must be 1, 2, or 3, got {mode}")
-
-
-def refold(mat: np.ndarray, mode: int, shape: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of :func:`unfold` for the given original tensor shape."""
-    p, m, l = shape
-    if mode == 1:
-        return mat.reshape(p, l, m).transpose(0, 2, 1)
-    if mode == 2:
-        return mat.reshape(m, l, p).transpose(2, 0, 1)
-    if mode == 3:
-        return mat.reshape(l, m, p).transpose(2, 1, 0)
-    raise DimensionMismatch(f"mode must be 1, 2, or 3, got {mode}")
-
-
-def flat_index(mode: int, pulse: int, antenna: int, subcarrier: int,
-               dims: tuple[int, int, int]) -> int:
-    """1-based flat position of entry (pulse, antenna, subcarrier) in the
-    vectorized mode-``mode`` unfolding; arguments are 1-based as well."""
-    p_dim, m_dim, l_dim = dims
-    if not (1 <= pulse <= p_dim and 1 <= antenna <= m_dim
-            and 1 <= subcarrier <= l_dim):
-        raise DimensionMismatch("index out of range")
-    if mode == 1:
-        return antenna + (subcarrier - 1) * m_dim + (pulse - 1) * m_dim * l_dim
-    if mode == 2:
-        return pulse + (subcarrier - 1) * p_dim + (antenna - 1) * p_dim * l_dim
-    if mode == 3:
-        return pulse + (antenna - 1) * p_dim + (subcarrier - 1) * p_dim * m_dim
     raise DimensionMismatch(f"mode must be 1, 2, or 3, got {mode}")
 
 
@@ -183,8 +152,9 @@ def cp_decompose(data: np.ndarray, n_components: int) -> FactorTriple:
                         subcarrier_factor=subcarrier, generators=generators)
 
 
-def cp_reconstruct(triple: FactorTriple) -> np.ndarray:
-    """Sum of rank-one terms implied by a factor triple."""
+def cp_reconstruct(triple) -> np.ndarray:
+    """Sum of the rank-one terms of a factor triple: an estimated
+    FactorTriple or a scene's exact GroundTruthFactors."""
     return np.einsum("pk,mk,lk->pml", triple.pulse_factor,
                      triple.antenna_factor, triple.subcarrier_factor)
 
@@ -193,27 +163,3 @@ def reconstruction_error(data: np.ndarray, triple: FactorTriple) -> float:
     """Relative Frobenius mismatch between a tensor and its factorization."""
     return float(np.linalg.norm(data - cp_reconstruct(triple))
                  / np.linalg.norm(data))
-
-
-def serialize_factors(triple: FactorTriple, path: str | Path) -> None:
-    """Write the three factor matrices in the flat tensor binary layout.
-
-    Each matrix is stored as rows x cols x 1 using the same header scheme
-    as tensor dumps, concatenated in pulse/antenna/subcarrier order.
-    """
-    from .synthesis import _write_block  # local import avoids a cycle
-    with open(path, "wb") as fh:
-        for idx, mat in enumerate((triple.pulse_factor, triple.antenna_factor,
-                                   triple.subcarrier_factor), start=1):
-            _write_block(fh, mat[:, :, None], idx)
-
-
-def deserialize_factors(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read back matrices written by :func:`serialize_factors`."""
-    from .synthesis import _read_block
-    mats = []
-    with open(path, "rb") as fh:
-        for _ in range(3):
-            block, _ = _read_block(fh)
-            mats.append(block[:, :, 0])
-    return tuple(mats)

@@ -2,12 +2,15 @@
 
 The observation is a pair of rank-structured tensors in white complex
 Gaussian noise; the unknowns are each target's direction, Doppler shift,
-and delay, with channel gains and noise power treated as known.  Because
-every parameter enters through one or two factor-matrix columns, every
-information entry factorizes into products of per-mode inner products,
-which keeps the assembly exact and cheap.  Analytic derivatives are
-validated against finite differences of the log-likelihood, and the full
-matrix against the empirical covariance of the score.
+and delay, with channel gains and noise power treated as known.  Every
+parameter enters through one or two factor-matrix columns, so the model's
+derivative with respect to it is a sum of one or two rank-one tensors.
+Stacking these as the rows of a parameter Jacobian J makes each phase's
+information matrix the Gram matrix (2/sigma^2) Re(J* J^T), its score
+(2/sigma^2) Re(J* r) for the residual r, and J the noise templates of the
+Monte Carlo score covariance.  Analytic derivatives are validated against
+finite differences of the log-likelihood, and the full matrix against the
+empirical covariance of the score.
 """
 from __future__ import annotations
 
@@ -18,12 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .config import ArrayConfig, WaveformConfig
-from .cpd import flat_index
 from .errors import SingularFim
-from .scene import (ChannelMatrix, PhaseProfile, SceneTruth,
-                    steering_derivative, steering_vector)
+from .scene import (ChannelMatrix, PhaseProfile, SceneTruth, relayed_response,
+                    steering_derivative)
 from .synthesis import (GroundTruthFactors, build_factor_matrices,
-                        delay_signature, doppler_ramp)
+                        doppler_ramp, echo_tensors, synthesize_echo_tensor)
 
 FIM_CONDITION_LIMIT = 1e14
 
@@ -43,26 +45,16 @@ def parameter_index(block: str, k: int, n_targets: int) -> int:
 class FactorDerivatives:
     """Analytic column derivatives of one phase's factor matrices.
 
-    ``factors`` holds the (pulse, antenna, subcarrier) matrices at the
-    evaluation point; each derivative matrix stacks the per-target
-    derivative columns of the matrix named in the attribute.
+    ``factors`` holds the factor matrices at the evaluation point; each
+    derivative matrix stacks the per-target derivative columns of the
+    matrix named in the attribute.
     """
 
-    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
+    factors: GroundTruthFactors
     pulse_by_theta: np.ndarray
     antenna_by_theta: np.ndarray
     pulse_by_doppler: np.ndarray
     subcarrier_by_delay: np.ndarray
-
-    def channels(self, block: str) -> list[tuple[int, np.ndarray]]:
-        """(mode, derivative matrix) pairs affected by a parameter family."""
-        if block == "theta":
-            return [(0, self.pulse_by_theta), (1, self.antenna_by_theta)]
-        if block == "doppler":
-            return [(0, self.pulse_by_doppler)]
-        if block == "delay":
-            return [(2, self.subcarrier_by_delay)]
-        raise ValueError(f"unknown parameter block {block!r}")
 
 
 @dataclass(frozen=True)
@@ -95,98 +87,42 @@ def factor_derivatives(truth: SceneTruth, channel: ChannelMatrix,
     multiplies each pulse entry by its ramp rate; delay multiplies each
     subcarrier entry by its tone rate.  Gains are held fixed.
     """
-    k_total = len(truth.targets)
-    n_pulses = waveform.n_pulses
-    m_ant = combiner.shape[0]
-    l_sub = waveform.n_subcarriers
-    pulse = np.zeros((n_pulses, k_total), dtype=complex)
-    antenna = np.zeros((m_ant, k_total), dtype=complex)
-    subcarrier = np.zeros((l_sub, k_total), dtype=complex)
-    d_pulse_theta = np.zeros_like(pulse)
-    d_antenna_theta = np.zeros_like(antenna)
-    d_pulse_doppler = np.zeros_like(pulse)
-    d_subcarrier_delay = np.zeros_like(subcarrier)
-
-    phase_diag = profile.diagonal()
-    pulse_rate = 2j * np.pi * np.arange(1, n_pulses + 1) * waveform.pri_s
-    tone_rate = (-2j * np.pi * np.arange(1, l_sub + 1)
+    factors = build_factor_matrices(truth, channel, profile, combiner,
+                                    waveform, arrays)
+    d_antenna = relayed_response(
+        channel, profile, steering_derivative(truth.thetas(), *arrays.surface))
+    ramps = doppler_ramp(truth.dopplers(), waveform.n_pulses, waveform.pri_s)
+    pulse_rate = 2j * np.pi * np.arange(1, waveform.n_pulses + 1) * waveform.pri_s
+    tone_rate = (-2j * np.pi * np.arange(1, waveform.n_subcarriers + 1)
                  * waveform.subcarrier_spacing_hz)
-    for k, target in enumerate(truth.targets):
-        steer = steering_vector(target.theta_rad, arrays.n_irs_elements,
-                                arrays.element_spacing_m, arrays.wavelength_m)
-        d_steer = steering_derivative(target.theta_rad, arrays.n_irs_elements,
-                                      arrays.element_spacing_m,
-                                      arrays.wavelength_m)
-        b = channel.matrix.T @ (phase_diag * steer)
-        db = channel.matrix.T @ (phase_diag * d_steer)
-        ramp = doppler_ramp(target.doppler_hz, n_pulses, waveform.pri_s)
-        antenna[:, k] = b
-        d_antenna_theta[:, k] = db
-        pulse[:, k] = (combiner.T @ b) * ramp
-        d_pulse_theta[:, k] = (combiner.T @ db) * ramp
-        d_pulse_doppler[:, k] = pulse[:, k] * pulse_rate
-        sig = delay_signature(target.delay_s, l_sub,
-                              waveform.subcarrier_spacing_hz)
-        subcarrier[:, k] = target.gain * sig
-        d_subcarrier_delay[:, k] = subcarrier[:, k] * tone_rate
-    return FactorDerivatives(factors=(pulse, antenna, subcarrier),
-                             pulse_by_theta=d_pulse_theta,
-                             antenna_by_theta=d_antenna_theta,
-                             pulse_by_doppler=d_pulse_doppler,
-                             subcarrier_by_delay=d_subcarrier_delay)
+    return FactorDerivatives(
+        factors=factors,
+        pulse_by_theta=(combiner.T @ d_antenna) * ramps,
+        antenna_by_theta=d_antenna,
+        pulse_by_doppler=factors.pulse_factor * pulse_rate[:, None],
+        subcarrier_by_delay=factors.subcarrier_factor * tone_rate[:, None])
 
 
-def noise_cov_map(mode_pair: tuple[int, int],
-                  dims: tuple[int, int, int]) -> np.ndarray:
-    """Index pairing of the cross-unfolding noise covariance nonzeros.
+def parameter_jacobian(derivs: FactorDerivatives) -> np.ndarray:
+    """Model derivative per stacked parameter, one flattened (P, M, L)
+    tensor per row (3K x P*M*L, rows in parameter_index order).
 
-    White tensor noise stays white under every unfolding, but the same
-    scalar entry lands at a different vector position in each; the
-    covariance between unfolding j1 and unfolding j2 therefore has
-    exactly one nonzero per tensor entry, at the 1-based position pair
-    returned here (each carrying the phase's noise variance).
+    Direction moves the pulse and antenna factors, Doppler the pulse
+    factor, delay the subcarrier factor; the other modes keep their base
+    columns.
     """
-    j1, j2 = mode_pair
-    if not (1 <= j1 <= 3 and 1 <= j2 <= 3):
-        raise ValueError("unfolding modes must be 1, 2, or 3")
-    n_pulses, n_ant, n_sub = dims
-    pairs = np.empty((n_pulses * n_ant * n_sub, 2), dtype=int)
-    pos = 0
-    for p in range(1, n_pulses + 1):
-        for m in range(1, n_ant + 1):
-            for l in range(1, n_sub + 1):
-                pairs[pos, 0] = flat_index(j1, p, m, l, dims)
-                pairs[pos, 1] = flat_index(j2, p, m, l, dims)
-                pos += 1
-    return pairs
+    a, b, c = (derivs.factors.pulse_factor, derivs.factors.antenna_factor,
+               derivs.factors.subcarrier_factor)
 
+    def rank_one_rows(x, y, z):     # row k: outer product of x_k, y_k, z_k
+        return (x.T[:, :, None, None] * y.T[:, None, :, None]
+                * z.T[:, None, None, :]).reshape(x.shape[1], -1)
 
-def _phase_information(derivs: FactorDerivatives, sigma_sq: float,
-                       n_targets: int) -> np.ndarray:
-    """One phase's contribution to the information matrix.
-
-    Each parameter's tensor derivative is a sum of rank-one terms sharing
-    the base factors in the unaffected modes, so every inner product is a
-    product of three per-mode column inner products.
-    """
-    size = 3 * n_targets
-    omega = np.zeros((size, size))
-    for i1, block1 in enumerate(PARAMETER_BLOCKS):
-        for i2, block2 in enumerate(PARAMETER_BLOCKS):
-            for k1 in range(n_targets):
-                for k2 in range(n_targets):
-                    total = 0.0 + 0.0j
-                    for mode1, deriv1 in derivs.channels(block1):
-                        for mode2, deriv2 in derivs.channels(block2):
-                            term = 1.0 + 0.0j
-                            for mode in range(3):
-                                left = deriv1 if mode == mode1 else derivs.factors[mode]
-                                right = deriv2 if mode == mode2 else derivs.factors[mode]
-                                term *= np.vdot(left[:, k1], right[:, k2])
-                            total += term
-                    omega[i1 * n_targets + k1, i2 * n_targets + k2] = \
-                        (2.0 / sigma_sq) * total.real
-    return omega
+    return np.concatenate([
+        rank_one_rows(derivs.pulse_by_theta, b, c)
+        + rank_one_rows(a, derivs.antenna_by_theta, c),
+        rank_one_rows(derivs.pulse_by_doppler, b, c),
+        rank_one_rows(a, b, derivs.subcarrier_by_delay)])
 
 
 def compute_fim(truth: SceneTruth, channel: ChannelMatrix,
@@ -204,12 +140,11 @@ def compute_fim(truth: SceneTruth, channel: ChannelMatrix,
     if any(s <= 0 for s in noise_variances):
         raise ValueError("noise variances must be positive")
     n_targets = len(truth.targets)
-    size = 3 * n_targets
-    omega = np.zeros((size, size))
+    omega = np.zeros((3 * n_targets, 3 * n_targets))
     for profile, sigma_sq in zip(profiles, noise_variances):
-        derivs = factor_derivatives(truth, channel, profile, combiner,
-                                    waveform, arrays)
-        omega += _phase_information(derivs, sigma_sq, n_targets)
+        jac = parameter_jacobian(factor_derivatives(
+            truth, channel, profile, combiner, waveform, arrays))
+        omega += (2.0 / sigma_sq) * (jac.conj() @ jac.T).real
     omega = 0.5 * (omega + omega.T)
     return FimMatrix(omega=omega, n_targets=n_targets,
                      noise_variances=tuple(float(s) for s in noise_variances),
@@ -246,21 +181,6 @@ def compute_crb(fim: FimMatrix) -> CrbBounds:
                      delay=diag[2 * k:3 * k].copy())
 
 
-def model_tensors(truth: SceneTruth, channel: ChannelMatrix,
-                  profiles: Sequence[PhaseProfile], combiner: np.ndarray,
-                  waveform: WaveformConfig,
-                  arrays: ArrayConfig) -> list[np.ndarray]:
-    """Noise-free observation tensors of all phases at given parameters."""
-    out = []
-    for profile in profiles:
-        factors: GroundTruthFactors = build_factor_matrices(
-            truth, channel, profile, combiner, waveform, arrays)
-        out.append(np.einsum("pk,mk,lk->pml", factors.pulse_factor,
-                             factors.antenna_factor,
-                             factors.subcarrier_factor))
-    return out
-
-
 def log_likelihood(observed: Sequence[np.ndarray],
                    modeled: Sequence[np.ndarray],
                    noise_variances: Sequence[float]) -> float:
@@ -277,25 +197,13 @@ def score(truth: SceneTruth, observed: Sequence[np.ndarray],
           arrays: ArrayConfig,
           noise_variances: Sequence[float]) -> np.ndarray:
     """Analytic gradient of the log-likelihood at the given parameters."""
-    n_targets = len(truth.targets)
-    values = np.zeros(3 * n_targets)
-    for phase_pos, profile in enumerate(profiles):
+    values = np.zeros(3 * len(truth.targets))
+    for obs, profile, sigma_sq in zip(observed, profiles, noise_variances):
         derivs = factor_derivatives(truth, channel, profile, combiner,
                                     waveform, arrays)
-        pulse, antenna, subcarrier = derivs.factors
-        model = np.einsum("pk,mk,lk->pml", pulse, antenna, subcarrier)
-        resid = observed[phase_pos] - model
-        sigma_sq = noise_variances[phase_pos]
-        for block in PARAMETER_BLOCKS:
-            for k in range(n_targets):
-                inner = 0.0 + 0.0j
-                for mode, deriv in derivs.channels(block):
-                    cols = [deriv[:, k] if mode == m else derivs.factors[m][:, k]
-                            for m in range(3)]
-                    inner += np.einsum("p,m,l,pml->", cols[0].conj(),
-                                       cols[1].conj(), cols[2].conj(), resid)
-                values[parameter_index(block, k, n_targets)] += \
-                    (2.0 / sigma_sq) * inner.real
+        resid = obs - synthesize_echo_tensor(derivs.factors).data
+        values += (2.0 / sigma_sq) * (parameter_jacobian(derivs).conj()
+                                      @ resid.ravel()).real
     return values
 
 
@@ -313,13 +221,9 @@ def _shifted_truth(truth: SceneTruth, index: int, delta: float) -> SceneTruth:
 
 def parameter_steps(truth: SceneTruth, base_step: float) -> np.ndarray:
     """Per-parameter finite-difference steps scaled to parameter size."""
-    n_targets = len(truth.targets)
-    values = np.concatenate([truth.thetas(), truth.dopplers(), truth.delays()])
-    steps = np.empty(3 * n_targets)
-    for j, value in enumerate(values):
-        scale = abs(value) if abs(value) > 0 else 1.0
-        steps[j] = base_step * scale
-    return steps
+    scale = np.abs(np.concatenate([truth.thetas(), truth.dopplers(),
+                                   truth.delays()]))
+    return base_step * np.where(scale > 0, scale, 1.0)
 
 
 def score_fd_check(truth: SceneTruth, observed: Sequence[np.ndarray],
@@ -335,19 +239,17 @@ def score_fd_check(truth: SceneTruth, observed: Sequence[np.ndarray],
     analytic = score(truth, observed, channel, profiles, combiner, waveform,
                      arrays, noise_variances)
     steps = parameter_steps(truth, base_step)
+
+    def likelihood_at(shifted: SceneTruth) -> float:
+        modeled = echo_tensors(shifted, channel, profiles, combiner, waveform,
+                               arrays)
+        return log_likelihood(observed, [t.data for t in modeled],
+                              noise_variances)
+
     worst = 0.0
     for j, step in enumerate(steps):
-        plus = log_likelihood(observed,
-                              model_tensors(_shifted_truth(truth, j, +step),
-                                            channel, profiles, combiner,
-                                            waveform, arrays),
-                              noise_variances)
-        minus = log_likelihood(observed,
-                               model_tensors(_shifted_truth(truth, j, -step),
-                                             channel, profiles, combiner,
-                                             waveform, arrays),
-                               noise_variances)
-        fd = (plus - minus) / (2 * step)
+        fd = (likelihood_at(_shifted_truth(truth, j, +step))
+              - likelihood_at(_shifted_truth(truth, j, -step))) / (2 * step)
         denom = max(abs(analytic[j]), abs(fd))
         if denom > 0:
             worst = max(worst, abs(analytic[j] - fd) / denom)
@@ -365,28 +267,14 @@ def mc_score_covariance(truth: SceneTruth, channel: ChannelMatrix,
     tensor contracted with the draw; the sample covariance of the stacked
     scores estimates the information matrix.
     """
-    n_targets = len(truth.targets)
-    size = 3 * n_targets
-    scores = np.zeros((size, n_draws))
-    for phase_pos, profile in enumerate(profiles):
-        derivs = factor_derivatives(truth, channel, profile, combiner,
-                                    waveform, arrays)
-        sigma_sq = noise_variances[phase_pos]
+    scores = np.zeros((3 * len(truth.targets), n_draws))
+    for profile, sigma_sq in zip(profiles, noise_variances):
+        templates = parameter_jacobian(factor_derivatives(
+            truth, channel, profile, combiner, waveform, arrays))
         sigma = math.sqrt(sigma_sq)
-        templates = np.zeros((size,) + derivs.factors[0].shape[:1]
-                             + derivs.factors[1].shape[:1]
-                             + derivs.factors[2].shape[:1], dtype=complex)
-        for block in PARAMETER_BLOCKS:
-            for k in range(n_targets):
-                j = parameter_index(block, k, n_targets)
-                for mode, deriv in derivs.channels(block):
-                    cols = [deriv[:, k] if mode == m else derivs.factors[m][:, k]
-                            for m in range(3)]
-                    templates[j] += np.einsum("p,m,l->pml", *cols)
-        flat = templates.reshape(size, -1)
-        shape = (n_draws, flat.shape[1])
+        shape = (n_draws, templates.shape[1])
         noise = sigma / math.sqrt(2) * (rng.standard_normal(shape)
                                         + 1j * rng.standard_normal(shape))
-        scores += (2.0 / sigma_sq) * (flat.conj() @ noise.T).real
+        scores += (2.0 / sigma_sq) * (templates.conj() @ noise.T).real
     centered = scores - scores.mean(axis=1, keepdims=True)
     return centered @ centered.T / (n_draws - 1)

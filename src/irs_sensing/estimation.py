@@ -23,8 +23,9 @@ from .cpd import FactorTriple, cp_decompose, raw_delay, reconstruction_error
 from .errors import (AmbiguousAlignment, DegenerateProfilePair, DivisionBlowup,
                      EstimationError, NoFeasibleGrid, RankOneChannel,
                      UnwrapInfeasible)
-from .scene import ChannelMatrix, PhaseProfile, steering_vector
-from .synthesis import EchoTensor
+from .scene import (ChannelMatrix, PhaseProfile, relayed_response,
+                    steering_vector)
+from .synthesis import EchoTensor, doppler_ramp
 
 DOA_GRID_STEP_RAD = math.radians(0.02)
 DOPPLER_GRID_POINTS = 2000          # grid step = half-period / this
@@ -110,19 +111,11 @@ def align_columns(triple1: FactorTriple, triple2: FactorTriple,
         free_rows.remove(i)
         free_cols.remove(j)
 
-    def permuted(mat: np.ndarray) -> np.ndarray:
-        out = np.empty_like(mat)
-        for i, j in enumerate(perm):
-            out[:, j] = mat[:, i]
-        return out
-
-    gens = np.empty_like(triple1.generators)
-    for i, j in enumerate(perm):
-        gens[j] = triple1.generators[i]
-    aligned1 = FactorTriple(pulse_factor=permuted(triple1.pulse_factor),
-                            antenna_factor=permuted(triple1.antenna_factor),
-                            subcarrier_factor=permuted(triple1.subcarrier_factor),
-                            generators=gens)
+    source = np.argsort(perm)   # aligned column j is phase-1 column source[j]
+    aligned1 = FactorTriple(pulse_factor=triple1.pulse_factor[:, source],
+                            antenna_factor=triple1.antenna_factor[:, source],
+                            subcarrier_factor=triple1.subcarrier_factor[:, source],
+                            generators=triple1.generators[source])
     return AlignedFactors(phase1=aligned1, phase2=triple2,
                           permutation=tuple(perm))
 
@@ -143,25 +136,19 @@ def compute_gamma_statistics(aligned: AlignedFactors) -> np.ndarray:
     return b_ratio * a_ratio
 
 
-def _steering_matrix(angles: np.ndarray, arrays: ArrayConfig) -> np.ndarray:
-    """Unit-norm surface steering vectors, one column per angle (N x G)."""
-    n = np.arange(arrays.n_irs_elements)
-    steer = np.exp(2j * np.pi * np.outer(n, arrays.element_spacing_m
-                                         * np.sin(angles) / arrays.wavelength_m))
-    return steer / math.sqrt(arrays.n_irs_elements)
-
-
 @functools.lru_cache(maxsize=8)
 def _doa_dictionary(doa_prior: tuple[float, float], grid_step: float,
-                    arrays: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Direction grid over the prior and its N x G steering matrix.
+                    surface: tuple[int, float, float]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Direction grid over the prior and its N x G surface steering matrix.
 
-    Both depend only on the key, so they are built once and shared; the
-    arrays are read-only so no caller can alter what another one gets.
+    Both depend only on the prior and the surface, so they are built once
+    and shared (the AP antenna count does not enter); the arrays are
+    read-only so no caller can alter what another one gets.
     """
     lo, hi = doa_prior
     grid = np.arange(lo, hi + grid_step * 1e-6, grid_step)
-    steer = _steering_matrix(grid, arrays)
+    steer = steering_vector(grid, *surface)
     grid.setflags(write=False)
     steer.setflags(write=False)
     return grid, steer
@@ -176,7 +163,7 @@ def gamma_ratio_curve(grid: np.ndarray, u: np.ndarray,
     two profiles; points where the second profile's response nearly
     vanishes are excluded from searches.
     """
-    return _gamma_ratio(_steering_matrix(grid, arrays), u, profiles)
+    return _gamma_ratio(steering_vector(grid, *arrays.surface), u, profiles)
 
 
 def _gamma_ratio(steer: np.ndarray, u: np.ndarray,
@@ -213,7 +200,7 @@ def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
     increase the objective.  Returns (theta_hats, gamma_hats, residuals).
     """
     lo, hi = doa_prior
-    grid, steer = _doa_dictionary((lo, hi), grid_step, arrays)
+    grid, steer = _doa_dictionary((lo, hi), grid_step, arrays.surface)
     curve = _gamma_ratio(steer, u, profiles)
     finite = np.isfinite(curve)
     if not finite.any():
@@ -262,10 +249,10 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
         raise RankOneChannel(f"singular-value ratio {ratio:.2e}; "
                              "use the cross-phase ratio method instead")
     lo, hi = doa_prior
-    grid, grid_steer = _doa_dictionary((lo, hi), grid_step, arrays)
+    grid, grid_steer = _doa_dictionary((lo, hi), grid_step, arrays.surface)
 
     def corr_at(steer: np.ndarray) -> np.ndarray:
-        cand = channel.matrix.T @ (profile.diagonal()[:, None] * steer)
+        cand = relayed_response(channel, profile, steer)
         norms = np.linalg.norm(cand, axis=0) * np.linalg.norm(b_hat)
         return np.abs(b_hat.conj() @ cand) / norms
 
@@ -276,7 +263,8 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
         offset = _parabolic_step(corr[idx - 1], corr[idx], corr[idx + 1],
                                  grid_step, maximize=True)
         cand = float(np.clip(grid[idx] + offset, lo, hi))
-        cand_corr = corr_at(_steering_matrix(np.array([cand]), arrays))[0]
+        cand_corr = corr_at(steering_vector(np.array([cand]),
+                                            *arrays.surface))[0]
         if cand_corr >= best_corr:
             best_theta = cand
     return best_theta
@@ -292,8 +280,7 @@ def _doppler_dictionary(n_pulses: int, pri_s: float,
     """
     half_span = 1.0 / (2 * pri_s)
     grid = np.arange(-half_span, half_span + grid_step * 1e-6, grid_step)
-    ramps = np.exp(2j * np.pi * np.outer(np.arange(1, n_pulses + 1) * pri_s,
-                                         grid))
+    ramps = doppler_ramp(grid, n_pulses, pri_s)
     grid.setflags(write=False)
     ramps.setflags(write=False)
     return grid, ramps
@@ -319,14 +306,12 @@ def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
     grid, ramps = _doppler_dictionary(waveform.n_pulses, waveform.pri_s,
                                       grid_step)
     k_total = aligned.n_components
+    steer = steering_vector(theta_hats, *arrays.surface)
     estimates = np.empty((2, k_total))
     for phase_pos, (triple, profile) in enumerate(
             ((aligned.phase1, profiles[0]), (aligned.phase2, profiles[1]))):
-        for k in range(k_total):
-            steer = steering_vector(theta_hats[k], arrays.n_irs_elements,
-                                    arrays.element_spacing_m, arrays.wavelength_m)
-            predicted = channel.matrix.T @ (profile.diagonal() * steer)
-            divisor = combiner.T @ predicted
+        divisors = combiner.T @ relayed_response(channel, profile, steer)
+        for k, divisor in enumerate(divisors.T):
             keep = np.abs(divisor) >= DIVISOR_FLOOR
             if not keep.any():
                 raise DivisionBlowup(
@@ -417,12 +402,12 @@ def estimate_targets(y1: EchoTensor, y2: EchoTensor, n_targets: int,
 
     aligned = align_columns(triples[0], triples[1],
                             waveform.subcarrier_spacing_hz)
-    gammas = compute_gamma_statistics(aligned)
     if single_phase_doa:
         thetas = np.array([
             estimate_doa_multirank(aligned.phase1.antenna_factor[:, k],
                                    channel, profiles[0], doa_prior, arrays)
             for k in range(n_targets)])
+        gammas = compute_gamma_statistics(aligned)
         residuals = np.zeros(n_targets)
     else:
         thetas, gammas, residuals = resolve_doa(aligned, channel.irs_side_vector(),

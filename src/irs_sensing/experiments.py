@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -21,10 +21,9 @@ from .config import FullConfig, with_overrides
 from .crb import compute_crb, compute_fim
 from .errors import ConfigError, EstimationError, SingularFim
 from .estimation import TargetEstimate, estimate_targets
-from .scene import (ChannelMatrix, SceneTruth, build_los_channel,
-                    build_rician_channel, derive_target_truth,
-                    design_beamformers, design_phase_profiles, validate_scene)
-from .synthesis import apply_noise, build_factor_matrices, synthesize_echo_tensor
+from .scene import (ScenePoint, SceneTruth, design_phase_profiles,
+                    draw_scene_point)
+from .synthesis import apply_noise, echo_tensors
 
 PARAMETER_LABELS = ("theta", "nu", "tau")
 
@@ -112,9 +111,13 @@ def build_spec(preset: str, trials: int | None = None,
                           **fields)
 
 
-def _point_config(spec: ExperimentSpec, config: FullConfig,
-                  value) -> tuple[FullConfig, float]:
-    """Configuration and noise level at one sweep position."""
+def resolve_sweep_point(spec: ExperimentSpec, config: FullConfig,
+                        value) -> tuple[FullConfig, float]:
+    """Configuration and noise level at one sweep position.
+
+    An invalid configuration raises ConfigError here; the scene itself is
+    validated when its truth is drawn.
+    """
     cfg = config
     if spec.n_targets is not None:
         cfg = with_overrides(cfg, targets=cfg.scene.targets[:spec.n_targets])
@@ -123,15 +126,6 @@ def _point_config(spec: ExperimentSpec, config: FullConfig,
         return cfg, float(value)
     cfg = with_overrides(cfg, **{key: value})
     return cfg, float(spec.snr_db)
-
-
-def _assemble_channel(cfg: FullConfig,
-                      rng: np.random.Generator) -> ChannelMatrix:
-    los = build_los_channel(cfg.scene, cfg.arrays, rng)
-    if cfg.scene.rician_k_db is None:
-        return los
-    return build_rician_channel(los, cfg.scene.rician_k_db,
-                                cfg.scene.n_nlos_paths, cfg.arrays, rng)
 
 
 def match_by_delay(estimated: Sequence[float],
@@ -176,16 +170,14 @@ class _Accumulator:
         return self.sq_sums / (self.used * n_targets)
 
 
-def _point_crb(truth: SceneTruth, channel: ChannelMatrix, profiles,
-               combiner: np.ndarray, cfg: FullConfig,
+def _point_crb(point: ScenePoint, cfg: FullConfig,
                noise_vars: tuple[float, ...]) -> np.ndarray:
     """Mean-over-targets bound per parameter family; NaN when unavailable."""
     if any(not (v > 0) for v in noise_vars):
         return np.full(3, math.nan)
     try:
-        fim = compute_fim(truth, channel, profiles, combiner, cfg.waveform,
-                          cfg.arrays, noise_vars)
-        bounds = compute_crb(fim)
+        bounds = compute_crb(compute_fim(*point, cfg.waveform, cfg.arrays,
+                                         noise_vars))
     except SingularFim:
         return np.full(3, math.nan)
     return np.array([bounds.theta.mean(), bounds.doppler.mean(),
@@ -206,12 +198,10 @@ def run_experiment(spec: ExperimentSpec,
     for sweep_idx, value in enumerate(spec.sweep_values):
         cfg, snr_db = resolve_sweep_point(spec, config, value)
         k_total = len(cfg.scene.targets)
-        fixed_rng = np.random.default_rng(spec.seed)
-        truth0 = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays,
-                                     fixed_rng)
-        chan0 = _assemble_channel(cfg, fixed_rng)
         profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
                                          cfg.scene.n_subarrays)
+        point = draw_scene_point(cfg, profiles,
+                                 np.random.default_rng(spec.seed))
 
         methods = ["two_phase"]
         if spec.compare_single_phase:
@@ -223,21 +213,13 @@ def run_experiment(spec: ExperimentSpec,
         for trial in range(spec.trials):
             rng = np.random.default_rng((spec.seed, sweep_idx, trial))
             if spec.redraw_fading:
-                truth = derive_target_truth(cfg.scene, cfg.waveform,
-                                            cfg.arrays, rng)
-                chan = _assemble_channel(cfg, rng)
-            else:
-                truth, chan = truth0, chan0
-            combiner = design_beamformers(chan, cfg.waveform.n_pulses)
-            tensors = []
-            for prof in profiles:
-                clean = synthesize_echo_tensor(build_factor_matrices(
-                    truth, chan, prof, combiner, cfg.waveform, cfg.arrays))
-                tensors.append(apply_noise(clean, snr_db, rng))
+                point = draw_scene_point(cfg, profiles, rng)
+            tensors = [apply_noise(clean, snr_db, rng)
+                       for clean in echo_tensors(*point, cfg.waveform,
+                                                 cfg.arrays)]
             noise_vars = tuple(t.noise_sigma ** 2 for t in tensors)
             if spec.redraw_fading or trial == 0:
-                crb_point = _point_crb(truth, chan, profiles, combiner, cfg,
-                                       noise_vars)
+                crb_point = _point_crb(point, cfg, noise_vars)
                 if np.isfinite(crb_point).all():
                     crb_sum += crb_point
                     crb_draws += 1
@@ -246,13 +228,13 @@ def run_experiment(spec: ExperimentSpec,
                 try:
                     estimates = estimate_targets(
                         tensors[0], tensors[1], k_total,
-                        cfg.scene.doa_prior_rad, chan, profiles, combiner,
-                        cfg.waveform, cfg.arrays,
+                        cfg.scene.doa_prior_rad, point.channel, profiles,
+                        point.combiner, cfg.waveform, cfg.arrays,
                         single_phase_doa=(name == "single_phase"))
                 except EstimationError:
                     acc.failures += 1
                     continue
-                acc.sq_sums += _squared_errors(estimates, truth)
+                acc.sq_sums += _squared_errors(estimates, point.truth)
                 acc.used += 1
 
         crb_point = (crb_sum / crb_draws if crb_draws
@@ -271,14 +253,6 @@ def run_experiment(spec: ExperimentSpec,
                                       trials_used=acc.used,
                                       failures=acc.failures))
     return rows
-
-
-def resolve_sweep_point(spec: ExperimentSpec, config: FullConfig,
-                        value) -> tuple[FullConfig, float]:
-    """Resolve and sanity-check one sweep position's configuration."""
-    cfg, snr_db = _point_config(spec, config, value)
-    validate_scene(cfg.scene, cfg.waveform, cfg.arrays)
-    return cfg, snr_db
 
 
 CSV_HEADER = ("sweep_name", "sweep_value", "parameter", "mse", "crb",
@@ -307,17 +281,10 @@ def emit_results(rows: Sequence[ResultRow], path: str | Path,
                                  row.parameter, _fmt(row.mse), _fmt(row.crb),
                                  row.trials_used, row.failures])
     elif fmt == "json":
-        payload = []
-        for row in rows:
-            payload.append({
-                "sweep_name": row.sweep_name,
-                "sweep_value": row.sweep_value,
-                "parameter": row.parameter,
-                "mse": row.mse if math.isfinite(row.mse) else None,
-                "crb": row.crb if math.isfinite(row.crb) else None,
-                "trials_used": row.trials_used,
-                "failures": row.failures,
-            })
+        payload = [{**asdict(row),
+                    "mse": row.mse if math.isfinite(row.mse) else None,
+                    "crb": row.crb if math.isfinite(row.crb) else None}
+                   for row in rows]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import (SPEED_OF_LIGHT, ArrayConfig, SceneConfig, WaveformConfig)
+from .config import (SPEED_OF_LIGHT, ArrayConfig, FullConfig, SceneConfig,
+                     WaveformConfig)
 from .errors import (ConfigError, DegenerateGeometry, DuplicateParameter,
                      InfeasibleTiming, InvalidPartition, OutOfRange)
 
@@ -24,18 +26,23 @@ PL_SLOPE_DB = 20.0
 PL_SHADOW_STD_DB = 5.8
 
 
-def steering_vector(theta: float, n_elem: int, spacing: float,
+def steering_vector(theta, n_elem: int, spacing: float,
                     wavelength: float) -> np.ndarray:
-    """Unit-norm ULA response; element n carries phase 2*pi*n*d*sin(theta)/lambda."""
+    """Unit-norm ULA response; element n carries phase 2*pi*n*d*sin(theta)/lambda.
+
+    A scalar angle gives an N-vector, a 1-D array of G angles an N x G
+    matrix whose columns equal the scalar calls bit for bit.
+    """
     n = np.arange(n_elem)
-    return np.exp(2j * np.pi * n * spacing * np.sin(theta) / wavelength) / math.sqrt(n_elem)
+    phase = np.multiply.outer(2j * np.pi * n * spacing, np.sin(theta)) / wavelength
+    return np.exp(phase) / math.sqrt(n_elem)
 
 
-def steering_derivative(theta: float, n_elem: int, spacing: float,
+def steering_derivative(theta, n_elem: int, spacing: float,
                         wavelength: float) -> np.ndarray:
     """Elementwise derivative of steering_vector with respect to the angle."""
     n = np.arange(n_elem)
-    scale = 2j * np.pi * n * spacing * np.cos(theta) / wavelength
+    scale = np.multiply.outer(2j * np.pi * n * spacing, np.cos(theta)) / wavelength
     return steering_vector(theta, n_elem, spacing, wavelength) * scale
 
 
@@ -121,6 +128,17 @@ class PhaseProfile:
         return np.exp(1j * self.phases)
 
 
+def relayed_response(channel: ChannelMatrix, profile: PhaseProfile,
+                     steer: np.ndarray) -> np.ndarray:
+    """AP-side response H^T diag(phi) a of every surface steering column.
+
+    ``steer`` is N x G (surface steering vectors or their derivatives);
+    the result is M x G.  Every AP-side target response of the model is
+    this one product.
+    """
+    return channel.matrix.T @ (profile.diagonal()[:, None] * steer)
+
+
 @dataclass(frozen=True)
 class SensingLimits:
     min_range_m: float
@@ -146,6 +164,16 @@ def ap_irs_distance(scene: SceneConfig) -> float:
     return float(d)
 
 
+def _target_geometry(scene: SceneConfig, waveform: WaveformConfig,
+                     tgt) -> tuple[float, float, float, float]:
+    """Range from the surface, direction, round-trip delay, Doppler shift."""
+    rng_m = float(np.linalg.norm(np.asarray(tgt.position_m, float)
+                                 - np.asarray(scene.irs_position_m, float)))
+    return (rng_m, angle_from_broadside(scene.irs_position_m, tgt.position_m),
+            2 * rng_m / SPEED_OF_LIGHT,
+            2 * tgt.radial_velocity_mps * waveform.carrier_freq_hz / SPEED_OF_LIGHT)
+
+
 def validate_scene(scene: SceneConfig, waveform: WaveformConfig,
                    arrays: ArrayConfig) -> None:
     """Check ranges, the DOA prior, timing feasibility, and separability.
@@ -157,34 +185,26 @@ def validate_scene(scene: SceneConfig, waveform: WaveformConfig,
     """
     limits = sensing_limits(waveform)
     lo, hi = scene.doa_prior_rad
-    thetas, delays, dopplers = [], [], []
+    params = []     # (direction, delay, Doppler) per target
     for i, tgt in enumerate(scene.targets):
-        rng_m = float(np.linalg.norm(np.asarray(tgt.position_m, float)
-                                     - np.asarray(scene.irs_position_m, float)))
+        rng_m, theta, delay, doppler = _target_geometry(scene, waveform, tgt)
         if not (limits.min_range_m <= rng_m <= limits.max_range_m):
             raise OutOfRange(
                 f"target {i} at {rng_m:.1f} m outside "
                 f"[{limits.min_range_m:.1f}, {limits.max_range_m:.1f}] m")
-        theta = angle_from_broadside(scene.irs_position_m, tgt.position_m)
         if not (lo <= theta <= hi):
             raise OutOfRange(f"target {i} DOA {math.degrees(theta):.2f} deg "
                              f"outside the prior interval")
-        thetas.append(theta)
-        delays.append(2 * rng_m / SPEED_OF_LIGHT)
-        dopplers.append(2 * tgt.radial_velocity_mps * waveform.carrier_freq_hz
-                        / SPEED_OF_LIGHT)
+        params.append((theta, delay, doppler))
 
-    res_theta = 2.0 / arrays.n_irs_elements
-    res_delay = waveform.symbol_duration_s / waveform.n_subcarriers
-    res_doppler = 1.0 / (waveform.n_pulses * waveform.pri_s)
-    for i in range(len(scene.targets)):
-        for j in range(i + 1, len(scene.targets)):
-            if abs(thetas[i] - thetas[j]) < 1e-3 * res_theta:
-                raise DuplicateParameter(f"targets {i},{j} share a DOA")
-            if abs(delays[i] - delays[j]) < 1e-3 * res_delay:
-                raise DuplicateParameter(f"targets {i},{j} share a delay")
-            if abs(dopplers[i] - dopplers[j]) < 1e-3 * res_doppler:
-                raise DuplicateParameter(f"targets {i},{j} share a Doppler shift")
+    cells = (("a DOA", 2.0 / arrays.n_irs_elements),
+             ("a delay", waveform.symbol_duration_s / waveform.n_subcarriers),
+             ("a Doppler shift", 1.0 / (waveform.n_pulses * waveform.pri_s)))
+    for i in range(len(params)):
+        for j in range(i + 1, len(params)):
+            for (what, cell), a, b in zip(cells, params[i], params[j]):
+                if abs(a - b) < 1e-3 * cell:
+                    raise DuplicateParameter(f"targets {i},{j} share {what}")
 
     # The echo of pulse p must arrive before pulse p+1 is transmitted.
     round_trip = 2 * ap_irs_distance(scene) / SPEED_OF_LIGHT
@@ -218,11 +238,7 @@ def derive_target_truth(scene: SceneConfig, waveform: WaveformConfig,
     tau0 = 2 * ap_irs_distance(scene) / SPEED_OF_LIGHT
     targets = []
     for tgt in scene.targets:
-        rng_m = float(np.linalg.norm(np.asarray(tgt.position_m, float)
-                                     - np.asarray(scene.irs_position_m, float)))
-        theta = angle_from_broadside(scene.irs_position_m, tgt.position_m)
-        delay = 2 * rng_m / SPEED_OF_LIGHT
-        doppler = 2 * tgt.radial_velocity_mps * waveform.carrier_freq_hz / SPEED_OF_LIGHT
+        rng_m, theta, delay, doppler = _target_geometry(scene, waveform, tgt)
         two_leg = (_shadowed_leg_gain(rng_m, rng) * _shadowed_leg_gain(rng_m, rng)
                    * abs(tgt.rcs))
         gain = (math.sqrt(waveform.tx_power_w) * two_leg
@@ -239,8 +255,7 @@ def build_los_channel(scene: SceneConfig, arrays: ArrayConfig,
     dist = ap_irs_distance(scene)
     aoa = angle_from_broadside(scene.irs_position_m, scene.ap_position_m)
     aod = angle_from_broadside(scene.ap_position_m, scene.irs_position_m)
-    a_irs = steering_vector(aoa, arrays.n_irs_elements, arrays.element_spacing_m,
-                            arrays.wavelength_m)
+    a_irs = steering_vector(aoa, *arrays.surface)
     a_ap = steering_vector(aod, arrays.n_ap_antennas, arrays.element_spacing_m,
                            arrays.wavelength_m)
     gain = _shadowed_leg_gain(dist, rng)
@@ -266,8 +281,7 @@ def build_rician_channel(g_los: ChannelMatrix, rician_db: float | None,
     for _ in range(n_nlos):
         aoa = rng.uniform(-np.pi / 2, np.pi / 2)
         aod = rng.uniform(-np.pi / 2, np.pi / 2)
-        a_irs = steering_vector(aoa, arrays.n_irs_elements,
-                                arrays.element_spacing_m, arrays.wavelength_m)
+        a_irs = steering_vector(aoa, *arrays.surface)
         a_ap = steering_vector(aod, arrays.n_ap_antennas,
                                arrays.element_spacing_m, arrays.wavelength_m)
         scattered = scattered + _complex_normal(rng) * np.outer(a_irs, a_ap.conj())
@@ -331,3 +345,27 @@ def design_beamformers(channel: ChannelMatrix, n_pulses: int) -> np.ndarray:
         w = vh[0].conj()
     w = w / np.linalg.norm(w)
     return np.tile(w[:, None], (1, n_pulses))
+
+
+class ScenePoint(NamedTuple):
+    """Everything the model needs at one operating point, in the argument
+    order of the synthesis and bound functions (``f(*point, ...)``)."""
+
+    truth: SceneTruth
+    channel: ChannelMatrix
+    profiles: tuple[PhaseProfile, PhaseProfile]
+    combiner: np.ndarray
+
+
+def draw_scene_point(cfg: FullConfig, profiles: tuple[PhaseProfile, PhaseProfile],
+                     rng: np.random.Generator) -> ScenePoint:
+    """Draw the truth, then the line-of-sight channel, then its scattered
+    paths (when ``rician_k_db`` is set) from ``rng``; the transmit weights
+    follow from the channel.  Validation happens in derive_target_truth.
+    """
+    truth = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays, rng)
+    channel = build_rician_channel(build_los_channel(cfg.scene, cfg.arrays, rng),
+                                   cfg.scene.rician_k_db, cfg.scene.n_nlos_paths,
+                                   cfg.arrays, rng)
+    return ScenePoint(truth, channel, profiles,
+                      design_beamformers(channel, cfg.waveform.n_pulses))

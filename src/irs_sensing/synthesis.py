@@ -16,17 +16,16 @@ neglects; the two agree to the documented tolerance.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .config import ArrayConfig, WaveformConfig
+from .cpd import cp_reconstruct
 from .errors import DimensionMismatch, InsufficientSampling
-from .scene import ChannelMatrix, PhaseProfile, SceneTruth, steering_vector
-
-_HEADER = struct.Struct("<4i")
+from .scene import (ChannelMatrix, PhaseProfile, SceneTruth, relayed_response,
+                    steering_vector)
 
 
 @dataclass(frozen=True)
@@ -57,17 +56,23 @@ class EchoTensor:
         return self.data.shape
 
 
-def doppler_ramp(doppler_hz: float, n_pulses: int, pri_s: float) -> np.ndarray:
-    """Per-pulse phase progression exp(j*2*pi*p*pri*doppler), p = 1..P."""
+def doppler_ramp(doppler_hz, n_pulses: int, pri_s: float) -> np.ndarray:
+    """Per-pulse phase progression exp(j*2*pi*p*pri*doppler), p = 1..P.
+
+    A 1-D array of G Dopplers gives a P x G matrix of ramps.
+    """
     p = np.arange(1, n_pulses + 1)
-    return np.exp(2j * np.pi * p * pri_s * doppler_hz)
+    return np.exp(np.multiply.outer(2j * np.pi * p * pri_s, doppler_hz))
 
 
-def delay_signature(delay_s: float, n_subcarriers: int,
+def delay_signature(delay_s, n_subcarriers: int,
                     spacing_hz: float) -> np.ndarray:
-    """Per-subcarrier phase exp(-j*2*pi*l*df*delay), l = 1..L."""
+    """Per-subcarrier phase exp(-j*2*pi*l*df*delay), l = 1..L.
+
+    A 1-D array of K delays gives an L x K matrix of signatures.
+    """
     l = np.arange(1, n_subcarriers + 1)
-    return np.exp(-2j * np.pi * l * spacing_hz * delay_s)
+    return np.exp(np.multiply.outer(-2j * np.pi * l * spacing_hz, delay_s))
 
 
 def build_factor_matrices(truth: SceneTruth, channel: ChannelMatrix,
@@ -90,33 +95,33 @@ def build_factor_matrices(truth: SceneTruth, channel: ChannelMatrix,
         raise DimensionMismatch(f"combiner shape {combiner.shape} != "
                                 f"({n_ap}, {waveform.n_pulses})")
 
-    diag = profile.diagonal()
-    pulse_cols, antenna_cols, subcarrier_cols = [], [], []
-    for tgt in truth.targets:
-        a = steering_vector(tgt.theta_rad, n_irs, arrays.element_spacing_m,
-                            arrays.wavelength_m)
-        b = channel.matrix.T @ (diag * a)
-        ramp = doppler_ramp(tgt.doppler_hz, waveform.n_pulses, waveform.pri_s)
-        pulse_cols.append((combiner.T @ b) * ramp)
-        antenna_cols.append(b)
-        subcarrier_cols.append(tgt.gain * delay_signature(
-            tgt.delay_s, waveform.n_subcarriers, waveform.subcarrier_spacing_hz))
-    k = len(truth.targets)
-    shape = lambda cols, n: (np.stack(cols, axis=1) if k
-                             else np.zeros((n, 0), complex))
+    antenna = relayed_response(channel, profile,
+                               steering_vector(truth.thetas(), *arrays.surface))
+    ramps = doppler_ramp(truth.dopplers(), waveform.n_pulses, waveform.pri_s)
+    signatures = delay_signature(truth.delays(), waveform.n_subcarriers,
+                                 waveform.subcarrier_spacing_hz)
     return GroundTruthFactors(
-        pulse_factor=shape(pulse_cols, waveform.n_pulses),
-        antenna_factor=shape(antenna_cols, n_ap),
-        subcarrier_factor=shape(subcarrier_cols, waveform.n_subcarriers),
+        pulse_factor=(combiner.T @ antenna) * ramps,
+        antenna_factor=antenna,
+        subcarrier_factor=truth.gains() * signatures,
         phase_index=profile.phase_index)
 
 
 def synthesize_echo_tensor(factors: GroundTruthFactors) -> EchoTensor:
     """Noiseless tensor: sum of per-target rank-one terms."""
-    data = np.einsum("pk,mk,lk->pml", factors.pulse_factor,
-                     factors.antenna_factor, factors.subcarrier_factor)
-    return EchoTensor(data=data, phase_index=factors.phase_index,
+    return EchoTensor(data=cp_reconstruct(factors),
+                      phase_index=factors.phase_index,
                       noise_sigma=0.0, snr_db=math.inf)
+
+
+def echo_tensors(truth: SceneTruth, channel: ChannelMatrix,
+                 profiles: Sequence[PhaseProfile], combiner: np.ndarray,
+                 waveform: WaveformConfig,
+                 arrays: ArrayConfig) -> tuple[EchoTensor, ...]:
+    """Noiseless echo tensors of every observation phase."""
+    return tuple(synthesize_echo_tensor(build_factor_matrices(
+        truth, channel, profile, combiner, waveform, arrays))
+        for profile in profiles)
 
 
 def apply_noise(tensor: EchoTensor, snr_db: float,
@@ -129,9 +134,8 @@ def apply_noise(tensor: EchoTensor, snr_db: float,
     """
     if math.isinf(snr_db):
         return tensor
+    sigma = noise_sigma_for_snr(tensor, snr_db)
     signal_energy = float(np.linalg.norm(tensor.data) ** 2)
-    sigma2 = signal_energy / (tensor.data.size * 10.0 ** (snr_db / 10.0))
-    sigma = math.sqrt(sigma2)
     noise = (sigma / math.sqrt(2)) * (rng.standard_normal(tensor.data.shape)
                                       + 1j * rng.standard_normal(tensor.data.shape))
     realized = 10.0 * math.log10(signal_energy / float(np.linalg.norm(noise) ** 2))
@@ -177,15 +181,12 @@ def time_domain_oracle(truth: SceneTruth, channel: ChannelMatrix,
     t = start + (np.arange(n_samples) + 0.5) * step
     q = np.arange(1, n_sub + 1)
 
-    diag = profile.diagonal()
-    n_ap = arrays.n_ap_antennas
-    baseband = np.zeros((n_ap, n_samples), dtype=complex)
-    for tgt in truth.targets:
-        a = steering_vector(tgt.theta_rad, arrays.n_irs_elements,
-                            arrays.element_spacing_m, arrays.wavelength_m)
-        b = channel.matrix.T @ (diag * a)
-        w_gain = combiner[:, pulse_index - 1] @ b
-        z = w_gain * np.exp(2j * np.pi * pulse_index * pri * tgt.doppler_hz)
+    # The spatial responses are the model's; the waveform is integrated here.
+    factors = build_factor_matrices(truth, channel, profile, combiner,
+                                    waveform, arrays)
+    baseband = np.zeros((arrays.n_ap_antennas, n_samples), dtype=complex)
+    for tgt, b, z in zip(truth.targets, factors.antenna_factor.T,
+                         factors.pulse_factor[pulse_index - 1]):
         bar_gain = (tgt.gain / (beta * waveform.symbol_duration_s))
         shifted_delay = (tgt.delay_s + tau0
                          - tgt.doppler_hz * pulse_index * pri / fc)
@@ -195,7 +196,7 @@ def time_domain_oracle(truth: SceneTruth, channel: ChannelMatrix,
         pulse_wave = tones.sum(axis=0) * window
         baseband += np.outer(bar_gain * z * b, pulse_wave)
 
-    analysis = np.exp(-2j * np.pi * spacing * np.outer(np.arange(1, n_sub + 1), t))
+    analysis = np.exp(-2j * np.pi * spacing * np.outer(q, t))
     integrated = (baseband[:, None, :] * analysis[None, :, :]).sum(axis=2) * step
     return integrated / (beta * waveform.symbol_duration_s)
 
@@ -208,48 +209,9 @@ def oracle_prediction(factors: GroundTruthFactors, sync_delay_s: float,
     tensor model drops, and removes the modulation symbol and symbol
     duration, matching the oracle's normalization.
     """
-    tensor_slice = np.einsum("k,mk,lk->ml",
-                             factors.pulse_factor[pulse_index - 1, :],
-                             factors.antenna_factor, factors.subcarrier_factor)
+    tensor_slice = cp_reconstruct(factors)[pulse_index - 1]
     l = np.arange(1, waveform.n_subcarriers + 1)
     sync_phase = np.exp(-2j * np.pi * l * waveform.subcarrier_spacing_hz
                         * sync_delay_s)
     return (tensor_slice * sync_phase[None, :]
             / (waveform.modulation_symbol * waveform.symbol_duration_s))
-
-
-def _write_block(fh, data: np.ndarray, phase_index: int) -> None:
-    p, m, l = data.shape
-    fh.write(_HEADER.pack(p, m, l, phase_index))
-    flat = np.empty(2 * data.size, dtype="<f8")
-    flat[0::2] = data.real.ravel()
-    flat[1::2] = data.imag.ravel()
-    fh.write(flat.tobytes())
-
-
-def _read_block(fh) -> tuple[np.ndarray, int]:
-    header = fh.read(_HEADER.size)
-    if len(header) != _HEADER.size:
-        raise OSError("truncated tensor file")
-    p, m, l, phase_index = _HEADER.unpack(header)
-    raw = fh.read(16 * p * m * l)
-    if len(raw) != 16 * p * m * l:
-        raise OSError("truncated tensor file")
-    flat = np.frombuffer(raw, dtype="<f8")
-    data = (flat[0::2] + 1j * flat[1::2]).reshape(p, m, l)
-    return data, phase_index
-
-
-def dump_tensor(tensor: EchoTensor, path: str | Path) -> None:
-    """Flat binary dump: little-endian int32 header (P, M, L, phase index)
-    then row-major interleaved re/im float64 entries."""
-    with open(path, "wb") as fh:
-        _write_block(fh, tensor.data, tensor.phase_index)
-
-
-def load_tensor(path: str | Path) -> EchoTensor:
-    """Read a tensor written by :func:`dump_tensor` (noise fields unknown)."""
-    with open(path, "rb") as fh:
-        data, phase_index = _read_block(fh)
-    return EchoTensor(data=data, phase_index=phase_index,
-                      noise_sigma=0.0, snr_db=math.inf)

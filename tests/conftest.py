@@ -3,9 +3,8 @@ import numpy as np
 import pytest
 
 from irs_sensing.config import default_config
-from irs_sensing.scene import (build_los_channel, derive_target_truth,
-                               design_beamformers, design_phase_profiles)
-from irs_sensing.synthesis import build_factor_matrices, synthesize_echo_tensor
+from irs_sensing.scene import design_phase_profiles, draw_scene_point
+from irs_sensing.synthesis import build_factor_matrices, echo_tensors
 
 SCENE_SEED = 7
 
@@ -16,37 +15,35 @@ def cfg():
 
 
 @pytest.fixture(scope="session")
-def truth(cfg):
-    rng = np.random.default_rng(SCENE_SEED)
-    return derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays, rng)
-
-
-@pytest.fixture(scope="session")
-def channel(cfg):
-    rng = np.random.default_rng(SCENE_SEED)
-    # consume the same leg draws as the truth fixture so gains correspond
-    derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays, rng)
-    return build_los_channel(cfg.scene, cfg.arrays, rng)
-
-
-@pytest.fixture(scope="session")
 def profiles(cfg):
     return design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
                                  cfg.scene.n_subarrays)
 
 
 @pytest.fixture(scope="session")
-def combiner(cfg, channel):
-    return design_beamformers(channel, cfg.waveform.n_pulses)
+def scene_point(cfg, profiles):
+    return draw_scene_point(cfg, profiles, np.random.default_rng(SCENE_SEED))
 
 
 @pytest.fixture(scope="session")
-def clean_pair(cfg, truth, channel, profiles, combiner):
+def truth(scene_point):
+    return scene_point.truth
+
+
+@pytest.fixture(scope="session")
+def channel(scene_point):
+    return scene_point.channel
+
+
+@pytest.fixture(scope="session")
+def combiner(scene_point):
+    return scene_point.combiner
+
+
+@pytest.fixture(scope="session")
+def clean_pair(cfg, scene_point):
     """Noise-free echo tensors for both observation phases."""
-    return tuple(
-        synthesize_echo_tensor(build_factor_matrices(
-            truth, channel, prof, combiner, cfg.waveform, cfg.arrays))
-        for prof in profiles)
+    return echo_tensors(*scene_point, cfg.waveform, cfg.arrays)
 
 
 @pytest.fixture(scope="session")

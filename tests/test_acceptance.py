@@ -17,7 +17,7 @@ from irs_sensing.cli import main as cli_main
 from irs_sensing.config import default_config, with_overrides
 from irs_sensing.cpd import FactorTriple, cp_decompose
 from irs_sensing.crb import (compute_crb, compute_fim, mc_score_covariance,
-                             model_tensors, score_fd_check)
+                             score_fd_check)
 from irs_sensing.errors import UniquenessError
 from irs_sensing.estimation import (AlignedFactors, align_columns,
                                     compute_gamma_statistics,
@@ -28,7 +28,8 @@ from irs_sensing.scene import (build_los_channel, derive_target_truth,
                                design_beamformers, design_phase_profiles,
                                sensing_limits)
 from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
-                                   noise_sigma_for_snr, oracle_prediction,
+                                   echo_tensors, noise_sigma_for_snr,
+                                   oracle_prediction,
                                    synthesize_echo_tensor,
                                    time_domain_oracle)
 
@@ -147,8 +148,9 @@ def test_information_matrix_consistency(cfg, truth, channel, profiles,
     noise_vars = []
     observed = []
     rng = np.random.default_rng(31)
-    for model in model_tensors(truth, channel, profiles, combiner,
-                               cfg.waveform, cfg.arrays):
+    for clean in echo_tensors(truth, channel, profiles, combiner,
+                              cfg.waveform, cfg.arrays):
+        model = clean.data
         energy = float(np.linalg.norm(model) ** 2)
         sigma_sq = energy / model.size          # 0 dB
         sigma = math.sqrt(sigma_sq)

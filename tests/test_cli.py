@@ -1,10 +1,15 @@
 """Command-line interface, exercised in-process through main()."""
 import json
 
+import numpy as np
 import pytest
 
 from irs_sensing.cli import CRB_SNR_GRID, main
-from irs_sensing.experiments import CSV_HEADER
+from irs_sensing.config import load_config
+from irs_sensing.crb import compute_crb, compute_fim
+from irs_sensing.experiments import CSV_HEADER, DEFAULT_SEED
+from irs_sensing.scene import design_phase_profiles, draw_scene_point
+from irs_sensing.synthesis import echo_tensors, noise_sigma_for_snr
 
 CONFIG = "configs/default.yaml"
 
@@ -91,3 +96,29 @@ def test_crb_sweep_to_stdout(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split(",")[0] == "snr_db"
     assert len(lines) == 1 + len(CRB_SNR_GRID)
+
+
+def _crb_cells(capsys, config_path):
+    assert main(["crb", "--config", str(config_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return [[float(v) for v in line.split(",")] for line in lines[1:]]
+
+
+def test_crb_uses_the_configured_rician_channel(tmp_path, capsys):
+    """With rician_k_db set, the bounds are those of the scattered channel."""
+    path = tmp_path / "rician.yaml"
+    path.write_text("scene:\n  rician_k_db: 5.0\n")
+    got = _crb_cells(capsys, path)
+
+    cfg = load_config(path)
+    profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
+                                     cfg.scene.n_subarrays)
+    point = draw_scene_point(cfg, profiles, np.random.default_rng(DEFAULT_SEED))
+    assert point.channel.rank_one is None          # scattered paths drawn
+    tensors = echo_tensors(*point, cfg.waveform, cfg.arrays)
+    for row, snr in zip(got, CRB_SNR_GRID):
+        noise_vars = tuple(noise_sigma_for_snr(t, snr) ** 2 for t in tensors)
+        bounds = compute_crb(compute_fim(*point, cfg.waveform, cfg.arrays,
+                                         noise_vars))
+        assert row == [snr, *bounds.theta, *bounds.doppler, *bounds.delay]
+    assert got != _crb_cells(capsys, CONFIG)

@@ -1,29 +1,11 @@
 """Tensor reshaping identities and the structured factorization."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from irs_sensing.cpd import (FactorTriple, check_uniqueness, cp_decompose,
-                             cp_reconstruct, deserialize_factors, flat_index,
-                             khatri_rao, raw_delay, reconstruction_error,
-                             refold, serialize_factors, unfold)
+                             cp_reconstruct, khatri_rao, raw_delay,
+                             reconstruction_error, unfold)
 from irs_sensing.errors import RankDeficient, UniquenessError
-
-DIMS = st.integers(2, 5)
-
-
-def _random_tensor(rng, p, m, l):
-    return rng.standard_normal((p, m, l)) + 1j * rng.standard_normal((p, m, l))
-
-
-@settings(max_examples=30, deadline=None)
-@given(p=DIMS, m=DIMS, l=DIMS, seed=st.integers(0, 10_000))
-def test_unfold_refold_roundtrip(p, m, l, seed):
-    y = _random_tensor(np.random.default_rng(seed), p, m, l)
-    for mode in (1, 2, 3):
-        mat = unfold(y, mode)
-        assert refold(mat, mode, (p, m, l)) == pytest.approx(y)
 
 
 def test_unfold_shapes():
@@ -54,32 +36,6 @@ def test_khatri_rao_definition():
     # first argument varies slowest within each column
     assert out[:, 0] == pytest.approx(np.kron(a[:, 0], b[:, 0]))
     assert out[:, 1] == pytest.approx(np.kron(a[:, 1], b[:, 1]))
-
-
-@settings(max_examples=30, deadline=None)
-@given(p=DIMS, m=DIMS, l=DIMS)
-def test_flat_index_bijections(p, m, l):
-    dims = (p, m, l)
-    total = p * m * l
-    for mode in (1, 2, 3):
-        seen = {flat_index(mode, pp, mm, ll, dims)
-                for pp in range(1, p + 1)
-                for mm in range(1, m + 1)
-                for ll in range(1, l + 1)}
-        assert seen == set(range(1, total + 1))
-
-
-def test_flat_index_locates_unfolded_entries():
-    rng = np.random.default_rng(5)
-    dims = (3, 4, 2)
-    y = _random_tensor(rng, *dims)
-    for mode in (1, 2, 3):
-        flat = unfold(y, mode).ravel()
-        for pp in range(1, dims[0] + 1):
-            for mm in range(1, dims[1] + 1):
-                for ll in range(1, dims[2] + 1):
-                    idx = flat_index(mode, pp, mm, ll, dims)
-                    assert flat[idx - 1] == y[pp - 1, mm - 1, ll - 1]
 
 
 def test_uniqueness_rule():
@@ -167,15 +123,3 @@ def test_raw_delay_wraps_into_one_period():
     assert 0 <= raw[0] < period
     assert raw[0] == pytest.approx(3.4e-6 - period, abs=1e-18)
 
-
-def test_factor_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    a, b, c, gens = _synthetic_triple(rng, 5, 4, 6, [3.3e-6, 3.8e-6], 500e3)
-    triple = FactorTriple(pulse_factor=a, antenna_factor=b,
-                          subcarrier_factor=c, generators=gens)
-    path = tmp_path / "factors.bin"
-    serialize_factors(triple, path)
-    pulse_back, antenna_back, subcarrier_back = deserialize_factors(path)
-    assert np.array_equal(pulse_back, a)
-    assert np.array_equal(antenna_back, b)
-    assert np.array_equal(subcarrier_back, c)

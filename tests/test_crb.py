@@ -9,14 +9,13 @@ import irs_sensing.crb as crb_mod
 from irs_sensing.config import ArrayConfig
 from irs_sensing.crb import (FIM_CONDITION_LIMIT, compute_crb, compute_fim,
                              factor_derivatives, log_likelihood,
-                             mc_score_covariance, model_tensors,
-                             noise_cov_map, parameter_index, score,
+                             mc_score_covariance, parameter_index, score,
                              score_fd_check)
 from irs_sensing.errors import SingularFim
 from irs_sensing.scene import (build_los_channel, derive_target_truth,
                                design_beamformers, steering_derivative)
-from irs_sensing.synthesis import (build_factor_matrices, noise_sigma_for_snr,
-                                   synthesize_echo_tensor)
+from irs_sensing.synthesis import (build_factor_matrices, echo_tensors,
+                                   noise_sigma_for_snr, synthesize_echo_tensor)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +84,7 @@ def test_tone_rate_at_zero_delay(cfg, truth, channel, profiles, combiner):
 def test_pulse_rate_scaling(cfg, truth, channel, profiles, combiner):
     derivs = factor_derivatives(truth, channel, profiles[0], combiner,
                                 cfg.waveform, cfg.arrays)
-    pulse = derivs.factors[0]
+    pulse = derivs.factors.pulse_factor
     rates = derivs.pulse_by_doppler / pulse
     p = np.arange(1, cfg.waveform.n_pulses + 1)
     expected = 2j * np.pi * p * cfg.waveform.pri_s
@@ -93,40 +92,16 @@ def test_pulse_rate_scaling(cfg, truth, channel, profiles, combiner):
         np.testing.assert_allclose(rates[:, k], expected, rtol=1e-12)
 
 
-# ------------------------------------------------------------- index pairing
-
-def test_noise_cov_map_same_mode_is_identity():
-    pairs = noise_cov_map((2, 2), (3, 4, 2))
-    assert np.array_equal(pairs[:, 0], pairs[:, 1])
-
-
-def test_noise_cov_map_cross_mode_example():
-    pairs = noise_cov_map((1, 2), (2, 2, 2))
-    # entries enumerate (p, m, l) with l fastest; (1, 2, 1) is row 2
-    assert tuple(pairs[2]) == (2, 5)
-
-
-def test_noise_cov_map_columns_are_permutations():
-    dims = (3, 2, 4)
-    total = dims[0] * dims[1] * dims[2]
-    for j1 in (1, 2, 3):
-        for j2 in (1, 2, 3):
-            pairs = noise_cov_map((j1, j2), dims)
-            assert set(pairs[:, 0]) == set(range(1, total + 1))
-            assert set(pairs[:, 1]) == set(range(1, total + 1))
-
-
-def test_noise_cov_map_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        noise_cov_map((0, 2), (2, 2, 2))
-
-
 # ------------------------------------------------------------- score
+
+def _model_tensors(*args):
+    return [t.data for t in echo_tensors(*args)]
+
 
 def test_score_zero_at_truth_without_noise(cfg, truth, channel, profiles,
                                            combiner, noise_vars):
-    observed = model_tensors(truth, channel, profiles, combiner, cfg.waveform,
-                             cfg.arrays)
+    observed = _model_tensors(truth, channel, profiles, combiner,
+                              cfg.waveform, cfg.arrays)
     values = score(truth, observed, channel, profiles, combiner, cfg.waveform,
                    cfg.arrays, noise_vars)
     assert np.all(values == 0.0)
@@ -136,8 +111,8 @@ def _noisy_observed(cfg, truth, channel, profiles, combiner, noise_vars, seed):
     rng = np.random.default_rng(seed)
     observed = []
     for model, sigma_sq in zip(
-            model_tensors(truth, channel, profiles, combiner, cfg.waveform,
-                          cfg.arrays), noise_vars):
+            _model_tensors(truth, channel, profiles, combiner, cfg.waveform,
+                           cfg.arrays), noise_vars):
         sigma = math.sqrt(sigma_sq)
         noise = sigma / math.sqrt(2) * (rng.standard_normal(model.shape)
                                         + 1j * rng.standard_normal(model.shape))
@@ -288,12 +263,12 @@ def test_parameter_index_layout():
 
 def test_log_likelihood_peaks_at_truth(cfg, truth, channel, profiles,
                                        combiner, noise_vars):
-    observed = model_tensors(truth, channel, profiles, combiner, cfg.waveform,
-                             cfg.arrays)
+    observed = _model_tensors(truth, channel, profiles, combiner,
+                              cfg.waveform, cfg.arrays)
     at_truth = log_likelihood(observed, observed, noise_vars)
     assert at_truth == 0.0
     shifted = crb_mod._shifted_truth(truth, 0, 1e-4)
     off = log_likelihood(observed,
-                         model_tensors(shifted, channel, profiles, combiner,
-                                       cfg.waveform, cfg.arrays), noise_vars)
+                         _model_tensors(shifted, channel, profiles, combiner,
+                                        cfg.waveform, cfg.arrays), noise_vars)
     assert off < at_truth

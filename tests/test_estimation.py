@@ -17,10 +17,11 @@ from irs_sensing.estimation import (DOA_GRID_STEP_RAD, DOPPLER_GRID_POINTS,
                                     estimate_doa_multirank, estimate_doppler,
                                     estimate_targets, gamma_ratio_curve,
                                     resolve_doa)
+from irs_sensing.experiments import build_spec, run_experiment
 from irs_sensing.scene import (PhaseProfile, build_rician_channel,
                                design_beamformers, steering_vector)
 from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
-                                   synthesize_echo_tensor)
+                                   doppler_ramp, synthesize_echo_tensor)
 
 SPACING = 500e3
 
@@ -413,22 +414,21 @@ def test_estimate_targets_warns_on_component_undercount(cfg, truth, channel,
 # ---------------------------------------------------------------- dictionaries
 
 def _reference_doa_dictionary(doa_prior, grid_step, arrays):
-    """The per-call direction grid and steering formula the cache replaces."""
+    """The direction grid with stacked scalar steering_vector columns."""
     lo, hi = doa_prior
     grid = np.arange(lo, hi + grid_step * 1e-6, grid_step)
-    n = np.arange(arrays.n_irs_elements)
-    steer = np.exp(2j * np.pi * np.outer(n, arrays.element_spacing_m
-                                         * np.sin(grid) / arrays.wavelength_m))
-    return grid, steer / math.sqrt(arrays.n_irs_elements)
+    steer = np.stack([steering_vector(theta, *arrays.surface)
+                      for theta in grid], axis=1)
+    return grid, steer
 
 
 def _reference_doppler_dictionary(n_pulses, pri_s):
-    """The per-call Doppler grid and ramp formula the cache replaces."""
+    """The Doppler grid with stacked scalar doppler_ramp columns."""
     half_span = 1.0 / (2 * pri_s)
     grid_step = half_span / DOPPLER_GRID_POINTS
     grid = np.arange(-half_span, half_span + grid_step * 1e-6, grid_step)
-    ramps = np.exp(2j * np.pi * np.outer(np.arange(1, n_pulses + 1) * pri_s,
-                                         grid))
+    ramps = np.stack([doppler_ramp(nu, n_pulses, pri_s) for nu in grid],
+                     axis=1)
     return grid, ramps
 
 
@@ -442,7 +442,7 @@ def test_doa_dictionary_matches_reference(cfg, n_ap_antennas):
     arrays = (cfg.arrays if n_ap_antennas is None else
               dataclasses.replace(cfg.arrays, n_ap_antennas=n_ap_antennas))
     prior = cfg.scene.doa_prior_rad
-    grid, steer = _doa_dictionary(prior, DOA_GRID_STEP_RAD, arrays)
+    grid, steer = _doa_dictionary(prior, DOA_GRID_STEP_RAD, arrays.surface)
     want_grid, want_steer = _reference_doa_dictionary(prior, DOA_GRID_STEP_RAD,
                                                       arrays)
     assert steer.shape == (arrays.n_irs_elements, len(grid))
@@ -463,7 +463,7 @@ def test_doppler_dictionary_matches_reference(cfg, n_pulses):
 
 def test_dictionaries_are_read_only(cfg):
     shared = (*_doa_dictionary(cfg.scene.doa_prior_rad, DOA_GRID_STEP_RAD,
-                               cfg.arrays),
+                               cfg.arrays.surface),
               *_doppler_dictionary(*_doppler_key(cfg.waveform)))
     for arr in shared:
         with pytest.raises(ValueError):
@@ -490,3 +490,11 @@ def test_estimates_same_with_cold_and_warm_cache(cfg, truth, channel,
     assert warm == cold
     for cache, before in zip(caches, hits):
         assert cache.cache_info().hits > before
+
+
+def test_doa_dictionary_shared_across_ap_antenna_counts():
+    """The surface steering matrix does not depend on the AP array, so the
+    antenna sweep builds it once."""
+    _doa_dictionary.cache_clear()
+    run_experiment(build_spec("mse_vs_antennas", trials=2), default_config())
+    assert _doa_dictionary.cache_info().misses == 1

@@ -1,4 +1,4 @@
-"""Echo-tensor construction, noise injection, oracle check, serialization."""
+"""Echo-tensor construction, noise injection, and the oracle check."""
 import dataclasses
 import math
 
@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from irs_sensing.config import default_config
 from irs_sensing.errors import DimensionMismatch, InsufficientSampling
 from irs_sensing.scene import PhaseProfile
-from irs_sensing.synthesis import (EchoTensor, apply_noise,
-                                   build_factor_matrices, delay_signature,
-                                   doppler_ramp, dump_tensor, load_tensor,
+from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
+                                   delay_signature, doppler_ramp,
                                    noise_sigma_for_snr, oracle_prediction,
                                    synthesize_echo_tensor, time_domain_oracle)
 
@@ -190,38 +189,3 @@ def test_oracle_prediction_reinstates_sync_phase(cfg, factor_pair):
     np.testing.assert_allclose(shifted / base, np.tile(expected,
                                                        (base.shape[0], 1)),
                                rtol=1e-10)
-
-
-# ---------------------------------------------------------------- serialization
-
-def test_tensor_roundtrip_is_byte_exact(tmp_path, clean_pair):
-    path = tmp_path / "echo.bin"
-    dump_tensor(clean_pair[1], path)
-    first = path.read_bytes()
-    loaded = load_tensor(path)
-    assert loaded.phase_index == clean_pair[1].phase_index
-    assert np.array_equal(loaded.data, clean_pair[1].data)
-    dump_tensor(loaded, path)
-    assert path.read_bytes() == first
-
-
-def test_load_rejects_truncated_file(tmp_path, clean_pair):
-    path = tmp_path / "echo.bin"
-    dump_tensor(clean_pair[0], path)
-    path.write_bytes(path.read_bytes()[:-9])
-    with pytest.raises(OSError):
-        load_tensor(path)
-
-
-def test_header_layout(tmp_path):
-    """Header: little-endian int32 (pulses, antennas, subcarriers, phase)."""
-    data = (np.arange(24, dtype=float) + 1j).reshape(2, 3, 4)
-    tensor = EchoTensor(data=data, phase_index=2, noise_sigma=0.0,
-                        snr_db=math.inf)
-    path = tmp_path / "t.bin"
-    dump_tensor(tensor, path)
-    raw = path.read_bytes()
-    assert np.array_equal(np.frombuffer(raw[:16], dtype="<i4"), [2, 3, 4, 2])
-    interleaved = np.frombuffer(raw[16:], dtype="<f8")
-    assert interleaved.size == 48
-    assert interleaved[0] == 0.0 and interleaved[1] == 1.0  # re, im of entry 0
