@@ -144,19 +144,29 @@ _SCENE_KEYS = {"ap_position_m", "irs_position_m", "targets", "doa_prior_deg",
                "n_subarrays", "rician_k_db", "n_nlos_paths"}
 
 
+def _pair(key: str, value) -> tuple[float, float]:
+    """Two numbers from a two-item list, or ConfigError."""
+    try:
+        if isinstance(value, list) and len(value) == 2:
+            return float(value[0]), float(value[1])
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key} must be a list of two numbers, got {value!r}")
+
+
 def _build_targets(raw) -> tuple[TargetConfig, ...]:
+    if not isinstance(raw, list):
+        raise ConfigError(f"targets must be a list of mappings, got {raw!r}")
     targets = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ConfigError(f"target {i}: expected a mapping")
+        pos = _pair(f"target {i}: position_m", entry.get("position_m"))
         try:
-            pos = tuple(float(x) for x in entry["position_m"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"target {i}: position_m must be a 2-point") from exc
-        if len(pos) != 2:
-            raise ConfigError(f"target {i}: position_m must have 2 coordinates")
-        vel = float(entry.get("radial_velocity_mps", 0.0))
-        rcs = float(entry.get("rcs", 1.0))
+            vel = float(entry.get("radial_velocity_mps", 0.0))
+            rcs = float(entry.get("rcs", 1.0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"target {i}: speed and rcs must be numbers") from exc
         targets.append(TargetConfig(position_m=pos, radial_velocity_mps=vel, rcs=rcs))
     return tuple(targets)
 
@@ -166,6 +176,7 @@ def _coerce_numbers(section: dict, cls) -> dict:
 
     Some YAML parsers read exponent forms like ``60.0e9`` as strings;
     coercing by the dataclass annotation keeps config files forgiving.
+    An int field takes only whole numbers: 2.7 pulses is an error, not 2.
     """
     kinds = {f.name: f.type for f in dataclass_fields(cls)}
     out = {}
@@ -173,8 +184,10 @@ def _coerce_numbers(section: dict, cls) -> dict:
         kind = kinds.get(key)
         try:
             if kind == "int":
-                value = int(value)
-            elif kind == "float":
+                if not float(value).is_integer():
+                    raise ValueError("not a whole number")
+                value = int(float(value))
+            elif kind == "float" or (kind == "float | None" and value is not None):
                 value = float(value)
             elif kind == "complex":
                 value = complex(value)
@@ -182,6 +195,13 @@ def _coerce_numbers(section: dict, cls) -> dict:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
         out[key] = value
     return out
+
+
+def _section(raw: dict, name: str, cls) -> dict:
+    section = raw.get(name) or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a mapping")
+    return _coerce_numbers(section, cls)
 
 
 def config_from_dict(raw: dict) -> FullConfig:
@@ -198,7 +218,7 @@ def config_from_dict(raw: dict) -> FullConfig:
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-    wf_raw = _coerce_numbers(dict(raw.get("waveform") or {}), WaveformConfig)
+    wf_raw = _section(raw, "waveform", WaveformConfig)
     bad = set(wf_raw) - _WAVEFORM_KEYS
     if bad:
         raise ConfigError(f"unknown waveform keys: {sorted(bad)}")
@@ -207,7 +227,7 @@ def config_from_dict(raw: dict) -> FullConfig:
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
-    ar_raw = _coerce_numbers(dict(raw.get("arrays") or {}), ArrayConfig)
+    ar_raw = _section(raw, "arrays", ArrayConfig)
     bad = set(ar_raw) - _ARRAY_KEYS
     if bad:
         raise ConfigError(f"unknown array keys: {sorted(bad)}")
@@ -217,20 +237,18 @@ def config_from_dict(raw: dict) -> FullConfig:
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
-    sc_raw = dict(raw.get("scene") or {})
+    sc_raw = _section(raw, "scene", SceneConfig)
     bad = set(sc_raw) - _SCENE_KEYS
     if bad:
         raise ConfigError(f"unknown scene keys: {sorted(bad)}")
     if "doa_prior_deg" in sc_raw:
-        lo, hi = sc_raw.pop("doa_prior_deg")
-        sc_raw["doa_prior_rad"] = (math.radians(float(lo)), math.radians(float(hi)))
+        lo, hi = _pair("doa_prior_deg", sc_raw.pop("doa_prior_deg"))
+        sc_raw["doa_prior_rad"] = (math.radians(lo), math.radians(hi))
     if "targets" in sc_raw:
         sc_raw["targets"] = _build_targets(sc_raw["targets"])
     for key in ("ap_position_m", "irs_position_m"):
         if key in sc_raw:
-            sc_raw[key] = tuple(float(x) for x in sc_raw[key])
-    if sc_raw.get("rician_k_db") is not None:
-        sc_raw["rician_k_db"] = float(sc_raw["rician_k_db"])
+            sc_raw[key] = _pair(key, sc_raw[key])
     try:
         scene = SceneConfig(**sc_raw)
     except TypeError as exc:

@@ -69,9 +69,29 @@ class TargetEstimate:
 
 def correlation_matrix(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Absolute normalized column correlations |c1_i^H c2_j|."""
-    norms1 = np.linalg.norm(c1, axis=0)
-    norms2 = np.linalg.norm(c2, axis=0)
-    return np.abs(c1.conj().T @ c2) / np.outer(norms1, norms2)
+    return np.abs(c1.conj().T @ c2) / np.outer(np.linalg.norm(c1, axis=0),
+                                               np.linalg.norm(c2, axis=0))
+
+
+def greedy_match(*costs: np.ndarray) -> list[int]:
+    """Greedy one-to-one pairing of rows with columns by ascending cost.
+
+    Pairs are taken in lexicographic order of the cost matrices (the first
+    decides, later ones break its exact ties), then of row and column; a
+    pair is kept when its row and its column are both still free.
+    ``out[i]`` is the column paired with row i, or -1 if none was left.
+    """
+    n_rows, n_cols = costs[0].shape
+    out = [-1] * n_rows
+    col_free = [True] * n_cols
+    # lexsort is stable and sorts by its last key first, so pairs tied in
+    # every cost keep their row-major order
+    for flat in np.lexsort([c.ravel() for c in reversed(costs)]):
+        i, j = divmod(int(flat), n_cols)
+        if out[i] == -1 and col_free[j]:
+            out[i] = j
+            col_free[j] = False
+    return out
 
 
 def align_columns(triple1: FactorTriple, triple2: FactorTriple,
@@ -97,20 +117,7 @@ def align_columns(triple1: FactorTriple, triple2: FactorTriple,
 
     d1 = raw_delay(triple1.generators, spacing_hz)
     d2 = raw_delay(triple2.generators, spacing_hz)
-    perm = [-1] * k
-    free_rows, free_cols = set(range(k)), set(range(k))
-    for _ in range(k):
-        best, best_key = None, None
-        for i in free_rows:
-            for j in free_cols:
-                key = (rho[i, j], -abs(d1[i] - d2[j]))
-                if best_key is None or key > best_key:
-                    best, best_key = (i, j), key
-        i, j = best
-        perm[i] = j
-        free_rows.remove(i)
-        free_cols.remove(j)
-
+    perm = greedy_match(-rho, np.abs(np.subtract.outer(d1, d2)))
     source = np.argsort(perm)   # aligned column j is phase-1 column source[j]
     aligned1 = FactorTriple(pulse_factor=triple1.pulse_factor[:, source],
                             antenna_factor=triple1.antenna_factor[:, source],
@@ -136,22 +143,63 @@ def compute_gamma_statistics(aligned: AlignedFactors) -> np.ndarray:
     return b_ratio * a_ratio
 
 
-@functools.lru_cache(maxsize=8)
-def _doa_dictionary(doa_prior: tuple[float, float], grid_step: float,
-                    surface: tuple[int, float, float]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Direction grid over the prior and its N x G surface steering matrix.
+@functools.lru_cache(maxsize=16)
+def _dictionary(atoms, lo: float, hi: float, step: float,
+                *atom_args) -> tuple[np.ndarray, np.ndarray]:
+    """Grid from lo to hi by step and its atoms, one column per grid point.
 
-    Both depend only on the prior and the surface, so they are built once
-    and shared (the AP antenna count does not enter); the arrays are
-    read-only so no caller can alter what another one gets.
+    ``atoms(grid, *atom_args)`` is ``steering_vector`` for the direction
+    grid (N x G over the prior; the AP antenna count does not enter) or
+    ``doppler_ramp`` for the Doppler grid (P x G).  Both depend only on
+    the key, so they are built once and shared; the arrays are read-only
+    so no caller can alter what another one gets.
     """
-    lo, hi = doa_prior
-    grid = np.arange(lo, hi + grid_step * 1e-6, grid_step)
-    steer = steering_vector(grid, *surface)
+    grid = np.arange(lo, hi + step * 1e-6, step)
+    bank = atoms(grid, *atom_args)
     grid.setflags(write=False)
-    steer.setflags(write=False)
-    return grid, steer
+    bank.setflags(write=False)
+    return grid, bank
+
+
+def _grid_peaks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best finite grid index of each row of scores, and its vertex offset.
+
+    ``scores`` is rows x grid, larger is better; NaN or infinite points
+    are never chosen.  The offset, in grid steps and clipped to one step,
+    is the vertex of the parabola through the peak and its two neighbours.
+    It is 0 at either edge of the grid, beside a non-finite neighbour, and
+    where the three points do not curve downward.
+    """
+    finite = np.isfinite(scores)
+    if not finite.any(axis=1).all():
+        raise NoFeasibleGrid("a search row has no finite grid point")
+    masked = np.where(finite, scores, -np.inf)
+    idx = np.argmax(masked, axis=1)
+    rows = np.arange(len(idx))
+    last = scores.shape[1] - 1
+    left = masked[rows, np.maximum(idx - 1, 0)]
+    right = masked[rows, np.minimum(idx + 1, last)]
+    curvature = left - 2 * masked[rows, idx] + right
+    ok = (idx > 0) & (idx < last) & np.isfinite(curvature) & (curvature < 0)
+    offset = np.zeros(len(idx))
+    offset[ok] = np.clip(0.5 * (left[ok] - right[ok]) / curvature[ok], -1, 1)
+    return idx, offset
+
+
+def _refine_directions(grid: np.ndarray, scores: np.ndarray, score_at,
+                       doa_prior: tuple[float, float]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Grid peak per row, moved to the parabola vertex where that is no worse.
+
+    ``score_at(thetas)`` scores one direction per row.  Returns the
+    directions and their scores.
+    """
+    idx, offset = _grid_peaks(scores)
+    best = scores[np.arange(len(idx)), idx]
+    cand = np.clip(grid[idx] + offset * DOA_GRID_STEP_RAD, *doa_prior)
+    cand_scores = score_at(cand)
+    take = (offset != 0) & (cand_scores >= best)
+    return np.where(take, cand, grid[idx]), np.where(take, cand_scores, best)
 
 
 def gamma_ratio_curve(grid: np.ndarray, u: np.ndarray,
@@ -177,20 +225,9 @@ def _gamma_ratio(steer: np.ndarray, u: np.ndarray,
     return out
 
 
-def _parabolic_step(left: float, mid: float, right: float, step: float,
-                    maximize: bool) -> float:
-    """Vertex offset of the parabola through three equally spaced samples."""
-    curvature = left - 2 * mid + right
-    if (maximize and curvature >= 0) or (not maximize and curvature <= 0):
-        return 0.0
-    offset = 0.5 * (left - right) / curvature * step
-    return float(np.clip(offset, -step, step))
-
-
 def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
                 profiles: tuple[PhaseProfile, PhaseProfile],
                 doa_prior: tuple[float, float], arrays: ArrayConfig,
-                grid_step: float = DOA_GRID_STEP_RAD,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directions from the cross-phase ratio statistic.
 
@@ -199,8 +236,8 @@ def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
     3-point parabola; the refined point is kept only if it does not
     increase the objective.  Returns (theta_hats, gamma_hats, residuals).
     """
-    lo, hi = doa_prior
-    grid, steer = _doa_dictionary((lo, hi), grid_step, arrays.surface)
+    grid, steer = _dictionary(steering_vector, *doa_prior, DOA_GRID_STEP_RAD,
+                              *arrays.surface)
     curve = _gamma_ratio(steer, u, profiles)
     finite = np.isfinite(curve)
     if not finite.any():
@@ -211,87 +248,50 @@ def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
             "cross-phase ratio constant over the prior; profiles too similar")
 
     gammas = compute_gamma_statistics(aligned)
-    thetas = np.empty(aligned.n_components)
-    residuals = np.empty(aligned.n_components)
-    for k, gamma_k in enumerate(gammas):
-        objective = np.abs(gamma_k - curve) ** 2
-        idx = int(np.nanargmin(objective))
-        best_theta, best_obj = grid[idx], objective[idx]
-        if 0 < idx < len(grid) - 1 and np.isfinite(
-                objective[idx - 1] + objective[idx + 1]):
-            offset = _parabolic_step(objective[idx - 1], objective[idx],
-                                     objective[idx + 1], grid_step,
-                                     maximize=False)
-            cand = float(np.clip(grid[idx] + offset, lo, hi))
-            cand_val = gamma_ratio_curve(np.array([cand]), u, profiles, arrays)[0]
-            if np.isfinite(cand_val):
-                cand_obj = abs(gamma_k - cand_val) ** 2
-                if cand_obj <= best_obj:
-                    best_theta, best_obj = cand, cand_obj
-        thetas[k] = best_theta
-        residuals[k] = math.sqrt(best_obj)
-    return thetas, gammas, residuals
+    thetas, best = _refine_directions(
+        grid, -np.abs(gammas[:, None] - curve) ** 2,
+        lambda cand: -np.abs(
+            gammas - gamma_ratio_curve(cand, u, profiles, arrays)) ** 2,
+        doa_prior)
+    return thetas, gammas, np.sqrt(-best)
 
 
 def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
                            profile: PhaseProfile,
-                           doa_prior: tuple[float, float], arrays: ArrayConfig,
-                           grid_step: float = DOA_GRID_STEP_RAD) -> float:
-    """Single-phase direction estimate by antenna-column correlation.
+                           doa_prior: tuple[float, float],
+                           arrays: ArrayConfig) -> np.ndarray:
+    """Single-phase direction estimates by antenna-column correlation.
 
-    Correlates an estimated antenna column against the channel-relayed
-    response over a direction grid.  Needs a channel of rank at least two:
-    on a rank-one channel all candidate responses are collinear and the
-    correlation carries no direction information.
+    Correlates each column of the estimated M x K antenna factor against
+    the channel-relayed response over a direction grid.  Needs a channel
+    of rank at least two: on a rank-one channel all candidate responses
+    are collinear and the correlation carries no direction information.
     """
     ratio = channel.singular_ratio()
     if ratio < RANK_ONE_RATIO:
         raise RankOneChannel(f"singular-value ratio {ratio:.2e}; "
                              "use the cross-phase ratio method instead")
-    lo, hi = doa_prior
-    grid, grid_steer = _doa_dictionary((lo, hi), grid_step, arrays.surface)
+    grid, grid_steer = _dictionary(steering_vector, *doa_prior,
+                                   DOA_GRID_STEP_RAD, *arrays.surface)
+    b_norms = np.linalg.norm(b_hat, axis=0)
 
     def corr_at(steer: np.ndarray) -> np.ndarray:
         cand = relayed_response(channel, profile, steer)
-        norms = np.linalg.norm(cand, axis=0) * np.linalg.norm(b_hat)
-        return np.abs(b_hat.conj() @ cand) / norms
+        norms = np.outer(b_norms, np.linalg.norm(cand, axis=0))
+        return np.abs(b_hat.conj().T @ cand) / norms
 
-    corr = corr_at(grid_steer)
-    idx = int(np.argmax(corr))
-    best_theta, best_corr = grid[idx], corr[idx]
-    if 0 < idx < len(grid) - 1:
-        offset = _parabolic_step(corr[idx - 1], corr[idx], corr[idx + 1],
-                                 grid_step, maximize=True)
-        cand = float(np.clip(grid[idx] + offset, lo, hi))
-        cand_corr = corr_at(steering_vector(np.array([cand]),
-                                            *arrays.surface))[0]
-        if cand_corr >= best_corr:
-            best_theta = cand
-    return best_theta
-
-
-@functools.lru_cache(maxsize=8)
-def _doppler_dictionary(n_pulses: int, pri_s: float,
-                        grid_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Doppler grid over the unambiguous span and its P x G ramp bank.
-
-    Depends only on the pulse train, so it is built once and shared; the
-    arrays are read-only so no caller can alter what another one gets.
-    """
-    half_span = 1.0 / (2 * pri_s)
-    grid = np.arange(-half_span, half_span + grid_step * 1e-6, grid_step)
-    ramps = doppler_ramp(grid, n_pulses, pri_s)
-    grid.setflags(write=False)
-    ramps.setflags(write=False)
-    return grid, ramps
+    thetas, _ = _refine_directions(
+        grid, corr_at(grid_steer),
+        lambda cand: np.diagonal(corr_at(steering_vector(cand, *arrays.surface))),
+        doa_prior)
+    return thetas
 
 
 def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
                      channel: ChannelMatrix,
                      profiles: tuple[PhaseProfile, PhaseProfile],
                      combiner: np.ndarray, waveform: WaveformConfig,
-                     arrays: ArrayConfig,
-                     grid_step: float | None = None) -> np.ndarray:
+                     arrays: ArrayConfig) -> np.ndarray:
     """Doppler shifts from the pulse factors' phase progressions.
 
     For each phase, the aligned pulse column is divided by the predicted
@@ -301,39 +301,32 @@ def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
     equal weights.
     """
     half_span = 1.0 / (2 * waveform.pri_s)
-    if grid_step is None:
-        grid_step = half_span / DOPPLER_GRID_POINTS
-    grid, ramps = _doppler_dictionary(waveform.n_pulses, waveform.pri_s,
-                                      grid_step)
+    step = half_span / DOPPLER_GRID_POINTS
+    grid, ramps = _dictionary(doppler_ramp, -half_span, half_span, step,
+                              waveform.n_pulses, waveform.pri_s)
     k_total = aligned.n_components
     steer = steering_vector(theta_hats, *arrays.surface)
-    estimates = np.empty((2, k_total))
-    for phase_pos, (triple, profile) in enumerate(
-            ((aligned.phase1, profiles[0]), (aligned.phase2, profiles[1]))):
-        divisors = combiner.T @ relayed_response(channel, profile, steer)
-        for k, divisor in enumerate(divisors.T):
-            keep = np.abs(divisor) >= DIVISOR_FLOOR
-            if not keep.any():
-                raise DivisionBlowup(
-                    f"phase {profile.phase_index}, target {k}: all pulse "
-                    f"divisors below {DIVISOR_FLOOR:.0e}")
-            if not keep.all():
-                warnings.warn(f"phase {profile.phase_index}, target {k}: "
-                              f"excluded {int((~keep).sum())} pulses with "
-                              "near-zero divisors", stacklevel=2)
-            ramp_obs = triple.pulse_factor[keep, k] / divisor[keep]
-            corr = np.abs(ramp_obs.conj() @ ramps[keep, :])
-            idx = int(np.argmax(corr))
-            nu = grid[idx]
-            if 0 < idx < len(grid) - 1:
-                nu += _parabolic_step(corr[idx - 1], corr[idx], corr[idx + 1],
-                                      grid_step, maximize=True)
-            else:
-                warnings.warn(f"phase {profile.phase_index}, target {k}: "
-                              "Doppler at the unambiguous boundary; estimate "
-                              "may be wrapped", stacklevel=2)
-            estimates[phase_pos, k] = nu
-    return estimates.mean(axis=0)
+    # column c is target c % K of phase c // K
+    divisors = np.hstack([combiner.T @ relayed_response(channel, p, steer)
+                          for p in profiles])
+    pulses = np.hstack([aligned.phase1.pulse_factor, aligned.phase2.pulse_factor])
+    keep = np.abs(divisors) >= DIVISOR_FLOOR
+    ramp_obs = np.divide(pulses, divisors, where=keep,
+                         out=np.zeros(pulses.shape, dtype=complex))
+    idx, offset = _grid_peaks(np.abs(ramp_obs.conj().T @ ramps))
+    for col in range(2 * k_total):
+        where = (f"phase {profiles[col // k_total].phase_index}, "
+                 f"target {col % k_total}")
+        if not keep[:, col].any():
+            raise DivisionBlowup(f"{where}: all pulse divisors below "
+                                 f"{DIVISOR_FLOOR:.0e}")
+        if not keep[:, col].all():
+            warnings.warn(f"{where}: excluded {int((~keep[:, col]).sum())} "
+                          "pulses with near-zero divisors", stacklevel=2)
+        if idx[col] in (0, len(grid) - 1):
+            warnings.warn(f"{where}: Doppler at the unambiguous boundary; "
+                          "estimate may be wrapped", stacklevel=2)
+    return (grid[idx] + offset * step).reshape(2, k_total).mean(axis=0)
 
 
 def estimate_delay(aligned: AlignedFactors,
@@ -346,24 +339,20 @@ def estimate_delay(aligned: AlignedFactors,
     prefix length outside the window are snapped to its edge; anything
     further out fails.  Per-phase estimates are averaged.
     """
-    spacing = waveform.subcarrier_spacing_hz
     period = waveform.symbol_duration_s
     window_lo = waveform.full_symbol_s
     window_hi = window_lo + waveform.cyclic_prefix_s
     tol = UNWRAP_EDGE_TOL * waveform.cyclic_prefix_s
-    k_total = aligned.n_components
-    estimates = np.empty((2, k_total))
-    for phase_pos, triple in enumerate((aligned.phase1, aligned.phase2)):
-        raw = raw_delay(triple.generators, spacing)
-        for k in range(k_total):
-            n_lo = math.ceil((window_lo - tol - raw[k]) / period)
-            candidate = raw[k] + n_lo * period
-            if candidate > window_hi + tol:
-                raise UnwrapInfeasible(
-                    f"target {k}: no alias of {raw[k]:.3e} s lands in "
-                    f"[{window_lo:.3e}, {window_hi:.3e}] s")
-            estimates[phase_pos, k] = min(max(candidate, window_lo), window_hi)
-    return estimates.mean(axis=0)
+    raw = np.stack([raw_delay(triple.generators, waveform.subcarrier_spacing_hz)
+                    for triple in (aligned.phase1, aligned.phase2)])
+    candidate = raw + np.ceil((window_lo - tol - raw) / period) * period
+    infeasible = np.argwhere(candidate > window_hi + tol)
+    if infeasible.size:
+        phase, k = infeasible[0]
+        raise UnwrapInfeasible(
+            f"target {k}: no alias of {raw[phase, k]:.3e} s lands in "
+            f"[{window_lo:.3e}, {window_hi:.3e}] s")
+    return np.clip(candidate, window_lo, window_hi).mean(axis=0)
 
 
 RECON_WARN_FLOOR = 0.1
@@ -389,8 +378,7 @@ def estimate_targets(y1: EchoTensor, y2: EchoTensor, n_targets: int,
             exc.args = (f"phase {tensor.phase_index}: {exc}",)
             raise
         recon = reconstruction_error(tensor.data, triple)
-        noise_fraction = (tensor.noise_sigma
-                          * math.sqrt(tensor.data.size)
+        noise_fraction = (tensor.noise_sigma * math.sqrt(tensor.data.size)
                           / np.linalg.norm(tensor.data))
         if recon > max(RECON_WARN_FLOOR, 3 * noise_fraction):
             warnings.warn(
@@ -403,10 +391,8 @@ def estimate_targets(y1: EchoTensor, y2: EchoTensor, n_targets: int,
     aligned = align_columns(triples[0], triples[1],
                             waveform.subcarrier_spacing_hz)
     if single_phase_doa:
-        thetas = np.array([
-            estimate_doa_multirank(aligned.phase1.antenna_factor[:, k],
-                                   channel, profiles[0], doa_prior, arrays)
-            for k in range(n_targets)])
+        thetas = estimate_doa_multirank(aligned.phase1.antenna_factor, channel,
+                                        profiles[0], doa_prior, arrays)
         gammas = compute_gamma_statistics(aligned)
         residuals = np.zeros(n_targets)
     else:
@@ -416,16 +402,11 @@ def estimate_targets(y1: EchoTensor, y2: EchoTensor, n_targets: int,
                                 waveform, arrays)
     delays = estimate_delay(aligned, waveform)
 
-    estimates = []
-    for k in range(n_targets):
-        estimates.append(TargetEstimate(
-            theta_hat=float(thetas[k]),
-            tau_hat=float(delays[k]),
-            nu_hat=float(dopplers[k]),
-            range_hat=float(SPEED_OF_LIGHT * delays[k] / 2),
-            velocity_hat=float(dopplers[k] * SPEED_OF_LIGHT
-                               / (2 * waveform.carrier_freq_hz)),
-            gamma_hat=complex(gammas[k]),
-            residual=float(residuals[k])))
-    estimates.sort(key=lambda est: est.tau_hat)
-    return estimates
+    estimates = [TargetEstimate(
+        theta_hat=float(theta), tau_hat=float(tau), nu_hat=float(nu),
+        range_hat=float(SPEED_OF_LIGHT * tau / 2),
+        velocity_hat=float(nu * SPEED_OF_LIGHT / (2 * waveform.carrier_freq_hz)),
+        gamma_hat=complex(gamma), residual=float(residual))
+        for theta, tau, nu, gamma, residual
+        in zip(thetas, delays, dopplers, gammas, residuals)]
+    return sorted(estimates, key=lambda est: est.tau_hat)

@@ -20,7 +20,7 @@ import numpy as np
 from .config import FullConfig, with_overrides
 from .crb import compute_crb, compute_fim
 from .errors import ConfigError, EstimationError, SingularFim
-from .estimation import TargetEstimate, estimate_targets
+from .estimation import TargetEstimate, estimate_targets, greedy_match
 from .scene import (ScenePoint, SceneTruth, design_phase_profiles,
                     draw_scene_point)
 from .synthesis import apply_noise, echo_tensors
@@ -128,32 +128,13 @@ def resolve_sweep_point(spec: ExperimentSpec, config: FullConfig,
     return cfg, float(spec.snr_db)
 
 
-def match_by_delay(estimated: Sequence[float],
-                   truth: Sequence[float]) -> list[int]:
-    """Greedy one-to-one pairing of estimates to truth by delay distance."""
-    pairs = sorted((abs(e - t), i, j)
-                   for i, e in enumerate(estimated)
-                   for j, t in enumerate(truth))
-    out = [-1] * len(estimated)
-    taken = set()
-    for _, i, j in pairs:
-        if out[i] == -1 and j not in taken:
-            out[i] = j
-            taken.add(j)
-    return out
-
-
 def _squared_errors(estimates: Sequence[TargetEstimate],
                     truth: SceneTruth) -> np.ndarray:
     """Summed squared error over matched targets, per parameter family."""
-    assignment = match_by_delay([e.tau_hat for e in estimates], truth.delays())
-    totals = np.zeros(3)
-    for i, est in enumerate(estimates):
-        target = truth.targets[assignment[i]]
-        totals[0] += (est.theta_hat - target.theta_rad) ** 2
-        totals[1] += (est.nu_hat - target.doppler_hz) ** 2
-        totals[2] += (est.tau_hat - target.delay_s) ** 2
-    return totals
+    est = np.array([[e.theta_hat, e.nu_hat, e.tau_hat] for e in estimates])
+    true = np.stack([truth.thetas(), truth.dopplers(), truth.delays()], axis=1)
+    assignment = greedy_match(np.abs(np.subtract.outer(est[:, 2], true[:, 2])))
+    return ((est - true[assignment]) ** 2).sum(axis=0)
 
 
 class _Accumulator:
@@ -200,8 +181,6 @@ def run_experiment(spec: ExperimentSpec,
         k_total = len(cfg.scene.targets)
         profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
                                          cfg.scene.n_subarrays)
-        point = draw_scene_point(cfg, profiles,
-                                 np.random.default_rng(spec.seed))
 
         methods = ["two_phase"]
         if spec.compare_single_phase:
@@ -212,13 +191,16 @@ def run_experiment(spec: ExperimentSpec,
 
         for trial in range(spec.trials):
             rng = np.random.default_rng((spec.seed, sweep_idx, trial))
-            if spec.redraw_fading:
-                point = draw_scene_point(cfg, profiles, rng)
+            new_point = spec.redraw_fading or trial == 0
+            if new_point:
+                point = draw_scene_point(
+                    cfg, profiles, rng if spec.redraw_fading
+                    else np.random.default_rng(spec.seed))
             tensors = [apply_noise(clean, snr_db, rng)
                        for clean in echo_tensors(*point, cfg.waveform,
                                                  cfg.arrays)]
             noise_vars = tuple(t.noise_sigma ** 2 for t in tensors)
-            if spec.redraw_fading or trial == 0:
+            if new_point:
                 crb_point = _point_crb(point, cfg, noise_vars)
                 if np.isfinite(crb_point).all():
                     crb_sum += crb_point
@@ -294,15 +276,8 @@ def emit_results(rows: Sequence[ResultRow], path: str | Path,
 
 def read_results_csv(path: str | Path) -> list[ResultRow]:
     """Parse a results CSV back into rows (inverse of emit_results)."""
-    out = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            out.append(ResultRow(sweep_name=rec["sweep_name"],
-                                 sweep_value=float(rec["sweep_value"]),
-                                 parameter=rec["parameter"],
-                                 mse=float(rec["mse"]),
-                                 crb=float(rec["crb"]),
-                                 trials_used=int(rec["trials_used"]),
-                                 failures=int(rec["failures"])))
-    return out
+        return [ResultRow(rec["sweep_name"], float(rec["sweep_value"]),
+                          rec["parameter"], float(rec["mse"]), float(rec["crb"]),
+                          int(rec["trials_used"]), int(rec["failures"]))
+                for rec in csv.DictReader(fh)]

@@ -70,6 +70,31 @@ def test_malformed_config_exits_2(tmp_path):
     assert main(["limits", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("yaml_text", [
+    "scene:\n  doa_prior_deg: [30]\n",
+    "scene:\n  doa_prior_deg: 30\n",
+    "scene:\n  rician_k_db: abc\n",
+    "scene:\n  targets: 5\n",
+    "scene:\n  targets: [{position_m: [500, -170], rcs: big}]\n",
+    "scene:\n  irs_position_m: [0, 0, 0]\n",
+    "scene:\n  ap_position_m: [0]\n",
+    "scene:\n  n_subarrays: 2.5\n",
+    "scene: 5\n",
+    "waveform:\n  n_pulses: 2.7\n",
+    "waveform:\n  n_pulses: .inf\n",
+    "arrays:\n  n_ap_antennas: 7.5\n",
+], ids=lambda text: " ".join(text.split()))
+def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, yaml_text):
+    """A bad value is a configuration error: no traceback, no silent change."""
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml_text)
+    assert main(["limits", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_unwritable_output_exits_3(tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "rows.csv"
     code = main(["run", "--config", CONFIG, "--preset", "mse_vs_pulses",

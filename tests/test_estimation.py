@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irs_sensing.config import SPEED_OF_LIGHT, ArrayConfig, default_config
 from irs_sensing.cpd import FactorTriple, cp_decompose, raw_delay
@@ -11,11 +13,11 @@ from irs_sensing.errors import (AmbiguousAlignment, DegenerateProfilePair,
                                 DivisionBlowup, NoFeasibleGrid, RankOneChannel,
                                 UnwrapInfeasible)
 from irs_sensing.estimation import (DOA_GRID_STEP_RAD, DOPPLER_GRID_POINTS,
-                                    AlignedFactors, _doa_dictionary,
-                                    _doppler_dictionary, align_columns,
-                                    compute_gamma_statistics, estimate_delay,
-                                    estimate_doa_multirank, estimate_doppler,
-                                    estimate_targets, gamma_ratio_curve,
+                                    AlignedFactors, _dictionary, _grid_peaks,
+                                    align_columns, compute_gamma_statistics,
+                                    estimate_delay, estimate_doa_multirank,
+                                    estimate_doppler, estimate_targets,
+                                    gamma_ratio_curve, greedy_match,
                                     resolve_doa)
 from irs_sensing.experiments import build_spec, run_experiment
 from irs_sensing.scene import (PhaseProfile, build_rician_channel,
@@ -219,25 +221,23 @@ def test_resolve_doa_all_grid_points_excluded(aligned):
     prof = (PhaseProfile(phases=np.zeros(2), phase_index=1),
             PhaseProfile(phases=np.zeros(2), phase_index=2))
     with pytest.raises(NoFeasibleGrid):
-        resolve_doa(aligned, u, prof, (-1e-9, 1e-9), arrays,
-                    grid_step=1e-10)
+        resolve_doa(aligned, u, prof, (-1e-9, 1e-9), arrays)
 
 
 def test_multirank_doa_on_scattered_channel(cfg, truth, channel, profiles):
+    """Every antenna column is searched at once, one direction per column."""
     rician = build_rician_channel(channel, 5.0, 4, cfg.arrays,
                                   np.random.default_rng(9))
-    theta0 = truth.targets[0].theta_rad
-    steer = steering_vector(theta0, cfg.arrays.n_irs_elements,
-                            cfg.arrays.element_spacing_m,
-                            cfg.arrays.wavelength_m)
-    b = rician.matrix.T @ (profiles[0].diagonal() * steer)
+    steer = steering_vector(truth.thetas(), *cfg.arrays.surface)
+    b = rician.matrix.T @ (profiles[0].diagonal()[:, None] * steer)
     est = estimate_doa_multirank(b, rician, profiles[0],
                                  cfg.scene.doa_prior_rad, cfg.arrays)
-    assert abs(est - theta0) < 1e-4
+    assert est.shape == (len(truth.targets),)
+    assert np.abs(est - truth.thetas()).max() < 1e-4
 
 
 def test_multirank_doa_rejects_rank_one_channel(cfg, truth, channel, profiles):
-    b = np.ones(cfg.arrays.n_ap_antennas, dtype=complex)
+    b = np.ones((cfg.arrays.n_ap_antennas, 1), dtype=complex)
     with pytest.raises(RankOneChannel):
         estimate_doa_multirank(b, channel, profiles[0],
                                cfg.scene.doa_prior_rad, cfg.arrays)
@@ -410,6 +410,140 @@ def test_estimate_targets_warns_on_component_undercount(cfg, truth, channel,
     assert len(estimates) == 1
 
 
+# ---------------------------------------------------------------- grid search
+
+def _reference_peak(row):
+    """Scalar search with the vertex rule the estimators used to inline:
+    first best finite point; the parabola through it and its neighbours
+    only between two finite neighbours and only where it curves down."""
+    best = None
+    for g, value in enumerate(row):
+        if math.isfinite(value) and (best is None or value > row[best]):
+            best = g
+    offset = 0.0
+    if 0 < best < len(row) - 1 and math.isfinite(row[best - 1] + row[best + 1]):
+        left, mid, right = row[best - 1], row[best], row[best + 1]
+        curvature = left - 2 * mid + right
+        if curvature < 0:
+            offset = float(np.clip(0.5 * (left - right) / curvature, -1, 1))
+    return best, offset
+
+
+def _assert_peaks_match_reference(scores):
+    idx, offset = _grid_peaks(np.asarray(scores, dtype=float))
+    for r, row in enumerate(scores):
+        assert (int(idx[r]), float(offset[r])) == _reference_peak(row), row
+
+
+NAN, ULP = math.nan, 2.0 ** -53
+
+
+def test_grid_peaks_match_scalar_reference_on_edge_cases():
+    _assert_peaks_match_reference([
+        [0.0, 1.0, 3.0, 2.0, 0.5],          # interior peak
+        [NAN, 1.0, 3.0, 2.0, 0.5],          # NaN away from the peak
+        [0.0, NAN, 3.0, 2.0, 0.5],          # NaN left neighbour
+        [0.0, 1.0, 3.0, NAN, 0.5],          # NaN right neighbour
+        [3.0, 1.0, 0.0, 1.0, 2.0],          # peak on the first point
+        [0.0, 1.0, 2.0, 2.5, 3.0],          # peak on the last point
+        [1.0, 1.0, 1.0, 1.0, 1.0],          # flat: first point wins
+        [0.0, 0.0, 1 - ULP, 1.0, 1.0],      # curvature rounds to exactly 0
+        [2.0, 0.0, 0.5, 1.0, 1.5],          # curves upward
+        [0.0, 9.0, 10.0, 0.0, 0.0],         # vertex clipped to one step
+        [NAN, NAN, 1.0, NAN, NAN],          # a lone finite point
+        [-math.inf, 0.0, 1.0, 0.5, math.inf],   # infinities never chosen
+    ])
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 3])
+def test_grid_peaks_on_grids_of_one_to_three_points(n_points):
+    rng = np.random.default_rng(n_points)
+    rows = rng.standard_normal((20, n_points))
+    rows[::4, 0] = np.nan
+    rows[1::4, -1] = np.nan
+    rows[:, 0] = np.where(np.isnan(rows).all(axis=1), 0.0, rows[:, 0])
+    _assert_peaks_match_reference(rows.tolist())
+
+
+def test_grid_peaks_match_scalar_reference_on_random_rows():
+    rng = np.random.default_rng(12)
+    rows = -np.abs(rng.standard_normal((400, 9)) + 1j * rng.standard_normal(
+        (400, 9))) ** 2
+    rows[rng.uniform(size=rows.shape) < 0.2] = np.nan
+    rows[np.isnan(rows).all(axis=1), 4] = 0.0
+    _assert_peaks_match_reference(rows.tolist())
+
+
+def test_grid_peaks_rejects_a_row_without_finite_points():
+    with pytest.raises(NoFeasibleGrid):
+        _grid_peaks(np.array([[1.0, 2.0], [NAN, math.inf]]))
+
+
+@pytest.mark.parametrize("n_points", [1, 2])
+def test_multirank_doa_on_a_prior_of_one_or_two_grid_points(cfg, truth,
+                                                            channel, profiles,
+                                                            n_points):
+    """The edge rule keeps the search inside grids too short for a parabola."""
+    rician = build_rician_channel(channel, 5.0, 4, cfg.arrays,
+                                  np.random.default_rng(9))
+    steer = steering_vector(truth.thetas(), *cfg.arrays.surface)
+    b = rician.matrix.T @ (profiles[0].diagonal()[:, None] * steer)
+    lo = truth.targets[0].theta_rad
+    prior = (lo, lo + (n_points - 0.5) * DOA_GRID_STEP_RAD)
+    grid = lo + DOA_GRID_STEP_RAD * np.arange(n_points)
+    est = estimate_doa_multirank(b, rician, profiles[0], prior, cfg.arrays)
+    assert np.isin(est, grid).all()
+    assert est[0] == lo
+
+
+# ---------------------------------------------------------------- matching
+
+def _reference_triple_loop(rho, dist):
+    """The alignment's former assignment: each round takes the free pair
+    with the largest (correlation, -delay distance), first pair on ties."""
+    k = rho.shape[0]
+    perm = [-1] * k
+    free_rows, free_cols = set(range(k)), set(range(k))
+    for _ in range(k):
+        best, best_key = None, None
+        for i in sorted(free_rows):
+            for j in sorted(free_cols):
+                key = (rho[i, j], -dist[i, j])
+                if best_key is None or key > best_key:
+                    best, best_key = (i, j), key
+        i, j = best
+        perm[i] = j
+        free_rows.remove(i)
+        free_cols.remove(j)
+    return perm
+
+
+def _reference_sorted_pairs(cost):
+    """Greedy pairing over pairs sorted by (cost, row, column)."""
+    n_rows, n_cols = cost.shape
+    out, taken = [-1] * n_rows, set()
+    for _, i, j in sorted((cost[i, j], i, j) for i in range(n_rows)
+                          for j in range(n_cols)):
+        if out[i] == -1 and j not in taken:
+            out[i] = j
+            taken.add(j)
+    return out
+
+
+@given(k=st.integers(1, 5), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_greedy_match_equals_both_former_matchers(k, data):
+    """Small integer costs make exact ties common."""
+    cells = st.lists(st.integers(0, 3), min_size=k * k, max_size=k * k)
+    rho = np.array(data.draw(cells), dtype=float).reshape(k, k)
+    dist = np.array(data.draw(cells), dtype=float).reshape(k, k)
+    assert greedy_match(-rho, dist) == _reference_triple_loop(rho, dist)
+    cols = data.draw(st.integers(1, 5))
+    cost = np.array(data.draw(st.lists(st.integers(0, 3), min_size=k * cols,
+                                       max_size=k * cols)),
+                    dtype=float).reshape(k, cols)
+    assert greedy_match(cost) == _reference_sorted_pairs(cost)
+
 
 # ---------------------------------------------------------------- dictionaries
 
@@ -432,9 +566,15 @@ def _reference_doppler_dictionary(n_pulses, pri_s):
     return grid, ramps
 
 
+def _doa_key(prior, arrays):
+    return (steering_vector, *prior, DOA_GRID_STEP_RAD, *arrays.surface)
+
+
 def _doppler_key(waveform):
-    return (waveform.n_pulses, waveform.pri_s,
-            1.0 / (2 * waveform.pri_s) / DOPPLER_GRID_POINTS)
+    half_span = 1.0 / (2 * waveform.pri_s)
+    return (doppler_ramp, -half_span, half_span,
+            half_span / DOPPLER_GRID_POINTS, waveform.n_pulses,
+            waveform.pri_s)
 
 
 @pytest.mark.parametrize("n_ap_antennas", [None, 4, 32])
@@ -442,7 +582,7 @@ def test_doa_dictionary_matches_reference(cfg, n_ap_antennas):
     arrays = (cfg.arrays if n_ap_antennas is None else
               dataclasses.replace(cfg.arrays, n_ap_antennas=n_ap_antennas))
     prior = cfg.scene.doa_prior_rad
-    grid, steer = _doa_dictionary(prior, DOA_GRID_STEP_RAD, arrays.surface)
+    grid, steer = _dictionary(*_doa_key(prior, arrays))
     want_grid, want_steer = _reference_doa_dictionary(prior, DOA_GRID_STEP_RAD,
                                                       arrays)
     assert steer.shape == (arrays.n_irs_elements, len(grid))
@@ -454,7 +594,7 @@ def test_doa_dictionary_matches_reference(cfg, n_ap_antennas):
 def test_doppler_dictionary_matches_reference(cfg, n_pulses):
     wf = (cfg.waveform if n_pulses is None else
           dataclasses.replace(cfg.waveform, n_pulses=n_pulses))
-    grid, ramps = _doppler_dictionary(*_doppler_key(wf))
+    grid, ramps = _dictionary(*_doppler_key(wf))
     want_grid, want_ramps = _reference_doppler_dictionary(wf.n_pulses, wf.pri_s)
     assert ramps.shape == (wf.n_pulses, len(grid))
     assert np.array_equal(grid, want_grid)
@@ -462,9 +602,8 @@ def test_doppler_dictionary_matches_reference(cfg, n_pulses):
 
 
 def test_dictionaries_are_read_only(cfg):
-    shared = (*_doa_dictionary(cfg.scene.doa_prior_rad, DOA_GRID_STEP_RAD,
-                               cfg.arrays.surface),
-              *_doppler_dictionary(*_doppler_key(cfg.waveform)))
+    shared = (*_dictionary(*_doa_key(cfg.scene.doa_prior_rad, cfg.arrays)),
+              *_dictionary(*_doppler_key(cfg.waveform)))
     for arr in shared:
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -481,20 +620,17 @@ def test_estimates_same_with_cold_and_warm_cache(cfg, truth, channel,
                                 cfg.scene.doa_prior_rad, channel, profiles,
                                 combiner, cfg.waveform, cfg.arrays)
 
-    caches = (_doa_dictionary, _doppler_dictionary)
-    for cache in caches:
-        cache.cache_clear()
+    _dictionary.cache_clear()
     cold = run()
-    hits = [cache.cache_info().hits for cache in caches]
+    hits = _dictionary.cache_info().hits
     warm = run()
     assert warm == cold
-    for cache, before in zip(caches, hits):
-        assert cache.cache_info().hits > before
+    assert _dictionary.cache_info().hits >= hits + 2   # direction and Doppler
 
 
 def test_doa_dictionary_shared_across_ap_antenna_counts():
     """The surface steering matrix does not depend on the AP array, so the
-    antenna sweep builds it once."""
-    _doa_dictionary.cache_clear()
+    antenna sweep builds one direction grid (and one Doppler grid)."""
+    _dictionary.cache_clear()
     run_experiment(build_spec("mse_vs_antennas", trials=2), default_config())
-    assert _doa_dictionary.cache_info().misses == 1
+    assert _dictionary.cache_info().misses == 2

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from irs_sensing.config import default_config
 from irs_sensing.errors import ConfigError
+from irs_sensing.estimation import greedy_match
 from irs_sensing.experiments import (CSV_HEADER, DEFAULT_SEED, DEFAULT_TRIALS,
                                      PARAMETER_LABELS, PRESET_NAMES,
                                      ExperimentSpec, ResultRow, build_spec,
-                                     emit_results, match_by_delay,
-                                     read_results_csv, resolve_sweep_point,
-                                     run_experiment)
+                                     emit_results, read_results_csv,
+                                     resolve_sweep_point, run_experiment)
 
 
 def _rows_equal(a: ResultRow, b: ResultRow) -> bool:
@@ -74,10 +74,15 @@ def test_resolve_sweep_point_rejects_invalid_value():
 
 # ---------------------------------------------------------------- matching
 
+def _pair_by_delay(estimated, truth):
+    """Estimates paired with truth by delay distance, as the sweep does."""
+    return greedy_match(np.abs(np.subtract.outer(estimated, truth)))
+
+
 def test_match_by_delay_identity_and_swap():
-    assert match_by_delay([1.0, 2.0], [1.0, 2.0]) == [0, 1]
-    assert match_by_delay([2.0, 1.0], [1.0, 2.0]) == [1, 0]
-    assert match_by_delay([1.49, 2.0], [1.5, 2.1]) == [0, 1]
+    assert _pair_by_delay([1.0, 2.0], [1.0, 2.0]) == [0, 1]
+    assert _pair_by_delay([2.0, 1.0], [1.0, 2.0]) == [1, 0]
+    assert _pair_by_delay([1.49, 2.0], [1.5, 2.1]) == [0, 1]
 
 
 @given(values=st.lists(st.floats(0, 100, allow_nan=False), min_size=1,
@@ -87,7 +92,7 @@ def test_match_by_delay_identity_and_swap():
 def test_match_by_delay_is_one_to_one(values, data):
     perm = data.draw(st.permutations(range(len(values))))
     estimated = [values[p] for p in perm]
-    out = match_by_delay(estimated, values)
+    out = _pair_by_delay(estimated, values)
     assert sorted(out) == list(range(len(values)))
     # with exactly coincident values the pairing is the inverse permutation
     assert [values[j] for j in out] == estimated
@@ -153,6 +158,26 @@ def test_run_comparison_preset_emits_both_methods():
     names = {r.sweep_name for r in rows}
     assert names == {"rician_db_two_phase", "rician_db_single_phase"}
     assert len(rows) == 6
+
+
+def test_scene_point_drawn_once_per_frozen_point_or_fading_trial(monkeypatch):
+    """The fading preset draws one point per trial and no unused frozen one."""
+    import irs_sensing.experiments as experiments
+    calls = []
+    real = experiments.draw_scene_point
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "draw_scene_point", counted)
+    run_experiment(build_spec("rician_comparison", trials=2, seed=3),
+                   default_config())
+    assert len(calls) == 3 * 2
+    calls.clear()
+    run_experiment(build_spec("mse_vs_pulses", trials=2, seed=3),
+                   default_config())
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------- emission
