@@ -24,8 +24,8 @@ from .errors import (AmbiguousAlignment, ConfigError, DegenerateProfilePair,
 from .estimation import (AlignedFactors, TargetEstimate, align_columns,
                          compute_gamma_statistics, estimate_delay,
                          estimate_doa_multirank, estimate_doppler,
-                         estimate_targets, gamma_ratio_curve, greedy_match,
-                         resolve_doa)
+                         estimate_targets, estimate_trials, gamma_ratio_curve,
+                         greedy_match, resolve_doa)
 from .experiments import (ExperimentSpec, ResultRow, build_spec, emit_results,
                           run_experiment)
 from .scene import (ChannelMatrix, PhaseProfile, ScenePoint, SceneTruth,

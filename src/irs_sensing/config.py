@@ -142,6 +142,7 @@ _WAVEFORM_KEYS = {"carrier_freq_hz", "n_subcarriers", "n_pulses",
 _ARRAY_KEYS = {"n_ap_antennas", "n_irs_elements", "element_spacing_m"}
 _SCENE_KEYS = {"ap_position_m", "irs_position_m", "targets", "doa_prior_deg",
                "n_subarrays", "rician_k_db", "n_nlos_paths"}
+_TARGET_KEYS = {"position_m", "radial_velocity_mps", "rcs"}
 
 
 def _pair(key: str, value) -> tuple[float, float]:
@@ -161,6 +162,7 @@ def _build_targets(raw) -> tuple[TargetConfig, ...]:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ConfigError(f"target {i}: expected a mapping")
+        _reject_unknown(f"target {i}", entry, _TARGET_KEYS)
         pos = _pair(f"target {i}: position_m", entry.get("position_m"))
         try:
             vel = float(entry.get("radial_velocity_mps", 0.0))
@@ -197,10 +199,17 @@ def _coerce_numbers(section: dict, cls) -> dict:
     return out
 
 
-def _section(raw: dict, name: str, cls) -> dict:
+def _reject_unknown(name: str, mapping: dict, known: set) -> None:
+    bad = set(mapping) - known
+    if bad:
+        raise ConfigError(f"unknown {name} keys: {sorted(bad)}")
+
+
+def _section(raw: dict, name: str, cls, known: set) -> dict:
     section = raw.get(name) or {}
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a mapping")
+    _reject_unknown(name, section, known)
     return _coerce_numbers(section, cls)
 
 
@@ -214,33 +223,15 @@ def config_from_dict(raw: dict) -> FullConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    unknown = set(raw) - {"waveform", "arrays", "scene"}
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-
-    wf_raw = _section(raw, "waveform", WaveformConfig)
-    bad = set(wf_raw) - _WAVEFORM_KEYS
-    if bad:
-        raise ConfigError(f"unknown waveform keys: {sorted(bad)}")
-    try:
-        waveform = WaveformConfig(**wf_raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    ar_raw = _section(raw, "arrays", ArrayConfig)
-    bad = set(ar_raw) - _ARRAY_KEYS
-    if bad:
-        raise ConfigError(f"unknown array keys: {sorted(bad)}")
+    _reject_unknown("top-level", raw, {"waveform", "arrays", "scene"})
+    # the known keys are dataclass fields, so the constructors take them all
+    waveform = WaveformConfig(**_section(raw, "waveform", WaveformConfig,
+                                         _WAVEFORM_KEYS))
+    ar_raw = _section(raw, "arrays", ArrayConfig, _ARRAY_KEYS)
     ar_raw.setdefault("wavelength_m", waveform.wavelength_m)
-    try:
-        arrays = ArrayConfig(**ar_raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    arrays = ArrayConfig(**ar_raw)
 
-    sc_raw = _section(raw, "scene", SceneConfig)
-    bad = set(sc_raw) - _SCENE_KEYS
-    if bad:
-        raise ConfigError(f"unknown scene keys: {sorted(bad)}")
+    sc_raw = _section(raw, "scene", SceneConfig, _SCENE_KEYS)
     if "doa_prior_deg" in sc_raw:
         lo, hi = _pair("doa_prior_deg", sc_raw.pop("doa_prior_deg"))
         sc_raw["doa_prior_rad"] = (math.radians(lo), math.radians(hi))
@@ -249,12 +240,8 @@ def config_from_dict(raw: dict) -> FullConfig:
     for key in ("ap_position_m", "irs_position_m"):
         if key in sc_raw:
             sc_raw[key] = _pair(key, sc_raw[key])
-    try:
-        scene = SceneConfig(**sc_raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    return FullConfig(waveform=waveform, arrays=arrays, scene=scene)
+    return FullConfig(waveform=waveform, arrays=arrays,
+                      scene=SceneConfig(**sc_raw))
 
 
 def load_config(path: str | Path) -> FullConfig:

@@ -14,7 +14,9 @@ A*kr(C,B)', B*kr(C,A)', C*kr(B,A)', where kr is the column-wise Kronecker
 The solver exploits that each subcarrier-factor column is a geometric
 progression in one unit-modulus generator: a truncated SVD of the mode-1
 unfolding, a shift-invariance eigenproblem for the generators, and linear
-solves for the remaining factors.
+solves for the remaining factors.  A stack of tensors goes through
+NumPy's stacked ``svd``, ``eig``, ``pinv`` and ``matmul``, which treat each
+trial exactly as a call on that trial alone does.
 """
 from __future__ import annotations
 
@@ -24,30 +26,34 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IllConditionedShift, RankDeficient,
                      UniquenessError)
+from .stack import record_failures, stackable
 
 PINV_RTOL = 1e-10          # singular values below this (relative) are zeroed
 RANK_GAP_TOL = 1e-12       # sigma_K / sigma_1 below this means < K components
 SHIFT_COND_LIMIT = 1e12    # conditioning guard for the shift subspace solve
+# (P, M, L) axes of each unfolding: its row axis, then its column axes from
+# slowest to fastest
+_MODE_AXES = {1: (-3, -1, -2), 2: (-2, -1, -3), 3: (-1, -2, -3)}
 
 
 def unfold(data: np.ndarray, mode: int) -> np.ndarray:
-    """Flatten a (P, M, L) tensor along one mode per the module convention."""
-    if data.ndim != 3:
+    """Flatten a (P, M, L) tensor, or each of a stack, along one mode per
+    the module convention."""
+    if data.ndim < 3:
         raise DimensionMismatch(f"expected a 3-way tensor, got ndim={data.ndim}")
-    if mode == 1:
-        return data.transpose(0, 2, 1).reshape(data.shape[0], -1)
-    if mode == 2:
-        return data.transpose(1, 2, 0).reshape(data.shape[1], -1)
-    if mode == 3:
-        return data.transpose(2, 1, 0).reshape(data.shape[2], -1)
-    raise DimensionMismatch(f"mode must be 1, 2, or 3, got {mode}")
+    if mode not in _MODE_AXES:
+        raise DimensionMismatch(f"mode must be 1, 2, or 3, got {mode}")
+    moved = np.moveaxis(data, _MODE_AXES[mode], (-3, -2, -1))
+    return moved.reshape(*moved.shape[:-2], moved.shape[-2] * moved.shape[-1])
 
 
 def khatri_rao(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product; rows of ``x`` vary slowly."""
-    if x.shape[1] != y.shape[1]:
+    """Column-wise Kronecker product (of each pair of a stack); rows of
+    ``x`` vary slowly."""
+    if x.shape[-1] != y.shape[-1]:
         raise DimensionMismatch("column counts differ")
-    return (x[:, None, :] * y[None, :, :]).reshape(-1, x.shape[1])
+    return (x[..., :, None, :] * y[..., None, :, :]).reshape(
+        *x.shape[:-2], x.shape[-2] * y.shape[-2], x.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ class FactorTriple:
     ``subcarrier_factor`` columns are rebuilt as [t, t^2, ..., t^L] from the
     unit-modulus generators — the unit leading coefficient is load-bearing:
     the cross-phase ratio statistic cancels scalings only when both phases
-    share this normalization.
+    share this normalization.  The arrays may carry a leading trial axis.
     """
 
     pulse_factor: np.ndarray       # P x K
@@ -90,7 +96,15 @@ class FactorTriple:
 
     @property
     def n_components(self) -> int:
-        return self.pulse_factor.shape[1]
+        return self.pulse_factor.shape[-1]
+
+    @property
+    def stacked(self) -> bool:
+        return self.generators.ndim == 2
+
+    def map(self, fn) -> FactorTriple:
+        return FactorTriple(fn(self.pulse_factor), fn(self.antenna_factor),
+                            fn(self.subcarrier_factor), fn(self.generators))
 
 
 def raw_delay(generator: complex | np.ndarray, spacing_hz: float) -> np.ndarray:
@@ -99,6 +113,7 @@ def raw_delay(generator: complex | np.ndarray, spacing_hz: float) -> np.ndarray:
     return (np.angle(generator) / (-2 * np.pi * spacing_hz)) % period
 
 
+@stackable(core_ndim=3)
 def cp_decompose(data: np.ndarray, n_components: int) -> FactorTriple:
     """Recover the factor triple of a (P, M, L) tensor.
 
@@ -106,60 +121,85 @@ def cp_decompose(data: np.ndarray, n_components: int) -> FactorTriple:
     decomposition of the subspace shift operator for the generators;
     least-squares reconstruction of the antenna and pulse factors.
     Components are returned sorted by descending raw generator delay so
-    noiseless output order is deterministic.
+    noiseless output order is deterministic.  A (B, P, M, L) stack gives
+    ``(triple, errors)`` (see ``stack``); a failed trial's factors are NaN.
     """
-    if data.ndim != 3:
-        raise DimensionMismatch(f"expected a 3-way tensor, got ndim={data.ndim}")
-    p_dim, m_dim, l_dim = data.shape
+    if data.ndim != 4:
+        raise DimensionMismatch("expected a 3-way tensor or a stack of them")
+    n_trials, p_dim, m_dim, l_dim = data.shape
     ok = check_uniqueness(p_dim, m_dim, l_dim, n_components)
     if not ok:
         raise UniquenessError(ok.reason)
 
     y1 = unfold(data, 1)
-    u_full, s, _ = np.linalg.svd(y1.T, full_matrices=False)
-    if s[0] == 0.0:
-        raise RankDeficient("zero tensor")
-    if s[n_components - 1] / s[0] < RANK_GAP_TOL:
-        raise RankDeficient(
-            f"singular-value ratio {s[n_components - 1] / s[0]:.2e} "
-            f"below {RANK_GAP_TOL:.0e}: fewer than {n_components} components")
-    u = u_full[:, :n_components]
+    u_full, s, _ = np.linalg.svd(y1.swapaxes(-1, -2), full_matrices=False)
+    errors = [None] * n_trials
+    record_failures(errors, s[:, 0] == 0.0,
+                    lambda b: RankDeficient("zero tensor"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = s[:, n_components - 1] / s[:, 0]
+    record_failures(errors, ratio < RANK_GAP_TOL, lambda b: RankDeficient(
+        f"singular-value ratio {ratio[b]:.2e} "
+        f"below {RANK_GAP_TOL:.0e}: fewer than {n_components} components"))
+    # u stays a view of u_full, so the vector products below get the strides,
+    # hence the BLAS kernels and the bits, of a one-trial call
+    u = u_full[..., :n_components]
+    cond = np.linalg.cond(u[:, :(l_dim - 1) * m_dim, :])
+    record_failures(errors, cond > SHIFT_COND_LIMIT, lambda b: IllConditionedShift(
+        f"shift subspace condition number {cond[b]:.2e}"))
 
-    u_low = u[:(l_dim - 1) * m_dim, :]
-    u_high = u[m_dim:, :]
-    cond = np.linalg.cond(u_low)
-    if cond > SHIFT_COND_LIMIT:
-        raise IllConditionedShift(f"shift subspace condition number {cond:.2e}")
-    shift_op = np.linalg.pinv(u_low, rcond=PINV_RTOL) @ u_high
+    live = np.array([e is None for e in errors], dtype=bool)
+    if not live.all():  # a failed trial may hold NaNs that fail the whole stack
+        triple, _ = cp_decompose(data[live], n_components)
+
+        def all_trials(factor):
+            out = np.full((n_trials, *factor.shape[1:]), np.nan, factor.dtype)
+            out[live] = factor
+            return out
+
+        return triple.map(all_trials), errors
+
+    shift_op = (np.linalg.pinv(u[:, :(l_dim - 1) * m_dim, :], rcond=PINV_RTOL)
+                @ u[:, m_dim:, :])
     eigvals, eigvecs = np.linalg.eig(shift_op)
     generators = eigvals / np.abs(eigvals)
 
-    order = np.argsort(-((-np.angle(generators)) % (2 * np.pi)))
-    generators = generators[order]
-    eigvecs = eigvecs[:, order]
+    order = np.argsort(-((-np.angle(generators)) % (2 * np.pi)), axis=-1)
+    generators = np.take_along_axis(generators, order, axis=-1)
+    eigvecs = np.take_along_axis(eigvecs, order[:, None, :], axis=-1)
 
     powers = np.arange(1, l_dim + 1)
-    subcarrier = np.power(generators[None, :], powers[:, None])
+    subcarrier = np.power(generators[:, None, :], powers[:, None])
 
-    antenna = np.zeros((m_dim, n_components), dtype=complex)
+    antenna = np.zeros((n_trials, m_dim, n_components), dtype=complex)
     for k in range(n_components):
-        col = subcarrier[:, k]
-        stacked = (u @ eigvecs[:, k]).reshape(l_dim, m_dim)
-        antenna[:, k] = (col.conj() @ stacked) / np.real(col.conj() @ col)
+        col = subcarrier[:, None, :, k]
+        stacked = (u @ eigvecs[:, :, k, None]).reshape(-1, l_dim, m_dim)
+        antenna[:, :, k] = ((col.conj() @ stacked)[:, 0]
+                            / np.real(col.conj() @ col.swapaxes(-1, -2))[:, 0])
 
-    pulse = y1 @ np.linalg.pinv(khatri_rao(subcarrier, antenna).T, rcond=PINV_RTOL)
+    pulse = y1 @ np.linalg.pinv(khatri_rao(subcarrier, antenna).swapaxes(-1, -2),
+                                rcond=PINV_RTOL)
     return FactorTriple(pulse_factor=pulse, antenna_factor=antenna,
-                        subcarrier_factor=subcarrier, generators=generators)
+                        subcarrier_factor=subcarrier, generators=generators), errors
 
 
 def cp_reconstruct(triple) -> np.ndarray:
     """Sum of the rank-one terms of a factor triple: an estimated
-    FactorTriple or a scene's exact GroundTruthFactors."""
-    return np.einsum("pk,mk,lk->pml", triple.pulse_factor,
+    FactorTriple (or a stack) or a scene's exact GroundTruthFactors."""
+    return np.einsum("...pk,...mk,...lk->...pml", triple.pulse_factor,
                      triple.antenna_factor, triple.subcarrier_factor)
 
 
-def reconstruction_error(data: np.ndarray, triple: FactorTriple) -> float:
-    """Relative Frobenius mismatch between a tensor and its factorization."""
-    return float(np.linalg.norm(data - cp_reconstruct(triple))
-                 / np.linalg.norm(data))
+def tensor_norms(data: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a (P, M, L) tensor or of each of a stack, summed
+    by BLAS dot products as np.linalg.norm sums one tensor."""
+    flat = data.reshape(*data.shape[:-3], 1, np.prod(data.shape[-3:]))
+    return np.sqrt(sum(part @ part.swapaxes(-1, -2)
+                       for part in (flat.real, flat.imag)))[..., 0, 0]
+
+
+def reconstruction_error(data: np.ndarray, triple: FactorTriple):
+    """Relative Frobenius mismatch between a tensor and its factorization;
+    one per trial for a stack."""
+    return tensor_norms(data - cp_reconstruct(triple)) / tensor_norms(data)

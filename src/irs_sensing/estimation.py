@@ -8,6 +8,8 @@ cross-phase ratio of matched factor columns equals a known function
 gamma(theta) of the direction alone, because the factorization scalings of
 the two phases cancel inside the ratio.  Doppler and delay then follow
 from the pulse factor's phase progression and the subcarrier generators.
+Every step also takes a stack of trials (see ``stack``); ``estimate_trials``
+runs a stack through the pipeline, ``estimate_targets`` one trial.
 """
 from __future__ import annotations
 
@@ -15,20 +17,24 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .config import SPEED_OF_LIGHT, ArrayConfig, WaveformConfig
-from .cpd import FactorTriple, cp_decompose, raw_delay, reconstruction_error
+from .cpd import (FactorTriple, cp_decompose, raw_delay, reconstruction_error,
+                  tensor_norms)
 from .errors import (AmbiguousAlignment, DegenerateProfilePair, DivisionBlowup,
                      EstimationError, NoFeasibleGrid, RankOneChannel,
                      UnwrapInfeasible)
 from .scene import (ChannelMatrix, PhaseProfile, relayed_response,
                     steering_vector)
+from .stack import record_failures, stackable, take_trials
 from .synthesis import EchoTensor, doppler_ramp
 
 DOA_GRID_STEP_RAD = math.radians(0.02)
 DOPPLER_GRID_POINTS = 2000          # grid step = half-period / this
+DOPPLER_SCORE_TRIALS = 2            # trials per Doppler scoring product
 ALIGNMENT_MARGIN = 1e-6
 GRID_EXCLUSION_RTOL = 1e-8          # drop grid points with tiny denominators
 DIVISOR_FLOOR = 1e-12
@@ -42,16 +48,26 @@ class AlignedFactors:
 
     ``phase1`` columns are permuted so column k of every matrix in both
     triples refers to the same physical target; ``permutation[k]`` is the
-    aligned position of original phase-1 column k.
+    aligned position of original phase-1 column k (a (B, K) array for a
+    stack of trials).
     """
 
     phase1: FactorTriple
     phase2: FactorTriple
-    permutation: tuple[int, ...]
+    permutation: tuple[int, ...] | np.ndarray
 
     @property
     def n_components(self) -> int:
         return self.phase1.n_components
+
+    @property
+    def stacked(self) -> bool:
+        return self.phase1.stacked
+
+    def map(self, fn) -> AlignedFactors:
+        perm = fn(np.asarray(self.permutation))
+        return AlignedFactors(self.phase1.map(fn), self.phase2.map(fn),
+                              perm if perm.ndim > 1 else tuple(perm.tolist()))
 
 
 @dataclass(frozen=True)
@@ -68,9 +84,10 @@ class TargetEstimate:
 
 
 def correlation_matrix(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Absolute normalized column correlations |c1_i^H c2_j|."""
-    return np.abs(c1.conj().T @ c2) / np.outer(np.linalg.norm(c1, axis=0),
-                                               np.linalg.norm(c2, axis=0))
+    """Absolute normalized column correlations |c1_i^H c2_j| (per trial)."""
+    return (np.abs(c1.conj().swapaxes(-1, -2) @ c2)
+            / (np.linalg.norm(c1, axis=-2)[..., :, None]
+               * np.linalg.norm(c2, axis=-2)[..., None, :]))
 
 
 def greedy_match(*costs: np.ndarray) -> list[int]:
@@ -94,6 +111,7 @@ def greedy_match(*costs: np.ndarray) -> list[int]:
     return out
 
 
+@stackable(n_stacked=2)
 def align_columns(triple1: FactorTriple, triple2: FactorTriple,
                   spacing_hz: float) -> AlignedFactors:
     """Match phase-1 columns to phase-2 columns by subcarrier correlation.
@@ -107,24 +125,24 @@ def align_columns(triple1: FactorTriple, triple2: FactorTriple,
     if triple2.n_components != k:
         raise AmbiguousAlignment("component counts differ between phases")
     rho = correlation_matrix(triple1.subcarrier_factor, triple2.subcarrier_factor)
+    errors = [None] * len(rho)
     if k > 1:
-        top2 = -np.partition(-rho, 1, axis=1)[:, :2]
-        margin = top2[:, 0] - top2[:, 1]
-        if np.any(margin < ALIGNMENT_MARGIN):
-            worst = int(np.argmin(margin))
-            raise AmbiguousAlignment(
-                f"correlation margin {margin[worst]:.2e} for column {worst}")
+        top2 = -np.partition(-rho, 1, axis=-1)[..., :2]
+        margin = top2[..., 0] - top2[..., 1]
+        worst = np.argmin(margin, axis=-1)
+        record_failures(errors, (margin < ALIGNMENT_MARGIN).any(axis=-1),
+                        lambda b: AmbiguousAlignment(
+                            f"correlation margin {margin[b, worst[b]]:.2e} "
+                            f"for column {worst[b]}"))
 
     d1 = raw_delay(triple1.generators, spacing_hz)
     d2 = raw_delay(triple2.generators, spacing_hz)
-    perm = greedy_match(-rho, np.abs(np.subtract.outer(d1, d2)))
-    source = np.argsort(perm)   # aligned column j is phase-1 column source[j]
-    aligned1 = FactorTriple(pulse_factor=triple1.pulse_factor[:, source],
-                            antenna_factor=triple1.antenna_factor[:, source],
-                            subcarrier_factor=triple1.subcarrier_factor[:, source],
-                            generators=triple1.generators[source])
-    return AlignedFactors(phase1=aligned1, phase2=triple2,
-                          permutation=tuple(perm))
+    perm = np.array([greedy_match(-r, np.abs(np.subtract.outer(a, b)))
+                     for r, a, b in zip(rho, d1, d2)], dtype=int).reshape(-1, k)
+    source = np.argsort(perm)  # aligned column j is phase-1 column source[j]
+    aligned1 = triple1.map(lambda a: np.take_along_axis(
+        a, source if a.ndim == 2 else source[:, None, :], axis=-1))
+    return AlignedFactors(aligned1, triple2, perm), errors
 
 
 def compute_gamma_statistics(aligned: AlignedFactors) -> np.ndarray:
@@ -137,9 +155,9 @@ def compute_gamma_statistics(aligned: AlignedFactors) -> np.ndarray:
     the statistic depends on the direction alone.
     """
     b_ratio = (aligned.phase1.antenna_factor
-               / aligned.phase2.antenna_factor).mean(axis=0)
+               / aligned.phase2.antenna_factor).mean(axis=-2)
     a_ratio = (aligned.phase1.pulse_factor
-               / aligned.phase2.pulse_factor).mean(axis=0)
+               / aligned.phase2.pulse_factor).mean(axis=-2)
     return b_ratio * a_ratio
 
 
@@ -161,45 +179,54 @@ def _dictionary(atoms, lo: float, hi: float, step: float,
     return grid, bank
 
 
+@stackable(core_ndim=2)
 def _grid_peaks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best finite grid index of each row of scores, and its vertex offset.
 
-    ``scores`` is rows x grid, larger is better; NaN or infinite points
-    are never chosen.  The offset, in grid steps and clipped to one step,
-    is the vertex of the parabola through the peak and its two neighbours.
-    It is 0 at either edge of the grid, beside a non-finite neighbour, and
-    where the three points do not curve downward.
+    ``scores`` is rows x grid (per trial), larger is better; NaN or infinite
+    points are never chosen, and a row of none fails.  The offset, in grid
+    steps and clipped to one step, is the vertex of the parabola through
+    the peak and its two neighbours.  It is 0 at either edge of the grid,
+    beside a non-finite neighbour, and where the three points do not curve
+    downward.
     """
     finite = np.isfinite(scores)
-    if not finite.any(axis=1).all():
-        raise NoFeasibleGrid("a search row has no finite grid point")
+    empty = ~finite.any(axis=-1)
     masked = np.where(finite, scores, -np.inf)
-    idx = np.argmax(masked, axis=1)
-    rows = np.arange(len(idx))
-    last = scores.shape[1] - 1
-    left = masked[rows, np.maximum(idx - 1, 0)]
-    right = masked[rows, np.minimum(idx + 1, last)]
-    curvature = left - 2 * masked[rows, idx] + right
+    masked[empty] = 0.0
+    idx = np.argmax(masked, axis=-1)
+    last = scores.shape[-1] - 1
+    left, peak, right = (_at(masked, i) for i in (np.maximum(idx - 1, 0), idx,
+                                                  np.minimum(idx + 1, last)))
+    curvature = left - 2 * peak + right
     ok = (idx > 0) & (idx < last) & np.isfinite(curvature) & (curvature < 0)
-    offset = np.zeros(len(idx))
+    offset = np.zeros(idx.shape)
     offset[ok] = np.clip(0.5 * (left[ok] - right[ok]) / curvature[ok], -1, 1)
-    return idx, offset
+    errors = [NoFeasibleGrid("a search row has no finite grid point")
+              if failed else None for failed in empty.any(axis=-1)]
+    return (idx, offset), errors
+
+
+def _at(scores: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Entry ``idx[..., r]`` of every row r of ``scores`` (rows x grid)."""
+    rows = scores.reshape(-1, scores.shape[-1])
+    return rows[np.arange(len(rows)), idx.ravel()].reshape(idx.shape)
 
 
 def _refine_directions(grid: np.ndarray, scores: np.ndarray, score_at,
-                       doa_prior: tuple[float, float]
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       doa_prior: tuple[float, float]):
     """Grid peak per row, moved to the parabola vertex where that is no worse.
 
-    ``score_at(thetas)`` scores one direction per row.  Returns the
-    directions and their scores.
+    ``scores`` is (B, rows, grid); ``score_at(thetas)`` scores one direction
+    per row.  Returns directions and scores, and ``_grid_peaks``'s errors.
     """
-    idx, offset = _grid_peaks(scores)
-    best = scores[np.arange(len(idx)), idx]
+    (idx, offset), errors = _grid_peaks(scores)
+    best = _at(scores, idx)
     cand = np.clip(grid[idx] + offset * DOA_GRID_STEP_RAD, *doa_prior)
     cand_scores = score_at(cand)
     take = (offset != 0) & (cand_scores >= best)
-    return np.where(take, cand, grid[idx]), np.where(take, cand_scores, best)
+    return (np.where(take, cand, grid[idx]),
+            np.where(take, cand_scores, best)), errors
 
 
 def gamma_ratio_curve(grid: np.ndarray, u: np.ndarray,
@@ -209,7 +236,7 @@ def gamma_ratio_curve(grid: np.ndarray, u: np.ndarray,
 
     gamma is the squared ratio of the surface-side beam responses of the
     two profiles; points where the second profile's response nearly
-    vanishes are excluded from searches.
+    vanishes are excluded from searches.  A (B, K) grid is one per trial.
     """
     return _gamma_ratio(steering_vector(grid, *arrays.surface), u, profiles)
 
@@ -225,6 +252,7 @@ def _gamma_ratio(steer: np.ndarray, u: np.ndarray,
     return out
 
 
+@stackable()
 def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
                 profiles: tuple[PhaseProfile, PhaseProfile],
                 doa_prior: tuple[float, float], arrays: ArrayConfig,
@@ -248,14 +276,15 @@ def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
             "cross-phase ratio constant over the prior; profiles too similar")
 
     gammas = compute_gamma_statistics(aligned)
-    thetas, best = _refine_directions(
-        grid, -np.abs(gammas[:, None] - curve) ** 2,
+    (thetas, best), errors = _refine_directions(
+        grid, -np.abs(gammas[..., None] - curve) ** 2,
         lambda cand: -np.abs(
             gammas - gamma_ratio_curve(cand, u, profiles, arrays)) ** 2,
         doa_prior)
-    return thetas, gammas, np.sqrt(-best)
+    return (thetas, gammas, np.sqrt(-best)), errors
 
 
+@stackable(core_ndim=2)
 def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
                            profile: PhaseProfile,
                            doa_prior: tuple[float, float],
@@ -273,20 +302,23 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
                              "use the cross-phase ratio method instead")
     grid, grid_steer = _dictionary(steering_vector, *doa_prior,
                                    DOA_GRID_STEP_RAD, *arrays.surface)
-    b_norms = np.linalg.norm(b_hat, axis=0)
+    b_norms = np.linalg.norm(b_hat, axis=-2)
 
     def corr_at(steer: np.ndarray) -> np.ndarray:
         cand = relayed_response(channel, profile, steer)
-        norms = np.outer(b_norms, np.linalg.norm(cand, axis=0))
-        return np.abs(b_hat.conj().T @ cand) / norms
+        norms = (b_norms[..., :, None]
+                 * np.linalg.norm(cand, axis=-2)[..., None, :])
+        return np.abs(b_hat.conj().swapaxes(-1, -2) @ cand) / norms
 
-    thetas, _ = _refine_directions(
+    (thetas, _), errors = _refine_directions(
         grid, corr_at(grid_steer),
-        lambda cand: np.diagonal(corr_at(steering_vector(cand, *arrays.surface))),
+        lambda cand: np.diagonal(corr_at(steering_vector(cand, *arrays.surface)),
+                                 axis1=-2, axis2=-1),
         doa_prior)
-    return thetas
+    return thetas, errors
 
 
+@stackable(n_stacked=2)
 def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
                      channel: ChannelMatrix,
                      profiles: tuple[PhaseProfile, PhaseProfile],
@@ -307,28 +339,46 @@ def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
     k_total = aligned.n_components
     steer = steering_vector(theta_hats, *arrays.surface)
     # column c is target c % K of phase c // K
-    divisors = np.hstack([combiner.T @ relayed_response(channel, p, steer)
-                          for p in profiles])
-    pulses = np.hstack([aligned.phase1.pulse_factor, aligned.phase2.pulse_factor])
+    divisors = np.concatenate(
+        [combiner.T @ relayed_response(channel, p, steer) for p in profiles],
+        axis=-1)
+    pulses = np.concatenate([aligned.phase1.pulse_factor,
+                             aligned.phase2.pulse_factor], axis=-1)
     keep = np.abs(divisors) >= DIVISOR_FLOOR
     ramp_obs = np.divide(pulses, divisors, where=keep,
                          out=np.zeros(pulses.shape, dtype=complex))
-    idx, offset = _grid_peaks(np.abs(ramp_obs.conj().T @ ramps))
-    for col in range(2 * k_total):
+    # the (trials, 2K, grid) scores would be the largest arrays of a stack,
+    # so they are formed and searched a few trials at a time
+    products = ramp_obs.conj().swapaxes(-1, -2)
+    idx, errors = np.zeros(products.shape[:-1], dtype=int), []
+    offset = np.zeros(idx.shape)
+    for b in range(0, len(idx), DOPPLER_SCORE_TRIALS):
+        part = slice(b, b + DOPPLER_SCORE_TRIALS)
+        (idx[part], offset[part]), part_errors = _grid_peaks(
+            np.abs(products[part] @ ramps))
+        errors += part_errors
+    at_edge = (idx == 0) | (idx == len(grid) - 1)
+    # only the flagged (trial, column) pairs, in the order one trial meets them
+    for b, col in np.argwhere(~keep.all(axis=-2) | at_edge):
+        if errors[b] is not None:
+            continue
         where = (f"phase {profiles[col // k_total].phase_index}, "
                  f"target {col % k_total}")
-        if not keep[:, col].any():
-            raise DivisionBlowup(f"{where}: all pulse divisors below "
-                                 f"{DIVISOR_FLOOR:.0e}")
-        if not keep[:, col].all():
-            warnings.warn(f"{where}: excluded {int((~keep[:, col]).sum())} "
-                          "pulses with near-zero divisors", stacklevel=2)
-        if idx[col] in (0, len(grid) - 1):
+        if not keep[b, :, col].any():
+            errors[b] = DivisionBlowup(f"{where}: all pulse divisors below "
+                                       f"{DIVISOR_FLOOR:.0e}")
+            continue
+        if not keep[b, :, col].all():
+            warnings.warn(f"{where}: excluded {int((~keep[b, :, col]).sum())} "
+                          "pulses with near-zero divisors", stacklevel=3)
+        if at_edge[b, col]:
             warnings.warn(f"{where}: Doppler at the unambiguous boundary; "
-                          "estimate may be wrapped", stacklevel=2)
-    return (grid[idx] + offset * step).reshape(2, k_total).mean(axis=0)
+                          "estimate may be wrapped", stacklevel=3)
+    nus = (grid[idx] + offset * step).reshape(-1, 2, k_total).mean(axis=-2)
+    return nus, errors
 
 
+@stackable()
 def estimate_delay(aligned: AlignedFactors,
                    waveform: WaveformConfig) -> np.ndarray:
     """Delays from the generator phases, unwrapped into the feasible window.
@@ -344,18 +394,124 @@ def estimate_delay(aligned: AlignedFactors,
     window_hi = window_lo + waveform.cyclic_prefix_s
     tol = UNWRAP_EDGE_TOL * waveform.cyclic_prefix_s
     raw = np.stack([raw_delay(triple.generators, waveform.subcarrier_spacing_hz)
-                    for triple in (aligned.phase1, aligned.phase2)])
+                    for triple in (aligned.phase1, aligned.phase2)], axis=-2)
     candidate = raw + np.ceil((window_lo - tol - raw) / period) * period
-    infeasible = np.argwhere(candidate > window_hi + tol)
-    if infeasible.size:
-        phase, k = infeasible[0]
-        raise UnwrapInfeasible(
-            f"target {k}: no alias of {raw[phase, k]:.3e} s lands in "
-            f"[{window_lo:.3e}, {window_hi:.3e}] s")
-    return np.clip(candidate, window_lo, window_hi).mean(axis=0)
+    infeasible = candidate > window_hi + tol
+    errors = [None] * len(raw)
+    for b, phase, k in np.argwhere(infeasible):  # a trial's first one counts
+        if errors[b] is None:
+            errors[b] = UnwrapInfeasible(
+                f"target {k}: no alias of {raw[b, phase, k]:.3e} s lands in "
+                f"[{window_lo:.3e}, {window_hi:.3e}] s")
+    return np.clip(candidate, window_lo, window_hi).mean(axis=-2), errors
 
 
 RECON_WARN_FLOOR = 0.1
+
+
+def _drop_failed(outcomes: list, running: np.ndarray, errors, *stacks):
+    """Record the errors of the running trials; keep those that passed."""
+    passed = np.array([e is None for e in errors], dtype=bool)
+    if passed.all():
+        return running, stacks
+    for b, exc in zip(running, errors):
+        if exc is not None:
+            outcomes[b] = exc
+    return running[passed], take_trials(stacks, passed)
+
+
+def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
+                    n_targets: int, doa_prior: tuple[float, float],
+                    channel: ChannelMatrix,
+                    profiles: tuple[PhaseProfile, PhaseProfile],
+                    combiner: np.ndarray, waveform: WaveformConfig,
+                    arrays: ArrayConfig,
+                    single_phase_doa: Sequence[bool] = (False,)) -> list[list]:
+    """Run a stack of trials that share one scene point through the pipeline.
+
+    Trial b observes ``y1[b]`` and ``y2[b]``.  Returns one list per entry of
+    ``single_phase_doa`` (a direction method of ``estimate_targets``) with,
+    per trial, its estimates sorted by delay or the EstimationError that
+    ``estimate_targets`` raises on it alone: the first check it fails.
+    Every step but the direction search runs once for all methods.
+    """
+    n_trials, n_methods = len(y1), len(single_phase_doa)
+    outcomes, running = [None] * n_trials, np.arange(n_trials)
+    try:
+        triples = []
+        for tensors in (y1, y2):
+            phase = f"phase {tensors[0].phase_index}"
+            data = np.stack([t.data for t in tensors])[running]
+            sigma = np.array([t.noise_sigma for t in tensors])[running]
+            try:
+                triple, errors = cp_decompose(data, n_targets)
+            except EstimationError as exc:
+                exc.args = (f"{phase}: {exc}",)
+                raise
+            running, (*triples, data, sigma) = _drop_failed(
+                outcomes, running, [e and type(e)(f"{phase}: {e}") for e in errors],
+                *triples, triple, data, sigma)
+            recon = reconstruction_error(data, triples[-1])
+            noise = (sigma * math.sqrt(math.prod(data.shape[1:]))
+                     / tensor_norms(data))
+            for residual in recon[recon > np.maximum(RECON_WARN_FLOOR, 3 * noise)]:
+                warnings.warn(
+                    f"{phase}: reconstruction residual {residual:.3f} exceeds "
+                    f"the expected noise level; the component count "
+                    f"{n_targets} may not match the scene", stacklevel=2)
+        aligned, errors = align_columns(*triples, waveform.subcarrier_spacing_hz)
+        running, (aligned,) = _drop_failed(outcomes, running, errors, aligned)
+    except EstimationError as exc:  # a check that every running trial shares
+        for b in running:
+            outcomes[b] = exc
+        return [list(outcomes) for _ in single_phase_doa]
+    delays, delay_errors = estimate_delay(aligned, waveform)
+
+    directions, errors = [], []
+    for single_phase in single_phase_doa:
+        try:
+            if single_phase:
+                thetas, method_errors = estimate_doa_multirank(
+                    aligned.phase1.antenna_factor, channel, profiles[0],
+                    doa_prior, arrays)
+                stats = compute_gamma_statistics(aligned), np.zeros(thetas.shape)
+            else:
+                (thetas, *stats), method_errors = resolve_doa(
+                    aligned, channel.irs_side_vector(), profiles, doa_prior,
+                    arrays)
+        except EstimationError as exc:  # a check that every running trial shares
+            thetas, *stats = np.zeros((3, len(running), n_targets))
+            method_errors = [exc] * len(running)
+        directions.append((thetas, *stats))
+        errors += method_errors
+
+    # from here on, trial b under method m is the virtual trial m * n_trials + b
+    def tile(stack):
+        return np.concatenate([stack] * n_methods)
+
+    outcomes *= n_methods
+    virtual = tile(running) + np.repeat(n_trials * np.arange(n_methods),
+                                        len(running))
+    running, (aligned, thetas, gammas, residuals, delays, delay_errors) = (
+        _drop_failed(outcomes, virtual, errors, aligned.map(tile),
+                     *map(np.concatenate, zip(*directions)), tile(delays),
+                     tile(np.array(delay_errors, dtype=object))))
+    dopplers, errors = estimate_doppler(aligned, thetas, channel, profiles,
+                                        combiner, waveform, arrays)
+    running, (*params, delay_errors) = _drop_failed(
+        outcomes, running, errors, thetas, delays, dopplers, gammas,
+        residuals, delay_errors)
+    running, params = _drop_failed(outcomes, running, delay_errors, *params)
+    for b, *trial in zip(running, *params):
+        outcomes[b] = sorted((TargetEstimate(
+            theta_hat=float(theta), tau_hat=float(tau), nu_hat=float(nu),
+            range_hat=float(SPEED_OF_LIGHT * tau / 2),
+            velocity_hat=float(nu * SPEED_OF_LIGHT
+                               / (2 * waveform.carrier_freq_hz)),
+            gamma_hat=complex(gamma), residual=float(residual))
+            for theta, tau, nu, gamma, residual in zip(*trial)),
+            key=lambda est: est.tau_hat)
+    return [outcomes[m * n_trials:(m + 1) * n_trials] for m in range(n_methods)]
 
 
 def estimate_targets(y1: EchoTensor, y2: EchoTensor, n_targets: int,
@@ -369,44 +525,11 @@ def estimate_targets(y1: EchoTensor, y2: EchoTensor, n_targets: int,
     Returns estimates sorted by delay.  ``single_phase_doa`` switches the
     direction step to the correlation method on phase 1 alone (requires a
     channel of rank >= 2); Doppler and delay always use both phases.
+    This is ``estimate_trials`` on one trial.
     """
-    triples = []
-    for tensor in (y1, y2):
-        try:
-            triple = cp_decompose(tensor.data, n_targets)
-        except EstimationError as exc:
-            exc.args = (f"phase {tensor.phase_index}: {exc}",)
-            raise
-        recon = reconstruction_error(tensor.data, triple)
-        noise_fraction = (tensor.noise_sigma * math.sqrt(tensor.data.size)
-                          / np.linalg.norm(tensor.data))
-        if recon > max(RECON_WARN_FLOOR, 3 * noise_fraction):
-            warnings.warn(
-                f"phase {tensor.phase_index}: reconstruction residual "
-                f"{recon:.3f} exceeds the expected noise level; the "
-                f"component count {n_targets} may not match the scene",
-                stacklevel=2)
-        triples.append(triple)
-
-    aligned = align_columns(triples[0], triples[1],
-                            waveform.subcarrier_spacing_hz)
-    if single_phase_doa:
-        thetas = estimate_doa_multirank(aligned.phase1.antenna_factor, channel,
-                                        profiles[0], doa_prior, arrays)
-        gammas = compute_gamma_statistics(aligned)
-        residuals = np.zeros(n_targets)
-    else:
-        thetas, gammas, residuals = resolve_doa(aligned, channel.irs_side_vector(),
-                                                profiles, doa_prior, arrays)
-    dopplers = estimate_doppler(aligned, thetas, channel, profiles, combiner,
-                                waveform, arrays)
-    delays = estimate_delay(aligned, waveform)
-
-    estimates = [TargetEstimate(
-        theta_hat=float(theta), tau_hat=float(tau), nu_hat=float(nu),
-        range_hat=float(SPEED_OF_LIGHT * tau / 2),
-        velocity_hat=float(nu * SPEED_OF_LIGHT / (2 * waveform.carrier_freq_hz)),
-        gamma_hat=complex(gamma), residual=float(residual))
-        for theta, tau, nu, gamma, residual
-        in zip(thetas, delays, dopplers, gammas, residuals)]
-    return sorted(estimates, key=lambda est: est.tau_hat)
+    [[outcome]] = estimate_trials([y1], [y2], n_targets, doa_prior, channel,
+                                  profiles, combiner, waveform, arrays,
+                                  (single_phase_doa,))
+    if isinstance(outcome, EstimationError):
+        raise outcome
+    return outcome

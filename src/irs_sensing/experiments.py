@@ -20,7 +20,7 @@ import numpy as np
 from .config import FullConfig, with_overrides
 from .crb import compute_crb, compute_fim
 from .errors import ConfigError, EstimationError, SingularFim
-from .estimation import TargetEstimate, estimate_targets, greedy_match
+from .estimation import TargetEstimate, estimate_trials, greedy_match
 from .scene import (ScenePoint, SceneTruth, design_phase_profiles,
                     draw_scene_point)
 from .synthesis import apply_noise, echo_tensors
@@ -96,6 +96,7 @@ _PRESET_TABLE = {
 PRESET_NAMES = tuple(_PRESET_TABLE)
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 1
+TRIAL_STACK = 8  # trials of a frozen scene point per estimator stack
 
 
 def build_spec(preset: str, trials: int | None = None,
@@ -172,8 +173,10 @@ def run_experiment(spec: ExperimentSpec,
     Per position: the scene truth and channel are drawn once from the seed
     (redrawn each trial only when the preset asks for fading averaging),
     each trial adds fresh noise, runs the estimation pipeline, and pairs
-    estimates with truth by delay.  Estimator failures are counted and
-    excluded from the error average rather than crashing the sweep.
+    estimates with truth by delay; trials that share a scene point run as
+    one estimator stack, which changes no number.  Estimator failures are
+    counted and excluded from the error average rather than crashing the
+    sweep.
     """
     rows: list[ResultRow] = []
     for sweep_idx, value in enumerate(spec.sweep_values):
@@ -189,35 +192,38 @@ def run_experiment(spec: ExperimentSpec,
         crb_sum = np.zeros(3)
         crb_draws = 0
 
-        for trial in range(spec.trials):
-            rng = np.random.default_rng((spec.seed, sweep_idx, trial))
-            new_point = spec.redraw_fading or trial == 0
-            if new_point:
-                point = draw_scene_point(
-                    cfg, profiles, rng if spec.redraw_fading
-                    else np.random.default_rng(spec.seed))
-            tensors = [apply_noise(clean, snr_db, rng)
-                       for clean in echo_tensors(*point, cfg.waveform,
-                                                 cfg.arrays)]
-            noise_vars = tuple(t.noise_sigma ** 2 for t in tensors)
-            if new_point:
-                crb_point = _point_crb(point, cfg, noise_vars)
-                if np.isfinite(crb_point).all():
-                    crb_sum += crb_point
-                    crb_draws += 1
-            for name in methods:
+        stack_size = 1 if spec.redraw_fading else TRIAL_STACK
+        for first in range(0, spec.trials, stack_size):
+            stack = []
+            for trial in range(first, min(first + stack_size, spec.trials)):
+                rng = np.random.default_rng((spec.seed, sweep_idx, trial))
+                new_point = spec.redraw_fading or trial == 0
+                if new_point:
+                    point = draw_scene_point(
+                        cfg, profiles, rng if spec.redraw_fading
+                        else np.random.default_rng(spec.seed))
+                    clean = echo_tensors(*point, cfg.waveform, cfg.arrays)
+                tensors = [apply_noise(t, snr_db, rng) for t in clean]
+                if new_point:
+                    crb_point = _point_crb(
+                        point, cfg, tuple(t.noise_sigma ** 2 for t in tensors))
+                    if np.isfinite(crb_point).all():
+                        crb_sum += crb_point
+                        crb_draws += 1
+                stack.append(tensors)
+            outcomes = estimate_trials(
+                [t[0] for t in stack], [t[1] for t in stack], k_total,
+                cfg.scene.doa_prior_rad, point.channel, profiles,
+                point.combiner, cfg.waveform, cfg.arrays,
+                [name == "single_phase" for name in methods])
+            for name, results in zip(methods, outcomes):
                 acc = accs[name]
-                try:
-                    estimates = estimate_targets(
-                        tensors[0], tensors[1], k_total,
-                        cfg.scene.doa_prior_rad, point.channel, profiles,
-                        point.combiner, cfg.waveform, cfg.arrays,
-                        single_phase_doa=(name == "single_phase"))
-                except EstimationError:
-                    acc.failures += 1
-                    continue
-                acc.sq_sums += _squared_errors(estimates, point.truth)
-                acc.used += 1
+                for estimates in results:
+                    if isinstance(estimates, EstimationError):
+                        acc.failures += 1
+                        continue
+                    acc.sq_sums += _squared_errors(estimates, point.truth)
+                    acc.used += 1
 
         crb_point = (crb_sum / crb_draws if crb_draws
                      else np.full(3, math.nan))

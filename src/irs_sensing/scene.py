@@ -31,11 +31,13 @@ def steering_vector(theta, n_elem: int, spacing: float,
     """Unit-norm ULA response; element n carries phase 2*pi*n*d*sin(theta)/lambda.
 
     A scalar angle gives an N-vector, a 1-D array of G angles an N x G
-    matrix whose columns equal the scalar calls bit for bit.
+    matrix whose columns equal the scalar calls bit for bit, and a (B, K)
+    array a stack of B such N x K matrices.
     """
     n = np.arange(n_elem)
     phase = np.multiply.outer(2j * np.pi * n * spacing, np.sin(theta)) / wavelength
-    return np.exp(phase) / math.sqrt(n_elem)
+    steer = np.exp(phase) / math.sqrt(n_elem)
+    return steer if steer.ndim < 3 else steer.swapaxes(0, 1)
 
 
 def steering_derivative(theta, n_elem: int, spacing: float,

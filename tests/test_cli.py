@@ -76,6 +76,7 @@ def test_malformed_config_exits_2(tmp_path):
     "scene:\n  rician_k_db: abc\n",
     "scene:\n  targets: 5\n",
     "scene:\n  targets: [{position_m: [500, -170], rcs: big}]\n",
+    "scene:\n  targets: [{position_m: [533.0, -170.0], velocity: 16.66}]\n",
     "scene:\n  irs_position_m: [0, 0, 0]\n",
     "scene:\n  ap_position_m: [0]\n",
     "scene:\n  n_subarrays: 2.5\n",
