@@ -98,10 +98,6 @@ class FactorTriple:
     def n_components(self) -> int:
         return self.pulse_factor.shape[-1]
 
-    @property
-    def stacked(self) -> bool:
-        return self.generators.ndim == 2
-
     def map(self, fn) -> FactorTriple:
         return FactorTriple(fn(self.pulse_factor), fn(self.antenna_factor),
                             fn(self.subcarrier_factor), fn(self.generators))
@@ -122,7 +118,7 @@ def cp_decompose(data: np.ndarray, n_components: int) -> FactorTriple:
     least-squares reconstruction of the antenna and pulse factors.
     Components are returned sorted by descending raw generator delay so
     noiseless output order is deterministic.  A (B, P, M, L) stack gives
-    ``(triple, errors)`` (see ``stack``); a failed trial's factors are NaN.
+    ``(triple, errors)`` (see ``stack``); a failed trial's factors are void.
     """
     if data.ndim != 4:
         raise DimensionMismatch("expected a 3-way tensor or a stack of them")
@@ -148,21 +144,14 @@ def cp_decompose(data: np.ndarray, n_components: int) -> FactorTriple:
     record_failures(errors, cond > SHIFT_COND_LIMIT, lambda b: IllConditionedShift(
         f"shift subspace condition number {cond[b]:.2e}"))
 
-    live = np.array([e is None for e in errors], dtype=bool)
-    if not live.all():  # a failed trial may hold NaNs that fail the whole stack
-        triple, _ = cp_decompose(data[live], n_components)
-
-        def all_trials(factor):
-            out = np.full((n_trials, *factor.shape[1:]), np.nan, factor.dtype)
-            out[live] = factor
-            return out
-
-        return triple.map(all_trials), errors
-
     shift_op = (np.linalg.pinv(u[:, :(l_dim - 1) * m_dim, :], rcond=PINV_RTOL)
                 @ u[:, m_dim:, :])
     eigvals, eigvecs = np.linalg.eig(shift_op)
-    generators = eigvals / np.abs(eigvals)
+    # a failed trial may have zero eigenvalues; unit generators keep its
+    # solves below finite, so they cannot fail the other trials of the stack
+    failed = np.array([e is not None for e in errors])[:, None]
+    generators = np.where(failed, 1.0,
+                          eigvals / np.where(failed, 1.0, np.abs(eigvals)))
 
     order = np.argsort(-((-np.angle(generators)) % (2 * np.pi)), axis=-1)
     generators = np.take_along_axis(generators, order, axis=-1)
@@ -191,15 +180,11 @@ def cp_reconstruct(triple) -> np.ndarray:
                      triple.antenna_factor, triple.subcarrier_factor)
 
 
-def tensor_norms(data: np.ndarray) -> np.ndarray:
-    """Frobenius norm of a (P, M, L) tensor or of each of a stack, summed
-    by BLAS dot products as np.linalg.norm sums one tensor."""
-    flat = data.reshape(*data.shape[:-3], 1, np.prod(data.shape[-3:]))
-    return np.sqrt(sum(part @ part.swapaxes(-1, -2)
-                       for part in (flat.real, flat.imag)))[..., 0, 0]
-
-
 def reconstruction_error(data: np.ndarray, triple: FactorTriple):
     """Relative Frobenius mismatch between a tensor and its factorization;
     one per trial for a stack."""
-    return tensor_norms(data - cp_reconstruct(triple)) / tensor_norms(data)
+    residual = data - cp_reconstruct(triple)
+    if data.ndim == 3:
+        return float(np.linalg.norm(residual) / np.linalg.norm(data))
+    return np.array([np.linalg.norm(r) / np.linalg.norm(d)
+                     for r, d in zip(residual, data)])

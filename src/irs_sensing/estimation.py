@@ -22,8 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import SPEED_OF_LIGHT, ArrayConfig, WaveformConfig
-from .cpd import (FactorTriple, cp_decompose, raw_delay, reconstruction_error,
-                  tensor_norms)
+from .cpd import FactorTriple, cp_decompose, raw_delay, reconstruction_error
 from .errors import (AmbiguousAlignment, DegenerateProfilePair, DivisionBlowup,
                      EstimationError, NoFeasibleGrid, RankOneChannel,
                      UnwrapInfeasible)
@@ -34,7 +33,6 @@ from .synthesis import EchoTensor, doppler_ramp
 
 DOA_GRID_STEP_RAD = math.radians(0.02)
 DOPPLER_GRID_POINTS = 2000          # grid step = half-period / this
-DOPPLER_SCORE_TRIALS = 2            # trials per Doppler scoring product
 ALIGNMENT_MARGIN = 1e-6
 GRID_EXCLUSION_RTOL = 1e-8          # drop grid points with tiny denominators
 DIVISOR_FLOOR = 1e-12
@@ -59,10 +57,6 @@ class AlignedFactors:
     @property
     def n_components(self) -> int:
         return self.phase1.n_components
-
-    @property
-    def stacked(self) -> bool:
-        return self.phase1.stacked
 
     def map(self, fn) -> AlignedFactors:
         perm = fn(np.asarray(self.permutation))
@@ -179,7 +173,7 @@ def _dictionary(atoms, lo: float, hi: float, step: float,
     return grid, bank
 
 
-@stackable(core_ndim=2)
+@stackable()
 def _grid_peaks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best finite grid index of each row of scores, and its vertex offset.
 
@@ -209,8 +203,7 @@ def _grid_peaks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _at(scores: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Entry ``idx[..., r]`` of every row r of ``scores`` (rows x grid)."""
-    rows = scores.reshape(-1, scores.shape[-1])
-    return rows[np.arange(len(rows)), idx.ravel()].reshape(idx.shape)
+    return np.take_along_axis(scores, idx[..., None], axis=-1)[..., 0]
 
 
 def _refine_directions(grid: np.ndarray, scores: np.ndarray, score_at,
@@ -284,7 +277,7 @@ def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
     return (thetas, gammas, np.sqrt(-best)), errors
 
 
-@stackable(core_ndim=2)
+@stackable()
 def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
                            profile: PhaseProfile,
                            doa_prior: tuple[float, float],
@@ -347,16 +340,8 @@ def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
     keep = np.abs(divisors) >= DIVISOR_FLOOR
     ramp_obs = np.divide(pulses, divisors, where=keep,
                          out=np.zeros(pulses.shape, dtype=complex))
-    # the (trials, 2K, grid) scores would be the largest arrays of a stack,
-    # so they are formed and searched a few trials at a time
-    products = ramp_obs.conj().swapaxes(-1, -2)
-    idx, errors = np.zeros(products.shape[:-1], dtype=int), []
-    offset = np.zeros(idx.shape)
-    for b in range(0, len(idx), DOPPLER_SCORE_TRIALS):
-        part = slice(b, b + DOPPLER_SCORE_TRIALS)
-        (idx[part], offset[part]), part_errors = _grid_peaks(
-            np.abs(products[part] @ ramps))
-        errors += part_errors
+    (idx, offset), errors = _grid_peaks(
+        np.abs(ramp_obs.conj().swapaxes(-1, -2) @ ramps))
     at_edge = (idx == 0) | (idx == len(grid) - 1)
     # only the flagged (trial, column) pairs, in the order one trial meets them
     for b, col in np.argwhere(~keep.all(axis=-2) | at_edge):
@@ -426,92 +411,83 @@ def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
                     profiles: tuple[PhaseProfile, PhaseProfile],
                     combiner: np.ndarray, waveform: WaveformConfig,
                     arrays: ArrayConfig,
-                    single_phase_doa: Sequence[bool] = (False,)) -> list[list]:
+                    single_phase_doa: Sequence[bool] = (False,),
+                    stacklevel: int = 2) -> list[list]:
     """Run a stack of trials that share one scene point through the pipeline.
 
     Trial b observes ``y1[b]`` and ``y2[b]``.  Returns one list per entry of
     ``single_phase_doa`` (a direction method of ``estimate_targets``) with,
     per trial, its estimates sorted by delay or the EstimationError that
     ``estimate_targets`` raises on it alone: the first check it fails.
-    Every step but the direction search runs once for all methods.
+    The factorization, alignment and delay steps run once for all methods.
+    ``stacklevel`` is that of the reconstruction-residual warning.
     """
-    n_trials, n_methods = len(y1), len(single_phase_doa)
-    outcomes, running = [None] * n_trials, np.arange(n_trials)
+    outcomes, running = [None] * len(y1), np.arange(len(y1))
     try:
         triples = []
         for tensors in (y1, y2):
             phase = f"phase {tensors[0].phase_index}"
             data = np.stack([t.data for t in tensors])[running]
-            sigma = np.array([t.noise_sigma for t in tensors])[running]
             try:
                 triple, errors = cp_decompose(data, n_targets)
             except EstimationError as exc:
                 exc.args = (f"{phase}: {exc}",)
                 raise
-            running, (*triples, data, sigma) = _drop_failed(
+            running, (*triples, data) = _drop_failed(
                 outcomes, running, [e and type(e)(f"{phase}: {e}") for e in errors],
-                *triples, triple, data, sigma)
+                *triples, triple, data)
             recon = reconstruction_error(data, triples[-1])
-            noise = (sigma * math.sqrt(math.prod(data.shape[1:]))
-                     / tensor_norms(data))
+            noise = np.array([tensors[b].noise_sigma * math.sqrt(d.size)
+                              / np.linalg.norm(d) for b, d in zip(running, data)])
             for residual in recon[recon > np.maximum(RECON_WARN_FLOOR, 3 * noise)]:
                 warnings.warn(
                     f"{phase}: reconstruction residual {residual:.3f} exceeds "
                     f"the expected noise level; the component count "
-                    f"{n_targets} may not match the scene", stacklevel=2)
+                    f"{n_targets} may not match the scene", stacklevel=stacklevel)
         aligned, errors = align_columns(*triples, waveform.subcarrier_spacing_hz)
         running, (aligned,) = _drop_failed(outcomes, running, errors, aligned)
     except EstimationError as exc:  # a check that every running trial shares
-        for b in running:
-            outcomes[b] = exc
+        outcomes = [exc if b in running else o for b, o in enumerate(outcomes)]
         return [list(outcomes) for _ in single_phase_doa]
-    delays, delay_errors = estimate_delay(aligned, waveform)
+    delays, errors = estimate_delay(aligned, waveform)
+    delay_errors = dict(zip(running, errors))  # checked after the Doppler step
 
-    directions, errors = [], []
+    results = []
     for single_phase in single_phase_doa:
+        done, live = list(outcomes), running
         try:
             if single_phase:
-                thetas, method_errors = estimate_doa_multirank(
+                thetas, errors = estimate_doa_multirank(
                     aligned.phase1.antenna_factor, channel, profiles[0],
                     doa_prior, arrays)
-                stats = compute_gamma_statistics(aligned), np.zeros(thetas.shape)
+                gammas, residuals = (compute_gamma_statistics(aligned),
+                                     np.zeros(thetas.shape))
             else:
-                (thetas, *stats), method_errors = resolve_doa(
+                (thetas, gammas, residuals), errors = resolve_doa(
                     aligned, channel.irs_side_vector(), profiles, doa_prior,
                     arrays)
         except EstimationError as exc:  # a check that every running trial shares
-            thetas, *stats = np.zeros((3, len(running), n_targets))
-            method_errors = [exc] * len(running)
-        directions.append((thetas, *stats))
-        errors += method_errors
-
-    # from here on, trial b under method m is the virtual trial m * n_trials + b
-    def tile(stack):
-        return np.concatenate([stack] * n_methods)
-
-    outcomes *= n_methods
-    virtual = tile(running) + np.repeat(n_trials * np.arange(n_methods),
-                                        len(running))
-    running, (aligned, thetas, gammas, residuals, delays, delay_errors) = (
-        _drop_failed(outcomes, virtual, errors, aligned.map(tile),
-                     *map(np.concatenate, zip(*directions)), tile(delays),
-                     tile(np.array(delay_errors, dtype=object))))
-    dopplers, errors = estimate_doppler(aligned, thetas, channel, profiles,
-                                        combiner, waveform, arrays)
-    running, (*params, delay_errors) = _drop_failed(
-        outcomes, running, errors, thetas, delays, dopplers, gammas,
-        residuals, delay_errors)
-    running, params = _drop_failed(outcomes, running, delay_errors, *params)
-    for b, *trial in zip(running, *params):
-        outcomes[b] = sorted((TargetEstimate(
-            theta_hat=float(theta), tau_hat=float(tau), nu_hat=float(nu),
-            range_hat=float(SPEED_OF_LIGHT * tau / 2),
-            velocity_hat=float(nu * SPEED_OF_LIGHT
-                               / (2 * waveform.carrier_freq_hz)),
-            gamma_hat=complex(gamma), residual=float(residual))
-            for theta, tau, nu, gamma, residual in zip(*trial)),
-            key=lambda est: est.tau_hat)
-    return [outcomes[m * n_trials:(m + 1) * n_trials] for m in range(n_methods)]
+            errors = [exc] * len(live)
+            thetas = gammas = residuals = np.zeros(delays.shape)
+        live, (method_aligned, *params) = _drop_failed(
+            done, live, errors, aligned, thetas, delays, gammas, residuals)
+        dopplers, errors = estimate_doppler(method_aligned, params[0], channel,
+                                            profiles, combiner, waveform, arrays)
+        live, (thetas, delays_live, gammas, residuals, dopplers) = _drop_failed(
+            done, live, [e or delay_errors[b] for b, e in zip(live, errors)],
+            *params, dopplers)
+        for b, *trial in zip(live, thetas, delays_live, dopplers, gammas,
+                             residuals):
+            done[b] = sorted((TargetEstimate(
+                theta_hat=float(theta), tau_hat=float(tau), nu_hat=float(nu),
+                range_hat=float(SPEED_OF_LIGHT * tau / 2),
+                velocity_hat=float(nu * SPEED_OF_LIGHT
+                                   / (2 * waveform.carrier_freq_hz)),
+                gamma_hat=complex(gamma), residual=float(residual))
+                for theta, tau, nu, gamma, residual in zip(*trial)),
+                key=lambda est: est.tau_hat)
+        results.append(done)
+    return results
 
 
 def estimate_targets(y1: EchoTensor, y2: EchoTensor, n_targets: int,
@@ -529,7 +505,7 @@ def estimate_targets(y1: EchoTensor, y2: EchoTensor, n_targets: int,
     """
     [[outcome]] = estimate_trials([y1], [y2], n_targets, doa_prior, channel,
                                   profiles, combiner, waveform, arrays,
-                                  (single_phase_doa,))
+                                  (single_phase_doa,), stacklevel=3)
     if isinstance(outcome, EstimationError):
         raise outcome
     return outcome

@@ -96,7 +96,7 @@ _PRESET_TABLE = {
 PRESET_NAMES = tuple(_PRESET_TABLE)
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 1
-TRIAL_STACK = 8  # trials of a frozen scene point per estimator stack
+TRIAL_STACK = 4  # trials of a frozen scene point per estimator stack
 
 
 def build_spec(preset: str, trials: int | None = None,

@@ -4,6 +4,7 @@ None; a check on what the whole stack shares still raises.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -26,17 +27,22 @@ def record_failures(errors: list, failed, make_error) -> None:
             errors[b] = make_error(b)
 
 
-def stackable(core_ndim: int = 0, n_stacked: int = 1):
+def _ndim(x) -> int:
+    """Axes of an array, or of the first array of a factor container."""
+    while dataclasses.is_dataclass(x):
+        x = getattr(x, dataclasses.fields(x)[0].name)
+    return x.ndim
+
+
+def stackable(core_ndim: int = 2, n_stacked: int = 1):
     """Give a step written for a stack, whose first ``n_stacked`` arguments
-    carry the trial axis, its one-trial form: a first argument without the
-    axis (``core_ndim`` axes, or not ``stacked``) raises the trial's error
-    or returns its result without the axis."""
+    carry the trial axis, its one-trial form: a first argument with
+    ``core_ndim`` axes raises the trial's error or returns its result
+    without the axis."""
     def decorate(step):
         @functools.wraps(step)
         def one_or_stack(*args, **kwargs):
-            first = args[0]
-            if (first.ndim > core_ndim if isinstance(first, np.ndarray)
-                    else first.stacked):
+            if _ndim(args[0]) > core_ndim:
                 return step(*args, **kwargs)
             stacked = take_trials(args[:n_stacked], np.newaxis)
             result, errors = step(*stacked, *args[n_stacked:], **kwargs)
