@@ -14,9 +14,9 @@ A*kr(C,B)', B*kr(C,A)', C*kr(B,A)', where kr is the column-wise Kronecker
 The solver exploits that each subcarrier-factor column is a geometric
 progression in one unit-modulus generator: a truncated SVD of the mode-1
 unfolding, a shift-invariance eigenproblem for the generators, and linear
-solves for the remaining factors.  A stack of tensors goes through
-NumPy's stacked ``svd``, ``eig``, ``pinv`` and ``matmul``, which treat each
-trial exactly as a call on that trial alone does.
+solves for the remaining factors.  It takes a stack of tensors, with a
+leading trial axis, through NumPy's stacked ``svd``, ``eig``, ``pinv`` and
+``matmul``, which treat each trial exactly as a stack of that trial alone.
 """
 from __future__ import annotations
 
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, IllConditionedShift, RankDeficient,
-                     UniquenessError)
-from .stack import record_failures, stackable
+                     UniquenessError, record_failures)
 
 PINV_RTOL = 1e-10          # singular values below this (relative) are zeroed
 RANK_GAP_TOL = 1e-12       # sigma_K / sigma_1 below this means < K components
@@ -86,7 +85,8 @@ class FactorTriple:
     ``subcarrier_factor`` columns are rebuilt as [t, t^2, ..., t^L] from the
     unit-modulus generators — the unit leading coefficient is load-bearing:
     the cross-phase ratio statistic cancels scalings only when both phases
-    share this normalization.  The arrays may carry a leading trial axis.
+    share this normalization.  The estimator's arrays carry a leading trial
+    axis.
     """
 
     pulse_factor: np.ndarray       # P x K
@@ -98,10 +98,6 @@ class FactorTriple:
     def n_components(self) -> int:
         return self.pulse_factor.shape[-1]
 
-    def map(self, fn) -> FactorTriple:
-        return FactorTriple(fn(self.pulse_factor), fn(self.antenna_factor),
-                            fn(self.subcarrier_factor), fn(self.generators))
-
 
 def raw_delay(generator: complex | np.ndarray, spacing_hz: float) -> np.ndarray:
     """Delay of a generator modulo 1/spacing, in [0, 1/spacing)."""
@@ -109,19 +105,20 @@ def raw_delay(generator: complex | np.ndarray, spacing_hz: float) -> np.ndarray:
     return (np.angle(generator) / (-2 * np.pi * spacing_hz)) % period
 
 
-@stackable(core_ndim=3)
-def cp_decompose(data: np.ndarray, n_components: int) -> FactorTriple:
-    """Recover the factor triple of a (P, M, L) tensor.
+def cp_decompose(data: np.ndarray, n_components: int,
+                 errors: list) -> FactorTriple:
+    """Recover the factor triple of each (P, M, L) tensor of a stack.
 
     Steps: truncated SVD of the transposed mode-1 unfolding; eigenvalue
     decomposition of the subspace shift operator for the generators;
     least-squares reconstruction of the antenna and pulse factors.
     Components are returned sorted by descending raw generator delay so
-    noiseless output order is deterministic.  A (B, P, M, L) stack gives
-    ``(triple, errors)`` (see ``stack``); a failed trial's factors are void.
+    noiseless output order is deterministic.  A trial's failed check goes
+    to ``errors[b]`` and leaves its factors void, all ones; a check that the
+    whole (B, P, M, L) stack shares raises.
     """
     if data.ndim != 4:
-        raise DimensionMismatch("expected a 3-way tensor or a stack of them")
+        raise DimensionMismatch("expected a stack of 3-way tensors")
     n_trials, p_dim, m_dim, l_dim = data.shape
     ok = check_uniqueness(p_dim, m_dim, l_dim, n_components)
     if not ok:
@@ -129,7 +126,6 @@ def cp_decompose(data: np.ndarray, n_components: int) -> FactorTriple:
 
     y1 = unfold(data, 1)
     u_full, s, _ = np.linalg.svd(y1.swapaxes(-1, -2), full_matrices=False)
-    errors = [None] * n_trials
     record_failures(errors, s[:, 0] == 0.0,
                     lambda b: RankDeficient("zero tensor"))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -147,11 +143,18 @@ def cp_decompose(data: np.ndarray, n_components: int) -> FactorTriple:
     shift_op = (np.linalg.pinv(u[:, :(l_dim - 1) * m_dim, :], rcond=PINV_RTOL)
                 @ u[:, m_dim:, :])
     eigvals, eigvecs = np.linalg.eig(shift_op)
-    # a failed trial may have zero eigenvalues; unit generators keep its
-    # solves below finite, so they cannot fail the other trials of the stack
-    failed = np.array([e is not None for e in errors])[:, None]
-    generators = np.where(failed, 1.0,
-                          eigvals / np.where(failed, 1.0, np.abs(eigvals)))
+    # a generator is an eigenvalue scaled to unit modulus, which a zero
+    # eigenvalue does not have; the condition guard above misses a shift
+    # operator that is exactly zero
+    record_failures(errors, ~(np.abs(eigvals) > 0).all(axis=-1),
+                    lambda b: IllConditionedShift(
+                        "shift operator has a zero eigenvalue"))
+    # a failed trial's factors are void: ones keep its solves, and what the
+    # later steps compute for it, finite and free of warnings, so it cannot
+    # fail the other trials of the stack
+    failed = np.array([e is not None for e in errors])
+    generators = np.where(failed[:, None], 1.0, eigvals / np.where(
+        failed[:, None], 1.0, np.abs(eigvals)))
 
     order = np.argsort(-((-np.angle(generators)) % (2 * np.pi)), axis=-1)
     generators = np.take_along_axis(generators, order, axis=-1)
@@ -166,11 +169,13 @@ def cp_decompose(data: np.ndarray, n_components: int) -> FactorTriple:
         stacked = (u @ eigvecs[:, :, k, None]).reshape(-1, l_dim, m_dim)
         antenna[:, :, k] = ((col.conj() @ stacked)[:, 0]
                             / np.real(col.conj() @ col.swapaxes(-1, -2))[:, 0])
+    antenna[failed] = 1.0
 
     pulse = y1 @ np.linalg.pinv(khatri_rao(subcarrier, antenna).swapaxes(-1, -2),
                                 rcond=PINV_RTOL)
+    pulse[failed] = 1.0
     return FactorTriple(pulse_factor=pulse, antenna_factor=antenna,
-                        subcarrier_factor=subcarrier, generators=generators), errors
+                        subcarrier_factor=subcarrier, generators=generators)
 
 
 def cp_reconstruct(triple) -> np.ndarray:
@@ -180,11 +185,10 @@ def cp_reconstruct(triple) -> np.ndarray:
                      triple.antenna_factor, triple.subcarrier_factor)
 
 
-def reconstruction_error(data: np.ndarray, triple: FactorTriple):
-    """Relative Frobenius mismatch between a tensor and its factorization;
-    one per trial for a stack."""
+def reconstruction_error(data: np.ndarray, triple: FactorTriple,
+                         errors: list) -> np.ndarray:
+    """Relative Frobenius mismatch between each tensor of a stack and its
+    factorization; NaN for a trial that has failed."""
     residual = data - cp_reconstruct(triple)
-    if data.ndim == 3:
-        return float(np.linalg.norm(residual) / np.linalg.norm(data))
-    return np.array([np.linalg.norm(r) / np.linalg.norm(d)
-                     for r, d in zip(residual, data)])
+    return np.array([np.linalg.norm(r) / np.linalg.norm(d) if e is None
+                     else np.nan for r, d, e in zip(residual, data, errors)])

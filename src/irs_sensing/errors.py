@@ -4,6 +4,7 @@
 harness counts and excludes from MSE accumulation; everything else signals
 misconfiguration or numerical breakdown that should abort the run.
 """
+import numpy as np
 
 
 class SensingError(Exception):
@@ -80,6 +81,15 @@ class DivisionBlowup(EstimationError):
 
 class UnwrapInfeasible(EstimationError):
     """No alias of the raw delay lands inside the feasible window."""
+
+
+def record_failures(errors: list, failed, make_error) -> None:
+    """Give each flagged trial b of a stack without an error yet
+    ``make_error(b)``; an estimator step calls it in check order, so each
+    trial keeps the first check it fails."""
+    for b in np.flatnonzero(failed):
+        if errors[b] is None:
+            errors[b] = make_error(b)
 
 
 class SingularFim(SensingError):

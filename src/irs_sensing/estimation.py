@@ -8,8 +8,11 @@ cross-phase ratio of matched factor columns equals a known function
 gamma(theta) of the direction alone, because the factorization scalings of
 the two phases cancel inside the ratio.  Doppler and delay then follow
 from the pulse factor's phase progression and the subcarrier generators.
-Every step also takes a stack of trials (see ``stack``); ``estimate_trials``
-runs a stack through the pipeline, ``estimate_targets`` one trial.
+Every step takes a stack of trials, its arrays with a leading trial axis,
+and the stack's error list: it records in ``errors[b]`` the first check
+trial b fails and raises only for a check that the whole stack shares.
+``estimate_trials`` runs a stack through the pipeline, ``estimate_targets``
+one trial.
 """
 from __future__ import annotations
 
@@ -25,10 +28,9 @@ from .config import SPEED_OF_LIGHT, ArrayConfig, WaveformConfig
 from .cpd import FactorTriple, cp_decompose, raw_delay, reconstruction_error
 from .errors import (AmbiguousAlignment, DegenerateProfilePair, DivisionBlowup,
                      EstimationError, NoFeasibleGrid, RankOneChannel,
-                     UnwrapInfeasible)
+                     UnwrapInfeasible, record_failures)
 from .scene import (ChannelMatrix, PhaseProfile, relayed_response,
                     steering_vector)
-from .stack import record_failures, stackable, take_trials
 from .synthesis import EchoTensor, doppler_ramp
 
 DOA_GRID_STEP_RAD = math.radians(0.02)
@@ -45,23 +47,17 @@ class AlignedFactors:
     """Factor triples of the two phases with matched column order.
 
     ``phase1`` columns are permuted so column k of every matrix in both
-    triples refers to the same physical target; ``permutation[k]`` is the
-    aligned position of original phase-1 column k (a (B, K) array for a
-    stack of trials).
+    triples refers to the same physical target; ``permutation[b, k]`` is
+    the aligned position of original phase-1 column k of trial b.
     """
 
     phase1: FactorTriple
     phase2: FactorTriple
-    permutation: tuple[int, ...] | np.ndarray
+    permutation: np.ndarray
 
     @property
     def n_components(self) -> int:
         return self.phase1.n_components
-
-    def map(self, fn) -> AlignedFactors:
-        perm = fn(np.asarray(self.permutation))
-        return AlignedFactors(self.phase1.map(fn), self.phase2.map(fn),
-                              perm if perm.ndim > 1 else tuple(perm.tolist()))
 
 
 @dataclass(frozen=True)
@@ -105,21 +101,19 @@ def greedy_match(*costs: np.ndarray) -> list[int]:
     return out
 
 
-@stackable(n_stacked=2)
 def align_columns(triple1: FactorTriple, triple2: FactorTriple,
-                  spacing_hz: float) -> AlignedFactors:
+                  spacing_hz: float, errors: list) -> AlignedFactors:
     """Match phase-1 columns to phase-2 columns by subcarrier correlation.
 
     Greedy maximum assignment on the correlation matrix; exact score ties
     are broken by raw-delay proximity of the generators.  A best-to-second
     margin below ALIGNMENT_MARGIN in any row means two targets are not
-    distinguishable by delay and raises AmbiguousAlignment.
+    distinguishable by delay and fails the trial with AmbiguousAlignment.
     """
     k = triple1.n_components
     if triple2.n_components != k:
         raise AmbiguousAlignment("component counts differ between phases")
     rho = correlation_matrix(triple1.subcarrier_factor, triple2.subcarrier_factor)
-    errors = [None] * len(rho)
     if k > 1:
         top2 = -np.partition(-rho, 1, axis=-1)[..., :2]
         margin = top2[..., 0] - top2[..., 1]
@@ -134,9 +128,12 @@ def align_columns(triple1: FactorTriple, triple2: FactorTriple,
     perm = np.array([greedy_match(-r, np.abs(np.subtract.outer(a, b)))
                      for r, a, b in zip(rho, d1, d2)], dtype=int).reshape(-1, k)
     source = np.argsort(perm)  # aligned column j is phase-1 column source[j]
-    aligned1 = triple1.map(lambda a: np.take_along_axis(
-        a, source if a.ndim == 2 else source[:, None, :], axis=-1))
-    return AlignedFactors(aligned1, triple2, perm), errors
+    aligned1 = FactorTriple(*(np.take_along_axis(a, source[:, None, :], axis=-1)
+                              for a in (triple1.pulse_factor,
+                                        triple1.antenna_factor,
+                                        triple1.subcarrier_factor)),
+                            np.take_along_axis(triple1.generators, source, axis=-1))
+    return AlignedFactors(aligned1, triple2, perm)
 
 
 def compute_gamma_statistics(aligned: AlignedFactors) -> np.ndarray:
@@ -173,12 +170,12 @@ def _dictionary(atoms, lo: float, hi: float, step: float,
     return grid, bank
 
 
-@stackable()
-def _grid_peaks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grid_peaks(scores: np.ndarray,
+                errors: list) -> tuple[np.ndarray, np.ndarray]:
     """Best finite grid index of each row of scores, and its vertex offset.
 
-    ``scores`` is rows x grid (per trial), larger is better; NaN or infinite
-    points are never chosen, and a row of none fails.  The offset, in grid
+    ``scores`` is (B, rows, grid), larger is better; NaN or infinite points
+    are never chosen, and a row of none fails its trial.  The offset, in grid
     steps and clipped to one step, is the vertex of the parabola through
     the peak and its two neighbours.  It is 0 at either edge of the grid,
     beside a non-finite neighbour, and where the three points do not curve
@@ -196,9 +193,9 @@ def _grid_peaks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = (idx > 0) & (idx < last) & np.isfinite(curvature) & (curvature < 0)
     offset = np.zeros(idx.shape)
     offset[ok] = np.clip(0.5 * (left[ok] - right[ok]) / curvature[ok], -1, 1)
-    errors = [NoFeasibleGrid("a search row has no finite grid point")
-              if failed else None for failed in empty.any(axis=-1)]
-    return (idx, offset), errors
+    record_failures(errors, empty.any(axis=-1), lambda b: NoFeasibleGrid(
+        "a search row has no finite grid point"))
+    return idx, offset
 
 
 def _at(scores: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -207,19 +204,19 @@ def _at(scores: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _refine_directions(grid: np.ndarray, scores: np.ndarray, score_at,
-                       doa_prior: tuple[float, float]):
+                       doa_prior: tuple[float, float], errors: list):
     """Grid peak per row, moved to the parabola vertex where that is no worse.
 
     ``scores`` is (B, rows, grid); ``score_at(thetas)`` scores one direction
-    per row.  Returns directions and scores, and ``_grid_peaks``'s errors.
+    per row.  Returns directions and scores.
     """
-    (idx, offset), errors = _grid_peaks(scores)
+    idx, offset = _grid_peaks(scores, errors)
     best = _at(scores, idx)
     cand = np.clip(grid[idx] + offset * DOA_GRID_STEP_RAD, *doa_prior)
     cand_scores = score_at(cand)
     take = (offset != 0) & (cand_scores >= best)
     return (np.where(take, cand, grid[idx]),
-            np.where(take, cand_scores, best)), errors
+            np.where(take, cand_scores, best))
 
 
 def gamma_ratio_curve(grid: np.ndarray, u: np.ndarray,
@@ -245,11 +242,10 @@ def _gamma_ratio(steer: np.ndarray, u: np.ndarray,
     return out
 
 
-@stackable()
 def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
                 profiles: tuple[PhaseProfile, PhaseProfile],
                 doa_prior: tuple[float, float], arrays: ArrayConfig,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directions from the cross-phase ratio statistic.
 
     Matches each target's ratio statistic against gamma(theta) on a grid
@@ -269,22 +265,21 @@ def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
             "cross-phase ratio constant over the prior; profiles too similar")
 
     gammas = compute_gamma_statistics(aligned)
-    (thetas, best), errors = _refine_directions(
+    thetas, best = _refine_directions(
         grid, -np.abs(gammas[..., None] - curve) ** 2,
         lambda cand: -np.abs(
             gammas - gamma_ratio_curve(cand, u, profiles, arrays)) ** 2,
-        doa_prior)
-    return (thetas, gammas, np.sqrt(-best)), errors
+        doa_prior, errors)
+    return thetas, gammas, np.sqrt(-best)
 
 
-@stackable()
 def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
                            profile: PhaseProfile,
                            doa_prior: tuple[float, float],
-                           arrays: ArrayConfig) -> np.ndarray:
+                           arrays: ArrayConfig, errors: list) -> np.ndarray:
     """Single-phase direction estimates by antenna-column correlation.
 
-    Correlates each column of the estimated M x K antenna factor against
+    Correlates each column of the estimated (B, M, K) antenna factor against
     the channel-relayed response over a direction grid.  Needs a channel
     of rank at least two: on a rank-one channel all candidate responses
     are collinear and the correlation carries no direction information.
@@ -303,27 +298,26 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
                  * np.linalg.norm(cand, axis=-2)[..., None, :])
         return np.abs(b_hat.conj().swapaxes(-1, -2) @ cand) / norms
 
-    (thetas, _), errors = _refine_directions(
+    thetas, _ = _refine_directions(
         grid, corr_at(grid_steer),
         lambda cand: np.diagonal(corr_at(steering_vector(cand, *arrays.surface)),
                                  axis1=-2, axis2=-1),
-        doa_prior)
-    return thetas, errors
+        doa_prior, errors)
+    return thetas
 
 
-@stackable(n_stacked=2)
 def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
                      channel: ChannelMatrix,
                      profiles: tuple[PhaseProfile, PhaseProfile],
                      combiner: np.ndarray, waveform: WaveformConfig,
-                     arrays: ArrayConfig) -> np.ndarray:
+                     arrays: ArrayConfig, errors: list) -> np.ndarray:
     """Doppler shifts from the pulse factors' phase progressions.
 
     For each phase, the aligned pulse column is divided by the predicted
     combined response at the estimated direction, leaving (up to scale) a
     pure per-pulse phase ramp that is matched against candidate ramps over
     half a period each side of zero.  Phase estimates are averaged with
-    equal weights.
+    equal weights.  A trial that has failed gets no warning.
     """
     half_span = 1.0 / (2 * waveform.pri_s)
     step = half_span / DOPPLER_GRID_POINTS
@@ -340,8 +334,8 @@ def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
     keep = np.abs(divisors) >= DIVISOR_FLOOR
     ramp_obs = np.divide(pulses, divisors, where=keep,
                          out=np.zeros(pulses.shape, dtype=complex))
-    (idx, offset), errors = _grid_peaks(
-        np.abs(ramp_obs.conj().swapaxes(-1, -2) @ ramps))
+    idx, offset = _grid_peaks(
+        np.abs(ramp_obs.conj().swapaxes(-1, -2) @ ramps), errors)
     at_edge = (idx == 0) | (idx == len(grid) - 1)
     # only the flagged (trial, column) pairs, in the order one trial meets them
     for b, col in np.argwhere(~keep.all(axis=-2) | at_edge):
@@ -355,17 +349,15 @@ def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
             continue
         if not keep[b, :, col].all():
             warnings.warn(f"{where}: excluded {int((~keep[b, :, col]).sum())} "
-                          "pulses with near-zero divisors", stacklevel=3)
+                          "pulses with near-zero divisors", stacklevel=2)
         if at_edge[b, col]:
             warnings.warn(f"{where}: Doppler at the unambiguous boundary; "
-                          "estimate may be wrapped", stacklevel=3)
-    nus = (grid[idx] + offset * step).reshape(-1, 2, k_total).mean(axis=-2)
-    return nus, errors
+                          "estimate may be wrapped", stacklevel=2)
+    return (grid[idx] + offset * step).reshape(-1, 2, k_total).mean(axis=-2)
 
 
-@stackable()
-def estimate_delay(aligned: AlignedFactors,
-                   waveform: WaveformConfig) -> np.ndarray:
+def estimate_delay(aligned: AlignedFactors, waveform: WaveformConfig,
+                   errors: list) -> np.ndarray:
     """Delays from the generator phases, unwrapped into the feasible window.
 
     The generator phase gives the delay modulo the symbol duration; the
@@ -382,27 +374,15 @@ def estimate_delay(aligned: AlignedFactors,
                     for triple in (aligned.phase1, aligned.phase2)], axis=-2)
     candidate = raw + np.ceil((window_lo - tol - raw) / period) * period
     infeasible = candidate > window_hi + tol
-    errors = [None] * len(raw)
     for b, phase, k in np.argwhere(infeasible):  # a trial's first one counts
         if errors[b] is None:
             errors[b] = UnwrapInfeasible(
                 f"target {k}: no alias of {raw[b, phase, k]:.3e} s lands in "
                 f"[{window_lo:.3e}, {window_hi:.3e}] s")
-    return np.clip(candidate, window_lo, window_hi).mean(axis=-2), errors
+    return np.clip(candidate, window_lo, window_hi).mean(axis=-2)
 
 
 RECON_WARN_FLOOR = 0.1
-
-
-def _drop_failed(outcomes: list, running: np.ndarray, errors, *stacks):
-    """Record the errors of the running trials; keep those that passed."""
-    passed = np.array([e is None for e in errors], dtype=bool)
-    if passed.all():
-        return running, stacks
-    for b, exc in zip(running, errors):
-        if exc is not None:
-            outcomes[b] = exc
-    return running[passed], take_trials(stacks, passed)
 
 
 def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
@@ -418,75 +398,70 @@ def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
     Trial b observes ``y1[b]`` and ``y2[b]``.  Returns one list per entry of
     ``single_phase_doa`` (a direction method of ``estimate_targets``) with,
     per trial, its estimates sorted by delay or the EstimationError that
-    ``estimate_targets`` raises on it alone: the first check it fails.
-    The factorization, alignment and delay steps run once for all methods.
+    ``estimate_targets`` raises on it alone: the first check it fails.  A
+    failed trial stays in the stack, and what later steps compute for it is
+    discarded.  The factorization and alignment run once for all methods.
     ``stacklevel`` is that of the reconstruction-residual warning.
     """
-    outcomes, running = [None] * len(y1), np.arange(len(y1))
+    errors = [None] * len(y1)
     try:
         triples = []
         for tensors in (y1, y2):
             phase = f"phase {tensors[0].phase_index}"
-            data = np.stack([t.data for t in tensors])[running]
+            data = np.stack([t.data for t in tensors])
+            passed = [e is None for e in errors]
             try:
-                triple, errors = cp_decompose(data, n_targets)
+                triples.append(cp_decompose(data, n_targets, errors))
             except EstimationError as exc:
                 exc.args = (f"{phase}: {exc}",)
                 raise
-            running, (*triples, data) = _drop_failed(
-                outcomes, running, [e and type(e)(f"{phase}: {e}") for e in errors],
-                *triples, triple, data)
-            recon = reconstruction_error(data, triples[-1])
-            noise = np.array([tensors[b].noise_sigma * math.sqrt(d.size)
-                              / np.linalg.norm(d) for b, d in zip(running, data)])
-            for residual in recon[recon > np.maximum(RECON_WARN_FLOOR, 3 * noise)]:
-                warnings.warn(
-                    f"{phase}: reconstruction residual {residual:.3f} exceeds "
-                    f"the expected noise level; the component count "
-                    f"{n_targets} may not match the scene", stacklevel=stacklevel)
-        aligned, errors = align_columns(*triples, waveform.subcarrier_spacing_hz)
-        running, (aligned,) = _drop_failed(outcomes, running, errors, aligned)
-    except EstimationError as exc:  # a check that every running trial shares
-        outcomes = [exc if b in running else o for b, o in enumerate(outcomes)]
-        return [list(outcomes) for _ in single_phase_doa]
-    delays, errors = estimate_delay(aligned, waveform)
-    delay_errors = dict(zip(running, errors))  # checked after the Doppler step
+            for exc, new in zip(errors, passed):
+                if new and exc is not None:
+                    exc.args = (f"{phase}: {exc}",)
+            recon = reconstruction_error(data, triples[-1], errors)
+            for b in np.flatnonzero(recon > RECON_WARN_FLOOR):
+                noise = (tensors[b].noise_sigma * math.sqrt(data[b].size)
+                         / np.linalg.norm(data[b]))
+                if recon[b] > 3 * noise:
+                    warnings.warn(
+                        f"{phase}: reconstruction residual {recon[b]:.3f} "
+                        f"exceeds the expected noise level; the component "
+                        f"count {n_targets} may not match the scene",
+                        stacklevel=stacklevel)
+        aligned = align_columns(*triples, waveform.subcarrier_spacing_hz, errors)
+    except EstimationError as exc:  # a check that the whole stack shares
+        return [[e or exc for e in errors] for _ in single_phase_doa]
 
     results = []
     for single_phase in single_phase_doa:
-        done, live = list(outcomes), running
+        method_errors = list(errors)
         try:
             if single_phase:
-                thetas, errors = estimate_doa_multirank(
+                thetas = estimate_doa_multirank(
                     aligned.phase1.antenna_factor, channel, profiles[0],
-                    doa_prior, arrays)
+                    doa_prior, arrays, method_errors)
                 gammas, residuals = (compute_gamma_statistics(aligned),
                                      np.zeros(thetas.shape))
             else:
-                (thetas, gammas, residuals), errors = resolve_doa(
+                thetas, gammas, residuals = resolve_doa(
                     aligned, channel.irs_side_vector(), profiles, doa_prior,
-                    arrays)
-        except EstimationError as exc:  # a check that every running trial shares
-            errors = [exc] * len(live)
-            thetas = gammas = residuals = np.zeros(delays.shape)
-        live, (method_aligned, *params) = _drop_failed(
-            done, live, errors, aligned, thetas, delays, gammas, residuals)
-        dopplers, errors = estimate_doppler(method_aligned, params[0], channel,
-                                            profiles, combiner, waveform, arrays)
-        live, (thetas, delays_live, gammas, residuals, dopplers) = _drop_failed(
-            done, live, [e or delay_errors[b] for b, e in zip(live, errors)],
-            *params, dopplers)
-        for b, *trial in zip(live, thetas, delays_live, dopplers, gammas,
-                             residuals):
-            done[b] = sorted((TargetEstimate(
-                theta_hat=float(theta), tau_hat=float(tau), nu_hat=float(nu),
-                range_hat=float(SPEED_OF_LIGHT * tau / 2),
-                velocity_hat=float(nu * SPEED_OF_LIGHT
-                                   / (2 * waveform.carrier_freq_hz)),
-                gamma_hat=complex(gamma), residual=float(residual))
-                for theta, tau, nu, gamma, residual in zip(*trial)),
-                key=lambda est: est.tau_hat)
-        results.append(done)
+                    arrays, method_errors)
+        except EstimationError as exc:  # a check that the whole stack shares
+            results.append([e or exc for e in method_errors])
+            continue
+        dopplers = estimate_doppler(aligned, thetas, channel, profiles,
+                                    combiner, waveform, arrays, method_errors)
+        delays = estimate_delay(aligned, waveform, method_errors)
+        results.append([error or sorted((TargetEstimate(
+            theta_hat=float(theta), tau_hat=float(tau), nu_hat=float(nu),
+            range_hat=float(SPEED_OF_LIGHT * tau / 2),
+            velocity_hat=float(nu * SPEED_OF_LIGHT
+                               / (2 * waveform.carrier_freq_hz)),
+            gamma_hat=complex(gamma), residual=float(residual))
+            for theta, tau, nu, gamma, residual in zip(*trial)),
+            key=lambda est: est.tau_hat)
+            for error, *trial in zip(method_errors, thetas, delays, dopplers,
+                                     gammas, residuals)])
     return results
 
 

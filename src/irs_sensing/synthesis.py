@@ -49,7 +49,6 @@ class EchoTensor:
     data: np.ndarray         # complex, shape (P, M, L)
     phase_index: int
     noise_sigma: float       # per-entry complex noise standard deviation
-    snr_db: float            # realized ratio, +inf when noiseless
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -111,7 +110,7 @@ def synthesize_echo_tensor(factors: GroundTruthFactors) -> EchoTensor:
     """Noiseless tensor: sum of per-target rank-one terms."""
     return EchoTensor(data=cp_reconstruct(factors),
                       phase_index=factors.phase_index,
-                      noise_sigma=0.0, snr_db=math.inf)
+                      noise_sigma=0.0)
 
 
 def echo_tensors(truth: SceneTruth, channel: ChannelMatrix,
@@ -129,18 +128,15 @@ def apply_noise(tensor: EchoTensor, snr_db: float,
     """Add circular complex Gaussian noise at the requested tensor SNR.
 
     The per-entry variance is set from the clean tensor's energy:
-    sigma^2 = ||signal||_F^2 / (P*M*L * 10^(snr/10)).  The stored snr_db is
-    the realized signal-to-noise ratio of the actual draw.
+    sigma^2 = ||signal||_F^2 / (P*M*L * 10^(snr/10)).
     """
     if math.isinf(snr_db):
         return tensor
     sigma = noise_sigma_for_snr(tensor, snr_db)
-    signal_energy = float(np.linalg.norm(tensor.data) ** 2)
     noise = (sigma / math.sqrt(2)) * (rng.standard_normal(tensor.data.shape)
                                       + 1j * rng.standard_normal(tensor.data.shape))
-    realized = 10.0 * math.log10(signal_energy / float(np.linalg.norm(noise) ** 2))
     return EchoTensor(data=tensor.data + noise, phase_index=tensor.phase_index,
-                      noise_sigma=sigma, snr_db=realized)
+                      noise_sigma=sigma)
 
 
 def noise_sigma_for_snr(tensor: EchoTensor, snr_db: float) -> float:

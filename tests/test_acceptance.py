@@ -235,8 +235,11 @@ def test_sampled_waveform_matches_model(cfg, truth, channel, profiles,
 def test_ratio_statistic_survives_scaling(cfg, clean_pair):
     """100 random per-column rescalings leave the statistic unchanged."""
     k = len(cfg.scene.targets)
-    triples = [cp_decompose(t.data, k) for t in clean_pair]
-    aligned = align_columns(*triples, cfg.waveform.subcarrier_spacing_hz)
+    errors = [None]
+    triples = [cp_decompose(t.data[None], k, errors) for t in clean_pair]
+    aligned = align_columns(*triples, cfg.waveform.subcarrier_spacing_hz,
+                            errors)
+    assert errors == [None]
     base = compute_gamma_statistics(aligned)
     rng = np.random.default_rng(41)
     worst = 0.0

@@ -5,7 +5,7 @@ import pytest
 from irs_sensing.cpd import (FactorTriple, check_uniqueness, cp_decompose,
                              cp_reconstruct, khatri_rao, raw_delay,
                              reconstruction_error, unfold)
-from irs_sensing.errors import RankDeficient, UniquenessError
+from irs_sensing.errors import DimensionMismatch, RankDeficient, UniquenessError
 
 
 def test_unfold_shapes():
@@ -47,6 +47,14 @@ def test_uniqueness_rule():
     assert not check_uniqueness(2, 1, 2, 2).unique
 
 
+def _decompose(y, n_components):
+    """Factor triple of one tensor, as a one-trial stack that must pass."""
+    errors = [None]
+    triple = cp_decompose(y[None], n_components, errors)
+    assert errors == [None]
+    return triple
+
+
 def _synthetic_triple(rng, p, m, l, delays, spacing):
     k = len(delays)
     a = rng.standard_normal((p, k)) + 1j * rng.standard_normal((p, k))
@@ -62,13 +70,13 @@ def test_cp_decompose_recovers_noiseless():
     a, b, c, gens = _synthetic_triple(rng, 6, 5, 8,
                                       [3.4e-6, 3.7e-6], spacing)
     y = np.einsum("pk,mk,lk->pml", a, b, c)
-    triple = cp_decompose(y, 2)
-    assert reconstruction_error(y, triple) < 1e-12
+    triple = _decompose(y, 2)
+    assert reconstruction_error(y[None], triple, [None])[0] < 1e-12
     # generator recovery up to the documented descending-delay ordering
-    got = sorted(triple.generators, key=lambda g: np.angle(g))
+    got = sorted(triple.generators[0], key=lambda g: np.angle(g))
     want = sorted(gens, key=lambda g: np.angle(g))
     assert np.allclose(got, want, atol=1e-10)
-    assert np.abs(np.abs(triple.generators) - 1) == pytest.approx(
+    assert np.abs(np.abs(triple.generators[0]) - 1) == pytest.approx(
         np.zeros(2), abs=1e-12)
 
 
@@ -77,8 +85,8 @@ def test_cp_columns_sorted_by_descending_raw_delay():
     spacing = 500e3
     a, b, c, _ = _synthetic_triple(rng, 6, 5, 8, [3.1e-6, 3.9e-6], spacing)
     y = np.einsum("pk,mk,lk->pml", a, b, c)
-    triple = cp_decompose(y, 2)
-    delays = raw_delay(triple.generators, spacing)
+    triple = _decompose(y, 2)
+    delays = raw_delay(triple.generators[0], spacing)
     assert delays[0] > delays[1]
 
 
@@ -86,10 +94,10 @@ def test_cp_subcarrier_factor_unit_leading_coefficient():
     rng = np.random.default_rng(4)
     a, b, c, _ = _synthetic_triple(rng, 5, 4, 7, [3.2e-6], 500e3)
     y = np.einsum("pk,mk,lk->pml", a, b, c)
-    triple = cp_decompose(y, 1)
-    gen = triple.generators[0]
+    triple = _decompose(y, 1)
+    gen = triple.generators[0, 0]
     expected = gen ** np.arange(1, 8)
-    assert np.allclose(triple.subcarrier_factor[:, 0], expected, atol=1e-12)
+    assert np.allclose(triple.subcarrier_factor[0, :, 0], expected, atol=1e-12)
 
 
 def test_cp_reconstruct_matches_einsum():
@@ -101,18 +109,24 @@ def test_cp_reconstruct_matches_einsum():
         np.einsum("pk,mk,lk->pml", a, b, c))
 
 
+def test_cp_takes_only_a_stack_of_tensors():
+    with pytest.raises(DimensionMismatch, match="stack of 3-way tensors"):
+        cp_decompose(np.ones((5, 4, 3), dtype=complex), 1, [None])
+
+
 def test_cp_rejects_single_subcarrier():
-    y = np.ones((5, 4, 1), dtype=complex)
+    y = np.ones((1, 5, 4, 1), dtype=complex)
     with pytest.raises(UniquenessError):
-        cp_decompose(y, 2)
+        cp_decompose(y, 2, [None])
 
 
 def test_cp_rejects_rank_deficient_request():
     rng = np.random.default_rng(7)
     a, b, c, _ = _synthetic_triple(rng, 6, 5, 8, [3.4e-6, 3.7e-6], 500e3)
     y = np.einsum("pk,mk,lk->pml", a, b, c)
-    with pytest.raises(RankDeficient):
-        cp_decompose(y, 3)   # only two components exist
+    errors = [None]
+    cp_decompose(y[None], 3, errors)   # only two components exist
+    assert isinstance(errors[0], RankDeficient)
 
 
 def test_raw_delay_wraps_into_one_period():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from irs_sensing.config import default_config, with_overrides
-from irs_sensing.cpd import cp_decompose, cp_reconstruct, reconstruction_error
+from irs_sensing.cpd import (FactorTriple, cp_decompose, cp_reconstruct,
+                             reconstruction_error)
 from irs_sensing.errors import (EstimationError, IllConditionedShift,
                                 RankDeficient, UnwrapInfeasible)
 from irs_sensing.estimation import estimate_targets, estimate_trials
@@ -40,6 +41,11 @@ def _noisy_stack(cfg, point, n_trials, seed):
 def _args(cfg, point):
     return (len(point.truth.targets), cfg.scene.doa_prior_rad, point.channel,
             point.profiles, point.combiner, cfg.waveform, cfg.arrays)
+
+
+def _trial(triple, b):
+    """Trial b of a stack of factor triples, as a one-trial stack."""
+    return FactorTriple(*(a[b:b + 1] for a in dataclasses.astuple(triple)))
 
 
 def _outcome(run):
@@ -95,23 +101,28 @@ def test_stack_changes_no_trial_outcome(rician_k_db):
             _assert_same_outcome(got, pinned[b], rtol=1e-12)
 
 
-def _ill_conditioned(cfg, rng):
-    """Two components, the second on the last subcarrier only: restricted
-    to the first L-1 subcarriers the signal subspace has rank one."""
+def _on_last_subcarrier(cfg, rng, n_last=1):
+    """Two components, the last ``n_last`` of them on the last subcarrier
+    only.  With one there, the signal subspace restricted to the first L-1
+    subcarriers has rank one; with both, the shift operator is zero, so its
+    eigenvalues have no unit-modulus scaling."""
     p, m, l = (cfg.waveform.n_pulses, cfg.arrays.n_ap_antennas,
                cfg.waveform.n_subcarriers)
     a = rng.standard_normal((p, 2)) + 1j * rng.standard_normal((p, 2))
     b = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
     c = np.zeros((l, 2), dtype=complex)
     c[:, 0] = np.exp(-0.7j * np.arange(1, l + 1))
-    c[-1, 1] = 1.0
+    c[:, 2 - n_last:] = 0.0
+    c[-1, 2 - n_last:] = 1.0
     return np.einsum("pk,mk,lk->pml", a, b, c)
 
 
 def test_cp_decompose_rejects_ill_conditioned_shift():
-    y = _ill_conditioned(default_config(), np.random.default_rng(3))
-    with pytest.raises(IllConditionedShift, match="condition number"):
-        cp_decompose(y, 2)
+    y = _on_last_subcarrier(default_config(), np.random.default_rng(3))
+    errors = [None]
+    cp_decompose(y[None], 2, errors)
+    assert isinstance(errors[0], IllConditionedShift)
+    assert "condition number" in str(errors[0])
 
 
 def test_ill_conditioned_member_fails_alone():
@@ -119,19 +130,21 @@ def test_ill_conditioned_member_fails_alone():
     others are those of their own calls, bit for bit."""
     cfg, point = _scene(None)
     y1, y2 = _noisy_stack(cfg, point, 4, seed=2)
-    bad = _ill_conditioned(cfg, np.random.default_rng(3))
+    bad = _on_last_subcarrier(cfg, np.random.default_rng(3))
     data = np.stack([y1[0].data, bad, y1[2].data, y1[3].data])
-    triple, errors = cp_decompose(data, 2)
+    errors = [None] * 4
+    triple = cp_decompose(data, 2, errors)
     assert isinstance(errors[1], IllConditionedShift)
     assert [e is None for e in errors] == [True, False, True, True]
     for b in (0, 2, 3):
-        alone = cp_decompose(data[b], 2)
-        for got, want in zip(dataclasses.astuple(triple.map(lambda a: a[b])),
+        alone_errors = [None]
+        alone = cp_decompose(data[b:b + 1], 2, alone_errors)
+        assert alone_errors == [None]
+        for got, want in zip(dataclasses.astuple(_trial(triple, b)),
                              dataclasses.astuple(alone)):
             assert np.array_equal(got, want)
 
-    y1[1] = EchoTensor(data=bad, phase_index=1, noise_sigma=0.0,
-                       snr_db=np.inf)
+    y1[1] = EchoTensor(data=bad, phase_index=1, noise_sigma=0.0)
     args = _args(cfg, point)
     [results] = estimate_trials(y1, y2, *args)
     assert isinstance(results[1], IllConditionedShift)
@@ -146,12 +159,15 @@ def test_ill_conditioned_member_fails_alone():
 def test_a_trial_failing_two_checks_reports_the_first():
     """One component on the last subcarrier only, two requested: the rank
     check fails, and so would the later shift-conditioning check."""
-    y = _ill_conditioned(default_config(), np.random.default_rng(3))
+    y = _on_last_subcarrier(default_config(), np.random.default_rng(3))
     last_only = np.zeros_like(y)
     last_only[:, :, -1] = np.outer(y[:, 0, -1], y[0, :, -1])
-    with pytest.raises(RankDeficient, match="singular-value ratio"):
-        cp_decompose(last_only, 2)
-    _, errors = cp_decompose(np.stack([y, last_only]), 2)
+    errors = [None]
+    cp_decompose(last_only[None], 2, errors)
+    assert isinstance(errors[0], RankDeficient)
+    assert "singular-value ratio" in str(errors[0])
+    errors = [None, None]
+    cp_decompose(np.stack([y, last_only]), 2, errors)
     assert [type(e) for e in errors] == [IllConditionedShift, RankDeficient]
 
 
@@ -159,13 +175,49 @@ def test_residuals_of_a_stack_equal_the_single_calls():
     cfg, point = _scene(None)
     y1, _ = _noisy_stack(cfg, point, 3, seed=9)
     data = np.stack([t.data for t in y1])
-    triple, _ = cp_decompose(data, 2)
-    recon = reconstruction_error(data, triple)
+    errors = [None] * 3
+    triple = cp_decompose(data, 2, errors)
+    recon = reconstruction_error(data, triple, errors)
     for b in range(3):
-        single = cp_decompose(data[b], 2)
-        assert recon[b] == reconstruction_error(data[b], single)
+        single = cp_decompose(data[b:b + 1], 2, [None])
+        assert recon[b] == reconstruction_error(data[b:b + 1], single, [None])[0]
         assert np.array_equal(cp_reconstruct(single),
-                              cp_reconstruct(triple.map(lambda a: a[b])))
+                              cp_reconstruct(_trial(triple, b)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rician_k_db", [None, 5.0])
+def test_failed_trials_stay_in_the_stack_without_effect(rician_k_db):
+    """A stack of a healthy trial and trials that fail at the factorization
+    of either phase, or at the delay unwrap, gives each trial its outcome
+    alone; the void values of the failed trials raise and warn nothing.
+    On the line-of-sight channel the single-phase method fails every trial
+    that is still running with RankOneChannel, a check the stack shares."""
+    cfg, point = _scene(rician_k_db)
+    pinned = PINNED[f"{'los' if rician_k_db is None else 'rician'}_two_phase"]
+    healthy = next(b for b, o in enumerate(pinned) if not isinstance(o[0], str))
+    unwrap = next(b for b, o in enumerate(pinned) if o[0] == "UnwrapInfeasible")
+    y1, y2 = _noisy_stack(cfg, point, max(healthy, unwrap) + 1, seed=17)
+    zero = np.zeros_like(y1[0].data)
+    bad = _on_last_subcarrier(cfg, np.random.default_rng(3), n_last=2)
+
+    def echo(data, phase):
+        return EchoTensor(data=data, phase_index=phase, noise_sigma=0.0)
+
+    s1 = [y1[healthy], echo(zero, 1), echo(bad, 1), y1[healthy], y1[unwrap]]
+    s2 = [y2[healthy], echo(zero, 2), y2[healthy], echo(zero, 2), y2[unwrap]]
+    args = _args(cfg, point)
+    outcomes = estimate_trials(s1, s2, *args, single_phase_doa=(False, True))
+    assert [type(o).__name__ for o in outcomes[0]] == [
+        "list", "RankDeficient", "IllConditionedShift", "RankDeficient",
+        "UnwrapInfeasible"]
+    assert str(outcomes[0][2]) == "phase 1: shift operator has a zero eigenvalue"
+    assert str(outcomes[0][3]) == "phase 2: zero tensor"
+    for single, results in zip((False, True), outcomes):
+        for b, got in enumerate(results):
+            alone = _outcome(lambda: estimate_targets(
+                s1[b], s2[b], *args, single_phase_doa=single))
+            _assert_same_outcome(got, _summary(alone), rtol=0)
 
 
 def test_shared_factorization_warns_once_per_phase_for_both_methods():
@@ -200,9 +252,9 @@ def test_fading_draw_factorizes_once_for_both_direction_methods(monkeypatch):
     calls = []
     real = estimation.cp_decompose
 
-    def counted(data, n_components):
+    def counted(data, n_components, errors):
         calls.append(len(data))
-        return real(data, n_components)
+        return real(data, n_components, errors)
 
     monkeypatch.setattr(estimation, "cp_decompose", counted)
     run_experiment(build_spec("rician_comparison", trials=2, seed=3),
