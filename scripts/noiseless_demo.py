@@ -35,28 +35,28 @@ def main() -> int:
     print(f"speed limit   {limits.max_speed_mps:.3f} m/s\n")
 
     pair = echo_tensors(*point, cfg.waveform, cfg.arrays)
-    estimates = estimate_targets(pair[0], pair[1], len(truth.targets),
+    estimates = estimate_targets(pair[0], pair[1], truth.n_targets,
                                  cfg.scene.doa_prior_rad, point.channel,
                                  profiles, point.combiner, cfg.waveform,
                                  cfg.arrays)
 
-    order = np.argsort(truth.delays())
+    order = np.argsort(truth.delay_s)
     header = (f"{'target':>6} {'theta_deg':>12} {'theta_hat':>12} "
               f"{'range_m':>10} {'range_hat':>10} {'v_mps':>9} {'v_hat':>9}")
     print(header)
     for pos, (est, idx) in enumerate(zip(estimates, order), start=1):
-        tgt = truth.targets[idx]
-        v_true = tgt.doppler_hz * 2.99792458e8 / (2 * cfg.waveform.carrier_freq_hz)
-        print(f"{pos:>6} {math.degrees(tgt.theta_rad):>12.6f} "
+        v_true = (truth.doppler_hz[idx] * 2.99792458e8
+                  / (2 * cfg.waveform.carrier_freq_hz))
+        print(f"{pos:>6} {math.degrees(truth.theta_rad[idx]):>12.6f} "
               f"{math.degrees(est.theta_hat):>12.6f} "
-              f"{tgt.range_m:>10.4f} {est.range_hat:>10.4f} "
+              f"{truth.range_m[idx]:>10.4f} {est.range_hat:>10.4f} "
               f"{v_true:>9.4f} {est.velocity_hat:>9.4f}")
 
-    worst_theta = max(abs(est.theta_hat - truth.targets[idx].theta_rad)
+    worst_theta = max(abs(est.theta_hat - truth.theta_rad[idx])
                       for est, idx in zip(estimates, order))
-    worst_tau = max(abs(est.tau_hat - truth.targets[idx].delay_s)
+    worst_tau = max(abs(est.tau_hat - truth.delay_s[idx])
                     for est, idx in zip(estimates, order))
-    worst_nu = max(abs(est.nu_hat - truth.targets[idx].doppler_hz)
+    worst_nu = max(abs(est.nu_hat - truth.doppler_hz[idx])
                    for est, idx in zip(estimates, order))
     print(f"\nworst errors: {worst_theta:.3e} rad, {worst_tau:.3e} s, "
           f"{worst_nu:.3e} Hz")

@@ -13,14 +13,16 @@ from .config import (SPEED_OF_LIGHT, ArrayConfig, FullConfig, SceneConfig,
 from .cpd import (FactorTriple, UniquenessResult, check_uniqueness,
                   cp_decompose, cp_reconstruct, khatri_rao,
                   reconstruction_error, unfold)
-from .crb import (CrbBounds, FactorDerivatives, FimMatrix, compute_crb,
-                  compute_fim, factor_derivatives, log_likelihood,
-                  mc_score_covariance, parameter_jacobian, score,
-                  score_fd_check)
-from .errors import (AmbiguousAlignment, ConfigError, DegenerateProfilePair,
-                     DivisionBlowup, EstimationError, NoFeasibleGrid,
-                     RankOneChannel, SensingError, SingularFim,
-                     UniquenessError, UnwrapInfeasible)
+from .crb import (CrbBounds, FimMatrix, compute_crb, compute_fim,
+                  log_likelihood, mc_score_covariance, parameter_jacobian,
+                  score, score_fd_check)
+from .errors import (AmbiguousAlignment, ConfigError, DegenerateGeometry,
+                     DegenerateProfilePair, DimensionMismatch, DivisionBlowup,
+                     DuplicateParameter, EstimationError, IllConditionedShift,
+                     InfeasibleTiming, InsufficientSampling, InvalidPartition,
+                     NoFeasibleGrid, OutOfRange, RankDeficient, RankOneChannel,
+                     SensingError, SingularFim, UniquenessError,
+                     UnwrapInfeasible)
 from .estimation import (AlignedFactors, TargetEstimate, align_columns,
                          compute_gamma_statistics, estimate_delay,
                          estimate_doa_multirank, estimate_doppler,
@@ -29,14 +31,12 @@ from .estimation import (AlignedFactors, TargetEstimate, align_columns,
 from .experiments import (ExperimentSpec, ResultRow, build_spec, emit_results,
                           run_experiment)
 from .scene import (ChannelMatrix, PhaseProfile, ScenePoint, SceneTruth,
-                    SensingLimits, TargetTruth, build_los_channel,
-                    build_rician_channel, derive_target_truth,
-                    design_beamformers, design_phase_profiles,
-                    draw_scene_point, relayed_response, sensing_limits,
-                    steering_vector, validate_scene)
-from .synthesis import (EchoTensor, GroundTruthFactors, apply_noise,
-                        build_factor_matrices, echo_tensors,
-                        oracle_prediction, synthesize_echo_tensor,
-                        time_domain_oracle)
+                    SensingLimits, build_los_channel, build_rician_channel,
+                    derive_target_truth, design_beamformers,
+                    design_phase_profiles, draw_scene_point, relayed_response,
+                    sensing_limits, steering_vector, validate_scene)
+from .synthesis import (EchoTensor, apply_noise, build_factor_matrices,
+                        echo_tensors, oracle_prediction,
+                        synthesize_echo_tensor, time_domain_oracle)
 
 __version__ = "1.0.0"

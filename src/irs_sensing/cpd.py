@@ -80,13 +80,14 @@ def check_uniqueness(n_pulses: int, n_antennas: int, n_subcarriers: int,
 
 @dataclass(frozen=True)
 class FactorTriple:
-    """Estimated CP factors for one phase plus the subcarrier generators.
+    """CP factors of one phase plus the subcarrier generators: a scene's
+    exact factors or the estimator's.
 
-    ``subcarrier_factor`` columns are rebuilt as [t, t^2, ..., t^L] from the
-    unit-modulus generators — the unit leading coefficient is load-bearing:
-    the cross-phase ratio statistic cancels scalings only when both phases
-    share this normalization.  The estimator's arrays carry a leading trial
-    axis.
+    The estimator rebuilds ``subcarrier_factor`` columns as [t, t^2, ...,
+    t^L] from the unit-modulus generators — the unit leading coefficient
+    is load-bearing: the cross-phase ratio statistic cancels scalings only
+    when both phases share this normalization.  Its arrays carry a leading
+    trial axis.  The exact factors carry each target's gain in that column.
     """
 
     pulse_factor: np.ndarray       # P x K
@@ -179,8 +180,7 @@ def cp_decompose(data: np.ndarray, n_components: int,
 
 
 def cp_reconstruct(triple) -> np.ndarray:
-    """Sum of the rank-one terms of a factor triple: an estimated
-    FactorTriple (or a stack) or a scene's exact GroundTruthFactors."""
+    """Sum of the rank-one terms of a factor triple (or of each of a stack)."""
     return np.einsum("...pk,...mk,...lk->...pml", triple.pulse_factor,
                      triple.antenna_factor, triple.subcarrier_factor)
 

@@ -24,12 +24,12 @@ from .config import ArrayConfig, WaveformConfig
 from .errors import SingularFim
 from .scene import (ChannelMatrix, PhaseProfile, SceneTruth, relayed_response,
                     steering_derivative)
-from .synthesis import (GroundTruthFactors, build_factor_matrices,
-                        doppler_ramp, echo_tensors, synthesize_echo_tensor)
+from .synthesis import build_factor_matrices, doppler_ramp, echo_tensors
 
 FIM_CONDITION_LIMIT = 1e14
 
 PARAMETER_BLOCKS = ("theta", "doppler", "delay")
+_TRUTH_FIELDS = ("theta_rad", "doppler_hz", "delay_s")   # SceneTruth per block
 
 
 def parameter_index(block: str, k: int, n_targets: int) -> int:
@@ -42,28 +42,11 @@ def parameter_index(block: str, k: int, n_targets: int) -> int:
 
 
 @dataclass(frozen=True)
-class FactorDerivatives:
-    """Analytic column derivatives of one phase's factor matrices.
-
-    ``factors`` holds the factor matrices at the evaluation point; each
-    derivative matrix stacks the per-target derivative columns of the
-    matrix named in the attribute.
-    """
-
-    factors: GroundTruthFactors
-    pulse_by_theta: np.ndarray
-    antenna_by_theta: np.ndarray
-    pulse_by_doppler: np.ndarray
-    subcarrier_by_delay: np.ndarray
-
-
-@dataclass(frozen=True)
 class FimMatrix:
     """Real symmetric information matrix over the stacked parameters."""
 
     omega: np.ndarray
     n_targets: int
-    noise_variances: tuple[float, ...]
     condition_number: float
 
 
@@ -76,53 +59,40 @@ class CrbBounds:
     delay: np.ndarray   # s^2
 
 
-def factor_derivatives(truth: SceneTruth, channel: ChannelMatrix,
+def parameter_jacobian(truth: SceneTruth, channel: ChannelMatrix,
                        profile: PhaseProfile, combiner: np.ndarray,
                        waveform: WaveformConfig,
-                       arrays: ArrayConfig) -> FactorDerivatives:
-    """Analytic derivatives of one phase's factors at the true parameters.
+                       arrays: ArrayConfig) -> np.ndarray:
+    """Model derivative of one phase per stacked parameter at ``truth``,
+    one flattened (P, M, L) tensor per row (3K x P*M*L, rows in
+    parameter_index order).
 
     Direction enters the antenna factor through the relayed steering
     vector and the pulse factor through the combined response; Doppler
     multiplies each pulse entry by its ramp rate; delay multiplies each
-    subcarrier entry by its tone rate.  Gains are held fixed.
+    subcarrier entry by its tone rate.  The other modes keep their base
+    columns, and gains are held fixed.
     """
     factors = build_factor_matrices(truth, channel, profile, combiner,
                                     waveform, arrays)
+    a, b, c = (factors.pulse_factor, factors.antenna_factor,
+               factors.subcarrier_factor)
     d_antenna = relayed_response(
-        channel, profile, steering_derivative(truth.thetas(), *arrays.surface))
-    ramps = doppler_ramp(truth.dopplers(), waveform.n_pulses, waveform.pri_s)
+        channel, profile, steering_derivative(truth.theta_rad, *arrays.surface))
+    ramps = doppler_ramp(truth.doppler_hz, waveform.n_pulses, waveform.pri_s)
     pulse_rate = 2j * np.pi * np.arange(1, waveform.n_pulses + 1) * waveform.pri_s
     tone_rate = (-2j * np.pi * np.arange(1, waveform.n_subcarriers + 1)
                  * waveform.subcarrier_spacing_hz)
-    return FactorDerivatives(
-        factors=factors,
-        pulse_by_theta=(combiner.T @ d_antenna) * ramps,
-        antenna_by_theta=d_antenna,
-        pulse_by_doppler=factors.pulse_factor * pulse_rate[:, None],
-        subcarrier_by_delay=factors.subcarrier_factor * tone_rate[:, None])
-
-
-def parameter_jacobian(derivs: FactorDerivatives) -> np.ndarray:
-    """Model derivative per stacked parameter, one flattened (P, M, L)
-    tensor per row (3K x P*M*L, rows in parameter_index order).
-
-    Direction moves the pulse and antenna factors, Doppler the pulse
-    factor, delay the subcarrier factor; the other modes keep their base
-    columns.
-    """
-    a, b, c = (derivs.factors.pulse_factor, derivs.factors.antenna_factor,
-               derivs.factors.subcarrier_factor)
 
     def rank_one_rows(x, y, z):     # row k: outer product of x_k, y_k, z_k
         return (x.T[:, :, None, None] * y.T[:, None, :, None]
                 * z.T[:, None, None, :]).reshape(x.shape[1], -1)
 
     return np.concatenate([
-        rank_one_rows(derivs.pulse_by_theta, b, c)
-        + rank_one_rows(a, derivs.antenna_by_theta, c),
-        rank_one_rows(derivs.pulse_by_doppler, b, c),
-        rank_one_rows(a, b, derivs.subcarrier_by_delay)])
+        rank_one_rows((combiner.T @ d_antenna) * ramps, b, c)
+        + rank_one_rows(a, d_antenna, c),
+        rank_one_rows(a * pulse_rate[:, None], b, c),
+        rank_one_rows(a, b, c * tone_rate[:, None])])
 
 
 def compute_fim(truth: SceneTruth, channel: ChannelMatrix,
@@ -139,15 +109,14 @@ def compute_fim(truth: SceneTruth, channel: ChannelMatrix,
         raise ValueError("need one noise variance per phase")
     if any(s <= 0 for s in noise_variances):
         raise ValueError("noise variances must be positive")
-    n_targets = len(truth.targets)
+    n_targets = truth.n_targets
     omega = np.zeros((3 * n_targets, 3 * n_targets))
     for profile, sigma_sq in zip(profiles, noise_variances):
-        jac = parameter_jacobian(factor_derivatives(
-            truth, channel, profile, combiner, waveform, arrays))
+        jac = parameter_jacobian(truth, channel, profile, combiner, waveform,
+                                 arrays)
         omega += (2.0 / sigma_sq) * (jac.conj() @ jac.T).real
     omega = 0.5 * (omega + omega.T)
     return FimMatrix(omega=omega, n_targets=n_targets,
-                     noise_variances=tuple(float(s) for s in noise_variances),
                      condition_number=_equilibrated_condition(omega))
 
 
@@ -197,32 +166,28 @@ def score(truth: SceneTruth, observed: Sequence[np.ndarray],
           arrays: ArrayConfig,
           noise_variances: Sequence[float]) -> np.ndarray:
     """Analytic gradient of the log-likelihood at the given parameters."""
-    values = np.zeros(3 * len(truth.targets))
-    for obs, profile, sigma_sq in zip(observed, profiles, noise_variances):
-        derivs = factor_derivatives(truth, channel, profile, combiner,
-                                    waveform, arrays)
-        resid = obs - synthesize_echo_tensor(derivs.factors).data
-        values += (2.0 / sigma_sq) * (parameter_jacobian(derivs).conj()
-                                      @ resid.ravel()).real
+    values = np.zeros(3 * truth.n_targets)
+    modeled = echo_tensors(truth, channel, profiles, combiner, waveform, arrays)
+    for obs, model, profile, sigma_sq in zip(observed, modeled, profiles,
+                                             noise_variances):
+        jac = parameter_jacobian(truth, channel, profile, combiner, waveform,
+                                 arrays)
+        values += (2.0 / sigma_sq) * (jac.conj()
+                                      @ (obs - model.data).ravel()).real
     return values
 
 
 def _shifted_truth(truth: SceneTruth, index: int, delta: float) -> SceneTruth:
     """Copy of the truth with one stacked parameter moved by delta."""
-    n_targets = len(truth.targets)
-    block = PARAMETER_BLOCKS[index // n_targets]
-    k = index % n_targets
-    field = {"theta": "theta_rad", "doppler": "doppler_hz",
-             "delay": "delay_s"}[block]
-    targets = list(truth.targets)
-    targets[k] = replace(targets[k], **{field: getattr(targets[k], field) + delta})
-    return replace(truth, targets=tuple(targets))
+    field = _TRUTH_FIELDS[index // truth.n_targets]
+    values = getattr(truth, field).copy()
+    values[index % truth.n_targets] += delta
+    return replace(truth, **{field: values})
 
 
 def parameter_steps(truth: SceneTruth, base_step: float) -> np.ndarray:
     """Per-parameter finite-difference steps scaled to parameter size."""
-    scale = np.abs(np.concatenate([truth.thetas(), truth.dopplers(),
-                                   truth.delays()]))
+    scale = np.abs(np.concatenate([getattr(truth, f) for f in _TRUTH_FIELDS]))
     return base_step * np.where(scale > 0, scale, 1.0)
 
 
@@ -267,10 +232,10 @@ def mc_score_covariance(truth: SceneTruth, channel: ChannelMatrix,
     tensor contracted with the draw; the sample covariance of the stacked
     scores estimates the information matrix.
     """
-    scores = np.zeros((3 * len(truth.targets), n_draws))
+    scores = np.zeros((3 * truth.n_targets, n_draws))
     for profile, sigma_sq in zip(profiles, noise_variances):
-        templates = parameter_jacobian(factor_derivatives(
-            truth, channel, profile, combiner, waveform, arrays))
+        templates = parameter_jacobian(truth, channel, profile, combiner,
+                                       waveform, arrays)
         sigma = math.sqrt(sigma_sq)
         shape = (n_draws, templates.shape[1])
         noise = sigma / math.sqrt(2) * (rng.standard_normal(shape)

@@ -133,7 +133,7 @@ def _squared_errors(estimates: Sequence[TargetEstimate],
                     truth: SceneTruth) -> np.ndarray:
     """Summed squared error over matched targets, per parameter family."""
     est = np.array([[e.theta_hat, e.nu_hat, e.tau_hat] for e in estimates])
-    true = np.stack([truth.thetas(), truth.dopplers(), truth.delays()], axis=1)
+    true = np.stack([truth.theta_rad, truth.doppler_hz, truth.delay_s], axis=1)
     assignment = greedy_match(np.abs(np.subtract.outer(est[:, 2], true[:, 2])))
     return ((est - true[assignment]) ** 2).sum(axis=0)
 

@@ -58,36 +58,19 @@ def angle_from_broadside(origin, point) -> float:
 
 
 @dataclass(frozen=True)
-class TargetTruth:
-    """Ground-truth parameters for one target."""
-
-    theta_rad: float
-    range_m: float
-    delay_s: float        # round-trip surface-target delay, 2*range/c
-    doppler_hz: float     # 2 * radial_velocity * carrier / c
-    gain: complex         # lumped two-leg propagation gain
-
-
-@dataclass(frozen=True)
 class SceneTruth:
-    targets: tuple[TargetTruth, ...]
-    sync_delay_s: float   # known AP-surface round trip, common to all targets
+    """Ground-truth parameters, one array over the targets per parameter."""
+
+    theta_rad: np.ndarray
+    range_m: np.ndarray
+    delay_s: np.ndarray      # round-trip surface-target delay, 2*range/c
+    doppler_hz: np.ndarray   # 2 * radial_velocity * carrier / c
+    gain: np.ndarray         # lumped two-leg propagation gain (complex)
+    sync_delay_s: float      # known AP-surface round trip, common to all targets
 
     @property
     def n_targets(self) -> int:
-        return len(self.targets)
-
-    def thetas(self) -> np.ndarray:
-        return np.array([t.theta_rad for t in self.targets])
-
-    def delays(self) -> np.ndarray:
-        return np.array([t.delay_s for t in self.targets])
-
-    def dopplers(self) -> np.ndarray:
-        return np.array([t.doppler_hz for t in self.targets])
-
-    def gains(self) -> np.ndarray:
-        return np.array([t.gain for t in self.targets])
+        return len(self.theta_rad)
 
 
 @dataclass(frozen=True)
@@ -238,7 +221,7 @@ def derive_target_truth(scene: SceneConfig, waveform: WaveformConfig,
     """
     validate_scene(scene, waveform, arrays)
     tau0 = 2 * ap_irs_distance(scene) / SPEED_OF_LIGHT
-    targets = []
+    params = []     # (direction, range, delay, Doppler, gain) per target
     for tgt in scene.targets:
         rng_m, theta, delay, doppler = _target_geometry(scene, waveform, tgt)
         two_leg = (_shadowed_leg_gain(rng_m, rng) * _shadowed_leg_gain(rng_m, rng)
@@ -246,9 +229,10 @@ def derive_target_truth(scene: SceneConfig, waveform: WaveformConfig,
         gain = (math.sqrt(waveform.tx_power_w) * two_leg
                 * np.exp(-2j * np.pi * waveform.carrier_freq_hz * (delay + tau0))
                 * waveform.modulation_symbol * waveform.symbol_duration_s)
-        targets.append(TargetTruth(theta_rad=theta, range_m=rng_m, delay_s=delay,
-                                   doppler_hz=doppler, gain=complex(gain)))
-    return SceneTruth(targets=tuple(targets), sync_delay_s=tau0)
+        params.append((theta, rng_m, delay, doppler, complex(gain)))
+    theta, rng_m, delay, doppler, gain = map(np.array, zip(*params))
+    return SceneTruth(theta_rad=theta, range_m=rng_m, delay_s=delay,
+                      doppler_hz=doppler, gain=gain, sync_delay_s=tau0)
 
 
 def build_los_channel(scene: SceneConfig, arrays: ArrayConfig,

@@ -22,24 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from .config import ArrayConfig, WaveformConfig
-from .cpd import cp_reconstruct
+from .cpd import FactorTriple, cp_reconstruct
 from .errors import DimensionMismatch, InsufficientSampling
 from .scene import (ChannelMatrix, PhaseProfile, SceneTruth, relayed_response,
                     steering_vector)
-
-
-@dataclass(frozen=True)
-class GroundTruthFactors:
-    """Exact per-phase CP factors implied by a scene."""
-
-    pulse_factor: np.ndarray       # P x K, columns z(theta_k, nu_k)
-    antenna_factor: np.ndarray     # M x K, columns b(theta_k)
-    subcarrier_factor: np.ndarray  # L x K, columns gain_k * f(tau_k)
-    phase_index: int
-
-    @property
-    def n_targets(self) -> int:
-        return self.pulse_factor.shape[1]
 
 
 @dataclass(frozen=True)
@@ -77,11 +63,13 @@ def delay_signature(delay_s, n_subcarriers: int,
 def build_factor_matrices(truth: SceneTruth, channel: ChannelMatrix,
                           profile: PhaseProfile, combiner: np.ndarray,
                           waveform: WaveformConfig,
-                          arrays: ArrayConfig) -> GroundTruthFactors:
+                          arrays: ArrayConfig) -> FactorTriple:
     """Evaluate the exact factor columns for one observation phase.
 
     Both phases share the targets' angles, delays, Dopplers, and gains;
-    only the reflection profile (and hence b and z) changes.
+    only the reflection profile (and hence b and z) changes.  The gains
+    sit in the subcarrier factor, and the generators are its unit-gain
+    first row.
     """
     n_irs = arrays.n_irs_elements
     n_ap = arrays.n_ap_antennas
@@ -95,21 +83,20 @@ def build_factor_matrices(truth: SceneTruth, channel: ChannelMatrix,
                                 f"({n_ap}, {waveform.n_pulses})")
 
     antenna = relayed_response(channel, profile,
-                               steering_vector(truth.thetas(), *arrays.surface))
-    ramps = doppler_ramp(truth.dopplers(), waveform.n_pulses, waveform.pri_s)
-    signatures = delay_signature(truth.delays(), waveform.n_subcarriers,
+                               steering_vector(truth.theta_rad, *arrays.surface))
+    ramps = doppler_ramp(truth.doppler_hz, waveform.n_pulses, waveform.pri_s)
+    signatures = delay_signature(truth.delay_s, waveform.n_subcarriers,
                                  waveform.subcarrier_spacing_hz)
-    return GroundTruthFactors(
-        pulse_factor=(combiner.T @ antenna) * ramps,
-        antenna_factor=antenna,
-        subcarrier_factor=truth.gains() * signatures,
-        phase_index=profile.phase_index)
+    return FactorTriple(pulse_factor=(combiner.T @ antenna) * ramps,
+                        antenna_factor=antenna,
+                        subcarrier_factor=truth.gain * signatures,
+                        generators=signatures[0])
 
 
-def synthesize_echo_tensor(factors: GroundTruthFactors) -> EchoTensor:
-    """Noiseless tensor: sum of per-target rank-one terms."""
-    return EchoTensor(data=cp_reconstruct(factors),
-                      phase_index=factors.phase_index,
+def synthesize_echo_tensor(factors: FactorTriple,
+                           phase_index: int) -> EchoTensor:
+    """Noiseless tensor of one phase: sum of per-target rank-one terms."""
+    return EchoTensor(data=cp_reconstruct(factors), phase_index=phase_index,
                       noise_sigma=0.0)
 
 
@@ -119,7 +106,7 @@ def echo_tensors(truth: SceneTruth, channel: ChannelMatrix,
                  arrays: ArrayConfig) -> tuple[EchoTensor, ...]:
     """Noiseless echo tensors of every observation phase."""
     return tuple(synthesize_echo_tensor(build_factor_matrices(
-        truth, channel, profile, combiner, waveform, arrays))
+        truth, channel, profile, combiner, waveform, arrays), profile.phase_index)
         for profile in profiles)
 
 
@@ -181,11 +168,11 @@ def time_domain_oracle(truth: SceneTruth, channel: ChannelMatrix,
     factors = build_factor_matrices(truth, channel, profile, combiner,
                                     waveform, arrays)
     baseband = np.zeros((arrays.n_ap_antennas, n_samples), dtype=complex)
-    for tgt, b, z in zip(truth.targets, factors.antenna_factor.T,
-                         factors.pulse_factor[pulse_index - 1]):
-        bar_gain = (tgt.gain / (beta * waveform.symbol_duration_s))
-        shifted_delay = (tgt.delay_s + tau0
-                         - tgt.doppler_hz * pulse_index * pri / fc)
+    for gain, delay, doppler, b, z in zip(
+            truth.gain, truth.delay_s, truth.doppler_hz,
+            factors.antenna_factor.T, factors.pulse_factor[pulse_index - 1]):
+        bar_gain = gain / (beta * waveform.symbol_duration_s)
+        shifted_delay = delay + tau0 - doppler * pulse_index * pri / fc
         rel = t - shifted_delay - pulse_index * pri
         window = ((rel >= 0.0) & (rel <= full)).astype(float)
         tones = np.exp(2j * np.pi * spacing * np.outer(q, t - shifted_delay)) * beta
@@ -197,7 +184,7 @@ def time_domain_oracle(truth: SceneTruth, channel: ChannelMatrix,
     return integrated / (beta * waveform.symbol_duration_s)
 
 
-def oracle_prediction(factors: GroundTruthFactors, sync_delay_s: float,
+def oracle_prediction(factors: FactorTriple, sync_delay_s: float,
                       waveform: WaveformConfig, pulse_index: int) -> np.ndarray:
     """What the discrete model predicts for one pulse of the oracle output.
 

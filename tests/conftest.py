@@ -1,4 +1,6 @@
 """Shared fixtures: one deterministic default scene with both phases."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,14 @@ from irs_sensing.scene import design_phase_profiles, draw_scene_point
 from irs_sensing.synthesis import build_factor_matrices, echo_tensors
 
 SCENE_SEED = 7
+
+
+def take_targets(truth, index):
+    """The truth with every per-target array indexed by ``index``: a subset,
+    a repeat or no target at all."""
+    return dataclasses.replace(truth, **{
+        f.name: getattr(truth, f.name)[index]
+        for f in dataclasses.fields(truth) if f.name != "sync_delay_s"})
 
 
 @pytest.fixture(scope="session")

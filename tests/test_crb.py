@@ -7,15 +7,18 @@ import pytest
 
 import irs_sensing.crb as crb_mod
 from irs_sensing.config import ArrayConfig
+from irs_sensing.cpd import cp_reconstruct
 from irs_sensing.crb import (FIM_CONDITION_LIMIT, compute_crb, compute_fim,
-                             factor_derivatives, log_likelihood,
-                             mc_score_covariance, parameter_index, score,
+                             log_likelihood, mc_score_covariance,
+                             parameter_index, parameter_jacobian, score,
                              score_fd_check)
 from irs_sensing.errors import SingularFim
 from irs_sensing.scene import (build_los_channel, derive_target_truth,
                                design_beamformers, steering_derivative)
 from irs_sensing.synthesis import (build_factor_matrices, echo_tensors,
-                                   noise_sigma_for_snr, synthesize_echo_tensor)
+                                   noise_sigma_for_snr)
+
+from conftest import take_targets
 
 
 @pytest.fixture(scope="module")
@@ -31,36 +34,32 @@ def fim(cfg, truth, channel, profiles, combiner, noise_vars):
 
 # ------------------------------------------------------------- derivatives
 
-def test_factor_derivatives_match_finite_differences(cfg, truth, channel,
-                                                     profiles, combiner):
-    derivs = factor_derivatives(truth, channel, profiles[0], combiner,
-                                cfg.waveform, cfg.arrays)
+def test_jacobian_rows_match_finite_differences(cfg, truth, channel,
+                                                profiles, combiner):
+    """Every row of both phases: central differences of the model tensor."""
+    steps = crb_mod.parameter_steps(truth, 1e-7)
+    for profile in profiles:
+        args = (channel, profile, combiner, cfg.waveform, cfg.arrays)
+        jac = parameter_jacobian(truth, *args)
 
-    def factors_at(shifted):
-        fac = build_factor_matrices(shifted, channel, profiles[0], combiner,
-                                    cfg.waveform, cfg.arrays)
-        return fac.pulse_factor, fac.antenna_factor, fac.subcarrier_factor
+        def model_at(row, delta):
+            shifted = crb_mod._shifted_truth(truth, row, delta)
+            return cp_reconstruct(build_factor_matrices(shifted, *args)).ravel()
 
-    for k, tgt in enumerate(truth.targets):
-        for field, matrices in (
-                ("theta_rad", ((0, derivs.pulse_by_theta),
-                               (1, derivs.antenna_by_theta))),
-                ("doppler_hz", ((0, derivs.pulse_by_doppler),)),
-                ("delay_s", ((2, derivs.subcarrier_by_delay),))):
-            value = getattr(tgt, field)
-            h = 1e-7 * abs(value)
-            plus = dataclasses.replace(truth, targets=tuple(
-                dataclasses.replace(t, **{field: value + h}) if i == k else t
-                for i, t in enumerate(truth.targets)))
-            minus = dataclasses.replace(truth, targets=tuple(
-                dataclasses.replace(t, **{field: value - h}) if i == k else t
-                for i, t in enumerate(truth.targets)))
-            fp, fm = factors_at(plus), factors_at(minus)
-            for mode, analytic in matrices:
-                fd = (fp[mode][:, k] - fm[mode][:, k]) / (2 * h)
-                num = np.linalg.norm(analytic[:, k] - fd)
-                den = np.linalg.norm(analytic[:, k])
-                assert num / den < 1e-6, (field, mode, num / den)
+        assert jac.shape == (len(steps), model_at(0, 0.0).size)
+        for row, h in enumerate(steps):
+            fd = (model_at(row, +h) - model_at(row, -h)) / (2 * h)
+            rel = np.linalg.norm(jac[row] - fd) / np.linalg.norm(jac[row])
+            assert rel < 1e-6, (profile.phase_index, row, rel)
+
+
+def test_shifted_truth_moves_one_parameter(truth):
+    index = parameter_index("doppler", 1, truth.n_targets)
+    before = truth.doppler_hz.copy()
+    shifted = crb_mod._shifted_truth(truth, index, 5.0)
+    assert shifted.doppler_hz[1] == before[1] + 5.0
+    assert shifted.doppler_hz[0] == before[0]
+    assert np.array_equal(truth.doppler_hz, before)
 
 
 def test_first_array_element_has_no_angle_sensitivity(cfg):
@@ -72,24 +71,32 @@ def test_first_array_element_has_no_angle_sensitivity(cfg):
 
 def test_tone_rate_at_zero_delay(cfg, truth, channel, profiles, combiner):
     """First subcarrier of a zero-delay unit-gain target: rate -j*pi*1e6."""
-    tgt = dataclasses.replace(truth.targets[0], delay_s=0.0, gain=1.0 + 0j)
-    shifted = dataclasses.replace(truth, targets=(tgt,))
-    derivs = factor_derivatives(shifted, channel, profiles[0], combiner,
-                                cfg.waveform, cfg.arrays)
+    single = dataclasses.replace(take_targets(truth, slice(1)),
+                                 delay_s=np.zeros(1), gain=np.ones(1, complex))
+    args = (channel, profiles[0], combiner, cfg.waveform, cfg.arrays)
+    model = cp_reconstruct(build_factor_matrices(single, *args))
+    delay_row = parameter_jacobian(single, *args)[
+        parameter_index("delay", 0, 1)].reshape(model.shape)
     expected = -2j * np.pi * cfg.waveform.subcarrier_spacing_hz
-    assert derivs.subcarrier_by_delay[0, 0] == pytest.approx(expected)
+    assert delay_row[..., 0] / model[..., 0] == pytest.approx(expected)
     assert expected == pytest.approx(-1j * math.pi * 1e6)
 
 
 def test_pulse_rate_scaling(cfg, truth, channel, profiles, combiner):
-    derivs = factor_derivatives(truth, channel, profiles[0], combiner,
-                                cfg.waveform, cfg.arrays)
-    pulse = derivs.factors.pulse_factor
-    rates = derivs.pulse_by_doppler / pulse
+    """Each Doppler row is its target's term times the pulse ramp rate."""
+    args = (channel, profiles[0], combiner, cfg.waveform, cfg.arrays)
+    fac = build_factor_matrices(truth, *args)
+    jac = parameter_jacobian(truth, *args)
     p = np.arange(1, cfg.waveform.n_pulses + 1)
     expected = 2j * np.pi * p * cfg.waveform.pri_s
-    for k in range(pulse.shape[1]):
-        np.testing.assert_allclose(rates[:, k], expected, rtol=1e-12)
+    for k in range(truth.n_targets):
+        term = np.einsum("p,m,l->pml", fac.pulse_factor[:, k],
+                         fac.antenna_factor[:, k], fac.subcarrier_factor[:, k])
+        row = jac[parameter_index("doppler", k, truth.n_targets)]
+        rates = row.reshape(term.shape) / term
+        np.testing.assert_allclose(
+            rates, np.broadcast_to(expected[:, None, None], term.shape),
+            rtol=1e-12)
 
 
 # ------------------------------------------------------------- score
@@ -135,13 +142,14 @@ def test_score_check_detects_corrupted_gradient(cfg, truth, channel, profiles,
     """The consistency check must fail when the analytic side is wrong."""
     observed = _noisy_observed(cfg, truth, channel, profiles, combiner,
                                noise_vars, seed=17)
-    real = crb_mod.factor_derivatives
+    real = crb_mod.parameter_jacobian
 
-    def corrupted(*args, **kwargs):
-        d = real(*args, **kwargs)
-        return dataclasses.replace(d, pulse_by_theta=1.05 * d.pulse_by_theta)
+    def corrupted(truth, *args):
+        jac = real(truth, *args)
+        jac[:truth.n_targets] *= 1.05       # the direction rows
+        return jac
 
-    monkeypatch.setattr(crb_mod, "factor_derivatives", corrupted)
+    monkeypatch.setattr(crb_mod, "parameter_jacobian", corrupted)
     worst = score_fd_check(truth, observed, channel, profiles, combiner,
                            cfg.waveform, cfg.arrays, noise_vars)
     assert worst > 1e-4
@@ -155,7 +163,7 @@ def test_score_covariance_estimates_information(cfg):
                          wavelength_m=wf.wavelength_m)
     rng = np.random.default_rng(7)
     truth = derive_target_truth(cfg.scene, wf, arrays, rng)
-    truth = dataclasses.replace(truth, targets=truth.targets[:1])
+    truth = take_targets(truth, slice(1))
     rng2 = np.random.default_rng(7)
     derive_target_truth(cfg.scene, wf, arrays, rng2)
     channel = build_los_channel(cfg.scene, arrays, rng2)
@@ -163,8 +171,7 @@ def test_score_covariance_estimates_information(cfg):
     profiles = design_phase_profiles(cfg.scene.doa_prior_rad, arrays,
                                      cfg.scene.n_subarrays)
     combiner = design_beamformers(channel, wf.n_pulses)
-    tensors = [synthesize_echo_tensor(build_factor_matrices(
-        truth, channel, p, combiner, wf, arrays)) for p in profiles]
+    tensors = echo_tensors(truth, channel, profiles, combiner, wf, arrays)
     noise_vars = tuple(noise_sigma_for_snr(t, 0.0) ** 2 for t in tensors)
     fim = compute_fim(truth, channel, profiles, combiner, wf, arrays,
                       noise_vars)
@@ -247,8 +254,7 @@ def test_crb_doppler_improves_with_more_pulses(cfg, truth, channel, profiles,
 
 def test_singular_fim_raises(cfg, truth, channel, profiles, combiner,
                              noise_vars):
-    twin = dataclasses.replace(truth,
-                               targets=(truth.targets[0], truth.targets[0]))
+    twin = take_targets(truth, [0, 0])
     fim = compute_fim(twin, channel, profiles, combiner, cfg.waveform,
                       cfg.arrays, noise_vars)
     with pytest.raises(SingularFim):

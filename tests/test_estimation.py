@@ -23,7 +23,9 @@ from irs_sensing.experiments import build_spec, run_experiment
 from irs_sensing.scene import (PhaseProfile, build_rician_channel,
                                design_beamformers, steering_vector)
 from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
-                                   doppler_ramp, synthesize_echo_tensor)
+                                   doppler_ramp, echo_tensors)
+
+from conftest import take_targets
 
 SPACING = 500e3
 
@@ -64,10 +66,7 @@ def _permute(triple, perm):
 
 
 def _truth_triples(cfg, truth, channel, profiles, combiner):
-    """Ground-truth factors of both phases wrapped as one-trial stacks of
-    estimator triples."""
-    gens = np.exp(-2j * np.pi * cfg.waveform.subcarrier_spacing_hz
-                  * truth.delays())
+    """Exact factors of both phases as one-trial stacks."""
     out = []
     for prof in profiles:
         fac = build_factor_matrices(truth, channel, prof, combiner,
@@ -75,7 +74,7 @@ def _truth_triples(cfg, truth, channel, profiles, combiner):
         out.append(FactorTriple(pulse_factor=fac.pulse_factor[None],
                                 antenna_factor=fac.antenna_factor[None],
                                 subcarrier_factor=fac.subcarrier_factor[None],
-                                generators=gens[None]))
+                                generators=fac.generators[None]))
     return out
 
 
@@ -191,7 +190,7 @@ def test_gamma_matches_curve_at_truth(cfg, truth, channel, profiles, combiner):
     t1, t2 = _truth_triples(cfg, truth, channel, profiles, combiner)
     out = _passes(align_columns, t1, t2, cfg.waveform.subcarrier_spacing_hz)
     gammas = compute_gamma_statistics(out)
-    curve = gamma_ratio_curve(truth.thetas(), channel.irs_side_vector(),
+    curve = gamma_ratio_curve(truth.theta_rad, channel.irs_side_vector(),
                               profiles, cfg.arrays)
     np.testing.assert_allclose(gammas[0], curve, rtol=1e-9)
 
@@ -202,7 +201,7 @@ def test_resolve_doa_noiseless(cfg, truth, channel, profiles, aligned):
     thetas, gammas, residuals = _passes(
         resolve_doa, aligned, channel.irs_side_vector(), profiles,
         cfg.scene.doa_prior_rad, cfg.arrays)
-    err = np.abs(np.sort(thetas[0]) - np.sort(truth.thetas()))
+    err = np.abs(np.sort(thetas[0]) - np.sort(truth.theta_rad))
     assert err.max() < 1e-5, f"worst angle error {err.max():.3e} rad"
     assert np.all(residuals >= 0)
     assert gammas.shape == thetas.shape
@@ -246,12 +245,12 @@ def test_multirank_doa_on_scattered_channel(cfg, truth, channel, profiles):
     """Every antenna column is searched at once, one direction per column."""
     rician = build_rician_channel(channel, 5.0, 4, cfg.arrays,
                                   np.random.default_rng(9))
-    steer = steering_vector(truth.thetas(), *cfg.arrays.surface)
+    steer = steering_vector(truth.theta_rad, *cfg.arrays.surface)
     b = rician.matrix.T @ (profiles[0].diagonal()[:, None] * steer)
     est = _passes(estimate_doa_multirank, b[None], rician, profiles[0],
                   cfg.scene.doa_prior_rad, cfg.arrays)
-    assert est.shape == (1, len(truth.targets))
-    assert np.abs(est[0] - truth.thetas()).max() < 1e-4
+    assert est.shape == (1, truth.n_targets)
+    assert np.abs(est[0] - truth.theta_rad).max() < 1e-4
 
 
 def test_multirank_doa_rejects_rank_one_channel(cfg, truth, channel, profiles):
@@ -268,28 +267,27 @@ def test_doppler_noiseless(cfg, truth, channel, profiles, combiner, aligned):
                            profiles, cfg.scene.doa_prior_rad, cfg.arrays)
     nus = _passes(estimate_doppler, aligned, thetas, channel, profiles,
                   combiner, cfg.waveform, cfg.arrays)
-    err = np.abs(np.sort(nus[0]) - np.sort(truth.dopplers()))
+    err = np.abs(np.sort(nus[0]) - np.sort(truth.doppler_hz))
     assert err.max() < 1e-3, f"worst Doppler error {err.max():.3e} Hz"
 
 
 def test_doppler_zero_is_exact(cfg, truth, channel, profiles, combiner):
-    static = dataclasses.replace(truth, targets=tuple(
-        dataclasses.replace(t, doppler_hz=0.0) for t in truth.targets))
+    static = dataclasses.replace(truth, doppler_hz=0.0 * truth.doppler_hz)
     t1, t2 = _truth_triples(cfg, static, channel, profiles, combiner)
     out = _passes(align_columns, t1, t2, cfg.waveform.subcarrier_spacing_hz)
-    nus = _passes(estimate_doppler, out, static.thetas()[None], channel,
+    nus = _passes(estimate_doppler, out, static.theta_rad[None], channel,
                   profiles, combiner, cfg.waveform, cfg.arrays)
     assert np.abs(nus).max() < 1e-9
 
 
 def test_doppler_boundary_warns(cfg, truth, channel, profiles, combiner):
     half_span = 1.0 / (2 * cfg.waveform.pri_s)
-    spun = dataclasses.replace(truth, targets=(
-        dataclasses.replace(truth.targets[0], doppler_hz=half_span),))
+    spun = dataclasses.replace(take_targets(truth, slice(1)),
+                               doppler_hz=np.array([half_span]))
     t1, t2 = _truth_triples(cfg, spun, channel, profiles, combiner)
     out = _passes(align_columns, t1, t2, cfg.waveform.subcarrier_spacing_hz)
     with pytest.warns(UserWarning, match="boundary"):
-        _passes(estimate_doppler, out, spun.thetas()[None], channel, profiles,
+        _passes(estimate_doppler, out, spun.theta_rad[None], channel, profiles,
                 combiner, cfg.waveform, cfg.arrays)
 
 
@@ -299,7 +297,7 @@ def test_doppler_rejects_nulled_combiner(cfg, truth, channel, profiles,
     null = np.zeros_like(v)
     null[0], null[1] = v[1], -v[0]       # bilinear null of the AP-side vector
     bad = np.tile(null[:, None], (1, cfg.waveform.n_pulses))
-    assert isinstance(_failure(estimate_doppler, aligned, truth.thetas()[None],
+    assert isinstance(_failure(estimate_doppler, aligned, truth.theta_rad[None],
                                channel, profiles, bad, cfg.waveform,
                                cfg.arrays), DivisionBlowup)
 
@@ -315,9 +313,9 @@ def test_doppler_masks_nulled_pulse(cfg, truth, channel, profiles, combiner):
         triple.pulse_factor[:, 0, :] = 1e-6   # what noise leaves in the null
     out = _passes(align_columns, t1, t2, cfg.waveform.subcarrier_spacing_hz)
     with pytest.warns(UserWarning, match="near-zero divisors"):
-        nus = _passes(estimate_doppler, out, truth.thetas()[None], channel,
+        nus = _passes(estimate_doppler, out, truth.theta_rad[None], channel,
                       profiles, masked, cfg.waveform, cfg.arrays)
-    err = np.abs(nus[0] - truth.dopplers())
+    err = np.abs(nus[0] - truth.doppler_hz)
     assert err.max() < 1e-3, f"worst Doppler error {err.max():.3e} Hz"
 
 
@@ -325,7 +323,7 @@ def test_doppler_masks_nulled_pulse(cfg, truth, channel, profiles, combiner):
 
 def test_delay_noiseless_exact(cfg, truth, aligned):
     taus = _passes(estimate_delay, aligned, cfg.waveform)
-    err = np.abs(np.sort(taus[0]) - np.sort(truth.delays()))
+    err = np.abs(np.sort(taus[0]) - np.sort(truth.delay_s))
     assert err.max() < 1e-12, f"worst delay error {err.max():.3e} s"
 
 
@@ -374,19 +372,18 @@ def test_delay_unwrap_infeasible(cfg):
 
 def test_estimate_targets_noiseless(cfg, truth, channel, profiles, combiner,
                                     clean_pair):
-    k = len(truth.targets)
+    k = truth.n_targets
     estimates = estimate_targets(clean_pair[0], clean_pair[1], k,
                                  cfg.scene.doa_prior_rad, channel, profiles,
                                  combiner, cfg.waveform, cfg.arrays)
     assert len(estimates) == k
     taus = [e.tau_hat for e in estimates]
     assert taus == sorted(taus)
-    order = np.argsort(truth.delays())
+    order = np.argsort(truth.delay_s)
     for est, idx in zip(estimates, order):
-        tgt = truth.targets[idx]
-        assert abs(est.theta_hat - tgt.theta_rad) < 1e-5
-        assert abs(est.tau_hat - tgt.delay_s) < 1e-12
-        assert abs(est.nu_hat - tgt.doppler_hz) < 1.0
+        assert abs(est.theta_hat - truth.theta_rad[idx]) < 1e-5
+        assert abs(est.tau_hat - truth.delay_s[idx]) < 1e-12
+        assert abs(est.nu_hat - truth.doppler_hz[idx]) < 1.0
         assert abs(est.range_hat - SPEED_OF_LIGHT * est.tau_hat / 2) < 1e-6
         assert abs(est.velocity_hat - est.nu_hat * SPEED_OF_LIGHT
                    / (2 * cfg.waveform.carrier_freq_hz)) < 1e-9
@@ -407,14 +404,13 @@ def test_estimate_targets_single_phase_mode(cfg, truth, profiles, combiner):
                                   np.random.default_rng(22))
     prof = profiles
     comb = design_beamformers(rician, base.waveform.n_pulses)
-    pair = tuple(synthesize_echo_tensor(build_factor_matrices(
-        truth2, rician, p, comb, base.waveform, base.arrays)) for p in prof)
-    estimates = estimate_targets(pair[0], pair[1], len(truth2.targets),
+    pair = echo_tensors(truth2, rician, prof, comb, base.waveform, base.arrays)
+    estimates = estimate_targets(pair[0], pair[1], truth2.n_targets,
                                  base.scene.doa_prior_rad, rician, prof, comb,
                                  base.waveform, base.arrays,
                                  single_phase_doa=True)
     got = np.sort([e.theta_hat for e in estimates])
-    want = np.sort(truth2.thetas())
+    want = np.sort(truth2.theta_rad)
     assert np.abs(got - want).max() < 1e-3
 
 
@@ -506,9 +502,9 @@ def test_multirank_doa_on_a_prior_of_one_or_two_grid_points(cfg, truth,
     """The edge rule keeps the search inside grids too short for a parabola."""
     rician = build_rician_channel(channel, 5.0, 4, cfg.arrays,
                                   np.random.default_rng(9))
-    steer = steering_vector(truth.thetas(), *cfg.arrays.surface)
+    steer = steering_vector(truth.theta_rad, *cfg.arrays.surface)
     b = rician.matrix.T @ (profiles[0].diagonal()[:, None] * steer)
-    lo = truth.targets[0].theta_rad
+    lo = truth.theta_rad[0]
     prior = (lo, lo + (n_points - 0.5) * DOA_GRID_STEP_RAD)
     grid = lo + DOA_GRID_STEP_RAD * np.arange(n_points)
     est = _passes(estimate_doa_multirank, b[None], rician, profiles[0], prior,
@@ -637,7 +633,7 @@ def test_estimates_same_with_cold_and_warm_cache(cfg, truth, channel,
     noisy = tuple(apply_noise(t, 10.0, rng) for t in clean_pair)
 
     def run():
-        return estimate_targets(noisy[0], noisy[1], len(truth.targets),
+        return estimate_targets(noisy[0], noisy[1], truth.n_targets,
                                 cfg.scene.doa_prior_rad, channel, profiles,
                                 combiner, cfg.waveform, cfg.arrays)
 

@@ -39,7 +39,7 @@ def _noisy_stack(cfg, point, n_trials, seed):
 
 
 def _args(cfg, point):
-    return (len(point.truth.targets), cfg.scene.doa_prior_rad, point.channel,
+    return (point.truth.n_targets, cfg.scene.doa_prior_rad, point.channel,
             point.profiles, point.combiner, cfg.waveform, cfg.arrays)
 
 

@@ -15,23 +15,26 @@ from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
                                    noise_sigma_for_snr, oracle_prediction,
                                    synthesize_echo_tensor, time_domain_oracle)
 
+from conftest import take_targets
+
 
 # ---------------------------------------------------------------- factors
 
-def test_factor_shapes(cfg, factor_pair):
+def test_factor_shapes(cfg, factor_pair, clean_pair):
     k = len(cfg.scene.targets)
-    for fac, expected_phase in zip(factor_pair, (1, 2)):
+    for fac, tensor, expected_phase in zip(factor_pair, clean_pair, (1, 2)):
         assert fac.pulse_factor.shape == (cfg.waveform.n_pulses, k)
         assert fac.antenna_factor.shape == (cfg.arrays.n_ap_antennas, k)
         assert fac.subcarrier_factor.shape == (cfg.waveform.n_subcarriers, k)
-        assert fac.phase_index == expected_phase
-        assert fac.n_targets == k
+        assert fac.generators.shape == (k,)
+        assert tensor.phase_index == expected_phase
+        assert fac.n_components == k
 
 
 def test_pulse_column_is_combined_gain_times_ramp(cfg, factor_pair):
     """Each pulse column must factor as (combiner gain) x (Doppler ramp)."""
     fac = factor_pair[0]
-    for col in range(fac.n_targets):
+    for col in range(fac.n_components):
         z = fac.pulse_factor[:, col]
         ramp_ratio = z[1:] / z[:-1]
         # successive ratios of a geometric sequence are constant
@@ -41,12 +44,12 @@ def test_pulse_column_is_combined_gain_times_ramp(cfg, factor_pair):
 
 def test_subcarrier_column_encodes_gain_and_delay(cfg, truth, factor_pair):
     fac = factor_pair[0]
-    for col, tgt in enumerate(truth.targets):
-        expected = tgt.gain * delay_signature(
-            tgt.delay_s, cfg.waveform.n_subcarriers,
-            cfg.waveform.subcarrier_spacing_hz)
-        np.testing.assert_allclose(fac.subcarrier_factor[:, col], expected,
-                                   rtol=1e-12)
+    for col, (gain, delay) in enumerate(zip(truth.gain, truth.delay_s)):
+        signature = delay_signature(delay, cfg.waveform.n_subcarriers,
+                                    cfg.waveform.subcarrier_spacing_hz)
+        np.testing.assert_allclose(fac.subcarrier_factor[:, col],
+                                   gain * signature, rtol=1e-12)
+        assert fac.generators[col] == signature[0]
 
 
 def test_dimension_mismatch_guards(cfg, truth, channel, profiles, combiner):
@@ -66,10 +69,10 @@ def test_dimension_mismatch_guards(cfg, truth, channel, profiles, combiner):
 
 def test_empty_scene_gives_zero_tensor(cfg, truth, channel, profiles,
                                        combiner):
-    empty = dataclasses.replace(truth, targets=())
+    empty = take_targets(truth, slice(0))
     fac = build_factor_matrices(empty, channel, profiles[0], combiner,
                                 cfg.waveform, cfg.arrays)
-    tensor = synthesize_echo_tensor(fac)
+    tensor = synthesize_echo_tensor(fac, profiles[0].phase_index)
     assert tensor.shape == (cfg.waveform.n_pulses, cfg.arrays.n_ap_antennas,
                             cfg.waveform.n_subcarriers)
     assert np.all(tensor.data == 0)
@@ -79,7 +82,7 @@ def test_tensor_matches_rank_one_sum(factor_pair, clean_pair):
     """The einsum must equal the explicit sum of per-target outer products."""
     for fac, tensor in zip(factor_pair, clean_pair):
         explicit = np.zeros(tensor.shape, dtype=complex)
-        for k in range(fac.n_targets):
+        for k in range(fac.n_components):
             explicit += (fac.pulse_factor[:, k][:, None, None]
                          * fac.antenna_factor[:, k][None, :, None]
                          * fac.subcarrier_factor[:, k][None, None, :])
@@ -163,8 +166,7 @@ def test_oracle_matches_model_with_motion(cfg, truth, channel, profiles,
 def test_oracle_exact_for_static_targets(cfg, truth, channel, profiles,
                                          combiner):
     """With zero Doppler the model drops nothing: agreement to 1e-6."""
-    static = dataclasses.replace(truth, targets=tuple(
-        dataclasses.replace(t, doppler_hz=0.0) for t in truth.targets))
+    static = dataclasses.replace(truth, doppler_hz=0.0 * truth.doppler_hz)
     fac = build_factor_matrices(static, channel, profiles[0], combiner,
                                 cfg.waveform, cfg.arrays)
     oracle = time_domain_oracle(static, channel, profiles[0], combiner,
