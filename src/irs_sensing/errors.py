@@ -86,8 +86,9 @@ class UnwrapInfeasible(EstimationError):
 def record_failures(errors: list, failed, make_error) -> None:
     """Give each flagged trial b of a stack without an error yet
     ``make_error(b)``; an estimator step calls it in check order, so each
-    trial keeps the first check it fails."""
-    for b in np.flatnonzero(failed):
+    trial keeps the first check it fails.  A 0-d mask flags all or none."""
+    flags = failed if np.ndim(failed) else np.full(len(errors), failed)
+    for b in np.flatnonzero(flags):
         if errors[b] is None:
             errors[b] = make_error(b)
 

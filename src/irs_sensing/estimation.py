@@ -10,7 +10,8 @@ the two phases cancel inside the ratio.  Doppler and delay then follow
 from the pulse factor's phase progression and the subcarrier generators.
 Every step takes a stack of trials, its arrays with a leading trial axis,
 and the stack's error list: it records in ``errors[b]`` the first check
-trial b fails and raises only for a check that the whole stack shares.
+trial b fails and raises only for a check that the whole stack shares;
+its channel and combiner are one per trial or one shared.
 ``estimate_trials`` runs a stack through the pipeline, ``estimate_targets``
 one trial.
 """
@@ -226,7 +227,8 @@ def gamma_ratio_curve(grid: np.ndarray, u: np.ndarray,
 
     gamma is the squared ratio of the surface-side beam responses of the
     two profiles; points where the second profile's response nearly
-    vanishes are excluded from searches.  A (B, K) grid is one per trial.
+    vanishes are excluded from searches.  A (B, K) grid or a (B, N) ``u``
+    is one per trial.
     """
     return _gamma_ratio(steering_vector(grid, *arrays.surface), u, profiles)
 
@@ -234,10 +236,12 @@ def gamma_ratio_curve(grid: np.ndarray, u: np.ndarray,
 def _gamma_ratio(steer: np.ndarray, u: np.ndarray,
                  profiles: tuple[PhaseProfile, PhaseProfile]) -> np.ndarray:
     """gamma at the directions whose steering vectors are the columns of steer."""
-    num = (u * profiles[0].diagonal()) @ steer
-    den = (u * profiles[1].diagonal()) @ steer
+    # each trial's u contracts as a 1 x N row, bit for bit its product alone
+    num = ((u * profiles[0].diagonal())[..., None, :] @ steer)[..., 0, :]
+    den = ((u * profiles[1].diagonal())[..., None, :] @ steer)[..., 0, :]
     out = np.full(num.shape, np.nan, dtype=complex)
-    ok = np.abs(den) >= GRID_EXCLUSION_RTOL * np.linalg.norm(u)
+    ok = (np.abs(den) >= GRID_EXCLUSION_RTOL
+          * np.linalg.norm(u, axis=-1, keepdims=True))
     out[ok] = (num[ok] / den[ok]) ** 2
     return out
 
@@ -257,16 +261,17 @@ def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
                               *arrays.surface)
     curve = _gamma_ratio(steer, u, profiles)
     finite = np.isfinite(curve)
-    if not finite.any():
-        raise NoFeasibleGrid("every grid point excluded by the denominator test")
-    spread = np.nanmax(np.abs(curve - curve[finite][0]))
-    if not (spread > 1e-12):
-        raise DegenerateProfilePair(
-            "cross-phase ratio constant over the prior; profiles too similar")
+    record_failures(errors, ~finite.any(axis=-1), lambda b: NoFeasibleGrid(
+        "every grid point excluded by the denominator test"))
+    first = np.take_along_axis(curve, np.argmax(finite, axis=-1)[..., None],
+                               axis=-1)
+    spread = np.fmax.reduce(np.abs(curve - first), axis=-1)  # fmax skips NaN
+    record_failures(errors, ~(spread > 1e-12), lambda b: DegenerateProfilePair(
+        "cross-phase ratio constant over the prior; profiles too similar"))
 
     gammas = compute_gamma_statistics(aligned)
     thetas, best = _refine_directions(
-        grid, -np.abs(gammas[..., None] - curve) ** 2,
+        grid, -np.abs(gammas[..., None] - curve[..., None, :]) ** 2,
         lambda cand: -np.abs(
             gammas - gamma_ratio_curve(cand, u, profiles, arrays)) ** 2,
         doa_prior, errors)
@@ -284,10 +289,10 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
     of rank at least two: on a rank-one channel all candidate responses
     are collinear and the correlation carries no direction information.
     """
-    ratio = channel.singular_ratio()
-    if ratio < RANK_ONE_RATIO:
-        raise RankOneChannel(f"singular-value ratio {ratio:.2e}; "
-                             "use the cross-phase ratio method instead")
+    ratio = np.broadcast_to(channel.singular_ratio(), len(errors))
+    record_failures(errors, ratio < RANK_ONE_RATIO, lambda b: RankOneChannel(
+        f"singular-value ratio {ratio[b]:.2e}; "
+        "use the cross-phase ratio method instead"))
     grid, grid_steer = _dictionary(steering_vector, *doa_prior,
                                    DOA_GRID_STEP_RAD, *arrays.surface)
     b_norms = np.linalg.norm(b_hat, axis=-2)
@@ -327,7 +332,8 @@ def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
     steer = steering_vector(theta_hats, *arrays.surface)
     # column c is target c % K of phase c // K
     divisors = np.concatenate(
-        [combiner.T @ relayed_response(channel, p, steer) for p in profiles],
+        [np.swapaxes(combiner, -1, -2) @ relayed_response(channel, p, steer)
+         for p in profiles],
         axis=-1)
     pulses = np.concatenate([aligned.phase1.pulse_factor,
                              aligned.phase2.pulse_factor], axis=-1)
@@ -393,9 +399,11 @@ def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
                     arrays: ArrayConfig,
                     single_phase_doa: Sequence[bool] = (False,),
                     stacklevel: int = 2) -> list[list]:
-    """Run a stack of trials that share one scene point through the pipeline.
+    """Run a stack of trials through the pipeline.
 
-    Trial b observes ``y1[b]`` and ``y2[b]``.  Returns one list per entry of
+    Trial b observes ``y1[b]`` and ``y2[b]`` through its own entry of a
+    stacked ``channel`` (B x N x M) and ``combiner`` (B x M x P), or through
+    the ones the stack shares.  Returns one list per entry of
     ``single_phase_doa`` (a direction method of ``estimate_targets``) with,
     per trial, its estimates sorted by delay or the EstimationError that
     ``estimate_targets`` raises on it alone: the first check it fails.  A
@@ -435,20 +443,16 @@ def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
     results = []
     for single_phase in single_phase_doa:
         method_errors = list(errors)
-        try:
-            if single_phase:
-                thetas = estimate_doa_multirank(
-                    aligned.phase1.antenna_factor, channel, profiles[0],
-                    doa_prior, arrays, method_errors)
-                gammas, residuals = (compute_gamma_statistics(aligned),
-                                     np.zeros(thetas.shape))
-            else:
-                thetas, gammas, residuals = resolve_doa(
-                    aligned, channel.irs_side_vector(), profiles, doa_prior,
-                    arrays, method_errors)
-        except EstimationError as exc:  # a check that the whole stack shares
-            results.append([e or exc for e in method_errors])
-            continue
+        if single_phase:
+            thetas = estimate_doa_multirank(
+                aligned.phase1.antenna_factor, channel, profiles[0],
+                doa_prior, arrays, method_errors)
+            gammas, residuals = (compute_gamma_statistics(aligned),
+                                 np.zeros(thetas.shape))
+        else:
+            thetas, gammas, residuals = resolve_doa(
+                aligned, channel.irs_side_vector(), profiles, doa_prior,
+                arrays, method_errors)
         dopplers = estimate_doppler(aligned, thetas, channel, profiles,
                                     combiner, waveform, arrays, method_errors)
         delays = estimate_delay(aligned, waveform, method_errors)

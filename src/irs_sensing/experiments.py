@@ -22,7 +22,7 @@ from .crb import compute_crb, compute_fim
 from .errors import ConfigError, EstimationError, SingularFim
 from .estimation import TargetEstimate, estimate_trials, greedy_match
 from .scene import (ScenePoint, SceneTruth, design_phase_profiles,
-                    draw_scene_point)
+                    draw_scene_point, stack_channels)
 from .synthesis import apply_noise, echo_tensors
 
 PARAMETER_LABELS = ("theta", "nu", "tau")
@@ -96,7 +96,7 @@ _PRESET_TABLE = {
 PRESET_NAMES = tuple(_PRESET_TABLE)
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 1
-TRIAL_STACK = 4  # trials of a frozen scene point per estimator stack
+TRIAL_STACK = 4  # trials per estimator stack, frozen or redrawn channel alike
 
 
 def build_spec(preset: str, trials: int | None = None,
@@ -173,10 +173,11 @@ def run_experiment(spec: ExperimentSpec,
     Per position: the scene truth and channel are drawn once from the seed
     (redrawn each trial only when the preset asks for fading averaging),
     each trial adds fresh noise, runs the estimation pipeline, and pairs
-    estimates with truth by delay; trials that share a scene point run as
-    one estimator stack, which changes no number.  Estimator failures are
-    counted and excluded from the error average rather than crashing the
-    sweep.
+    estimates with its own truth by delay.  ``TRIAL_STACK`` trials run as
+    one estimator stack, which changes no number; redrawn channels and
+    combiners are stacked along a leading trial axis.  Estimator failures
+    are counted and excluded from the error average rather than crashing
+    the sweep.
     """
     rows: list[ResultRow] = []
     for sweep_idx, value in enumerate(spec.sweep_values):
@@ -192,10 +193,9 @@ def run_experiment(spec: ExperimentSpec,
         crb_sum = np.zeros(3)
         crb_draws = 0
 
-        stack_size = 1 if spec.redraw_fading else TRIAL_STACK
-        for first in range(0, spec.trials, stack_size):
-            stack = []
-            for trial in range(first, min(first + stack_size, spec.trials)):
+        for first in range(0, spec.trials, TRIAL_STACK):
+            points, stack = [], []
+            for trial in range(first, min(first + TRIAL_STACK, spec.trials)):
                 rng = np.random.default_rng((spec.seed, sweep_idx, trial))
                 new_point = spec.redraw_fading or trial == 0
                 if new_point:
@@ -210,19 +210,24 @@ def run_experiment(spec: ExperimentSpec,
                     if np.isfinite(crb_point).all():
                         crb_sum += crb_point
                         crb_draws += 1
+                points.append(point)
                 stack.append(tensors)
+            channel, combiner = point.channel, point.combiner
+            if spec.redraw_fading:
+                channel = stack_channels([p.channel for p in points])
+                combiner = np.stack([p.combiner for p in points])
             outcomes = estimate_trials(
                 [t[0] for t in stack], [t[1] for t in stack], k_total,
-                cfg.scene.doa_prior_rad, point.channel, profiles,
-                point.combiner, cfg.waveform, cfg.arrays,
+                cfg.scene.doa_prior_rad, channel, profiles, combiner,
+                cfg.waveform, cfg.arrays,
                 [name == "single_phase" for name in methods])
             for name, results in zip(methods, outcomes):
                 acc = accs[name]
-                for estimates in results:
+                for estimates, point_b in zip(results, points):
                     if isinstance(estimates, EstimationError):
                         acc.failures += 1
                         continue
-                    acc.sq_sums += _squared_errors(estimates, point.truth)
+                    acc.sq_sums += _squared_errors(estimates, point_b.truth)
                     acc.used += 1
 
         crb_point = (crb_sum / crb_draws if crb_draws

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,31 +75,39 @@ class SceneTruth:
 
 @dataclass(frozen=True)
 class RankOneParts:
+    """Leading singular triple, matrix ~ sigma * outer(u, v)."""
+
     sigma: float
     u: np.ndarray   # surface-side unit vector
-    v: np.ndarray   # AP-side unit vector, matrix = sigma * outer(u, v)
+    v: np.ndarray   # AP-side unit vector
 
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """AP-to-surface channel (n_irs_elements x n_ap_antennas)."""
+    """AP-to-surface channel (n_irs_elements x n_ap_antennas), or a stack
+    (B, N, M) of one per trial; ``dominant`` is recorded when it is built."""
 
     matrix: np.ndarray
-    rank_one: RankOneParts | None = None
+    dominant: RankOneParts
 
     def irs_side_vector(self) -> np.ndarray:
-        """Dominant surface-side direction, used by the cross-phase DOA ratio."""
-        if self.rank_one is not None:
-            return self.rank_one.u
-        u_mat, _, _ = np.linalg.svd(self.matrix)
-        return u_mat[:, 0]
+        """Dominant surface-side vector(s) for the cross-phase DOA ratio."""
+        return self.dominant.u
 
-    def singular_ratio(self) -> float:
-        """Second-to-first singular value ratio (0 for an exact outer product)."""
+    def singular_ratio(self) -> np.ndarray:
+        """Second-to-first singular value ratio of each trial's channel."""
         s = np.linalg.svd(self.matrix, compute_uv=False)
-        if s[0] == 0.0:
+        if (s[..., 0] == 0.0).any():
             raise DegenerateGeometry("zero channel matrix")
-        return float(s[1] / s[0]) if len(s) > 1 else 0.0
+        return s[..., 1] / s[..., 0] if s.shape[-1] > 1 else 0 * s[..., 0]
+
+
+def stack_channels(channels: Sequence[ChannelMatrix]) -> ChannelMatrix:
+    """The channels of B trials as one stack along a leading trial axis."""
+    parts = [c.dominant for c in channels]
+    return ChannelMatrix(np.stack([c.matrix for c in channels]), RankOneParts(
+        np.array([p.sigma for p in parts]), np.stack([p.u for p in parts]),
+        np.stack([p.v for p in parts])))
 
 
 @dataclass(frozen=True)
@@ -117,11 +125,13 @@ def relayed_response(channel: ChannelMatrix, profile: PhaseProfile,
                      steer: np.ndarray) -> np.ndarray:
     """AP-side response H^T diag(phi) a of every surface steering column.
 
-    ``steer`` is N x G (surface steering vectors or their derivatives);
-    the result is M x G.  Every AP-side target response of the model is
-    this one product.
+    ``steer`` is N x G (surface steering vectors or their derivatives) or
+    a stack (B, N, G); the result is M x G, with the leading trial axis of
+    a stacked channel or steer.  Every AP-side target response of the
+    model is this one product.
     """
-    return channel.matrix.T @ (profile.diagonal()[:, None] * steer)
+    return (channel.matrix.swapaxes(-1, -2)
+            @ (profile.diagonal()[:, None] * steer))
 
 
 @dataclass(frozen=True)
@@ -247,8 +257,8 @@ def build_los_channel(scene: SceneConfig, arrays: ArrayConfig,
     gain = _shadowed_leg_gain(dist, rng)
     matrix = gain * np.outer(a_irs, a_ap.conj())
     phase = gain / abs(gain)
-    parts = RankOneParts(sigma=abs(gain), u=a_irs * phase, v=a_ap.conj())
-    return ChannelMatrix(matrix=matrix, rank_one=parts)
+    return ChannelMatrix(matrix, RankOneParts(sigma=abs(gain), u=a_irs * phase,
+                                              v=a_ap.conj()))
 
 
 def build_rician_channel(g_los: ChannelMatrix, rician_db: float | None,
@@ -277,7 +287,9 @@ def build_rician_channel(g_los: ChannelMatrix, rician_db: float | None,
     k_lin = 10.0 ** (rician_db / 10.0)
     matrix = (math.sqrt(k_lin / (1 + k_lin)) * g_los.matrix
               + math.sqrt(1 / (1 + k_lin)) * scattered)
-    return ChannelMatrix(matrix=matrix, rank_one=None)
+    u_mat, s, vh = np.linalg.svd(matrix)
+    return ChannelMatrix(matrix, RankOneParts(sigma=s[0], u=u_mat[:, 0],
+                                              v=vh[0]))
 
 
 def subarray_beam_directions(doa_prior: tuple[float, float], n_subarrays: int,
@@ -324,11 +336,7 @@ def design_beamformers(channel: ChannelMatrix, n_pulses: int) -> np.ndarray:
     gain (w dotted with the AP-side channel direction) has unit modulus;
     returning the full matrix keeps pulse-varying weights possible.
     """
-    if channel.rank_one is not None:
-        w = channel.rank_one.v.conj()
-    else:
-        _, _, vh = np.linalg.svd(channel.matrix)
-        w = vh[0].conj()
+    w = channel.dominant.v.conj()
     w = w / np.linalg.norm(w)
     return np.tile(w[:, None], (1, n_pulses))
 

@@ -157,7 +157,7 @@ def test_los_channel_is_rank_one(cfg, channel):
                                     cfg.arrays.n_ap_antennas)
     assert channel.singular_ratio() < 1e-12
     s = np.linalg.svd(channel.matrix, compute_uv=False)
-    assert s[0] == pytest.approx(abs(channel.rank_one.sigma), rel=1e-12)
+    assert s[0] == pytest.approx(abs(channel.dominant.sigma), rel=1e-12)
 
 
 def test_los_channel_directions(cfg, channel):
@@ -174,7 +174,7 @@ def test_beamformer_matched_to_channel(cfg, channel, combiner):
     assert combiner.shape == (cfg.arrays.n_ap_antennas, cfg.waveform.n_pulses)
     assert np.allclose(combiner, combiner[:, :1])  # identical per pulse
     w = combiner[:, 0]
-    v = channel.rank_one.v
+    v = channel.dominant.v
     gain = abs(np.vdot(w, v.conj())) / (np.linalg.norm(w) * np.linalg.norm(v))
     assert gain == pytest.approx(1.0, abs=1e-12)
 

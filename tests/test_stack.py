@@ -11,9 +11,12 @@ from irs_sensing.cpd import (FactorTriple, cp_decompose, cp_reconstruct,
                              reconstruction_error)
 from irs_sensing.errors import (EstimationError, IllConditionedShift,
                                 RankDeficient, UnwrapInfeasible)
-from irs_sensing.estimation import estimate_targets, estimate_trials
-from irs_sensing.experiments import build_spec, run_experiment
-from irs_sensing.scene import design_phase_profiles, draw_scene_point
+from irs_sensing.estimation import (_gamma_ratio, estimate_targets,
+                                    estimate_trials)
+from irs_sensing.experiments import TRIAL_STACK, build_spec, run_experiment
+from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
+                               relayed_response, stack_channels,
+                               steering_vector)
 from irs_sensing.synthesis import EchoTensor, apply_noise, echo_tensors
 
 SNRS_DB = np.linspace(-10.0, 20.0, 7)
@@ -259,4 +262,57 @@ def test_fading_draw_factorizes_once_for_both_direction_methods(monkeypatch):
     monkeypatch.setattr(estimation, "cp_decompose", counted)
     run_experiment(build_spec("rician_comparison", trials=2, seed=3),
                    default_config())
-    assert calls == [1] * (3 * 2 * 2)   # points x draws x phases
+    # points x phases, each a stack of both draws
+    assert calls == [min(TRIAL_STACK, 2)] * (3 * 2)
+
+
+def test_a_stack_of_distinct_channels_gives_each_trial_its_own_outcome():
+    """Trials with their own channel and combiner, one of them line of
+    sight among scattered ones, end as each does alone; only the
+    line-of-sight trial fails, and only the single-phase method."""
+    rician = with_overrides(default_config(), rician_k_db=5.0)
+    profiles = design_phase_profiles(rician.scene.doa_prior_rad,
+                                     rician.arrays, rician.scene.n_subarrays)
+    los = 2
+    points = [draw_scene_point(default_config() if b == los else rician,
+                               profiles, np.random.default_rng((8, b)))
+              for b in range(4)]
+    channel = stack_channels([p.channel for p in points])
+    grid = steering_vector(np.linspace(*rician.scene.doa_prior_rad, 9),
+                           *rician.arrays.surface)
+    truth = steering_vector(np.stack([p.truth.theta_rad for p in points]),
+                            *rician.arrays.surface)
+    u = channel.irs_side_vector()
+    assert channel.matrix.shape == (4, *points[0].channel.matrix.shape)
+    for b, point in enumerate(points):
+        alone = point.channel
+        assert np.array_equal(u[b], alone.irs_side_vector())
+        assert channel.singular_ratio()[b] == alone.singular_ratio()
+        assert np.array_equal(relayed_response(channel, profiles[0], grid)[b],
+                              relayed_response(alone, profiles[0], grid))
+        assert np.array_equal(relayed_response(channel, profiles[1], truth)[b],
+                              relayed_response(alone, profiles[1], truth[b]))
+        assert np.array_equal(_gamma_ratio(grid, u, profiles)[b],
+                              _gamma_ratio(grid, alone.irs_side_vector(),
+                                           profiles))
+
+    y1, y2 = [], []
+    for b, point in enumerate(points):
+        rng = np.random.default_rng((9, b))
+        clean = echo_tensors(*point, rician.waveform, rician.arrays)
+        y1.append(apply_noise(clean[0], 20.0, rng))
+        y2.append(apply_noise(clean[1], 20.0, rng))
+    args = (rician.scene.doa_prior_rad, channel, profiles,
+            np.stack([p.combiner for p in points]), rician.waveform,
+            rician.arrays)
+    outcomes = estimate_trials(y1, y2, points[0].truth.n_targets, *args,
+                               single_phase_doa=(False, True))
+    assert [type(o).__name__ for o in outcomes[0]] == ["list"] * 4
+    assert [type(o).__name__ for o in outcomes[1]] == [
+        "RankOneChannel" if b == los else "list" for b in range(4)]
+    for single, results in zip((False, True), outcomes):
+        for b, got in enumerate(results):
+            alone = _outcome(lambda: estimate_targets(
+                y1[b], y2[b], *_args(rician, points[b]),
+                single_phase_doa=single))
+            _assert_same_outcome(got, _summary(alone), rtol=0)
