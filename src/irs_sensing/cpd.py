@@ -137,11 +137,17 @@ def cp_decompose(data: np.ndarray, n_components: int,
     # u stays a view of u_full, so the vector products below get the strides,
     # hence the BLAS kernels and the bits, of a one-trial call
     u = u_full[..., :n_components]
-    cond = np.linalg.cond(u[:, :(l_dim - 1) * m_dim, :])
-    record_failures(errors, cond > SHIFT_COND_LIMIT, lambda b: IllConditionedShift(
+    # one SVD of the shift subspace gives its condition number (0/0 fails
+    # too) and its pseudo-inverse, computed as np.linalg.pinv does, bit for bit
+    w, sv, vh = np.linalg.svd(u[:, :(l_dim - 1) * m_dim, :].conj(),
+                              full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[:, 0] / sv[:, -1]
+    record_failures(errors, ~(cond <= SHIFT_COND_LIMIT), lambda b: IllConditionedShift(
         f"shift subspace condition number {cond[b]:.2e}"))
-
-    shift_op = (np.linalg.pinv(u[:, :(l_dim - 1) * m_dim, :], rcond=PINV_RTOL)
+    large = sv > PINV_RTOL * sv.max(axis=-1, keepdims=True)
+    sv_inv = np.divide(1, sv, where=large, out=np.zeros_like(sv))
+    shift_op = ((vh.swapaxes(-1, -2) @ (sv_inv[..., None] * w.swapaxes(-1, -2)))
                 @ u[:, m_dim:, :])
     eigvals, eigvecs = np.linalg.eig(shift_op)
     # a generator is an eigenvalue scaled to unit modulus, which a zero
@@ -189,6 +195,7 @@ def reconstruction_error(data: np.ndarray, triple: FactorTriple,
                          errors: list) -> np.ndarray:
     """Relative Frobenius mismatch between each tensor of a stack and its
     factorization; NaN for a trial that has failed."""
-    residual = data - cp_reconstruct(triple)
+    residual = cp_reconstruct(triple)
+    np.subtract(data, residual, out=residual)
     return np.array([np.linalg.norm(r) / np.linalg.norm(d) if e is None
                      else np.nan for r, d, e in zip(residual, data, errors)])

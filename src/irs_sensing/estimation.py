@@ -41,6 +41,7 @@ GRID_EXCLUSION_RTOL = 1e-8          # drop grid points with tiny denominators
 DIVISOR_FLOOR = 1e-12
 UNWRAP_EDGE_TOL = 0.01              # fraction of the prefix length
 RANK_ONE_RATIO = 1e-3
+GRID_SLICE = 2                      # trials per slice of a grid search
 
 
 @dataclass(frozen=True)
@@ -171,48 +172,49 @@ def _dictionary(atoms, lo: float, hi: float, step: float,
     return grid, bank
 
 
-def _grid_peaks(scores: np.ndarray,
-                errors: list) -> tuple[np.ndarray, np.ndarray]:
-    """Best finite grid index of each row of scores, and its vertex offset.
+def _grid_peaks(score, errors: list) -> tuple[np.ndarray, ...]:
+    """Best finite grid index of each row of scores, its vertex offset, and
+    its score.
 
-    ``scores`` is (B, rows, grid), larger is better; NaN or infinite points
-    are never chosen, and a row of none fails its trial.  The offset, in grid
-    steps and clipped to one step, is the vertex of the parabola through
-    the peak and its two neighbours.  It is 0 at either edge of the grid,
-    beside a non-finite neighbour, and where the three points do not curve
-    downward.
+    ``score(s)`` gives the (b, rows, grid) scores, larger is better, of the
+    trials in slice s of the stack; it is called GRID_SLICE trials at a
+    time, so memory does not grow with the stack.  NaN or infinite points
+    are never chosen, and a row of none fails its trial.  The offset, in
+    grid steps and clipped to one step, is the vertex of the parabola
+    through the peak and its two neighbours: 0 at either edge of the grid,
+    beside a non-finite neighbour, and where the points do not curve down.
     """
-    finite = np.isfinite(scores)
-    empty = ~finite.any(axis=-1)
-    masked = np.where(finite, scores, -np.inf)
-    masked[empty] = 0.0
-    idx = np.argmax(masked, axis=-1)
-    last = scores.shape[-1] - 1
-    left, peak, right = (_at(masked, i) for i in (np.maximum(idx - 1, 0), idx,
-                                                  np.minimum(idx + 1, last)))
+    parts = []
+    for first in range(0, len(errors), GRID_SLICE):
+        scores = score(slice(first, first + GRID_SLICE))
+        finite = np.isfinite(scores)
+        empty = ~finite.any(axis=-1)
+        if not finite.all():  # a masked copy only where a point is excluded
+            scores = np.where(finite, scores, -np.inf)
+            scores[empty] = 0.0
+        idx = np.argmax(scores, axis=-1)
+        last = scores.shape[-1] - 1
+        parts.append((empty, idx, *(
+            np.take_along_axis(scores, i[..., None], axis=-1)[..., 0]
+            for i in (np.maximum(idx - 1, 0), idx, np.minimum(idx + 1, last)))))
+    empty, idx, left, peak, right = (np.concatenate(p) for p in zip(*parts))
     curvature = left - 2 * peak + right
     ok = (idx > 0) & (idx < last) & np.isfinite(curvature) & (curvature < 0)
     offset = np.zeros(idx.shape)
     offset[ok] = np.clip(0.5 * (left[ok] - right[ok]) / curvature[ok], -1, 1)
     record_failures(errors, empty.any(axis=-1), lambda b: NoFeasibleGrid(
         "a search row has no finite grid point"))
-    return idx, offset
+    return idx, offset, peak
 
 
-def _at(scores: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Entry ``idx[..., r]`` of every row r of ``scores`` (rows x grid)."""
-    return np.take_along_axis(scores, idx[..., None], axis=-1)[..., 0]
-
-
-def _refine_directions(grid: np.ndarray, scores: np.ndarray, score_at,
+def _refine_directions(grid: np.ndarray, score, score_at,
                        doa_prior: tuple[float, float], errors: list):
     """Grid peak per row, moved to the parabola vertex where that is no worse.
 
-    ``scores`` is (B, rows, grid); ``score_at(thetas)`` scores one direction
-    per row.  Returns directions and scores.
+    ``score`` is that of ``_grid_peaks``; ``score_at(thetas)`` scores one
+    direction per row of the whole stack.  Returns directions and scores.
     """
-    idx, offset = _grid_peaks(scores, errors)
-    best = _at(scores, idx)
+    idx, offset, best = _grid_peaks(score, errors)
     cand = np.clip(grid[idx] + offset * DOA_GRID_STEP_RAD, *doa_prior)
     cand_scores = score_at(cand)
     take = (offset != 0) & (cand_scores >= best)
@@ -270,8 +272,9 @@ def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
         "cross-phase ratio constant over the prior; profiles too similar"))
 
     gammas = compute_gamma_statistics(aligned)
+    curves = np.broadcast_to(curve, (len(errors), len(grid)))  # one per trial
     thetas, best = _refine_directions(
-        grid, -np.abs(gammas[..., None] - curve[..., None, :]) ** 2,
+        grid, lambda s: -np.abs(gammas[s, :, None] - curves[s, None, :]) ** 2,
         lambda cand: -np.abs(
             gammas - gamma_ratio_curve(cand, u, profiles, arrays)) ** 2,
         doa_prior, errors)
@@ -288,6 +291,7 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
     the channel-relayed response over a direction grid.  Needs a channel
     of rank at least two: on a rank-one channel all candidate responses
     are collinear and the correlation carries no direction information.
+    The grid search runs GRID_SLICE trials at a time.
     """
     ratio = np.broadcast_to(channel.singular_ratio(), len(errors))
     record_failures(errors, ratio < RANK_ONE_RATIO, lambda b: RankOneChannel(
@@ -297,14 +301,14 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
                                    DOA_GRID_STEP_RAD, *arrays.surface)
     b_norms = np.linalg.norm(b_hat, axis=-2)
 
-    def corr_at(steer: np.ndarray) -> np.ndarray:
-        cand = relayed_response(channel, profile, steer)
-        norms = (b_norms[..., :, None]
+    def corr_at(steer: np.ndarray, s: slice = slice(None)) -> np.ndarray:
+        cand = relayed_response(channel.trials(s), profile, steer)
+        norms = (b_norms[s, :, None]
                  * np.linalg.norm(cand, axis=-2)[..., None, :])
-        return np.abs(b_hat.conj().swapaxes(-1, -2) @ cand) / norms
+        return np.abs(b_hat[s].conj().swapaxes(-1, -2) @ cand) / norms
 
     thetas, _ = _refine_directions(
-        grid, corr_at(grid_steer),
+        grid, lambda s: corr_at(grid_steer, s),
         lambda cand: np.diagonal(corr_at(steering_vector(cand, *arrays.surface)),
                                  axis1=-2, axis2=-1),
         doa_prior, errors)
@@ -321,8 +325,9 @@ def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
     For each phase, the aligned pulse column is divided by the predicted
     combined response at the estimated direction, leaving (up to scale) a
     pure per-pulse phase ramp that is matched against candidate ramps over
-    half a period each side of zero.  Phase estimates are averaged with
-    equal weights.  A trial that has failed gets no warning.
+    half a period each side of zero, GRID_SLICE trials at a time.  Phase
+    estimates are averaged with equal weights.  The divisor and boundary
+    checks run over the whole stack; a failed trial gets no warning.
     """
     half_span = 1.0 / (2 * waveform.pri_s)
     step = half_span / DOPPLER_GRID_POINTS
@@ -340,8 +345,8 @@ def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
     keep = np.abs(divisors) >= DIVISOR_FLOOR
     ramp_obs = np.divide(pulses, divisors, where=keep,
                          out=np.zeros(pulses.shape, dtype=complex))
-    idx, offset = _grid_peaks(
-        np.abs(ramp_obs.conj().swapaxes(-1, -2) @ ramps), errors)
+    idx, offset, _ = _grid_peaks(
+        lambda s: np.abs(ramp_obs[s].conj().swapaxes(-1, -2) @ ramps), errors)
     at_edge = (idx == 0) | (idx == len(grid) - 1)
     # only the flagged (trial, column) pairs, in the order one trial meets them
     for b, col in np.argwhere(~keep.all(axis=-2) | at_edge):

@@ -96,7 +96,7 @@ _PRESET_TABLE = {
 PRESET_NAMES = tuple(_PRESET_TABLE)
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 1
-TRIAL_STACK = 4  # trials per estimator stack, frozen or redrawn channel alike
+TRIAL_STACK = 16  # trials per estimator stack, frozen or redrawn channel alike
 
 
 def build_spec(preset: str, trials: int | None = None,

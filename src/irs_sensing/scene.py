@@ -101,6 +101,12 @@ class ChannelMatrix:
             raise DegenerateGeometry("zero channel matrix")
         return s[..., 1] / s[..., 0] if s.shape[-1] > 1 else 0 * s[..., 0]
 
+    def trials(self, s: slice) -> ChannelMatrix:
+        """The channels of the trials in slice s of a stack, or a shared one."""
+        d = self.dominant
+        return self if self.matrix.ndim == 2 else ChannelMatrix(
+            self.matrix[s], RankOneParts(d.sigma[s], d.u[s], d.v[s]))
+
 
 def stack_channels(channels: Sequence[ChannelMatrix]) -> ChannelMatrix:
     """The channels of B trials as one stack along a leading trial axis."""

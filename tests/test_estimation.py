@@ -445,9 +445,11 @@ def _reference_peak(row):
 
 
 def _assert_peaks_match_reference(scores):
-    idx, offset = _passes(_grid_peaks, np.asarray(scores, dtype=float)[None])
+    stack = np.asarray(scores, dtype=float)[None]
+    idx, offset, peak = _passes(_grid_peaks, lambda s: stack[s])
     for r, row in enumerate(scores):
         assert (int(idx[0, r]), float(offset[0, r])) == _reference_peak(row), row
+        assert peak[0, r] == row[idx[0, r]]
 
 
 NAN, ULP = math.nan, 2.0 ** -53
@@ -490,9 +492,8 @@ def test_grid_peaks_match_scalar_reference_on_random_rows():
 
 
 def test_grid_peaks_rejects_a_row_without_finite_points():
-    assert isinstance(_failure(_grid_peaks,
-                               np.array([[[1.0, 2.0], [NAN, math.inf]]])),
-                      NoFeasibleGrid)
+    stack = np.array([[[1.0, 2.0], [NAN, math.inf]]])
+    assert isinstance(_failure(_grid_peaks, lambda s: stack[s]), NoFeasibleGrid)
 
 
 @pytest.mark.parametrize("n_points", [1, 2])

@@ -1,6 +1,7 @@
 """A stack of trials gives every trial the outcome it has on its own."""
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from irs_sensing.cpd import (FactorTriple, cp_decompose, cp_reconstruct,
                              reconstruction_error)
 from irs_sensing.errors import (EstimationError, IllConditionedShift,
                                 RankDeficient, UnwrapInfeasible)
-from irs_sensing.estimation import (_gamma_ratio, estimate_targets,
+from irs_sensing.estimation import (GRID_SLICE, _gamma_ratio, align_columns,
+                                    estimate_doppler, estimate_targets,
                                     estimate_trials)
 from irs_sensing.experiments import TRIAL_STACK, build_spec, run_experiment
 from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
@@ -63,6 +65,14 @@ def _summary(outcome):
     if isinstance(outcome, EstimationError):
         return [type(outcome).__name__, str(outcome)]
     return [[e.theta_hat, e.tau_hat, e.nu_hat] for e in outcome]
+
+
+def _bits(outcome):
+    """[class name, message] of a failure, else the repr of the estimates,
+    which round-trips every float bit for bit."""
+    if isinstance(outcome, EstimationError):
+        return [type(outcome).__name__, str(outcome)]
+    return repr(outcome)
 
 
 def _assert_same_outcome(got, want, rtol):
@@ -242,12 +252,32 @@ def test_shared_factorization_warns_once_per_phase_for_both_methods():
 @pytest.mark.parametrize("preset", ["mse_vs_snr", "rician_comparison"])
 def test_results_do_not_depend_on_the_stack_size(monkeypatch, preset):
     import irs_sensing.experiments as experiments
-    spec = build_spec(preset, trials=5, seed=4)
+    # more trials than one stack, and than one slice of the grid searches
+    spec = build_spec(preset, trials=TRIAL_STACK + GRID_SLICE + 1, seed=4)
     rows = []
-    for size in (1, 2, 8):
+    for size in (1, 2, 8, TRIAL_STACK):
         monkeypatch.setattr(experiments, "TRIAL_STACK", size)
-        rows.append(run_experiment(spec, default_config()))
-    assert repr(rows[0]) == repr(rows[1]) == repr(rows[2])
+        rows.append(repr(run_experiment(spec, default_config())))
+    assert rows == [rows[0]] * len(rows)
+
+
+def test_grid_slices_change_no_trial_outcome(monkeypatch):
+    """Scoring the grid searches in slices of 1, 2 or 3 trials gives every
+    trial of the Rician stack, under both direction methods, the outcome of
+    one search over the whole stack, bit for bit."""
+    import irs_sensing.estimation as estimation
+    cfg, point = _scene(5.0)
+    y1, y2 = _noisy_stack(cfg, point, 21, seed=17)
+    outcomes = {}
+    for size in (len(y1) + 1, 1, 2, 3):
+        monkeypatch.setattr(estimation, "GRID_SLICE", size)
+        outcomes[size] = [[_bits(o) for o in results] for results in
+                          estimate_trials(y1, y2, *_args(cfg, point),
+                                          single_phase_doa=(False, True))]
+    whole = outcomes.pop(len(y1) + 1)
+    assert {type(o) for o in whole[0]} == {list, str}  # failures, estimates
+    for size, got in outcomes.items():
+        assert got == whole, size
 
 
 def test_fading_draw_factorizes_once_for_both_direction_methods(monkeypatch):
@@ -266,17 +296,46 @@ def test_fading_draw_factorizes_once_for_both_direction_methods(monkeypatch):
     assert calls == [min(TRIAL_STACK, 2)] * (3 * 2)
 
 
+def _fading_stack(n_trials, los=None):
+    """Draws with their own channel and combiner, trial ``los`` on a
+    line-of-sight channel and the others Rician, observed at 20 dB."""
+    rician = with_overrides(default_config(), rician_k_db=5.0)
+    profiles = design_phase_profiles(rician.scene.doa_prior_rad,
+                                     rician.arrays, rician.scene.n_subarrays)
+    points = [draw_scene_point(default_config() if b == los else rician,
+                               profiles, np.random.default_rng((8, b)))
+              for b in range(n_trials)]
+    y1, y2 = [], []
+    for b, point in enumerate(points):
+        rng = np.random.default_rng((9, b))
+        clean = echo_tensors(*point, rician.waveform, rician.arrays)
+        y1.append(apply_noise(clean[0], 20.0, rng))
+        y2.append(apply_noise(clean[1], 20.0, rng))
+    return rician, points, y1, y2
+
+
+def _run_fading_stack(cfg, points, y1, y2):
+    """Both direction methods on the stack, and each trial alone."""
+    stacked = (points[0].truth.n_targets, cfg.scene.doa_prior_rad,
+               stack_channels([p.channel for p in points]), points[0].profiles,
+               np.stack([p.combiner for p in points]), cfg.waveform,
+               cfg.arrays)
+    outcomes = estimate_trials(y1, y2, *stacked, single_phase_doa=(False, True))
+    for single, results in zip((False, True), outcomes):
+        for b, got in enumerate(results):
+            alone = _outcome(lambda: estimate_targets(
+                y1[b], y2[b], *_args(cfg, points[b]), single_phase_doa=single))
+            _assert_same_outcome(got, _summary(alone), rtol=0)
+    return outcomes
+
+
 def test_a_stack_of_distinct_channels_gives_each_trial_its_own_outcome():
     """Trials with their own channel and combiner, one of them line of
     sight among scattered ones, end as each does alone; only the
     line-of-sight trial fails, and only the single-phase method."""
-    rician = with_overrides(default_config(), rician_k_db=5.0)
-    profiles = design_phase_profiles(rician.scene.doa_prior_rad,
-                                     rician.arrays, rician.scene.n_subarrays)
     los = 2
-    points = [draw_scene_point(default_config() if b == los else rician,
-                               profiles, np.random.default_rng((8, b)))
-              for b in range(4)]
+    rician, points, y1, y2 = _fading_stack(4, los)
+    profiles = points[0].profiles
     channel = stack_channels([p.channel for p in points])
     grid = steering_vector(np.linspace(*rician.scene.doa_prior_rad, 9),
                            *rician.arrays.surface)
@@ -296,23 +355,49 @@ def test_a_stack_of_distinct_channels_gives_each_trial_its_own_outcome():
                               _gamma_ratio(grid, alone.irs_side_vector(),
                                            profiles))
 
-    y1, y2 = [], []
-    for b, point in enumerate(points):
-        rng = np.random.default_rng((9, b))
-        clean = echo_tensors(*point, rician.waveform, rician.arrays)
-        y1.append(apply_noise(clean[0], 20.0, rng))
-        y2.append(apply_noise(clean[1], 20.0, rng))
-    args = (rician.scene.doa_prior_rad, channel, profiles,
-            np.stack([p.combiner for p in points]), rician.waveform,
-            rician.arrays)
-    outcomes = estimate_trials(y1, y2, points[0].truth.n_targets, *args,
-                               single_phase_doa=(False, True))
+    outcomes = _run_fading_stack(rician, points, y1, y2)
     assert [type(o).__name__ for o in outcomes[0]] == ["list"] * 4
     assert [type(o).__name__ for o in outcomes[1]] == [
         "RankOneChannel" if b == los else "list" for b in range(4)]
-    for single, results in zip((False, True), outcomes):
-        for b, got in enumerate(results):
-            alone = _outcome(lambda: estimate_targets(
-                y1[b], y2[b], *_args(rician, points[b]),
-                single_phase_doa=single))
-            _assert_same_outcome(got, _summary(alone), rtol=0)
+
+
+def test_a_failure_in_a_later_grid_slice_lands_on_its_own_trial(monkeypatch):
+    """A zeroed combiner gives its trial, in the second slice of the grid
+    searches, DivisionBlowup under both direction methods and no other
+    trial of the stacked-channel stack any failure."""
+    import irs_sensing.estimation as estimation
+    monkeypatch.setattr(estimation, "GRID_SLICE", 2)
+    rician, points, y1, y2 = _fading_stack(5)
+    bad = 3
+    points[bad] = points[bad]._replace(
+        combiner=np.zeros_like(points[bad].combiner))
+    for results in _run_fading_stack(rician, points, y1, y2):
+        assert [type(o).__name__ for o in results] == [
+            "DivisionBlowup" if b == bad else "list" for b in range(5)]
+        assert str(results[bad]).startswith("phase 1, target 0: all pulse")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_doppler_search_memory_does_not_grow_with_the_stack():
+    """The Doppler grid search holds the scores of one slice of trials, so
+    its peak allocation on 16 trials is under twice that on 2."""
+    cfg, point = _scene(None)
+    y1, y2 = _noisy_stack(cfg, point, 16, seed=3)
+
+    def peak(n_trials):
+        errors = [None] * n_trials
+        aligned = align_columns(*(cp_decompose(
+            np.stack([t.data for t in y[:n_trials]]), 2, errors)
+            for y in (y1, y2)), cfg.waveform.subcarrier_spacing_hz, errors)
+        thetas = np.broadcast_to(point.truth.theta_rad, (n_trials, 2))
+        args = (aligned, thetas, point.channel, point.profiles,
+                point.combiner, cfg.waveform, cfg.arrays, errors)
+        estimate_doppler(*args)  # builds the cached Doppler grid
+        tracemalloc.start()
+        try:
+            estimate_doppler(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) < 2 * peak(2)
