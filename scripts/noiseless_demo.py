@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from irs_sensing.config import load_config
 from irs_sensing.estimation import estimate_targets
 from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
-                               sensing_limits)
+                               sensing_limits, validate_scene)
 from irs_sensing.synthesis import echo_tensors
 
 
@@ -26,6 +26,7 @@ def main() -> int:
     args = parser.parse_args()
 
     cfg = load_config(args.config)
+    validate_scene(cfg.scene, cfg.waveform, cfg.arrays)
     profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
                                      cfg.scene.n_subarrays)
     point = draw_scene_point(cfg, profiles, np.random.default_rng(args.seed))

@@ -20,7 +20,8 @@ from .crb import compute_crb, compute_fim
 from .errors import ConfigError
 from .experiments import (DEFAULT_SEED, PRESET_NAMES, build_spec,
                           emit_results, run_experiment)
-from .scene import design_phase_profiles, draw_scene_point, sensing_limits
+from .scene import (design_phase_profiles, draw_scene_point, sensing_limits,
+                    validate_scene)
 from .synthesis import echo_tensors, noise_sigma_for_snr
 
 CRB_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
@@ -74,6 +75,7 @@ def _cmd_limits(args) -> int:
 
 
 def _crb_rows(config: FullConfig) -> tuple[list[str], list[list[str]]]:
+    validate_scene(config.scene, config.waveform, config.arrays)
     profiles = design_phase_profiles(config.scene.doa_prior_rad, config.arrays,
                                      config.scene.n_subarrays)
     point = draw_scene_point(config, profiles,

@@ -8,8 +8,10 @@ derivative with respect to it is a sum of one or two rank-one tensors.
 Stacking these as the rows of a parameter Jacobian J makes each phase's
 information matrix the Gram matrix (2/sigma^2) Re(J* J^T), its score
 (2/sigma^2) Re(J* r) for the residual r, and J the noise templates of the
-Monte Carlo score covariance.  Analytic derivatives are validated against
-finite differences of the log-likelihood, and the full matrix against the
+Monte Carlo score covariance.  The information matrix is taken from the
+factors of the rank-one terms without forming J, for one draw or a stack
+of draws at once.  Analytic derivatives are validated against finite
+differences of the log-likelihood, and the full matrix against the
 empirical covariance of the score.
 """
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from .config import ArrayConfig, WaveformConfig
 from .errors import SingularFim
+from .cpd import FactorTriple
 from .scene import (ChannelMatrix, PhaseProfile, SceneTruth, relayed_response,
                     steering_derivative)
 from .synthesis import build_factor_matrices, doppler_ramp, echo_tensors
@@ -45,36 +48,40 @@ def parameter_index(block: str, k: int, n_targets: int) -> int:
 class FimMatrix:
     """Real symmetric information matrix over the stacked parameters."""
 
-    omega: np.ndarray
+    omega: np.ndarray   # (3K, 3K), or (B, 3K, 3K) for a stack of draws
     n_targets: int
-    condition_number: float
+    condition_number: float | np.ndarray   # one per draw
 
 
 @dataclass(frozen=True)
 class CrbBounds:
-    """Per-target variance lower bounds, one array per parameter family."""
+    """Per-target variance lower bounds, one (K,) or (B, K) array per family."""
 
     theta: np.ndarray   # rad^2
     doppler: np.ndarray  # Hz^2
     delay: np.ndarray   # s^2
 
 
-def parameter_jacobian(truth: SceneTruth, channel: ChannelMatrix,
-                       profile: PhaseProfile, combiner: np.ndarray,
-                       waveform: WaveformConfig,
-                       arrays: ArrayConfig) -> np.ndarray:
-    """Model derivative of one phase per stacked parameter at ``truth``,
-    one flattened (P, M, L) tensor per row (3K x P*M*L, rows in
-    parameter_index order).
+def _term_rows(n_targets: int) -> np.ndarray:
+    """Map S (4K x 3K) from Jacobian terms to rows: a direction row sums its
+    pulse and antenna terms, a Doppler or delay row is one term."""
+    return np.eye(3 * n_targets)[np.r_[0:n_targets, 0:3 * n_targets]]
 
-    Direction enters the antenna factor through the relayed steering
-    vector and the pulse factor through the combined response; Doppler
-    multiplies each pulse entry by its ramp rate; delay multiplies each
-    subcarrier entry by its tone rate.  The other modes keep their base
-    columns, and gains are held fixed.
+
+def jacobian_terms(truth: SceneTruth, channel: ChannelMatrix,
+                   profile: PhaseProfile, combiner: np.ndarray,
+                   waveform: WaveformConfig, arrays: ArrayConfig,
+                   factors: FactorTriple | None = None) -> tuple[np.ndarray, ...]:
+    """Factors X (P x 4K), Y (M x 4K), Z (L x 4K) of one phase's Jacobian
+    terms x_t o y_t o z_t, in blocks of K targets: direction through the
+    combined pulse response, direction through the relayed steering
+    vector, Doppler (each pulse times its ramp rate) and delay (each
+    subcarrier times its tone rate).  The other modes keep their base
+    columns (``factors``), and gains are held fixed.  A stacked truth,
+    channel and combiner give a stack of terms.
     """
-    factors = build_factor_matrices(truth, channel, profile, combiner,
-                                    waveform, arrays)
+    factors = factors or build_factor_matrices(truth, channel, profile,
+                                               combiner, waveform, arrays)
     a, b, c = (factors.pulse_factor, factors.antenna_factor,
                factors.subcarrier_factor)
     d_antenna = relayed_response(
@@ -83,71 +90,95 @@ def parameter_jacobian(truth: SceneTruth, channel: ChannelMatrix,
     pulse_rate = 2j * np.pi * np.arange(1, waveform.n_pulses + 1) * waveform.pri_s
     tone_rate = (-2j * np.pi * np.arange(1, waveform.n_subcarriers + 1)
                  * waveform.subcarrier_spacing_hz)
+    d_pulse = (combiner.swapaxes(-1, -2) @ d_antenna) * ramps
+    return (np.concatenate([d_pulse, a, a * pulse_rate[:, None], a], axis=-1),
+            np.concatenate([b, d_antenna, b, b], axis=-1),
+            np.concatenate([c, c, c, c * tone_rate[:, None]], axis=-1))
 
-    def rank_one_rows(x, y, z):     # row k: outer product of x_k, y_k, z_k
-        return (x.T[:, :, None, None] * y.T[:, None, :, None]
-                * z.T[:, None, None, :]).reshape(x.shape[1], -1)
 
-    return np.concatenate([
-        rank_one_rows((combiner.T @ d_antenna) * ramps, b, c)
-        + rank_one_rows(a, d_antenna, c),
-        rank_one_rows(a * pulse_rate[:, None], b, c),
-        rank_one_rows(a, b, c * tone_rate[:, None])])
+def parameter_jacobian(truth: SceneTruth, channel: ChannelMatrix,
+                       profile: PhaseProfile, combiner: np.ndarray,
+                       waveform: WaveformConfig,
+                       arrays: ArrayConfig) -> np.ndarray:
+    """Model derivative of one phase per stacked parameter at ``truth``,
+    one flattened (P, M, L) tensor per row (3K x P*M*L, rows in
+    parameter_index order), summed from the terms of jacobian_terms.
+    """
+    terms = np.einsum("...pt,...mt,...lt->...tpml", *jacobian_terms(
+        truth, channel, profile, combiner, waveform, arrays))
+    return _term_rows(truth.n_targets).T @ terms.reshape(*terms.shape[:-3], -1)
 
 
 def compute_fim(truth: SceneTruth, channel: ChannelMatrix,
                 profiles: Sequence[PhaseProfile], combiner: np.ndarray,
                 waveform: WaveformConfig, arrays: ArrayConfig,
-                noise_variances: Sequence[float]) -> FimMatrix:
+                noise_variances: Sequence[float] | np.ndarray,
+                factors: Sequence[FactorTriple] | None = None) -> FimMatrix:
     """Information matrix for the stacked direction/Doppler/delay vector.
 
-    Sums the per-phase contributions and symmetrizes.  An ill-conditioned
-    result is reported through the stored condition number rather than
-    hidden; inversion happens only in compute_crb.
+    Each phase adds (2/sigma^2) S^T Re(X^H X * Y^H Y * Z^H Z) S (* is
+    elementwise; jacobian_terms, _term_rows), the Gram matrix of the
+    Jacobian rows without forming them: <x o y o z, x' o y' o z'> =
+    (x^H x')(y^H y')(z^H z').  A stacked point with one noise variance per
+    phase and draw gives one matrix per draw.  Ill-conditioning is
+    reported through the condition number; compute_crb inverts.
     """
-    if len(profiles) != len(noise_variances):
+    sigma_sq = np.asarray(noise_variances, float)
+    if len(profiles) != len(sigma_sq):
         raise ValueError("need one noise variance per phase")
-    if any(s <= 0 for s in noise_variances):
+    if np.any(sigma_sq <= 0):
         raise ValueError("noise variances must be positive")
-    n_targets = truth.n_targets
-    omega = np.zeros((3 * n_targets, 3 * n_targets))
-    for profile, sigma_sq in zip(profiles, noise_variances):
-        jac = parameter_jacobian(truth, channel, profile, combiner, waveform,
-                                 arrays)
-        omega += (2.0 / sigma_sq) * (jac.conj() @ jac.T).real
-    omega = 0.5 * (omega + omega.T)
-    return FimMatrix(omega=omega, n_targets=n_targets,
+    rows = _term_rows(truth.n_targets)
+    omega = 0.0
+    for profile, s, phase in zip(profiles, sigma_sq,
+                                 factors or (None,) * len(profiles)):
+        x, y, z = (t.conj().swapaxes(-1, -2) @ t for t in jacobian_terms(
+            truth, channel, profile, combiner, waveform, arrays, phase))
+        omega = omega + 2.0 / s[..., None, None] * (rows.T @ (x * y * z).real
+                                                    @ rows)
+    omega = 0.5 * (omega + omega.swapaxes(-1, -2))
+    return FimMatrix(omega=omega, n_targets=truth.n_targets,
                      condition_number=_equilibrated_condition(omega))
 
 
-def _equilibrated_condition(omega: np.ndarray) -> float:
-    """Condition number after diagonal scaling to unit diagonal.
+def _unit_diagonal(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix scaled to unit diagonal, and the square-root diagonal."""
+    scale = np.sqrt(np.diagonal(omega, axis1=-2, axis2=-1))
+    return omega / (scale[..., :, None] * scale[..., None, :]), scale
+
+
+def _equilibrated_condition(omega: np.ndarray):
+    """Condition number after diagonal scaling to unit diagonal, per draw.
 
     The stacked parameters carry different physical units, so the raw
     matrix is badly scaled even when every parameter is comfortably
     identifiable.  Scaling by the square roots of the diagonal removes
     the unit disparity; what remains measures genuine coupling.
     """
-    diag = np.diag(omega)
-    if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-        return math.inf
-    scale = np.sqrt(diag)
-    return float(np.linalg.cond(omega / np.outer(scale, scale)))
+    diag = np.diagonal(omega, axis1=-2, axis2=-1)
+    ok = (diag > 0).all(axis=-1) & np.isfinite(diag).all(axis=-1)
+    cond = np.full(ok.shape, math.inf)
+    cond[ok] = np.linalg.cond(_unit_diagonal(omega[ok])[0])
+    return cond[()]
 
 
 def compute_crb(fim: FimMatrix) -> CrbBounds:
-    """Diagonal of the inverse information matrix, split by family."""
-    if not np.isfinite(fim.condition_number) \
-            or fim.condition_number > FIM_CONDITION_LIMIT:
+    """Diagonal of the inverse information matrix, split by family.
+
+    One draw that fails the condition check raises SingularFim; in a stack
+    of draws, such a draw gets NaN bounds and the others are kept.
+    """
+    cond = np.asarray(fim.condition_number)
+    ok = np.isfinite(cond) & (cond <= FIM_CONDITION_LIMIT)
+    if cond.ndim == 0 and not ok:
         raise SingularFim(f"condition number {fim.condition_number:.3e} "
                           f"exceeds {FIM_CONDITION_LIMIT:.0e}")
-    scale = np.sqrt(np.diag(fim.omega))
-    scaled = fim.omega / np.outer(scale, scale)
-    diag = np.diag(np.linalg.inv(scaled)) / scale ** 2
+    diag = np.full(fim.omega.shape[:-1], math.nan)
+    scaled, scale = _unit_diagonal(fim.omega[ok])
+    diag[ok] = np.diagonal(np.linalg.inv(scaled), axis1=-2, axis2=-1) / scale ** 2
     k = fim.n_targets
-    return CrbBounds(theta=diag[0:k].copy(),
-                     doppler=diag[k:2 * k].copy(),
-                     delay=diag[2 * k:3 * k].copy())
+    return CrbBounds(theta=diag[..., 0:k], doppler=diag[..., k:2 * k],
+                     delay=diag[..., 2 * k:3 * k])
 
 
 def log_likelihood(observed: Sequence[np.ndarray],

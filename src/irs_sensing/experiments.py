@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -19,11 +19,12 @@ import numpy as np
 
 from .config import FullConfig, with_overrides
 from .crb import compute_crb, compute_fim
-from .errors import ConfigError, EstimationError, SingularFim
+from .errors import ConfigError, EstimationError
 from .estimation import TargetEstimate, estimate_trials, greedy_match
 from .scene import (ScenePoint, SceneTruth, design_phase_profiles,
-                    draw_scene_point, stack_channels)
-from .synthesis import apply_noise, echo_tensors
+                    draw_scene_point, stack_points, validate_scene)
+from .synthesis import (apply_noise, build_factor_matrices, noise_sigma_for_snr,
+                        synthesize_echo_tensor)
 
 PARAMETER_LABELS = ("theta", "nu", "tau")
 
@@ -117,7 +118,7 @@ def resolve_sweep_point(spec: ExperimentSpec, config: FullConfig,
     """Configuration and noise level at one sweep position.
 
     An invalid configuration raises ConfigError here; the scene itself is
-    validated when its truth is drawn.
+    validated by the caller, before it is drawn.
     """
     cfg = config
     if spec.n_targets is not None:
@@ -152,36 +153,37 @@ class _Accumulator:
         return self.sq_sums / (self.used * n_targets)
 
 
-def _point_crb(point: ScenePoint, cfg: FullConfig,
-               noise_vars: tuple[float, ...]) -> np.ndarray:
-    """Mean-over-targets bound per parameter family; NaN when unavailable."""
-    if any(not (v > 0) for v in noise_vars):
-        return np.full(3, math.nan)
-    try:
-        bounds = compute_crb(compute_fim(*point, cfg.waveform, cfg.arrays,
-                                         noise_vars))
-    except SingularFim:
-        return np.full(3, math.nan)
-    return np.array([bounds.theta.mean(), bounds.doppler.mean(),
-                     bounds.delay.mean()])
+def _draw_crbs(point: ScenePoint, factors: list, cfg: FullConfig, snr_db: float,
+               clean: list) -> np.ndarray:
+    """Mean-over-targets bound per draw of a stacked point and parameter
+    family, at each draw's noise level; NaN for a draw without one."""
+    noise_vars = np.array([[noise_sigma_for_snr(t, snr_db) ** 2 for t in draw]
+                           for draw in clean]).T
+    if not (noise_vars > 0).all():
+        return np.full((len(clean), 3), math.nan)
+    bounds = compute_crb(compute_fim(*point, cfg.waveform, cfg.arrays,
+                                     noise_vars, factors))
+    return np.stack([bounds.theta.mean(-1), bounds.doppler.mean(-1),
+                     bounds.delay.mean(-1)], axis=-1)
 
 
 def run_experiment(spec: ExperimentSpec,
                    config: FullConfig) -> list[ResultRow]:
     """Execute every sweep position and aggregate per-parameter rows.
 
-    Per position: the scene truth and channel are drawn once from the seed
-    (redrawn each trial only when the preset asks for fading averaging),
-    each trial adds fresh noise, runs the estimation pipeline, and pairs
-    estimates with its own truth by delay.  ``TRIAL_STACK`` trials run as
-    one estimator stack, which changes no number; redrawn channels and
-    combiners are stacked along a leading trial axis.  Estimator failures
-    are counted and excluded from the error average rather than crashing
-    the sweep.
+    Per position: the scene is validated once, the scene truth and channel
+    are drawn once from the seed (redrawn each trial only when the preset
+    asks for fading averaging), each trial adds fresh noise, runs the
+    estimation pipeline, and pairs estimates with its own truth by delay.
+    ``TRIAL_STACK`` trials run as one estimator stack, and their draws as
+    one stacked pass of the factors, clean tensors and bound (a frozen
+    point is a stack of one draw).  Estimator failures are counted and
+    excluded from the error average rather than crashing the sweep.
     """
     rows: list[ResultRow] = []
     for sweep_idx, value in enumerate(spec.sweep_values):
         cfg, snr_db = resolve_sweep_point(spec, config, value)
+        validate_scene(cfg.scene, cfg.waveform, cfg.arrays)
         k_total = len(cfg.scene.targets)
         profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
                                          cfg.scene.n_subarrays)
@@ -190,32 +192,30 @@ def run_experiment(spec: ExperimentSpec,
         if spec.compare_single_phase:
             methods.append("single_phase")
         accs = {name: _Accumulator() for name in methods}
-        crb_sum = np.zeros(3)
-        crb_draws = 0
+        crbs = []
 
         for first in range(0, spec.trials, TRIAL_STACK):
-            points, stack = [], []
-            for trial in range(first, min(first + TRIAL_STACK, spec.trials)):
-                rng = np.random.default_rng((spec.seed, sweep_idx, trial))
-                new_point = spec.redraw_fading or trial == 0
-                if new_point:
-                    point = draw_scene_point(
-                        cfg, profiles, rng if spec.redraw_fading
-                        else np.random.default_rng(spec.seed))
-                    clean = echo_tensors(*point, cfg.waveform, cfg.arrays)
-                tensors = [apply_noise(t, snr_db, rng) for t in clean]
-                if new_point:
-                    crb_point = _point_crb(
-                        point, cfg, tuple(t.noise_sigma ** 2 for t in tensors))
-                    if np.isfinite(crb_point).all():
-                        crb_sum += crb_point
-                        crb_draws += 1
-                points.append(point)
-                stack.append(tensors)
-            channel, combiner = point.channel, point.combiner
-            if spec.redraw_fading:
-                channel = stack_channels([p.channel for p in points])
-                combiner = np.stack([p.combiner for p in points])
+            rngs = [np.random.default_rng((spec.seed, sweep_idx, trial)) for trial
+                    in range(first, min(first + TRIAL_STACK, spec.trials))]
+            if spec.redraw_fading or first == 0:
+                draws = [draw_scene_point(cfg, profiles, rng) for rng in (
+                    rngs if spec.redraw_fading
+                    else [np.random.default_rng(spec.seed)])]
+                point = stack_points(draws)
+                factors = [build_factor_matrices(point.truth, point.channel, p,
+                                                 point.combiner, cfg.waveform,
+                                                 cfg.arrays) for p in profiles]
+                phases = [synthesize_echo_tensor(f, p.phase_index)
+                          for f, p in zip(factors, profiles)]
+                clean = [[replace(t, data=t.data[b]) for t in phases]
+                         for b in range(len(draws))]
+                crbs.extend(_draw_crbs(point, factors, cfg, snr_db, clean))
+            # a frozen point's one draw serves every trial
+            stack = [[apply_noise(t, snr_db, rng) for t in clean[b % len(draws)]]
+                     for b, rng in enumerate(rngs)]
+            channel, combiner = ((point.channel, point.combiner)
+                                 if spec.redraw_fading
+                                 else (draws[0].channel, draws[0].combiner))
             outcomes = estimate_trials(
                 [t[0] for t in stack], [t[1] for t in stack], k_total,
                 cfg.scene.doa_prior_rad, channel, profiles, combiner,
@@ -223,15 +223,16 @@ def run_experiment(spec: ExperimentSpec,
                 [name == "single_phase" for name in methods])
             for name, results in zip(methods, outcomes):
                 acc = accs[name]
-                for estimates, point_b in zip(results, points):
+                for b, estimates in enumerate(results):
                     if isinstance(estimates, EstimationError):
                         acc.failures += 1
                         continue
-                    acc.sq_sums += _squared_errors(estimates, point_b.truth)
+                    acc.sq_sums += _squared_errors(
+                        estimates, draws[b % len(draws)].truth)
                     acc.used += 1
 
-        crb_point = (crb_sum / crb_draws if crb_draws
-                     else np.full(3, math.nan))
+        crbs = np.array([c for c in crbs if np.isfinite(c).all()])
+        crb_point = crbs.mean(axis=0) if len(crbs) else np.full(3, math.nan)
         for name in methods:
             acc = accs[name]
             mse = acc.mse(k_total)

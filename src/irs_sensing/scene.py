@@ -10,7 +10,7 @@ it.  With the reference layout (surface at (100, 100), targets around
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,6 +26,12 @@ PL_SLOPE_DB = 20.0
 PL_SHADOW_STD_DB = 5.8
 
 
+def trials_first(outer: np.ndarray) -> np.ndarray:
+    """An (N, B, K) outer product over a (B, K) stack of parameters as a
+    stack of B N x K matrices; one for a scalar or 1-D parameter as is."""
+    return outer if outer.ndim < 3 else outer.swapaxes(0, 1)
+
+
 def steering_vector(theta, n_elem: int, spacing: float,
                     wavelength: float) -> np.ndarray:
     """Unit-norm ULA response; element n carries phase 2*pi*n*d*sin(theta)/lambda.
@@ -36,8 +42,7 @@ def steering_vector(theta, n_elem: int, spacing: float,
     """
     n = np.arange(n_elem)
     phase = np.multiply.outer(2j * np.pi * n * spacing, np.sin(theta)) / wavelength
-    steer = np.exp(phase) / math.sqrt(n_elem)
-    return steer if steer.ndim < 3 else steer.swapaxes(0, 1)
+    return trials_first(np.exp(phase) / math.sqrt(n_elem))
 
 
 def steering_derivative(theta, n_elem: int, spacing: float,
@@ -45,7 +50,7 @@ def steering_derivative(theta, n_elem: int, spacing: float,
     """Elementwise derivative of steering_vector with respect to the angle."""
     n = np.arange(n_elem)
     scale = np.multiply.outer(2j * np.pi * n * spacing, np.cos(theta)) / wavelength
-    return steering_vector(theta, n_elem, spacing, wavelength) * scale
+    return steering_vector(theta, n_elem, spacing, wavelength) * trials_first(scale)
 
 
 def angle_from_broadside(origin, point) -> float:
@@ -59,7 +64,7 @@ def angle_from_broadside(origin, point) -> float:
 
 @dataclass(frozen=True)
 class SceneTruth:
-    """Ground-truth parameters, one array over the targets per parameter."""
+    """Ground-truth parameters, one (K,) or stacked (B, K) array per parameter."""
 
     theta_rad: np.ndarray
     range_m: np.ndarray
@@ -70,7 +75,7 @@ class SceneTruth:
 
     @property
     def n_targets(self) -> int:
-        return len(self.theta_rad)
+        return self.theta_rad.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -233,9 +238,9 @@ def derive_target_truth(scene: SceneConfig, waveform: WaveformConfig,
 
     The lumped gain multiplies the transmit amplitude, two independent
     shadowed leg draws (surface->target and back), the carrier phase of the
-    total delay, the modulation symbol, and the symbol duration.
+    total delay, the modulation symbol, and the symbol duration.  The
+    caller validates the scene first (validate_scene).
     """
-    validate_scene(scene, waveform, arrays)
     tau0 = 2 * ap_irs_distance(scene) / SPEED_OF_LIGHT
     params = []     # (direction, range, delay, Doppler, gain) per target
     for tgt in scene.targets:
@@ -279,14 +284,15 @@ def build_rician_channel(g_los: ChannelMatrix, rician_db: float | None,
     """
     if rician_db is None or math.isinf(rician_db):
         return g_los
+    half = np.pi / 2
+    paths = [(rng.uniform(-half, half), rng.uniform(-half, half),   # aoa, aod,
+              _complex_normal(rng)) for _ in range(n_nlos)]         # gain
+    a_irs = steering_vector(np.array([p[0] for p in paths]), *arrays.surface)
+    a_ap = steering_vector(np.array([p[1] for p in paths]), arrays.n_ap_antennas,
+                           arrays.element_spacing_m, arrays.wavelength_m)
     scattered = np.zeros_like(g_los.matrix)
-    for _ in range(n_nlos):
-        aoa = rng.uniform(-np.pi / 2, np.pi / 2)
-        aod = rng.uniform(-np.pi / 2, np.pi / 2)
-        a_irs = steering_vector(aoa, *arrays.surface)
-        a_ap = steering_vector(aod, arrays.n_ap_antennas,
-                               arrays.element_spacing_m, arrays.wavelength_m)
-        scattered = scattered + _complex_normal(rng) * np.outer(a_irs, a_ap.conj())
+    for (_, _, gain), u, v in zip(paths, a_irs.T, a_ap.T):
+        scattered = scattered + gain * np.outer(u, v.conj())
     norm_s = np.linalg.norm(scattered)
     if norm_s > 0:
         scattered = scattered * (np.linalg.norm(g_los.matrix) / norm_s)
@@ -361,7 +367,7 @@ def draw_scene_point(cfg: FullConfig, profiles: tuple[PhaseProfile, PhaseProfile
                      rng: np.random.Generator) -> ScenePoint:
     """Draw the truth, then the line-of-sight channel, then its scattered
     paths (when ``rician_k_db`` is set) from ``rng``; the transmit weights
-    follow from the channel.  Validation happens in derive_target_truth.
+    follow from the channel.  The caller validates the scene first.
     """
     truth = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays, rng)
     channel = build_rician_channel(build_los_channel(cfg.scene, cfg.arrays, rng),
@@ -369,3 +375,11 @@ def draw_scene_point(cfg: FullConfig, profiles: tuple[PhaseProfile, PhaseProfile
                                    cfg.arrays, rng)
     return ScenePoint(truth, channel, profiles,
                       design_beamformers(channel, cfg.waveform.n_pulses))
+
+
+def stack_points(points: Sequence[ScenePoint]) -> ScenePoint:
+    """The draws of B trials as one point along a leading trial axis."""
+    truth = SceneTruth(*(np.stack([getattr(p.truth, f.name) for p in points])
+                         for f in fields(SceneTruth)))
+    return ScenePoint(truth, stack_channels([p.channel for p in points]),
+                      points[0].profiles, np.stack([p.combiner for p in points]))

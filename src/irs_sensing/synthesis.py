@@ -25,14 +25,14 @@ from .config import ArrayConfig, WaveformConfig
 from .cpd import FactorTriple, cp_reconstruct
 from .errors import DimensionMismatch, InsufficientSampling
 from .scene import (ChannelMatrix, PhaseProfile, SceneTruth, relayed_response,
-                    steering_vector)
+                    steering_vector, trials_first)
 
 
 @dataclass(frozen=True)
 class EchoTensor:
     """One phase's observation tensor with its noise bookkeeping."""
 
-    data: np.ndarray         # complex, shape (P, M, L)
+    data: np.ndarray         # complex, (P, M, L); (B, P, M, L) for a stack
     phase_index: int
     noise_sigma: float       # per-entry complex noise standard deviation
 
@@ -44,20 +44,20 @@ class EchoTensor:
 def doppler_ramp(doppler_hz, n_pulses: int, pri_s: float) -> np.ndarray:
     """Per-pulse phase progression exp(j*2*pi*p*pri*doppler), p = 1..P.
 
-    A 1-D array of G Dopplers gives a P x G matrix of ramps.
+    A 1-D array of G Dopplers gives a P x G matrix, a (B, K) array B P x K.
     """
     p = np.arange(1, n_pulses + 1)
-    return np.exp(np.multiply.outer(2j * np.pi * p * pri_s, doppler_hz))
+    return trials_first(np.exp(np.multiply.outer(2j * np.pi * p * pri_s, doppler_hz)))
 
 
 def delay_signature(delay_s, n_subcarriers: int,
                     spacing_hz: float) -> np.ndarray:
     """Per-subcarrier phase exp(-j*2*pi*l*df*delay), l = 1..L.
 
-    A 1-D array of K delays gives an L x K matrix of signatures.
+    A 1-D array of K delays gives an L x K matrix, a (B, K) array B L x K.
     """
     l = np.arange(1, n_subcarriers + 1)
-    return np.exp(np.multiply.outer(-2j * np.pi * l * spacing_hz, delay_s))
+    return trials_first(np.exp(np.multiply.outer(-2j * np.pi * l * spacing_hz, delay_s)))
 
 
 def build_factor_matrices(truth: SceneTruth, channel: ChannelMatrix,
@@ -69,16 +69,16 @@ def build_factor_matrices(truth: SceneTruth, channel: ChannelMatrix,
     Both phases share the targets' angles, delays, Dopplers, and gains;
     only the reflection profile (and hence b and z) changes.  The gains
     sit in the subcarrier factor, and the generators are its unit-gain
-    first row.
+    first row.  A stacked point (scene.stack_points) gives stacked factors.
     """
     n_irs = arrays.n_irs_elements
     n_ap = arrays.n_ap_antennas
-    if channel.matrix.shape != (n_irs, n_ap):
+    if channel.matrix.shape[-2:] != (n_irs, n_ap):
         raise DimensionMismatch(f"channel shape {channel.matrix.shape} != "
                                 f"({n_irs}, {n_ap})")
     if profile.phases.shape != (n_irs,):
         raise DimensionMismatch("profile length != element count")
-    if combiner.shape != (n_ap, waveform.n_pulses):
+    if combiner.shape[-2:] != (n_ap, waveform.n_pulses):
         raise DimensionMismatch(f"combiner shape {combiner.shape} != "
                                 f"({n_ap}, {waveform.n_pulses})")
 
@@ -87,10 +87,10 @@ def build_factor_matrices(truth: SceneTruth, channel: ChannelMatrix,
     ramps = doppler_ramp(truth.doppler_hz, waveform.n_pulses, waveform.pri_s)
     signatures = delay_signature(truth.delay_s, waveform.n_subcarriers,
                                  waveform.subcarrier_spacing_hz)
-    return FactorTriple(pulse_factor=(combiner.T @ antenna) * ramps,
+    return FactorTriple(pulse_factor=(combiner.swapaxes(-1, -2) @ antenna) * ramps,
                         antenna_factor=antenna,
-                        subcarrier_factor=truth.gain * signatures,
-                        generators=signatures[0])
+                        subcarrier_factor=truth.gain[..., None, :] * signatures,
+                        generators=signatures[..., 0, :])
 
 
 def synthesize_echo_tensor(factors: FactorTriple,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from irs_sensing.config import default_config
-from irs_sensing.scene import design_phase_profiles, draw_scene_point
+from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
+                               validate_scene)
 from irs_sensing.synthesis import build_factor_matrices, echo_tensors
 
 SCENE_SEED = 7
@@ -32,6 +33,7 @@ def profiles(cfg):
 
 @pytest.fixture(scope="session")
 def scene_point(cfg, profiles):
+    validate_scene(cfg.scene, cfg.waveform, cfg.arrays)
     return draw_scene_point(cfg, profiles, np.random.default_rng(SCENE_SEED))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import irs_sensing.crb as crb_mod
-from irs_sensing.config import ArrayConfig
+from irs_sensing.config import ArrayConfig, default_config, with_overrides
 from irs_sensing.cpd import cp_reconstruct
 from irs_sensing.crb import (FIM_CONDITION_LIMIT, compute_crb, compute_fim,
                              log_likelihood, mc_score_covariance,
@@ -14,7 +14,9 @@ from irs_sensing.crb import (FIM_CONDITION_LIMIT, compute_crb, compute_fim,
                              score_fd_check)
 from irs_sensing.errors import SingularFim
 from irs_sensing.scene import (build_los_channel, derive_target_truth,
-                               design_beamformers, steering_derivative)
+                               design_beamformers, design_phase_profiles,
+                               draw_scene_point, stack_points,
+                               steering_derivative, validate_scene)
 from irs_sensing.synthesis import (build_factor_matrices, echo_tensors,
                                    noise_sigma_for_snr)
 
@@ -207,6 +209,80 @@ def test_fim_adds_over_phases(cfg, truth, channel, profiles, combiner,
                          cfg.waveform, cfg.arrays, noise_vars[i:i + 1]).omega
              for i in (0, 1)]
     np.testing.assert_allclose(parts[0] + parts[1], fim.omega, rtol=1e-12)
+
+
+def _unit_diagonal_gap(got, want):
+    """Largest entrywise gap of two information matrices (or stacks), each
+    entry relative to the geometric mean of its two diagonal entries."""
+    diag = np.sqrt(np.diagonal(want, axis1=-2, axis2=-1))
+    return np.max(np.abs(got - want) / (diag[..., :, None] * diag[..., None, :]))
+
+
+def test_gram_fim_equals_the_jacobian_gram(cfg, truth, channel, profiles,
+                                           combiner, noise_vars):
+    """Each phase's factor-Gram matrix is (2/sigma^2) Re(J* J^T) of the
+    materialized Jacobian."""
+    for profile, sigma_sq in zip(profiles, noise_vars):
+        args = (channel, profile, combiner, cfg.waveform, cfg.arrays)
+        jac = parameter_jacobian(truth, *args)
+        want = (2.0 / sigma_sq) * (jac.conj() @ jac.T).real
+        got = compute_fim(truth, channel, [profile], combiner, cfg.waveform,
+                          cfg.arrays, [sigma_sq]).omega
+        assert _unit_diagonal_gap(got, 0.5 * (want + want.T)) < 1e-13
+
+
+def _mixed_stack(n_targets):
+    """Five draws, the second and fourth on a line-of-sight channel and the
+    others Rician, with noise variances that differ per draw and phase."""
+    base = default_config()
+    base = with_overrides(base, targets=base.scene.targets[:n_targets])
+    rician = with_overrides(base, rician_k_db=5.0)
+    validate_scene(base.scene, base.waveform, base.arrays)
+    profiles = design_phase_profiles(base.scene.doa_prior_rad, base.arrays,
+                                     base.scene.n_subarrays)
+    points = [draw_scene_point(base if b in (1, 3) else rician, profiles,
+                               np.random.default_rng((12, b)))
+              for b in range(5)]
+    noise_vars = np.array([[noise_sigma_for_snr(t, 3.0 * b) ** 2 for t in
+                            echo_tensors(*p, base.waveform, base.arrays)]
+                           for b, p in enumerate(points)])
+    return base, points, noise_vars
+
+
+@pytest.mark.parametrize("n_targets", [1, 2])
+def test_stacked_fim_equals_the_one_draw_calls(n_targets):
+    cfg, points, noise_vars = _mixed_stack(n_targets)
+    stacked = compute_fim(*stack_points(points), cfg.waveform, cfg.arrays,
+                          noise_vars.T)
+    bounds = compute_crb(stacked)
+    assert stacked.omega.shape == (5, 3 * n_targets, 3 * n_targets)
+    for b, point in enumerate(points):
+        alone = compute_fim(*point, cfg.waveform, cfg.arrays, noise_vars[b])
+        assert _unit_diagonal_gap(stacked.omega[b], alone.omega) < 1e-13
+        assert stacked.condition_number[b] == pytest.approx(
+            alone.condition_number, rel=1e-10)
+        want = compute_crb(alone)
+        for name in ("theta", "doppler", "delay"):
+            np.testing.assert_allclose(getattr(bounds, name)[b],
+                                       getattr(want, name), rtol=1e-13)
+
+
+def test_singular_draw_in_a_stack_gets_nan_alone(cfg, scene_point,
+                                                  noise_vars):
+    """A twin-target draw fails the condition check without a warning;
+    the other draws of its stack keep the bounds they have alone."""
+    twin = scene_point._replace(truth=take_targets(scene_point.truth, [0, 0]))
+    points = [scene_point, twin, scene_point]
+    bounds = compute_crb(compute_fim(*stack_points(points), cfg.waveform,
+                                     cfg.arrays, np.tile(noise_vars, (3, 1)).T))
+    alone = compute_crb(compute_fim(*scene_point, cfg.waveform, cfg.arrays,
+                                    noise_vars))
+    for name in ("theta", "doppler", "delay"):
+        got = getattr(bounds, name)
+        assert np.isnan(got[1]).all()
+        for b in (0, 2):
+            np.testing.assert_allclose(got[b], getattr(alone, name),
+                                       rtol=1e-13)
 
 
 def test_fim_input_validation(cfg, truth, channel, profiles, combiner,

@@ -180,6 +180,53 @@ def test_scene_point_drawn_once_per_frozen_point_or_fading_trial(monkeypatch):
     assert len(calls) == 4
 
 
+def test_scene_validated_once_per_sweep_point(monkeypatch):
+    """No draw validates the scene again: one check per sweep point, for
+    the redrawn and the frozen presets alike."""
+    import irs_sensing.experiments as experiments
+    import irs_sensing.scene as scene
+    calls = []
+    real = scene.validate_scene
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "validate_scene", counted)
+    monkeypatch.setattr(scene, "validate_scene", counted)
+    run_experiment(build_spec("rician_comparison", trials=2, seed=3),
+                   default_config())
+    assert len(calls) == 3
+    calls.clear()
+    run_experiment(build_spec("mse_vs_pulses", trials=2, seed=3),
+                   default_config())
+    assert len(calls) == 4
+
+
+def test_bound_computed_once_per_stack_of_draws(monkeypatch):
+    """A fading point computes one information matrix per stack of
+    draws, a frozen point one in all."""
+    import irs_sensing.experiments as experiments
+    shapes = []
+    real = experiments.compute_fim
+
+    def counted(truth, *args):
+        shapes.append(truth.theta_rad.shape)
+        return real(truth, *args)
+
+    monkeypatch.setattr(experiments, "compute_fim", counted)
+    trials = experiments.TRIAL_STACK + 1
+    spec = dataclasses.replace(build_spec("rician_comparison", trials=trials,
+                                          seed=3), sweep_values=(5.0,))
+    run_experiment(spec, default_config())
+    assert shapes == [(experiments.TRIAL_STACK, 1), (1, 1)]
+    shapes.clear()
+    run_experiment(dataclasses.replace(build_spec("mse_vs_pulses", trials=trials,
+                                                  seed=3), sweep_values=(10,)),
+                   default_config())
+    assert shapes == [(1, 2)]
+
+
 # ---------------------------------------------------------------- emission
 
 def _sample_rows():

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from irs_sensing.config import SPEED_OF_LIGHT, default_config, with_overrides
 from irs_sensing.errors import (DuplicateParameter, InfeasibleTiming,
                                 OutOfRange)
-from irs_sensing.scene import (ap_irs_distance, build_los_channel,
+from irs_sensing.scene import (_complex_normal, ap_irs_distance,
+                               build_los_channel,
                                build_rician_channel, derive_target_truth,
                                design_beamformers, design_phase_profiles,
                                sensing_limits, steering_derivative,
@@ -106,6 +107,23 @@ def test_steering_derivative_matches_finite_difference(cfg):
     assert steering_derivative(0.0, *args)[0] == 0
 
 
+def test_steering_of_a_stack_equals_its_one_row_calls(cfg):
+    """Columns of a 1-D angle array equal the scalar calls, and each row of
+    a (B, K) stack the call on that row alone, bit for bit."""
+    args = (cfg.arrays.n_irs_elements, cfg.arrays.element_spacing_m,
+            cfg.arrays.wavelength_m)
+    angles = np.random.default_rng(4).uniform(-1.5, 1.5, 48)
+    grid = steering_vector(angles, *args)
+    assert all(np.array_equal(grid[:, g], steering_vector(a, *args))
+               for g, a in enumerate(angles))
+    for theta in (angles.reshape(16, 3), angles[:16].reshape(16, 1)):
+        for fn in (steering_vector, steering_derivative):
+            stacked = fn(theta, *args)
+            assert stacked.shape == (len(theta), args[0], theta.shape[1])
+            assert all(np.array_equal(stacked[b], fn(row, *args))
+                       for b, row in enumerate(theta))
+
+
 def test_leg_gain_statistics(cfg):
     """Per-leg power follows the distance law with log-normal shadowing."""
     rng = np.random.default_rng(0)
@@ -177,6 +195,40 @@ def test_beamformer_matched_to_channel(cfg, channel, combiner):
     v = channel.dominant.v
     gain = abs(np.vdot(w, v.conj())) / (np.linalg.norm(w) * np.linalg.norm(v))
     assert gain == pytest.approx(1.0, abs=1e-12)
+
+
+def _scattered_reference(g_los, rician_db, n_nlos, arrays, rng):
+    """build_rician_channel's matrix with one scalar steering call per path
+    and side, drawing aoa, aod, then the gain of each path in turn."""
+    scattered = np.zeros_like(g_los.matrix)
+    for _ in range(n_nlos):
+        aoa = rng.uniform(-np.pi / 2, np.pi / 2)
+        aod = rng.uniform(-np.pi / 2, np.pi / 2)
+        a_irs = steering_vector(aoa, *arrays.surface)
+        a_ap = steering_vector(aod, arrays.n_ap_antennas,
+                               arrays.element_spacing_m, arrays.wavelength_m)
+        scattered = scattered + _complex_normal(rng) * np.outer(a_irs,
+                                                                a_ap.conj())
+    scattered = scattered * (np.linalg.norm(g_los.matrix)
+                             / np.linalg.norm(scattered))
+    k_lin = 10.0 ** (rician_db / 10.0)
+    return (math.sqrt(k_lin / (1 + k_lin)) * g_los.matrix
+            + math.sqrt(1 / (1 + k_lin)) * scattered)
+
+
+def test_rician_paths_match_the_scalar_steering_loop(cfg, channel):
+    """The channel matrix and its dominant triple are those of the scalar
+    per-path loop, bit for bit, over 100 draws."""
+    for seed in range(100):
+        got = build_rician_channel(channel, 5.0, cfg.scene.n_nlos_paths,
+                                   cfg.arrays, np.random.default_rng(seed))
+        want = _scattered_reference(channel, 5.0, cfg.scene.n_nlos_paths,
+                                    cfg.arrays, np.random.default_rng(seed))
+        assert np.array_equal(got.matrix, want)
+        u, s, vh = np.linalg.svd(want)
+        assert got.dominant.sigma == s[0]
+        assert np.array_equal(got.dominant.u, u[:, 0])
+        assert np.array_equal(got.dominant.v, vh[0])
 
 
 def test_rician_channel_power_ratio(cfg, channel):
