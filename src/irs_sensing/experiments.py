@@ -9,9 +9,11 @@ reproducible from its seed.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -167,6 +169,19 @@ def _draw_crbs(point: ScenePoint, factors: list, cfg: FullConfig, snr_db: float,
                      bounds.delay.mean(-1)], axis=-1)
 
 
+@cache
+def _openblas_thread_calls():
+    """Thread-count get and set of NumPy's bundled OpenBLAS; None under another."""
+    for lib in sorted((Path(np.__file__).resolve().parents[1]
+                       / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            calls = [getattr(handle, name.format(op), None) for op in ("get", "set")]
+            if all(calls):
+                return calls
+
+
 def run_experiment(spec: ExperimentSpec,
                    config: FullConfig) -> list[ResultRow]:
     """Execute every sweep position and aggregate per-parameter rows.
@@ -179,7 +194,20 @@ def run_experiment(spec: ExperimentSpec,
     one stacked pass of the factors, clean tensors and bound (a frozen
     point is a stack of one draw).  Estimator failures are counted and
     excluded from the error average rather than crashing the sweep.
+
+    The sweep runs on one OpenBLAS thread, as a second only spins, and restores
+    the caller's count on return or raise; a nested call restores the 1 it found.
     """
+    get, put = _openblas_thread_calls() or (lambda: None, lambda n: None)
+    before = get()
+    put(1)
+    try:
+        return _run_sweep(spec, config)
+    finally:
+        put(before)
+
+
+def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for sweep_idx, value in enumerate(spec.sweep_values):
         cfg, snr_db = resolve_sweep_point(spec, config, value)
@@ -216,6 +244,8 @@ def run_experiment(spec: ExperimentSpec,
             channel, combiner = ((point.channel, point.combiner)
                                  if spec.redraw_fading
                                  else (draws[0].channel, draws[0].combiner))
+            if spec.redraw_fading:
+                del phases, clean  # these draws serve this stack alone
             outcomes = estimate_trials(
                 [t[0] for t in stack], [t[1] for t in stack], k_total,
                 cfg.scene.doa_prior_rad, channel, profiles, combiner,

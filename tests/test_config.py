@@ -2,10 +2,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irs_sensing.config import (SPEED_OF_LIGHT, ArrayConfig, WaveformConfig,
-                                config_from_dict, default_config, load_config,
-                                with_overrides)
+from irs_sensing.config import (_ARRAY_KEYS, _SCENE_KEYS, _TARGET_KEYS,
+                                _WAVEFORM_KEYS, SPEED_OF_LIGHT, ArrayConfig,
+                                FullConfig, WaveformConfig, config_from_dict,
+                                default_config, load_config, with_overrides)
 from irs_sensing.errors import ConfigError
 
 
@@ -114,3 +117,67 @@ def test_target_parsing_errors():
         config_from_dict({"scene": {"targets": [{"radial_velocity_mps": 3}]}})
     with pytest.raises(ConfigError):
         config_from_dict({"scene": {"targets": [{"position_m": [1, 2, 3]}]}})
+
+
+# Any YAML scalar or short list: None, bools, ints, floats with NaN and
+# inf, short strings (numeric ones among them) and lists of these.  Half
+# the values are plausible counts, sizes and pairs instead, and half the
+# values of a pair key are pairs, so that valid sections occur and the keys
+# and sections parsed after them are reached.
+_SCALARS = (st.none() | st.booleans() | st.integers(-10**6, 10**12)
+            | st.floats() | st.text(max_size=4)
+            | st.sampled_from(["1", "2.5", "-3", "60e9", "nan", "inf"]))
+_PAIR = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)
+_VALUES = st.booleans().flatmap(
+    lambda plausible: (st.integers(1, 64) | st.floats(1e-6, 1e11) | _PAIR)
+    if plausible else (_SCALARS | st.lists(_SCALARS, max_size=3)))
+_NOT_A_MAPPING = st.sampled_from([None, 0, 1.5, "x", [], [{}]])
+
+
+def _value(key):
+    if key == "targets":
+        return _TARGETS
+    return _PAIR | _VALUES if key.endswith(("position_m", "_deg")) else _VALUES
+
+
+def _mapping(keys):
+    """A few of ``keys``, at times with a stray one, each with any value.
+    Few keys per mapping let the later keys be reached."""
+    return st.lists(st.sampled_from(sorted(keys) + ["stray"]), max_size=3,
+                    unique=True).flatmap(lambda chosen: st.fixed_dictionaries(
+                        {k: _value(k) for k in chosen}))
+
+
+_TARGETS = st.lists(_mapping(_TARGET_KEYS) | _NOT_A_MAPPING,
+                    min_size=1, max_size=3) | _NOT_A_MAPPING
+_SECTIONS = {name: _mapping(keys) | _NOT_A_MAPPING
+             for name, keys in (("waveform", _WAVEFORM_KEYS),
+                                ("arrays", _ARRAY_KEYS), ("scene", _SCENE_KEYS))}
+# Any subset of the sections, or one section alone: a failure in an early
+# section would otherwise hide the later ones.
+_RAW = st.fixed_dictionaries({}, optional=_SECTIONS) | st.one_of(
+    st.fixed_dictionaries({name: section})
+    for name, section in _SECTIONS.items())
+
+
+@given(raw=_RAW)
+@settings(max_examples=300, deadline=None)
+def test_any_mapping_gives_a_config_or_config_error(raw):
+    """No mapping raises anything but ConfigError; the rest is a FullConfig
+    with an int in every count field and a float in every other number."""
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, FullConfig)
+    scene = cfg.scene
+    fields = [*((k, getattr(cfg.waveform, k)) for k in _WAVEFORM_KEYS),
+              *((k, getattr(cfg.arrays, k)) for k in _ARRAY_KEYS),
+              *((k, getattr(scene, k)) for k in ("n_subarrays", "n_nlos_paths")),
+              *(("pair", x) for x in (*scene.ap_position_m, *scene.irs_position_m,
+                                      *scene.doa_prior_rad)),
+              *(("target", x) for t in scene.targets
+                for x in (*t.position_m, t.radial_velocity_mps, t.rcs))]
+    for name, value in fields:
+        assert type(value) is (int if name.startswith("n_") else float), name
+    assert scene.rician_k_db is None or type(scene.rician_k_db) is float

@@ -2,12 +2,17 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irs_sensing.experiments as experiments
 from irs_sensing.config import default_config
 from irs_sensing.errors import ConfigError
 from irs_sensing.estimation import greedy_match
@@ -162,7 +167,6 @@ def test_run_comparison_preset_emits_both_methods():
 
 def test_scene_point_drawn_once_per_frozen_point_or_fading_trial(monkeypatch):
     """The fading preset draws one point per trial and no unused frozen one."""
-    import irs_sensing.experiments as experiments
     calls = []
     real = experiments.draw_scene_point
 
@@ -183,7 +187,6 @@ def test_scene_point_drawn_once_per_frozen_point_or_fading_trial(monkeypatch):
 def test_scene_validated_once_per_sweep_point(monkeypatch):
     """No draw validates the scene again: one check per sweep point, for
     the redrawn and the frozen presets alike."""
-    import irs_sensing.experiments as experiments
     import irs_sensing.scene as scene
     calls = []
     real = scene.validate_scene
@@ -206,7 +209,6 @@ def test_scene_validated_once_per_sweep_point(monkeypatch):
 def test_bound_computed_once_per_stack_of_draws(monkeypatch):
     """A fading point computes one information matrix per stack of
     draws, a frozen point one in all."""
-    import irs_sensing.experiments as experiments
     shapes = []
     real = experiments.compute_fim
 
@@ -225,6 +227,126 @@ def test_bound_computed_once_per_stack_of_draws(monkeypatch):
                                                   seed=3), sweep_values=(10,)),
                    default_config())
     assert shapes == [(1, 2)]
+
+
+def test_fading_stack_frees_its_clean_tensors_before_estimation(monkeypatch):
+    """A fading stack's clean tensors serve only its own noise and are gone
+    when its estimator runs; a frozen point's serve every stack and stay."""
+    clean, alive = [], []
+    real_synthesize = experiments.synthesize_echo_tensor
+    real_estimate = experiments.estimate_trials
+
+    def synthesize(*args):
+        tensor = real_synthesize(*args)
+        clean.append(weakref.ref(tensor.data))
+        return tensor
+
+    def estimate(*args):
+        alive.append(sum(ref() is not None for ref in clean))
+        return real_estimate(*args)
+
+    monkeypatch.setattr(experiments, "synthesize_echo_tensor", synthesize)
+    monkeypatch.setattr(experiments, "estimate_trials", estimate)
+    trials = experiments.TRIAL_STACK + 1
+    run_experiment(dataclasses.replace(
+        build_spec("rician_comparison", trials=trials, seed=3),
+        sweep_values=(5.0,)), default_config())
+    assert alive == [0, 0]
+    clean.clear()
+    alive.clear()
+    run_experiment(dataclasses.replace(
+        build_spec("mse_vs_pulses", trials=trials, seed=3),
+        sweep_values=(10,)), default_config())
+    assert alive == [2, 2]
+
+
+# ---------------------------------------------------------------- BLAS threads
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread-count getter, with the caller's count set to 2
+    for the test and put back after it."""
+    calls = experiments._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("NumPy does not bundle OpenBLAS here")
+    get, put = calls
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def _spy_on_estimator(monkeypatch, get):
+    """Record the BLAS thread count each estimator stack runs at."""
+    seen = []
+    real = experiments.estimate_trials
+
+    def spy(*args):
+        seen.append(get())
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "estimate_trials", spy)
+    return seen
+
+
+def test_sweep_runs_on_one_blas_thread(monkeypatch, blas_threads):
+    seen = _spy_on_estimator(monkeypatch, blas_threads)
+    run_experiment(build_spec("mse_vs_pulses", trials=2, seed=3),
+                   default_config())
+    assert seen == [1] * 4
+
+
+def test_callers_blas_threads_restored_after_return(monkeypatch, blas_threads):
+    """Also a nested run: it restores the one thread it found."""
+    found = []
+    real = experiments.resolve_sweep_point
+
+    def nested(*args):
+        if not found:
+            found.append(blas_threads())
+            run_experiment(build_spec("mse_vs_snr", trials=1, seed=3),
+                           default_config())
+            found.append(blas_threads())
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "resolve_sweep_point", nested)
+    run_experiment(build_spec("mse_vs_pulses", trials=1, seed=3),
+                   default_config())
+    assert found == [1, 1]
+    assert blas_threads() == 2
+
+
+def test_callers_blas_threads_restored_after_config_error(monkeypatch,
+                                                          blas_threads):
+    seen = _spy_on_estimator(monkeypatch, blas_threads)
+    spec = dataclasses.replace(build_spec("mse_vs_subcarriers", trials=1,
+                                          seed=3), sweep_values=(4, 0))
+    with pytest.raises(ConfigError):
+        run_experiment(spec, default_config())
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+def test_run_without_openblas_gives_the_same_rows(monkeypatch, blas_threads,
+                                                  tiny_rows):
+    """Under another BLAS the threads are left alone and the rows match."""
+    seen = _spy_on_estimator(monkeypatch, blas_threads)
+    monkeypatch.setattr(experiments, "_openblas_thread_calls", lambda: None)
+    spec, rows = tiny_rows
+    again = run_experiment(spec, default_config())
+    assert seen == [2, 2]
+    assert len(again) == len(rows)
+    assert all(_rows_equal(a, b) for a, b in zip(rows, again))
+
+
+def test_import_looks_up_no_blas_library():
+    src = str(Path(experiments.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r});"
+            "import irs_sensing, irs_sensing.cli, irs_sensing.experiments as e;"
+            "print(e._openblas_thread_calls.cache_info().misses)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
 
 
 # ---------------------------------------------------------------- emission
