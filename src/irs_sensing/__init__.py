@@ -12,7 +12,7 @@ from .config import (SPEED_OF_LIGHT, ArrayConfig, FullConfig, SceneConfig,
                      load_config, with_overrides)
 from .cpd import (FactorTriple, UniquenessResult, check_uniqueness,
                   cp_decompose, cp_reconstruct, khatri_rao,
-                  reconstruction_error, unfold)
+                  reconstruction_error)
 from .crb import (CrbBounds, FimMatrix, compute_crb, compute_fim,
                   log_likelihood, mc_score_covariance, parameter_jacobian,
                   score, score_fd_check)

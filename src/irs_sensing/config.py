@@ -145,14 +145,22 @@ _SCENE_KEYS = {"ap_position_m", "irs_position_m", "targets", "doa_prior_deg",
 _TARGET_KEYS = {"position_m", "radial_velocity_mps", "rcs"}
 
 
+def _finite(value) -> float:
+    """``value`` as a finite float; ValueError for a bool, NaN or an infinity."""
+    number = math.nan if isinstance(value, bool) else float(value)
+    if not math.isfinite(number):
+        raise ValueError("not a finite number")
+    return number
+
+
 def _pair(key: str, value) -> tuple[float, float]:
-    """Two numbers from a two-item list, or ConfigError."""
+    """Two finite numbers from a two-item list, or ConfigError."""
     try:
         if isinstance(value, list) and len(value) == 2:
-            return float(value[0]), float(value[1])
+            return _finite(value[0]), _finite(value[1])
     except (TypeError, ValueError):
         pass
-    raise ConfigError(f"{key} must be a list of two numbers, got {value!r}")
+    raise ConfigError(f"{key} must be a list of two finite numbers, got {value!r}")
 
 
 def _build_targets(raw) -> tuple[TargetConfig, ...]:
@@ -165,10 +173,11 @@ def _build_targets(raw) -> tuple[TargetConfig, ...]:
         _reject_unknown(f"target {i}", entry, _TARGET_KEYS)
         pos = _pair(f"target {i}: position_m", entry.get("position_m"))
         try:
-            vel = float(entry.get("radial_velocity_mps", 0.0))
-            rcs = float(entry.get("rcs", 1.0))
+            vel = _finite(entry.get("radial_velocity_mps", 0.0))
+            rcs = _finite(entry.get("rcs", 1.0))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"target {i}: speed and rcs must be numbers") from exc
+            raise ConfigError(
+                f"target {i}: speed and rcs must be finite numbers") from exc
         targets.append(TargetConfig(position_m=pos, radial_velocity_mps=vel, rcs=rcs))
     return tuple(targets)
 
@@ -179,6 +188,7 @@ def _coerce_numbers(section: dict, cls) -> dict:
     Some YAML parsers read exponent forms like ``60.0e9`` as strings;
     coercing by the dataclass annotation keeps config files forgiving.
     An int field takes only whole numbers: 2.7 pulses is an error, not 2.
+    No number may be a bool, NaN or an infinity.
     """
     kinds = {f.name: f.type for f in dataclass_fields(cls)}
     out = {}
@@ -186,11 +196,11 @@ def _coerce_numbers(section: dict, cls) -> dict:
         kind = kinds.get(key)
         try:
             if kind == "int":
-                if not float(value).is_integer():
+                if not _finite(value).is_integer():
                     raise ValueError("not a whole number")
                 value = int(float(value))
             elif kind == "float" or (kind == "float | None" and value is not None):
-                value = float(value)
+                value = _finite(value)
             elif kind == "complex":
                 value = complex(value)
         except (TypeError, ValueError) as exc:

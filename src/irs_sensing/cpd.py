@@ -1,22 +1,20 @@
-"""Tensor unfoldings, Khatri-Rao products, and the structured CP solver.
+"""Khatri-Rao products and the structured CP solver.
 
 The observation tensor has shape (pulses, antennas, subcarriers) =
-(P, M, L).  The unfoldings follow one convention:
-
-    mode 1: row p, column m + l*M          (P  x LM)
-    mode 2: row m, column p + l*P          (M  x LP)
-    mode 3: row l, column p + m*P          (L  x MP)
-
-with 0-based p, m, l.  In the noiseless case the unfoldings factor as
-A*kr(C,B)', B*kr(C,A)', C*kr(B,A)', where kr is the column-wise Kronecker
-(Khatri-Rao) product with the FIRST argument varying slowly.
+(P, M, L).  The solver reads each tensor through its flat view, the free
+reshape to P x LM with row p and column m*L + l (0-based).  In the
+noiseless case the flat view factors as A*kr(B,C)', where kr is the
+column-wise Kronecker (Khatri-Rao) product with the FIRST argument varying
+slowly.  Its Gram matrix is that of any other column order, such as the
+mode-1 unfolding's m + l*M.
 
 The solver exploits that each subcarrier-factor column is a geometric
-progression in one unit-modulus generator: a truncated SVD of the mode-1
-unfolding, a shift-invariance eigenproblem for the generators, and linear
-solves for the remaining factors.  It takes a stack of tensors, with a
-leading trial axis, through NumPy's stacked ``svd``, ``eig``, ``pinv`` and
-``matmul``, which treat each trial exactly as a stack of that trial alone.
+progression in one unit-modulus generator: the signal subspace from the
+P x P Gram matrix of the flat view, a shift-invariance eigenproblem for
+the generators, and linear solves for the remaining factors.  It takes a
+stack of tensors, with a leading trial axis, through NumPy's stacked
+``eigh``, ``qr``, ``svd``, ``eig``, ``pinv`` and ``matmul``, which treat
+each trial exactly as a stack of that trial alone.
 """
 from __future__ import annotations
 
@@ -30,20 +28,6 @@ from .errors import (DimensionMismatch, IllConditionedShift, RankDeficient,
 PINV_RTOL = 1e-10          # singular values below this (relative) are zeroed
 RANK_GAP_TOL = 1e-12       # sigma_K / sigma_1 below this means < K components
 SHIFT_COND_LIMIT = 1e12    # conditioning guard for the shift subspace solve
-# (P, M, L) axes of each unfolding: its row axis, then its column axes from
-# slowest to fastest
-_MODE_AXES = {1: (-3, -1, -2), 2: (-2, -1, -3), 3: (-1, -2, -3)}
-
-
-def unfold(data: np.ndarray, mode: int) -> np.ndarray:
-    """Flatten a (P, M, L) tensor, or each of a stack, along one mode per
-    the module convention."""
-    if data.ndim < 3:
-        raise DimensionMismatch(f"expected a 3-way tensor, got ndim={data.ndim}")
-    if mode not in _MODE_AXES:
-        raise DimensionMismatch(f"mode must be 1, 2, or 3, got {mode}")
-    moved = np.moveaxis(data, _MODE_AXES[mode], (-3, -2, -1))
-    return moved.reshape(*moved.shape[:-2], moved.shape[-2] * moved.shape[-1])
 
 
 def khatri_rao(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -110,9 +94,15 @@ def cp_decompose(data: np.ndarray, n_components: int,
                  errors: list) -> FactorTriple:
     """Recover the factor triple of each (P, M, L) tensor of a stack.
 
-    Steps: truncated SVD of the transposed mode-1 unfolding; eigenvalue
-    decomposition of the subspace shift operator for the generators;
-    least-squares reconstruction of the antenna and pulse factors.
+    Steps: the top K eigenvectors w of the P x P Gram matrix Y Y^H of the
+    flat view Y give the signal subspace, spanned by Y^T conj(w), and an
+    orthonormal LM x K basis Q of it; the eigenvalues of the subspace shift
+    operator give the generators; least squares give the antenna factor
+    and, through a K x K Gram matrix, the pulse factor.  The rank check
+    reads the singular values of Y conj(Q) (P x K), exact to about
+    eps * sigma_1.  The eigenvalues, their squares, blur below a ratio of
+    about 1e-8, where the K-th eigenvector is lost in rounding and the
+    column norms of Y^T conj(w) read only part of sigma_K.
     Components are returned sorted by descending raw generator delay so
     noiseless output order is deterministic.  A trial's failed check goes
     to ``errors[b]`` and leaves its factors void, all ones; a check that the
@@ -125,30 +115,33 @@ def cp_decompose(data: np.ndarray, n_components: int,
     if not ok:
         raise UniquenessError(ok.reason)
 
-    y1 = unfold(data, 1)
-    u_full, s, _ = np.linalg.svd(y1.swapaxes(-1, -2), full_matrices=False)
+    flat = data.reshape(n_trials, p_dim, m_dim * l_dim)
+    _, w = np.linalg.eigh(flat @ flat.conj().swapaxes(-1, -2))
+    basis, _ = np.linalg.qr(flat.swapaxes(-1, -2) @ w[..., -n_components:].conj())
+    s = np.linalg.svd(flat @ basis.conj(), compute_uv=False)
     record_failures(errors, s[:, 0] == 0.0,
                     lambda b: RankDeficient("zero tensor"))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = s[:, n_components - 1] / s[:, 0]
+        ratio = s[:, -1] / s[:, 0]
     record_failures(errors, ratio < RANK_GAP_TOL, lambda b: RankDeficient(
         f"singular-value ratio {ratio[b]:.2e} "
         f"below {RANK_GAP_TOL:.0e}: fewer than {n_components} components"))
-    # u stays a view of u_full, so the vector products below get the strides,
-    # hence the BLAS kernels and the bits, of a one-trial call
-    u = u_full[..., :n_components]
+    # top (subcarriers 1..L-1) and bottom (2..L) share one row order, so
+    # the shift operator does not depend on it
+    cube = basis.reshape(n_trials, m_dim, l_dim, n_components)
+    top = cube[:, :, :-1].reshape(n_trials, -1, n_components)
+    bottom = cube[:, :, 1:].reshape(n_trials, -1, n_components)
     # one SVD of the shift subspace gives its condition number (0/0 fails
-    # too) and its pseudo-inverse, computed as np.linalg.pinv does, bit for bit
-    w, sv, vh = np.linalg.svd(u[:, :(l_dim - 1) * m_dim, :].conj(),
-                              full_matrices=False)
+    # too) and its pseudo-inverse
+    left, sv, vh = np.linalg.svd(top, full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = sv[:, 0] / sv[:, -1]
     record_failures(errors, ~(cond <= SHIFT_COND_LIMIT), lambda b: IllConditionedShift(
         f"shift subspace condition number {cond[b]:.2e}"))
-    large = sv > PINV_RTOL * sv.max(axis=-1, keepdims=True)
-    sv_inv = np.divide(1, sv, where=large, out=np.zeros_like(sv))
-    shift_op = ((vh.swapaxes(-1, -2) @ (sv_inv[..., None] * w.swapaxes(-1, -2)))
-                @ u[:, m_dim:, :])
+    sv_inv = np.divide(1, sv, where=sv > PINV_RTOL * sv[:, :1],
+                       out=np.zeros_like(sv))
+    shift_op = vh.conj().swapaxes(-1, -2) @ (
+        sv_inv[..., None] * (left.conj().swapaxes(-1, -2) @ bottom))
     eigvals, eigvecs = np.linalg.eig(shift_op)
     # a generator is an eigenvalue scaled to unit modulus, which a zero
     # eigenvalue does not have; the condition guard above misses a shift
@@ -169,26 +162,28 @@ def cp_decompose(data: np.ndarray, n_components: int,
 
     powers = np.arange(1, l_dim + 1)
     subcarrier = np.power(generators[:, None, :], powers[:, None])
-
-    antenna = np.zeros((n_trials, m_dim, n_components), dtype=complex)
-    for k in range(n_components):
-        col = subcarrier[:, None, :, k]
-        stacked = (u @ eigvecs[:, :, k, None]).reshape(-1, l_dim, m_dim)
-        antenna[:, :, k] = ((col.conj() @ stacked)[:, 0]
-                            / np.real(col.conj() @ col.swapaxes(-1, -2))[:, 0])
+    # each column of basis @ eigvecs is an antenna column times a subcarrier
+    # column, whose squared norm is L for unit-modulus generators
+    vectors = (basis @ eigvecs).reshape(cube.shape)
+    antenna = np.einsum("bmlk,blk->bmk", vectors, subcarrier.conj()) / l_dim
     antenna[failed] = 1.0
 
-    pulse = y1 @ np.linalg.pinv(khatri_rao(subcarrier, antenna).swapaxes(-1, -2),
-                                rcond=PINV_RTOL)
+    # the Khatri-Rao product's Gram matrix has its squared singular values
+    gram = ((antenna.swapaxes(-1, -2) @ antenna.conj())
+            * (subcarrier.swapaxes(-1, -2) @ subcarrier.conj()))
+    pulse = ((flat @ khatri_rao(antenna, subcarrier).conj())
+             @ np.linalg.pinv(gram, rcond=PINV_RTOL ** 2, hermitian=True))
     pulse[failed] = 1.0
     return FactorTriple(pulse_factor=pulse, antenna_factor=antenna,
                         subcarrier_factor=subcarrier, generators=generators)
 
 
 def cp_reconstruct(triple) -> np.ndarray:
-    """Sum of the rank-one terms of a factor triple (or of each of a stack)."""
-    return np.einsum("...pk,...mk,...lk->...pml", triple.pulse_factor,
-                     triple.antenna_factor, triple.subcarrier_factor)
+    """Sum of the rank-one terms of a factor triple (or of each of a stack),
+    as the flat view A*kr(B,C)' reshaped to (P, M, L)."""
+    a, b, c = triple.pulse_factor, triple.antenna_factor, triple.subcarrier_factor
+    flat = a @ khatri_rao(b, c).swapaxes(-1, -2)
+    return flat.reshape(*flat.shape[:-1], b.shape[-2], c.shape[-2])
 
 
 def reconstruction_error(data: np.ndarray, triple: FactorTriple,
@@ -197,5 +192,7 @@ def reconstruction_error(data: np.ndarray, triple: FactorTriple,
     factorization; NaN for a trial that has failed."""
     residual = cp_reconstruct(triple)
     np.subtract(data, residual, out=residual)
-    return np.array([np.linalg.norm(r) / np.linalg.norm(d) if e is None
-                     else np.nan for r, d, e in zip(residual, data, errors)])
+    scale = np.linalg.norm(data.reshape(len(data), -1), axis=-1)
+    valid = np.array([e is None for e in errors]) & (scale > 0)
+    return np.divide(np.linalg.norm(residual.reshape(len(data), -1), axis=-1),
+                     scale, where=valid, out=np.full(len(data), np.nan))

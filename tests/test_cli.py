@@ -84,6 +84,13 @@ def test_malformed_config_exits_2(tmp_path):
     "waveform:\n  n_pulses: 2.7\n",
     "waveform:\n  n_pulses: .inf\n",
     "arrays:\n  n_ap_antennas: 7.5\n",
+    "waveform:\n  carrier_freq_hz: .nan\n",
+    "waveform:\n  pri_s: .inf\n",
+    "waveform:\n  n_pulses: true\n",
+    "arrays:\n  element_spacing_m: .nan\n",
+    "scene:\n  ap_position_m: [.nan, 0]\n",
+    "scene:\n  rician_k_db: .nan\n",
+    "scene:\n  targets: [{position_m: [533.0, -170.0], rcs: .nan}]\n",
 ], ids=lambda text: " ".join(text.split()))
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, yaml_text):
     """A bad value is a configuration error: no traceback, no silent change."""

@@ -119,6 +119,30 @@ def test_target_parsing_errors():
         config_from_dict({"scene": {"targets": [{"position_m": [1, 2, 3]}]}})
 
 
+@pytest.mark.parametrize("raw", [
+    {"waveform": {"carrier_freq_hz": math.nan}},
+    {"waveform": {"pri_s": math.inf}},
+    {"waveform": {"carrier_freq_hz": "nan"}},
+    {"waveform": {"n_pulses": True}},
+    {"arrays": {"element_spacing_m": math.nan}},
+    {"arrays": {"n_ap_antennas": False}},
+    {"scene": {"ap_position_m": [math.nan, 0]}},
+    {"scene": {"doa_prior_deg": [30, math.inf]}},
+    {"scene": {"irs_position_m": [True, 100]}},
+    {"scene": {"rician_k_db": math.nan}},
+    {"scene": {"rician_k_db": -math.inf}},
+    {"scene": {"targets": [{"position_m": [533.0, -170.0], "rcs": math.nan}]}},
+    {"scene": {"targets": [{"position_m": [533.0, -170.0],
+                            "radial_velocity_mps": math.inf}]}},
+    {"scene": {"targets": [{"position_m": [533.0, -170.0], "rcs": True}]}},
+], ids=repr)
+def test_non_finite_numbers_and_bools_rejected(raw):
+    """NaN passes every range check by comparison, so it is rejected where
+    it is read, as are the infinities and a bool taken as a number."""
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+
+
 # Any YAML scalar or short list: None, bools, ints, floats with NaN and
 # inf, short strings (numeric ones among them) and lists of these.  Half
 # the values are plausible counts, sizes and pairs instead, and half the
@@ -164,7 +188,8 @@ _RAW = st.fixed_dictionaries({}, optional=_SECTIONS) | st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_any_mapping_gives_a_config_or_config_error(raw):
     """No mapping raises anything but ConfigError; the rest is a FullConfig
-    with an int in every count field and a float in every other number."""
+    with an int in every count field and a finite float in every other
+    number."""
     try:
         cfg = config_from_dict(raw)
     except ConfigError:
@@ -180,4 +205,6 @@ def test_any_mapping_gives_a_config_or_config_error(raw):
                 for x in (*t.position_m, t.radial_velocity_mps, t.rcs))]
     for name, value in fields:
         assert type(value) is (int if name.startswith("n_") else float), name
-    assert scene.rician_k_db is None or type(scene.rician_k_db) is float
+        assert math.isfinite(value), name
+    assert scene.rician_k_db is None or (type(scene.rician_k_db) is float
+                                         and math.isfinite(scene.rician_k_db))

@@ -1,31 +1,25 @@
 """Tensor reshaping identities and the structured factorization."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from irs_sensing.cpd import (FactorTriple, check_uniqueness, cp_decompose,
                              cp_reconstruct, khatri_rao, raw_delay,
-                             reconstruction_error, unfold)
+                             reconstruction_error)
 from irs_sensing.errors import DimensionMismatch, RankDeficient, UniquenessError
 
 
-def test_unfold_shapes():
-    y = np.zeros((3, 4, 5), dtype=complex)
-    assert unfold(y, 1).shape == (3, 20)
-    assert unfold(y, 2).shape == (4, 15)
-    assert unfold(y, 3).shape == (5, 12)
-
-
-def test_unfold_matches_factor_identities():
-    """Each unfolding of a rank-K factor model equals its matrix form."""
+def test_flat_view_matches_factor_identity():
+    """The flat view of a rank-K factor model, row p and column m*L + l, is
+    A times the transposed Khatri-Rao product of B and C."""
     rng = np.random.default_rng(1)
     p, m, l, k = 4, 3, 5, 2
     a = rng.standard_normal((p, k)) + 1j * rng.standard_normal((p, k))
     b = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
     c = rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k))
     y = np.einsum("pk,mk,lk->pml", a, b, c)
-    assert unfold(y, 1) == pytest.approx(a @ khatri_rao(c, b).T)
-    assert unfold(y, 2) == pytest.approx(b @ khatri_rao(c, a).T)
-    assert unfold(y, 3) == pytest.approx(c @ khatri_rao(b, a).T)
+    assert y.reshape(p, m * l) == pytest.approx(a @ khatri_rao(b, c).T)
 
 
 def test_khatri_rao_definition():
@@ -100,13 +94,70 @@ def test_cp_subcarrier_factor_unit_leading_coefficient():
     assert np.allclose(triple.subcarrier_factor[0, :, 0], expected, atol=1e-12)
 
 
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def test_cp_reconstruct_matches_einsum():
+    """One Khatri-Rao matmul gives the sum of the rank-one terms, for one
+    factor triple and for a stack, to 1e-13 of the largest entry."""
     rng = np.random.default_rng(6)
-    a, b, c, gens = _synthetic_triple(rng, 4, 3, 5, [3.5e-6], 500e3)
-    triple = FactorTriple(pulse_factor=a, antenna_factor=b,
-                          subcarrier_factor=c, generators=gens)
-    assert cp_reconstruct(triple) == pytest.approx(
-        np.einsum("pk,mk,lk->pml", a, b, c))
+    for batch in ((), (3,)):
+        a, b, c = (_complex(rng, *batch, n, 2) for n in (4, 3, 5))
+        triple = FactorTriple(pulse_factor=a, antenna_factor=b,
+                              subcarrier_factor=c, generators=c[..., 0, :])
+        want = np.einsum("...pk,...mk,...lk->...pml", a, b, c)
+        got = cp_reconstruct(triple)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _planted(seed, ratio, p=10, m=16, l=10):
+    """Two components whose flat view has the singular values 1 and
+    ``ratio``: orthonormal pulse columns, and orthonormal antenna columns
+    with unit-norm Vandermonde subcarrier columns, whose Khatri-Rao product
+    therefore has orthonormal columns."""
+    rng = np.random.default_rng(seed)
+    a = np.linalg.qr(_complex(rng, p, 2))[0] * [1.0, ratio]
+    b = np.linalg.qr(_complex(rng, m, 2))[0]
+    gens = np.exp(-2j * np.pi * rng.uniform(size=2))
+    c = np.power.outer(gens, np.arange(1, l + 1)).T / np.sqrt(l)
+    return np.einsum("pk,mk,lk->pml", a, b, c)
+
+
+@pytest.mark.parametrize("ratio, deficient", [(1e-14, True), (1e-11, False),
+                                              (1e-10, False)])
+def test_rank_check_resolves_a_planted_singular_value_ratio(ratio, deficient):
+    """sigma_2 / sigma_1 = 1e-14 is below RANK_GAP_TOL (1e-12), so it leaves
+    fewer than two components; 1e-11 and 1e-10 are above it and pass, in a
+    16-trial stack of draws and in each draw's one-trial call.  The norms of
+    the eigenvector basis columns, sigma_2 times a random cosine below
+    about 1e-8, fail some draws at 1e-11."""
+    data = np.stack([_planted(seed, ratio) for seed in range(16)])
+    errors = [None] * len(data)
+    cp_decompose(data, 2, errors)
+    for b, error in enumerate(errors):
+        alone = [None]
+        cp_decompose(data[b:b + 1], 2, alone)
+        assert type(alone[0]) is type(error)
+        if deficient:
+            assert isinstance(error, RankDeficient)
+            assert "singular-value ratio" in str(error)
+        else:
+            assert error is None
+
+
+def test_cp_decompose_memory_stays_below_twice_the_stack():
+    """The solver reads the stack through a view: besides one conjugate
+    copy for the P x P Gram matrix, it holds arrays of K columns only."""
+    data = _complex(np.random.default_rng(9), 16, 10, 16, 10)
+    tracemalloc.start()
+    try:
+        cp_decompose(data, 2, [None] * len(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * data.nbytes
 
 
 def test_cp_takes_only_a_stack_of_tensors():

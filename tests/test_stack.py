@@ -117,8 +117,9 @@ def test_stack_changes_no_trial_outcome(rician_k_db):
 def _on_last_subcarrier(cfg, rng, n_last=1):
     """Two components, the last ``n_last`` of them on the last subcarrier
     only.  With one there, the signal subspace restricted to the first L-1
-    subcarriers has rank one; with both, the shift operator is zero, so its
-    eigenvalues have no unit-modulus scaling."""
+    subcarriers has rank one; with both, it holds only rounding, which
+    fails a shift check.  Reversed along the subcarriers, the tensor with
+    both has a zero shift operator instead."""
     p, m, l = (cfg.waveform.n_pulses, cfg.arrays.n_ap_antennas,
                cfg.waveform.n_subcarriers)
     a = rng.standard_normal((p, 2)) + 1j * rng.standard_normal((p, 2))
@@ -136,6 +137,21 @@ def test_cp_decompose_rejects_ill_conditioned_shift():
     cp_decompose(y[None], 2, errors)
     assert isinstance(errors[0], IllConditionedShift)
     assert "condition number" in str(errors[0])
+
+
+def test_components_on_the_first_subcarrier_only_give_a_zero_shift_operator():
+    """Both components on the first subcarrier only: the subspace rows of
+    the later subcarriers are zero, so the shift operator is zero and its
+    eigenvalues give no generator; the healthy trial beside it passes."""
+    cfg, point = _scene(None)
+    y1, _ = _noisy_stack(cfg, point, 1, seed=2)
+    last = _on_last_subcarrier(cfg, np.random.default_rng(3), n_last=2)
+    first = np.ascontiguousarray(last[..., ::-1])
+    errors = [None, None]
+    cp_decompose(np.stack([y1[0].data, first]), 2, errors)
+    assert errors[0] is None
+    assert isinstance(errors[1], IllConditionedShift)
+    assert str(errors[1]) == "shift operator has a zero eigenvalue"
 
 
 def test_ill_conditioned_member_fails_alone():
@@ -224,7 +240,7 @@ def test_failed_trials_stay_in_the_stack_without_effect(rician_k_db):
     assert [type(o).__name__ for o in outcomes[0]] == [
         "list", "RankDeficient", "IllConditionedShift", "RankDeficient",
         "UnwrapInfeasible"]
-    assert str(outcomes[0][2]) == "phase 1: shift operator has a zero eigenvalue"
+    assert str(outcomes[0][2]) == "phase 1: shift subspace condition number inf"
     assert str(outcomes[0][3]) == "phase 2: zero tensor"
     for single, results in zip((False, True), outcomes):
         for b, got in enumerate(results):
