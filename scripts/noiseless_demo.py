@@ -29,7 +29,8 @@ def main() -> int:
     validate_scene(cfg.scene, cfg.waveform, cfg.arrays)
     profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
                                      cfg.scene.n_subarrays)
-    point = draw_scene_point(cfg, profiles, np.random.default_rng(args.seed))
+    point = draw_scene_point(cfg, profiles,
+                             [np.random.default_rng(args.seed)]).trial(0)
     truth = point.truth
     limits = sensing_limits(cfg.waveform)
     print(f"range window  [{limits.min_range_m:.3f}, {limits.max_range_m:.3f}] m")

@@ -36,7 +36,6 @@ from .scene import (ChannelMatrix, PhaseProfile, ScenePoint, SceneTruth,
                     design_phase_profiles, draw_scene_point, relayed_response,
                     sensing_limits, steering_vector, validate_scene)
 from .synthesis import (EchoTensor, apply_noise, build_factor_matrices,
-                        echo_tensors, oracle_prediction,
-                        synthesize_echo_tensor, time_domain_oracle)
+                        echo_tensors, synthesize_echo_tensor)
 
 __version__ = "1.0.0"

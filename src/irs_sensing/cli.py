@@ -79,7 +79,7 @@ def _crb_rows(config: FullConfig) -> tuple[list[str], list[list[str]]]:
     profiles = design_phase_profiles(config.scene.doa_prior_rad, config.arrays,
                                      config.scene.n_subarrays)
     point = draw_scene_point(config, profiles,
-                             np.random.default_rng(DEFAULT_SEED))
+                             [np.random.default_rng(DEFAULT_SEED)]).trial(0)
     tensors = echo_tensors(*point, config.waveform, config.arrays)
     k_total = point.truth.n_targets
     header = ["snr_db"]

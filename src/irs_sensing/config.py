@@ -8,7 +8,8 @@ and two moving targets south-east of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import (dataclass, field, fields as dataclass_fields,
+                         is_dataclass, replace)
 from pathlib import Path
 
 import yaml
@@ -32,6 +33,7 @@ class WaveformConfig:
     modulation_symbol: complex = 1.0 + 0.0j
 
     def __post_init__(self):
+        _require_finite(self)
         if self.n_subcarriers < 1 or self.n_pulses < 1:
             raise ConfigError("subcarrier and pulse counts must be >= 1")
         if min(self.carrier_freq_hz, self.symbol_duration_s,
@@ -66,6 +68,7 @@ class ArrayConfig:
     wavelength_m: float = SPEED_OF_LIGHT / 60e9
 
     def __post_init__(self):
+        _require_finite(self)
         if self.n_ap_antennas < 1 or self.n_irs_elements < 1:
             raise ConfigError("antenna and element counts must be >= 1")
         if self.wavelength_m <= 0:
@@ -112,6 +115,7 @@ class SceneConfig:
     n_nlos_paths: int = 4
 
     def __post_init__(self):
+        _require_finite(self)
         if len(self.targets) < 1:
             raise ConfigError("at least one target required")
         if self.doa_prior_rad[1] <= self.doa_prior_rad[0]:
@@ -151,6 +155,22 @@ def _finite(value) -> float:
     if not math.isfinite(number):
         raise ValueError("not a finite number")
     return number
+
+
+def _require_finite(value, name: str = "") -> None:
+    """ConfigError unless each number in a config section, target, pair or
+    field is finite and no bool (NaN passes every range check); None is unset."""
+    if is_dataclass(value):
+        for f in dataclass_fields(value):
+            _require_finite(getattr(value, f.name), name or f.name)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _require_finite(item, name)
+    elif value is not None:
+        try:
+            _finite(abs(value) if isinstance(value, complex) else value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad value for {name!r}: {value!r}") from None
 
 
 def _pair(key: str, value) -> tuple[float, float]:

@@ -24,7 +24,7 @@ from .crb import compute_crb, compute_fim
 from .errors import ConfigError, EstimationError
 from .estimation import TargetEstimate, estimate_trials, greedy_match
 from .scene import (ScenePoint, SceneTruth, design_phase_profiles,
-                    draw_scene_point, stack_points, validate_scene)
+                    draw_scene_point, validate_scene)
 from .synthesis import (apply_noise, build_factor_matrices, noise_sigma_for_snr,
                         synthesize_echo_tensor)
 
@@ -132,11 +132,13 @@ def resolve_sweep_point(spec: ExperimentSpec, config: FullConfig,
     return cfg, float(spec.snr_db)
 
 
-def _squared_errors(estimates: Sequence[TargetEstimate],
-                    truth: SceneTruth) -> np.ndarray:
-    """Summed squared error over matched targets, per parameter family."""
+def _squared_errors(estimates: Sequence[TargetEstimate], truth: SceneTruth,
+                    b: int) -> np.ndarray:
+    """Summed squared error over matched targets, per parameter family,
+    against draw b of a stacked truth."""
     est = np.array([[e.theta_hat, e.nu_hat, e.tau_hat] for e in estimates])
-    true = np.stack([truth.theta_rad, truth.doppler_hz, truth.delay_s], axis=1)
+    true = np.stack([truth.theta_rad[b], truth.doppler_hz[b], truth.delay_s[b]],
+                    axis=1)
     assignment = greedy_match(np.abs(np.subtract.outer(est[:, 2], true[:, 2])))
     return ((est - true[assignment]) ** 2).sum(axis=0)
 
@@ -191,9 +193,10 @@ def run_experiment(spec: ExperimentSpec,
     asks for fading averaging), each trial adds fresh noise, runs the
     estimation pipeline, and pairs estimates with its own truth by delay.
     ``TRIAL_STACK`` trials run as one estimator stack, and their draws as
-    one stacked pass of the factors, clean tensors and bound (a frozen
-    point is a stack of one draw).  Estimator failures are counted and
-    excluded from the error average rather than crashing the sweep.
+    one stacked pass of the scene draw, factors, clean tensors and bound
+    (a frozen point is the stack of its one generator).  Estimator failures
+    are counted and excluded from the error average rather than crashing
+    the sweep.
 
     The sweep runs on one OpenBLAS thread, as a second only spins, and restores
     the caller's count on return or raise; a nested call restores the 1 it found.
@@ -226,30 +229,27 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
             rngs = [np.random.default_rng((spec.seed, sweep_idx, trial)) for trial
                     in range(first, min(first + TRIAL_STACK, spec.trials))]
             if spec.redraw_fading or first == 0:
-                draws = [draw_scene_point(cfg, profiles, rng) for rng in (
-                    rngs if spec.redraw_fading
-                    else [np.random.default_rng(spec.seed)])]
-                point = stack_points(draws)
+                point = draw_scene_point(cfg, profiles, rngs if spec.redraw_fading
+                                         else [np.random.default_rng(spec.seed)])
                 factors = [build_factor_matrices(point.truth, point.channel, p,
                                                  point.combiner, cfg.waveform,
                                                  cfg.arrays) for p in profiles]
                 phases = [synthesize_echo_tensor(f, p.phase_index)
                           for f, p in zip(factors, profiles)]
+                n_draws = len(point.combiner)
                 clean = [[replace(t, data=t.data[b]) for t in phases]
-                         for b in range(len(draws))]
+                         for b in range(n_draws)]
                 crbs.extend(_draw_crbs(point, factors, cfg, snr_db, clean))
+                shared = point if spec.redraw_fading else point.trial(0)
             # a frozen point's one draw serves every trial
-            stack = [[apply_noise(t, snr_db, rng) for t in clean[b % len(draws)]]
+            stack = [[apply_noise(t, snr_db, rng) for t in clean[b % n_draws]]
                      for b, rng in enumerate(rngs)]
-            channel, combiner = ((point.channel, point.combiner)
-                                 if spec.redraw_fading
-                                 else (draws[0].channel, draws[0].combiner))
             if spec.redraw_fading:
                 del phases, clean  # these draws serve this stack alone
             outcomes = estimate_trials(
                 [t[0] for t in stack], [t[1] for t in stack], k_total,
-                cfg.scene.doa_prior_rad, channel, profiles, combiner,
-                cfg.waveform, cfg.arrays,
+                cfg.scene.doa_prior_rad, shared.channel, profiles,
+                shared.combiner, cfg.waveform, cfg.arrays,
                 [name == "single_phase" for name in methods])
             for name, results in zip(methods, outcomes):
                 acc = accs[name]
@@ -257,8 +257,8 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
                     if isinstance(estimates, EstimationError):
                         acc.failures += 1
                         continue
-                    acc.sq_sums += _squared_errors(
-                        estimates, draws[b % len(draws)].truth)
+                    acc.sq_sums += _squared_errors(estimates, point.truth,
+                                                   b % n_draws)
                     acc.used += 1
 
         crbs = np.array([c for c in crbs if np.isfinite(c).all()])

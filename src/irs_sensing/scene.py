@@ -10,7 +10,7 @@ it.  With the reference layout (surface at (100, 100), targets around
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -90,35 +90,31 @@ class RankOneParts:
 @dataclass(frozen=True)
 class ChannelMatrix:
     """AP-to-surface channel (n_irs_elements x n_ap_antennas), or a stack
-    (B, N, M) of one per trial; ``dominant`` is recorded when it is built."""
+    (B, N, M); ``dominant``, and the singular values of an SVD, as built."""
 
     matrix: np.ndarray
     dominant: RankOneParts
+    singular_values: np.ndarray | None = None
 
     def irs_side_vector(self) -> np.ndarray:
         """Dominant surface-side vector(s) for the cross-phase DOA ratio."""
         return self.dominant.u
 
     def singular_ratio(self) -> np.ndarray:
-        """Second-to-first singular value ratio of each trial's channel."""
-        s = np.linalg.svd(self.matrix, compute_uv=False)
+        """Second-to-first singular value ratio of each trial's channel; a
+        line-of-sight channel, rank one as built, takes its SVD here."""
+        s = (np.linalg.svd(self.matrix, compute_uv=False)
+             if self.singular_values is None else self.singular_values)
         if (s[..., 0] == 0.0).any():
             raise DegenerateGeometry("zero channel matrix")
         return s[..., 1] / s[..., 0] if s.shape[-1] > 1 else 0 * s[..., 0]
 
-    def trials(self, s: slice) -> ChannelMatrix:
-        """The channels of the trials in slice s of a stack, or a shared one."""
-        d = self.dominant
+    def trials(self, s) -> ChannelMatrix:
+        """The channel(s) of trial index or slice s of a stack, or a shared one."""
+        d, sv = self.dominant, self.singular_values
         return self if self.matrix.ndim == 2 else ChannelMatrix(
-            self.matrix[s], RankOneParts(d.sigma[s], d.u[s], d.v[s]))
-
-
-def stack_channels(channels: Sequence[ChannelMatrix]) -> ChannelMatrix:
-    """The channels of B trials as one stack along a leading trial axis."""
-    parts = [c.dominant for c in channels]
-    return ChannelMatrix(np.stack([c.matrix for c in channels]), RankOneParts(
-        np.array([p.sigma for p in parts]), np.stack([p.u for p in parts]),
-        np.stack([p.v for p in parts])))
+            self.matrix[s], RankOneParts(d.sigma[s], d.u[s], d.v[s]),
+            None if sv is None else sv[s])
 
 
 @dataclass(frozen=True)
@@ -233,49 +229,55 @@ def _shadowed_leg_gain(distance_m: float, rng: np.random.Generator) -> complex:
 
 def derive_target_truth(scene: SceneConfig, waveform: WaveformConfig,
                         arrays: ArrayConfig,
-                        rng: np.random.Generator) -> SceneTruth:
+                        rngs: Sequence[np.random.Generator]) -> SceneTruth:
     """Geometry-derived per-target parameters plus drawn propagation gains.
 
     The lumped gain multiplies the transmit amplitude, two independent
     shadowed leg draws (surface->target and back), the carrier phase of the
-    total delay, the modulation symbol, and the symbol duration.  The
-    caller validates the scene first (validate_scene).
+    total delay, the modulation symbol, and the symbol duration.  Each array
+    is B x K, a row per generator; the caller validates the scene first.
     """
     tau0 = 2 * ap_irs_distance(scene) / SPEED_OF_LIGHT
-    params = []     # (direction, range, delay, Doppler, gain) per target
-    for tgt in scene.targets:
-        rng_m, theta, delay, doppler = _target_geometry(scene, waveform, tgt)
-        two_leg = (_shadowed_leg_gain(rng_m, rng) * _shadowed_leg_gain(rng_m, rng)
+    geometry = [_target_geometry(scene, waveform, tgt) for tgt in scene.targets]
+
+    def draw_gain(tgt, dist: float, delay: float, rng) -> complex:
+        """Scalar math, as a vectorized exp may move an ulp."""
+        two_leg = (_shadowed_leg_gain(dist, rng) * _shadowed_leg_gain(dist, rng)
                    * abs(tgt.rcs))
-        gain = (math.sqrt(waveform.tx_power_w) * two_leg
+        return (math.sqrt(waveform.tx_power_w) * two_leg
                 * np.exp(-2j * np.pi * waveform.carrier_freq_hz * (delay + tau0))
                 * waveform.modulation_symbol * waveform.symbol_duration_s)
-        params.append((theta, rng_m, delay, doppler, complex(gain)))
-    theta, rng_m, delay, doppler, gain = map(np.array, zip(*params))
+
+    gain = np.array([[draw_gain(tgt, dist, delay, rng) for tgt, (dist, _, delay, _)
+                      in zip(scene.targets, geometry)] for rng in rngs])
+    rng_m, theta, delay, doppler = np.tile(np.array(geometry).T[:, None],
+                                           (1, len(rngs), 1))
     return SceneTruth(theta_rad=theta, range_m=rng_m, delay_s=delay,
                       doppler_hz=doppler, gain=gain, sync_delay_s=tau0)
 
 
 def build_los_channel(scene: SceneConfig, arrays: ArrayConfig,
-                      rng: np.random.Generator) -> ChannelMatrix:
-    """Single-path AP-surface channel: shadowed gain times an outer product."""
+                      rngs: Sequence[np.random.Generator]) -> ChannelMatrix:
+    """Single-path channels, one per generator: shadowed gain x outer product."""
     dist = ap_irs_distance(scene)
     aoa = angle_from_broadside(scene.irs_position_m, scene.ap_position_m)
     aod = angle_from_broadside(scene.ap_position_m, scene.irs_position_m)
     a_irs = steering_vector(aoa, *arrays.surface)
     a_ap = steering_vector(aod, arrays.n_ap_antennas, arrays.element_spacing_m,
                            arrays.wavelength_m)
-    gain = _shadowed_leg_gain(dist, rng)
-    matrix = gain * np.outer(a_irs, a_ap.conj())
-    phase = gain / abs(gain)
-    return ChannelMatrix(matrix, RankOneParts(sigma=abs(gain), u=a_irs * phase,
-                                              v=a_ap.conj()))
+    gains = [_shadowed_leg_gain(dist, rng) for rng in rngs]
+    matrix = np.array(gains)[:, None, None] * np.outer(a_irs, a_ap.conj())
+    # phase and magnitude as Python scalars, the phase the second factor of u
+    phase = np.array([g / abs(g) for g in gains])
+    return ChannelMatrix(matrix, RankOneParts(
+        sigma=np.array([abs(g) for g in gains]), u=a_irs * phase[:, None],
+        v=np.tile(a_ap.conj(), (len(gains), 1))))
 
 
 def build_rician_channel(g_los: ChannelMatrix, rician_db: float | None,
                          n_nlos: int, arrays: ArrayConfig,
-                         rng: np.random.Generator) -> ChannelMatrix:
-    """Mix the line-of-sight channel with scattered outer-product paths.
+                         rngs: Sequence[np.random.Generator]) -> ChannelMatrix:
+    """Mix each line-of-sight channel with its generator's scattered paths.
 
     The scattered part sums ``n_nlos`` random-angle paths and is
     renormalized to the line-of-sight Frobenius norm, so the k-factor alone
@@ -285,23 +287,27 @@ def build_rician_channel(g_los: ChannelMatrix, rician_db: float | None,
     if rician_db is None or math.isinf(rician_db):
         return g_los
     half = np.pi / 2
-    paths = [(rng.uniform(-half, half), rng.uniform(-half, half),   # aoa, aod,
-              _complex_normal(rng)) for _ in range(n_nlos)]         # gain
-    a_irs = steering_vector(np.array([p[0] for p in paths]), *arrays.surface)
-    a_ap = steering_vector(np.array([p[1] for p in paths]), arrays.n_ap_antennas,
+    # (aoa, aod, gain) of each path, drawn trial by trial
+    paths = np.reshape([(rng.uniform(-half, half), rng.uniform(-half, half),
+                         _complex_normal(rng))
+                        for rng in rngs for _ in range(n_nlos)], (len(rngs), n_nlos, 3))
+    a_irs = steering_vector(paths[..., 0].real, *arrays.surface)
+    a_ap = steering_vector(paths[..., 1].real, arrays.n_ap_antennas,
                            arrays.element_spacing_m, arrays.wavelength_m)
     scattered = np.zeros_like(g_los.matrix)
-    for (_, _, gain), u, v in zip(paths, a_irs.T, a_ap.T):
-        scattered = scattered + gain * np.outer(u, v.conj())
-    norm_s = np.linalg.norm(scattered)
-    if norm_s > 0:
-        scattered = scattered * (np.linalg.norm(g_los.matrix) / norm_s)
+    for p in range(n_nlos):
+        scattered = scattered + paths[:, p, 2, None, None] * (
+            a_irs[:, :, p, None] * a_ap[:, None, :, p].conj())
+    # a norm per trial: a stacked norm sums in another order
+    scale = [np.linalg.norm(los) / norm_s if norm_s > 0 else 1.0 for los, norm_s
+             in zip(g_los.matrix, map(np.linalg.norm, scattered))]
+    scattered = scattered * np.array(scale)[:, None, None]
     k_lin = 10.0 ** (rician_db / 10.0)
     matrix = (math.sqrt(k_lin / (1 + k_lin)) * g_los.matrix
               + math.sqrt(1 / (1 + k_lin)) * scattered)
     u_mat, s, vh = np.linalg.svd(matrix)
-    return ChannelMatrix(matrix, RankOneParts(sigma=s[0], u=u_mat[:, 0],
-                                              v=vh[0]))
+    return ChannelMatrix(matrix, RankOneParts(sigma=s[:, 0], u=u_mat[..., 0],
+                                              v=vh[:, 0]), s)
 
 
 def subarray_beam_directions(doa_prior: tuple[float, float], n_subarrays: int,
@@ -342,15 +348,15 @@ def design_phase_profiles(doa_prior: tuple[float, float], arrays: ArrayConfig,
 
 
 def design_beamformers(channel: ChannelMatrix, n_pulses: int) -> np.ndarray:
-    """Per-pulse transmit weights matched to the channel's AP-side factor.
+    """Per-pulse transmit weights matched to each trial's AP-side factor.
 
     Every column is the same unit-norm vector w chosen so the combined
     gain (w dotted with the AP-side channel direction) has unit modulus;
     returning the full matrix keeps pulse-varying weights possible.
     """
     w = channel.dominant.v.conj()
-    w = w / np.linalg.norm(w)
-    return np.tile(w[:, None], (1, n_pulses))
+    w = w / np.array([np.linalg.norm(x) for x in w])[:, None]   # a norm per trial
+    return np.repeat(w[..., None], n_pulses, axis=-1)
 
 
 class ScenePoint(NamedTuple):
@@ -362,24 +368,25 @@ class ScenePoint(NamedTuple):
     profiles: tuple[PhaseProfile, PhaseProfile]
     combiner: np.ndarray
 
+    def trial(self, b: int) -> ScenePoint:
+        """Draw b of a stacked point, as the point of that one draw."""
+        t = self.truth
+        truth = replace(t, **{f.name: getattr(t, f.name)[b] for f in fields(t)
+                              if f.name != "sync_delay_s"})
+        return ScenePoint(truth, self.channel.trials(b), self.profiles,
+                          self.combiner[b])
+
 
 def draw_scene_point(cfg: FullConfig, profiles: tuple[PhaseProfile, PhaseProfile],
-                     rng: np.random.Generator) -> ScenePoint:
-    """Draw the truth, then the line-of-sight channel, then its scattered
-    paths (when ``rician_k_db`` is set) from ``rng``; the transmit weights
-    follow from the channel.  The caller validates the scene first.
+                     rngs: Sequence[np.random.Generator]) -> ScenePoint:
+    """One draw per generator, stacked: each draws its truth, then its
+    line-of-sight channel, then its scattered paths (when ``rician_k_db`` is
+    set); the transmit weights follow from the channel.  One draw is
+    ``.trial(0)`` of one generator's.  The caller validates the scene first.
     """
-    truth = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays, rng)
-    channel = build_rician_channel(build_los_channel(cfg.scene, cfg.arrays, rng),
+    truth = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays, rngs)
+    channel = build_rician_channel(build_los_channel(cfg.scene, cfg.arrays, rngs),
                                    cfg.scene.rician_k_db, cfg.scene.n_nlos_paths,
-                                   cfg.arrays, rng)
+                                   cfg.arrays, rngs)
     return ScenePoint(truth, channel, profiles,
                       design_beamformers(channel, cfg.waveform.n_pulses))
-
-
-def stack_points(points: Sequence[ScenePoint]) -> ScenePoint:
-    """The draws of B trials as one point along a leading trial axis."""
-    truth = SceneTruth(*(np.stack([getattr(p.truth, f.name) for p in points])
-                         for f in fields(SceneTruth)))
-    return ScenePoint(truth, stack_channels([p.channel for p in points]),
-                      points[0].profiles, np.stack([p.combiner for p in points]))

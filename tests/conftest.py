@@ -34,7 +34,8 @@ def profiles(cfg):
 @pytest.fixture(scope="session")
 def scene_point(cfg, profiles):
     validate_scene(cfg.scene, cfg.waveform, cfg.arrays)
-    return draw_scene_point(cfg, profiles, np.random.default_rng(SCENE_SEED))
+    return draw_scene_point(cfg, profiles,
+                            [np.random.default_rng(SCENE_SEED)]).trial(0)
 
 
 @pytest.fixture(scope="session")

@@ -23,15 +23,15 @@ from irs_sensing.estimation import (AlignedFactors, align_columns,
                                     compute_gamma_statistics,
                                     estimate_targets)
 from irs_sensing.experiments import build_spec, run_experiment
-from irs_sensing.config import ArrayConfig
-from irs_sensing.scene import (build_los_channel, derive_target_truth,
-                               design_beamformers, design_phase_profiles,
+from irs_sensing.config import ArrayConfig, FullConfig
+from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
                                sensing_limits)
 from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
-                                   echo_tensors, noise_sigma_for_snr,
-                                   oracle_prediction, time_domain_oracle)
+                                   echo_tensors, noise_sigma_for_snr)
 
 from conftest import take_targets
+from reference import oracle_prediction, time_domain_oracle
+from stacks import beamformer_alone
 
 CONFIG = "configs/default.yaml"
 
@@ -66,12 +66,12 @@ def test_single_subcarrier_is_unidentifiable(cfg, truth, channel, profiles,
     """One subcarrier cannot separate two targets: the solver must refuse."""
     narrow = with_overrides(cfg, n_subcarriers=1)
     pair = echo_tensors(truth, channel, profiles,
-                        design_beamformers(channel, narrow.waveform.n_pulses),
+                        beamformer_alone(channel, narrow.waveform.n_pulses),
                         narrow.waveform, narrow.arrays)
     with pytest.raises(UniquenessError):
         estimate_targets(pair[0], pair[1], truth.n_targets,
                          cfg.scene.doa_prior_rad, channel, profiles,
-                         design_beamformers(channel, narrow.waveform.n_pulses),
+                         beamformer_alone(channel, narrow.waveform.n_pulses),
                          narrow.waveform, narrow.arrays)
 
 
@@ -184,15 +184,12 @@ def test_score_covariance_matches_information(cfg):
     arrays = ArrayConfig(n_ap_antennas=4,
                          n_irs_elements=cfg.arrays.n_irs_elements,
                          wavelength_m=wf.wavelength_m)
-    rng = np.random.default_rng(7)
-    truth = derive_target_truth(cfg.scene, wf, arrays, rng)
-    truth = take_targets(truth, slice(1))
-    rng2 = np.random.default_rng(7)
-    derive_target_truth(cfg.scene, wf, arrays, rng2)
-    channel = build_los_channel(cfg.scene, arrays, rng2)
     profiles = design_phase_profiles(cfg.scene.doa_prior_rad, arrays,
                                      cfg.scene.n_subarrays)
-    combiner = design_beamformers(channel, wf.n_pulses)
+    point = draw_scene_point(FullConfig(wf, arrays, cfg.scene), profiles,
+                             [np.random.default_rng(7)]).trial(0)
+    truth = take_targets(point.truth, slice(1))
+    channel, combiner = point.channel, point.combiner
     tensors = echo_tensors(truth, channel, profiles, combiner, wf, arrays)
     noise_vars = tuple(noise_sigma_for_snr(t, 0.0) ** 2 for t in tensors)
     fim = compute_fim(truth, channel, profiles, combiner, wf, arrays,

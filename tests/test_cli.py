@@ -146,7 +146,8 @@ def test_crb_uses_the_configured_rician_channel(tmp_path, capsys):
     cfg = load_config(path)
     profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
                                      cfg.scene.n_subarrays)
-    point = draw_scene_point(cfg, profiles, np.random.default_rng(DEFAULT_SEED))
+    point = draw_scene_point(cfg, profiles,
+                             [np.random.default_rng(DEFAULT_SEED)]).trial(0)
     assert point.channel.singular_ratio() > 1e-3   # scattered paths drawn
     tensors = echo_tensors(*point, cfg.waveform, cfg.arrays)
     for row, snr in zip(got, CRB_SNR_GRID):

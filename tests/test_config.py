@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from irs_sensing.config import (_ARRAY_KEYS, _SCENE_KEYS, _TARGET_KEYS,
                                 _WAVEFORM_KEYS, SPEED_OF_LIGHT, ArrayConfig,
-                                FullConfig, WaveformConfig, config_from_dict,
+                                FullConfig, TargetConfig, WaveformConfig,
+                                config_from_dict,
                                 default_config, load_config, with_overrides)
 from irs_sensing.errors import ConfigError
 
@@ -141,6 +142,24 @@ def test_non_finite_numbers_and_bools_rejected(raw):
     it is read, as are the infinities and a bool taken as a number."""
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("override", [
+    {"carrier_freq_hz": math.nan},
+    {"pri_s": math.inf},
+    {"n_pulses": True},
+    {"n_ap_antennas": math.nan},
+    {"rician_k_db": -math.inf},
+    {"irs_position_m": (math.nan, 100.0)},
+    {"targets": (TargetConfig(position_m=(533.0, -170.0), rcs=math.inf),)},
+], ids=repr)
+def test_non_finite_numbers_and_bools_rejected_through_the_api(override):
+    """The config classes check their own numbers, so the Python API takes
+    no NaN, infinity or bool that a config file cannot pass either."""
+    with pytest.raises(ConfigError) as info:
+        with_overrides(default_config(), **override)
+    assert "\n" not in str(info.value)
+    assert repr(next(iter(override))) in str(info.value)
 
 
 # Any YAML scalar or short list: None, bools, ints, floats with NaN and

@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 
 import irs_sensing.crb as crb_mod
-from irs_sensing.config import ArrayConfig, default_config, with_overrides
+from irs_sensing.config import (ArrayConfig, FullConfig, default_config,
+                                with_overrides)
 from irs_sensing.cpd import cp_reconstruct
 from irs_sensing.crb import (FIM_CONDITION_LIMIT, compute_crb, compute_fim,
                              log_likelihood, mc_score_covariance,
                              parameter_index, parameter_jacobian, score,
                              score_fd_check)
 from irs_sensing.errors import SingularFim
-from irs_sensing.scene import (build_los_channel, derive_target_truth,
-                               design_beamformers, design_phase_profiles,
-                               draw_scene_point, stack_points,
+from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
                                steering_derivative, validate_scene)
 from irs_sensing.synthesis import (build_factor_matrices, echo_tensors,
                                    noise_sigma_for_snr)
 
 from conftest import take_targets
+from stacks import beamformer_alone, stack_points
 
 
 @pytest.fixture(scope="module")
@@ -163,16 +163,12 @@ def test_score_covariance_estimates_information(cfg):
     arrays = ArrayConfig(n_ap_antennas=4,
                          n_irs_elements=cfg.arrays.n_irs_elements,
                          wavelength_m=wf.wavelength_m)
-    rng = np.random.default_rng(7)
-    truth = derive_target_truth(cfg.scene, wf, arrays, rng)
-    truth = take_targets(truth, slice(1))
-    rng2 = np.random.default_rng(7)
-    derive_target_truth(cfg.scene, wf, arrays, rng2)
-    channel = build_los_channel(cfg.scene, arrays, rng2)
-    from irs_sensing.scene import design_phase_profiles
     profiles = design_phase_profiles(cfg.scene.doa_prior_rad, arrays,
                                      cfg.scene.n_subarrays)
-    combiner = design_beamformers(channel, wf.n_pulses)
+    point = draw_scene_point(FullConfig(wf, arrays, cfg.scene), profiles,
+                             [np.random.default_rng(7)]).trial(0)
+    truth = take_targets(point.truth, slice(1))
+    channel, combiner = point.channel, point.combiner
     tensors = echo_tensors(truth, channel, profiles, combiner, wf, arrays)
     noise_vars = tuple(noise_sigma_for_snr(t, 0.0) ** 2 for t in tensors)
     fim = compute_fim(truth, channel, profiles, combiner, wf, arrays,
@@ -241,7 +237,7 @@ def _mixed_stack(n_targets):
     profiles = design_phase_profiles(base.scene.doa_prior_rad, base.arrays,
                                      base.scene.n_subarrays)
     points = [draw_scene_point(base if b in (1, 3) else rician, profiles,
-                               np.random.default_rng((12, b)))
+                               [np.random.default_rng((12, b))]).trial(0)
               for b in range(5)]
     noise_vars = np.array([[noise_sigma_for_snr(t, 3.0 * b) ** 2 for t in
                             echo_tensors(*p, base.waveform, base.arrays)]
@@ -320,7 +316,7 @@ def test_crb_doppler_improves_with_more_pulses(cfg, truth, channel, profiles,
                                                noise_vars):
     def doppler_bound(n_pulses):
         wf = dataclasses.replace(cfg.waveform, n_pulses=n_pulses)
-        comb = design_beamformers(channel, n_pulses)
+        comb = beamformer_alone(channel, n_pulses)
         fim = compute_fim(truth, channel, profiles, comb, wf, cfg.arrays,
                           noise_vars)
         return compute_crb(fim).doppler.mean()

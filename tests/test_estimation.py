@@ -26,6 +26,7 @@ from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
                                    doppler_ramp, echo_tensors)
 
 from conftest import take_targets
+from stacks import rician_alone
 
 SPACING = 500e3
 
@@ -243,8 +244,7 @@ def test_resolve_doa_all_grid_points_excluded(aligned):
 
 def test_multirank_doa_on_scattered_channel(cfg, truth, channel, profiles):
     """Every antenna column is searched at once, one direction per column."""
-    rician = build_rician_channel(channel, 5.0, 4, cfg.arrays,
-                                  np.random.default_rng(9))
+    rician = rician_alone(channel, 5.0, 4, cfg.arrays, np.random.default_rng(9))
     steer = steering_vector(truth.theta_rad, *cfg.arrays.surface)
     b = rician.matrix.T @ (profiles[0].diagonal()[:, None] * steer)
     est = _passes(estimate_doa_multirank, b[None], rician, profiles[0],
@@ -398,12 +398,14 @@ def test_estimate_targets_single_phase_mode(cfg, truth, profiles, combiner):
     base = default_config()
     rng = np.random.default_rng(21)
     from irs_sensing.scene import build_los_channel, derive_target_truth
-    truth2 = derive_target_truth(base.scene, base.waveform, base.arrays, rng)
-    los = build_los_channel(base.scene, base.arrays, rng)
+    truth2 = take_targets(derive_target_truth(base.scene, base.waveform,
+                                              base.arrays, [rng]), 0)
+    los = build_los_channel(base.scene, base.arrays, [rng])
     rician = build_rician_channel(los, 13.0, 4, base.arrays,
-                                  np.random.default_rng(22))
+                                  [np.random.default_rng(22)])
+    comb = design_beamformers(rician, base.waveform.n_pulses)[0]
+    rician = rician.trials(0)
     prof = profiles
-    comb = design_beamformers(rician, base.waveform.n_pulses)
     pair = echo_tensors(truth2, rician, prof, comb, base.waveform, base.arrays)
     estimates = estimate_targets(pair[0], pair[1], truth2.n_targets,
                                  base.scene.doa_prior_rad, rician, prof, comb,
@@ -501,8 +503,7 @@ def test_multirank_doa_on_a_prior_of_one_or_two_grid_points(cfg, truth,
                                                             channel, profiles,
                                                             n_points):
     """The edge rule keeps the search inside grids too short for a parabola."""
-    rician = build_rician_channel(channel, 5.0, 4, cfg.arrays,
-                                  np.random.default_rng(9))
+    rician = rician_alone(channel, 5.0, 4, cfg.arrays, np.random.default_rng(9))
     steer = steering_vector(truth.theta_rad, *cfg.arrays.surface)
     b = rician.matrix.T @ (profiles[0].diagonal()[:, None] * steer)
     lo = truth.theta_rad[0]

@@ -143,6 +143,16 @@ def test_run_noiseless_is_near_exact():
     assert math.isnan(by_param["tau"].crb)
 
 
+@pytest.mark.parametrize("preset,value", [("mse_vs_pulses", math.nan),
+                                          ("rician_comparison", math.inf)])
+def test_non_finite_sweep_value_rejected(preset, value):
+    """A sweep value that reaches a config field is checked like one."""
+    spec = dataclasses.replace(build_spec(preset, trials=1, seed=3),
+                               sweep_values=(value,))
+    with pytest.raises(ConfigError, match="bad value"):
+        run_experiment(spec, default_config())
+
+
 def test_run_counts_unidentifiable_point_as_failures():
     spec = dataclasses.replace(build_spec("mse_vs_subcarriers", trials=2,
                                           seed=3),
@@ -166,22 +176,25 @@ def test_run_comparison_preset_emits_both_methods():
 
 
 def test_scene_point_drawn_once_per_frozen_point_or_fading_trial(monkeypatch):
-    """The fading preset draws one point per trial and no unused frozen one."""
+    """The fading preset draws one point per trial and no unused frozen one:
+    the generators drawn are counted, one call drawing a whole stack."""
     calls = []
     real = experiments.draw_scene_point
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(cfg, profiles, rngs):
+        calls.append(len(rngs))
+        return real(cfg, profiles, rngs)
 
     monkeypatch.setattr(experiments, "draw_scene_point", counted)
     run_experiment(build_spec("rician_comparison", trials=2, seed=3),
                    default_config())
-    assert len(calls) == 3 * 2
+    assert sum(calls) == 3 * 2
+    assert calls == [2] * 3    # one stack per sweep point
     calls.clear()
     run_experiment(build_spec("mse_vs_pulses", trials=2, seed=3),
                    default_config())
-    assert len(calls) == 4
+    assert sum(calls) == 4
+    assert calls == [1] * 4
 
 
 def test_scene_validated_once_per_sweep_point(monkeypatch):

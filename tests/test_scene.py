@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from irs_sensing.config import SPEED_OF_LIGHT, default_config, with_overrides
 from irs_sensing.errors import (DuplicateParameter, InfeasibleTiming,
                                 OutOfRange)
-from irs_sensing.scene import (_complex_normal, ap_irs_distance,
-                               build_los_channel,
-                               build_rician_channel, derive_target_truth,
-                               design_beamformers, design_phase_profiles,
-                               sensing_limits, steering_derivative,
-                               steering_vector, subarray_beam_directions,
-                               validate_scene)
+from irs_sensing.scene import (SceneTruth, _complex_normal, ap_irs_distance,
+                               build_los_channel, build_rician_channel,
+                               derive_target_truth, design_phase_profiles,
+                               draw_scene_point, sensing_limits,
+                               steering_derivative, steering_vector,
+                               subarray_beam_directions, validate_scene)
+
+from stacks import rician_alone, stack_channels
 
 # Independently recomputed geometry for the default two-target scene.
 FROZEN_THETA_DEG = (31.9458737, 38.03653147)
@@ -127,10 +128,8 @@ def test_steering_of_a_stack_equals_its_one_row_calls(cfg):
 def test_leg_gain_statistics(cfg):
     """Per-leg power follows the distance law with log-normal shadowing."""
     rng = np.random.default_rng(0)
-    draws = np.array([
-        derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays,
-                            rng).gain[0]
-        for _ in range(4000)])
+    draws = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays,
+                                [rng] * 4000).gain[:, 0]
     # carrier-phase factor is deterministic; spread comes from shadowing
     db = 10 * np.log10(np.abs(draws) ** 2)
     assert db.std() == pytest.approx(2 * 5.8, rel=0.1)
@@ -138,9 +137,9 @@ def test_leg_gain_statistics(cfg):
 
 def test_truth_is_deterministic_given_stream(cfg):
     a = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays,
-                            np.random.default_rng(42))
+                            [np.random.default_rng(42)])
     b = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays,
-                            np.random.default_rng(42))
+                            [np.random.default_rng(42)])
     for field in dataclasses.fields(a):
         assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
@@ -220,8 +219,8 @@ def test_rician_paths_match_the_scalar_steering_loop(cfg, channel):
     """The channel matrix and its dominant triple are those of the scalar
     per-path loop, bit for bit, over 100 draws."""
     for seed in range(100):
-        got = build_rician_channel(channel, 5.0, cfg.scene.n_nlos_paths,
-                                   cfg.arrays, np.random.default_rng(seed))
+        got = rician_alone(channel, 5.0, cfg.scene.n_nlos_paths, cfg.arrays,
+                           np.random.default_rng(seed))
         want = _scattered_reference(channel, 5.0, cfg.scene.n_nlos_paths,
                                     cfg.arrays, np.random.default_rng(seed))
         assert np.array_equal(got.matrix, want)
@@ -233,7 +232,7 @@ def test_rician_paths_match_the_scalar_steering_loop(cfg, channel):
 
 def test_rician_channel_power_ratio(cfg, channel):
     rng = np.random.default_rng(3)
-    mixed = build_rician_channel(channel, 13.0, 4, cfg.arrays, rng)
+    mixed = rician_alone(channel, 13.0, 4, cfg.arrays, rng)
     # frozen decomposition of the 13 dB factor
     assert 10 ** 1.3 == pytest.approx(19.9526231497, rel=1e-10)
     assert np.linalg.matrix_rank(mixed.matrix) == 5
@@ -241,9 +240,54 @@ def test_rician_channel_power_ratio(cfg, channel):
 
 
 def test_rician_none_passthrough(cfg, channel):
-    same = build_rician_channel(channel, None, 4, cfg.arrays,
-                                np.random.default_rng(0))
-    assert same is channel
+    los = stack_channels([channel])
+    same = build_rician_channel(los, None, 4, cfg.arrays,
+                                [np.random.default_rng(0)])
+    assert same is los
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"rician_k_db": 5.0}, {"rician_k_db": 5.0, "n_nlos_paths": 0}],
+    ids=["los", "rician", "rician_without_paths"])
+def test_a_stack_of_draws_equals_the_one_draw_calls(profiles, overrides):
+    """Five generators drawn as one stack give each trial the bits of its
+    own one-draw call, and leave each generator where that call leaves it."""
+    cfg = with_overrides(default_config(), **overrides)
+    seeds = [(4, b) for b in range(5)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    stack = draw_scene_point(cfg, profiles, rngs)
+    assert stack.truth.gain.shape == (5, len(cfg.scene.targets))
+    assert stack.channel.matrix.shape == (5, cfg.arrays.n_irs_elements,
+                                          cfg.arrays.n_ap_antennas)
+    assert stack.combiner.shape == (5, cfg.arrays.n_ap_antennas,
+                                    cfg.waveform.n_pulses)
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        alone = draw_scene_point(cfg, profiles, [rng]).trial(0)
+        got = stack.trial(b)
+        for field in dataclasses.fields(SceneTruth):
+            assert np.array_equal(getattr(got.truth, field.name),
+                                  getattr(alone.truth, field.name))
+        assert np.array_equal(got.channel.matrix, alone.channel.matrix)
+        for part in ("sigma", "u", "v"):
+            assert np.array_equal(getattr(got.channel.dominant, part),
+                                  getattr(alone.channel.dominant, part))
+        if overrides:
+            assert np.array_equal(got.channel.singular_values,
+                                  alone.channel.singular_values)
+        else:
+            assert got.channel.singular_values is None
+        assert got.channel.singular_ratio() == alone.channel.singular_ratio()
+        assert np.array_equal(got.combiner, alone.combiner)
+        assert rngs[b].standard_normal() == rng.standard_normal()
+
+
+def test_rician_singular_values_are_those_of_its_matrix(cfg, channel):
+    """The ratio the rank-one check reads is that of the channel matrix."""
+    mixed = rician_alone(channel, 5.0, 4, cfg.arrays, np.random.default_rng(2))
+    s = np.linalg.svd(mixed.matrix, compute_uv=False)
+    np.testing.assert_allclose(mixed.singular_values, s, rtol=1e-12)
+    assert mixed.singular_ratio() == pytest.approx(s[1] / s[0], rel=1e-12)
 
 
 def test_subarray_beam_directions(cfg):

@@ -17,9 +17,10 @@ from irs_sensing.estimation import (GRID_SLICE, _gamma_ratio, align_columns,
                                     estimate_trials)
 from irs_sensing.experiments import TRIAL_STACK, build_spec, run_experiment
 from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
-                               relayed_response, stack_channels,
-                               steering_vector)
+                               relayed_response, steering_vector)
 from irs_sensing.synthesis import EchoTensor, apply_noise, echo_tensors
+
+from stacks import stack_channels
 
 SNRS_DB = np.linspace(-10.0, 20.0, 7)
 
@@ -28,7 +29,7 @@ def _scene(rician_k_db):
     cfg = with_overrides(default_config(), rician_k_db=rician_k_db)
     profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
                                      cfg.scene.n_subarrays)
-    point = draw_scene_point(cfg, profiles, np.random.default_rng(5))
+    point = draw_scene_point(cfg, profiles, [np.random.default_rng(5)]).trial(0)
     return cfg, point
 
 
@@ -319,7 +320,7 @@ def _fading_stack(n_trials, los=None):
     profiles = design_phase_profiles(rician.scene.doa_prior_rad,
                                      rician.arrays, rician.scene.n_subarrays)
     points = [draw_scene_point(default_config() if b == los else rician,
-                               profiles, np.random.default_rng((8, b)))
+                               profiles, [np.random.default_rng((8, b))]).trial(0)
               for b in range(n_trials)]
     y1, y2 = [], []
     for b, point in enumerate(points):

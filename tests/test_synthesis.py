@@ -12,10 +12,10 @@ from irs_sensing.errors import DimensionMismatch, InsufficientSampling
 from irs_sensing.scene import PhaseProfile
 from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
                                    delay_signature, doppler_ramp,
-                                   noise_sigma_for_snr, oracle_prediction,
-                                   synthesize_echo_tensor, time_domain_oracle)
+                                   noise_sigma_for_snr, synthesize_echo_tensor)
 
 from conftest import take_targets
+from reference import oracle_prediction, time_domain_oracle
 
 
 # ---------------------------------------------------------------- factors
