@@ -12,7 +12,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from irs_sensing.config import load_config
+from irs_sensing.config import SPEED_OF_LIGHT, load_config
 from irs_sensing.estimation import estimate_targets
 from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
                                sensing_limits, validate_scene)
@@ -43,23 +43,20 @@ def main() -> int:
                                  cfg.arrays)
 
     order = np.argsort(truth.delay_s)
+    speed = SPEED_OF_LIGHT / (2 * cfg.waveform.carrier_freq_hz)  # m/s per Hz
     header = (f"{'target':>6} {'theta_deg':>12} {'theta_hat':>12} "
               f"{'range_m':>10} {'range_hat':>10} {'v_mps':>9} {'v_hat':>9}")
     print(header)
-    for pos, (est, idx) in enumerate(zip(estimates, order), start=1):
-        v_true = (truth.doppler_hz[idx] * 2.99792458e8
-                  / (2 * cfg.waveform.carrier_freq_hz))
+    for pos, (theta, tau, nu, idx) in enumerate(
+            zip(estimates.theta, estimates.tau, estimates.nu, order), start=1):
         print(f"{pos:>6} {math.degrees(truth.theta_rad[idx]):>12.6f} "
-              f"{math.degrees(est.theta_hat):>12.6f} "
-              f"{truth.range_m[idx]:>10.4f} {est.range_hat:>10.4f} "
-              f"{v_true:>9.4f} {est.velocity_hat:>9.4f}")
+              f"{math.degrees(theta):>12.6f} "
+              f"{truth.range_m[idx]:>10.4f} {SPEED_OF_LIGHT * tau / 2:>10.4f} "
+              f"{truth.doppler_hz[idx] * speed:>9.4f} {nu * speed:>9.4f}")
 
-    worst_theta = max(abs(est.theta_hat - truth.theta_rad[idx])
-                      for est, idx in zip(estimates, order))
-    worst_tau = max(abs(est.tau_hat - truth.delay_s[idx])
-                    for est, idx in zip(estimates, order))
-    worst_nu = max(abs(est.nu_hat - truth.doppler_hz[idx])
-                   for est, idx in zip(estimates, order))
+    worst_theta = np.abs(estimates.theta - truth.theta_rad[order]).max()
+    worst_tau = np.abs(estimates.tau - truth.delay_s[order]).max()
+    worst_nu = np.abs(estimates.nu - truth.doppler_hz[order]).max()
     print(f"\nworst errors: {worst_theta:.3e} rad, {worst_tau:.3e} s, "
           f"{worst_nu:.3e} Hz")
     return 0

@@ -23,7 +23,7 @@ from .errors import (AmbiguousAlignment, ConfigError, DegenerateGeometry,
                      NoFeasibleGrid, OutOfRange, RankDeficient, RankOneChannel,
                      SensingError, SingularFim, UniquenessError,
                      UnwrapInfeasible)
-from .estimation import (AlignedFactors, TargetEstimate, align_columns,
+from .estimation import (AlignedFactors, Estimates, align_columns,
                          compute_gamma_statistics, estimate_delay,
                          estimate_doa_multirank, estimate_doppler,
                          estimate_targets, estimate_trials, gamma_ratio_curve,

@@ -21,11 +21,11 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, ArrayConfig, WaveformConfig
+from .config import ArrayConfig, WaveformConfig
 from .cpd import FactorTriple, cp_decompose, raw_delay, reconstruction_error
 from .errors import (AmbiguousAlignment, DegenerateProfilePair, DivisionBlowup,
                      EstimationError, NoFeasibleGrid, RankOneChannel,
@@ -62,17 +62,16 @@ class AlignedFactors:
         return self.phase1.n_components
 
 
-@dataclass(frozen=True)
-class TargetEstimate:
-    """Recovered parameters for one target."""
+class Estimates(NamedTuple):
+    """Recovered parameters, one (B, K) array each for a stack of B trials
+    or (K,) for one trial, the targets of each trial sorted by delay; a
+    failed trial's row is NaN."""
 
-    theta_hat: float        # rad
-    tau_hat: float          # s
-    nu_hat: float           # Hz
-    range_hat: float        # m, c*tau/2
-    velocity_hat: float     # m/s, nu*c/(2*fc)
-    gamma_hat: complex      # cross-phase ratio diagnostic
-    residual: float         # |gamma_hat - gamma(theta_hat)| at the solution
+    theta: np.ndarray       # rad
+    tau: np.ndarray         # s
+    nu: np.ndarray          # Hz
+    gamma: np.ndarray       # cross-phase ratio diagnostic
+    residual: np.ndarray    # |gamma - gamma(theta)| at the solution
 
 
 def correlation_matrix(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -403,18 +402,19 @@ def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
                     combiner: np.ndarray, waveform: WaveformConfig,
                     arrays: ArrayConfig,
                     single_phase_doa: Sequence[bool] = (False,),
-                    stacklevel: int = 2) -> list[list]:
+                    stacklevel: int = 2) -> list[tuple[Estimates, list]]:
     """Run a stack of trials through the pipeline.
 
     Trial b observes ``y1[b]`` and ``y2[b]`` through its own entry of a
     stacked ``channel`` (B x N x M) and ``combiner`` (B x M x P), or through
-    the ones the stack shares.  Returns one list per entry of
-    ``single_phase_doa`` (a direction method of ``estimate_targets``) with,
-    per trial, its estimates sorted by delay or the EstimationError that
-    ``estimate_targets`` raises on it alone: the first check it fails.  A
-    failed trial stays in the stack, and what later steps compute for it is
-    discarded.  The factorization and alignment run once for all methods.
-    ``stacklevel`` is that of the reconstruction-residual warning.
+    the ones the stack shares.  Returns one (Estimates, errors) pair per
+    entry of ``single_phase_doa`` (a direction method of
+    ``estimate_targets``): ``errors[b]`` is None or the EstimationError that
+    ``estimate_targets`` raises on trial b alone, the first check it fails,
+    and its row of the estimates is NaN.  A check that the whole stack
+    shares fails every trial.  The factorization and alignment run once
+    for all methods.  ``stacklevel`` is that of the reconstruction-residual
+    warning.
     """
     errors = [None] * len(y1)
     try:
@@ -443,7 +443,10 @@ def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
                         stacklevel=stacklevel)
         aligned = align_columns(*triples, waveform.subcarrier_spacing_hz, errors)
     except EstimationError as exc:  # a check that the whole stack shares
-        return [[e or exc for e in errors] for _ in single_phase_doa]
+        shape = (len(errors), n_targets)
+        return [(Estimates(*(np.full(shape, np.nan, dtype) for dtype
+                             in (float, float, float, complex, float))),
+                 [e or exc for e in errors]) for _ in single_phase_doa]
 
     results = []
     for single_phase in single_phase_doa:
@@ -461,16 +464,12 @@ def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
         dopplers = estimate_doppler(aligned, thetas, channel, profiles,
                                     combiner, waveform, arrays, method_errors)
         delays = estimate_delay(aligned, waveform, method_errors)
-        results.append([error or sorted((TargetEstimate(
-            theta_hat=float(theta), tau_hat=float(tau), nu_hat=float(nu),
-            range_hat=float(SPEED_OF_LIGHT * tau / 2),
-            velocity_hat=float(nu * SPEED_OF_LIGHT
-                               / (2 * waveform.carrier_freq_hz)),
-            gamma_hat=complex(gamma), residual=float(residual))
-            for theta, tau, nu, gamma, residual in zip(*trial)),
-            key=lambda est: est.tau_hat)
-            for error, *trial in zip(method_errors, thetas, delays, dopplers,
-                                     gammas, residuals)])
+        order = np.argsort(delays, axis=-1, kind="stable")
+        failed = np.array([e is not None for e in method_errors])[:, None]
+        results.append((Estimates(*(
+            np.where(failed, np.nan, np.take_along_axis(v, order, axis=-1))
+            for v in (thetas, delays, dopplers, gammas, residuals))),
+            method_errors))
     return results
 
 
@@ -479,17 +478,17 @@ def estimate_targets(y1: EchoTensor, y2: EchoTensor, n_targets: int,
                      profiles: tuple[PhaseProfile, PhaseProfile],
                      combiner: np.ndarray, waveform: WaveformConfig,
                      arrays: ArrayConfig,
-                     single_phase_doa: bool = False) -> list[TargetEstimate]:
+                     single_phase_doa: bool = False) -> Estimates:
     """Full pipeline: factorize both phases, align, extract all parameters.
 
-    Returns estimates sorted by delay.  ``single_phase_doa`` switches the
-    direction step to the correlation method on phase 1 alone (requires a
-    channel of rank >= 2); Doppler and delay always use both phases.
-    This is ``estimate_trials`` on one trial.
+    Returns (K,) estimates sorted by delay.  ``single_phase_doa`` switches
+    the direction step to the correlation method on phase 1 alone (requires
+    a channel of rank >= 2); Doppler and delay always use both phases.
+    This is ``estimate_trials`` on one trial; it raises the trial's error.
     """
-    [[outcome]] = estimate_trials([y1], [y2], n_targets, doa_prior, channel,
-                                  profiles, combiner, waveform, arrays,
-                                  (single_phase_doa,), stacklevel=3)
-    if isinstance(outcome, EstimationError):
-        raise outcome
-    return outcome
+    [(estimates, [error])] = estimate_trials(
+        [y1], [y2], n_targets, doa_prior, channel, profiles, combiner,
+        waveform, arrays, (single_phase_doa,), stacklevel=3)
+    if error is not None:
+        raise error
+    return Estimates(*(field[0] for field in estimates))

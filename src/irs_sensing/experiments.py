@@ -21,8 +21,8 @@ import numpy as np
 
 from .config import FullConfig, with_overrides
 from .crb import compute_crb, compute_fim
-from .errors import ConfigError, EstimationError
-from .estimation import TargetEstimate, estimate_trials, greedy_match
+from .errors import ConfigError
+from .estimation import Estimates, estimate_trials, greedy_match
 from .scene import (ScenePoint, SceneTruth, design_phase_profiles,
                     draw_scene_point, validate_scene)
 from .synthesis import (apply_noise, build_factor_matrices, noise_sigma_for_snr,
@@ -56,8 +56,10 @@ class ExperimentSpec:
     compare_single_phase: bool = False
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if type(self.trials) is not int or self.trials < 1:  # bools too
+            raise ConfigError("trials must be an int >= 1")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be an int >= 0, not {self.seed!r}")
         if not self.sweep_values:
             raise ConfigError("sweep must be nonempty")
         if self.sweep_parameter not in SWEEP_CONFIG_KEYS:
@@ -132,15 +134,17 @@ def resolve_sweep_point(spec: ExperimentSpec, config: FullConfig,
     return cfg, float(spec.snr_db)
 
 
-def _squared_errors(estimates: Sequence[TargetEstimate], truth: SceneTruth,
-                    b: int) -> np.ndarray:
-    """Summed squared error over matched targets, per parameter family,
-    against draw b of a stacked truth."""
-    est = np.array([[e.theta_hat, e.nu_hat, e.tau_hat] for e in estimates])
-    true = np.stack([truth.theta_rad[b], truth.doppler_hz[b], truth.delay_s[b]],
-                    axis=1)
-    assignment = greedy_match(np.abs(np.subtract.outer(est[:, 2], true[:, 2])))
-    return ((est - true[assignment]) ** 2).sum(axis=0)
+def _squared_errors(estimates: Estimates, truth: SceneTruth) -> np.ndarray:
+    """Squared error summed over the targets, (B, 3) per trial and parameter
+    family, against a truth of one draw per trial or one for all; each
+    trial's estimates pair with its truth by delay."""
+    est = np.stack([estimates.theta, estimates.nu, estimates.tau], axis=-1)
+    true = np.broadcast_to(np.stack(
+        [truth.theta_rad, truth.doppler_hz, truth.delay_s], axis=-1), est.shape)
+    pairs = [greedy_match(np.abs(np.subtract.outer(e, t)))
+             for e, t in zip(est[..., 2], true[..., 2])]
+    matched = np.take_along_axis(true, np.array(pairs)[..., None], axis=-2)
+    return ((est - matched) ** 2).sum(axis=-2)
 
 
 class _Accumulator:
@@ -251,15 +255,13 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
                 cfg.scene.doa_prior_rad, shared.channel, profiles,
                 shared.combiner, cfg.waveform, cfg.arrays,
                 [name == "single_phase" for name in methods])
-            for name, results in zip(methods, outcomes):
+            for name, (estimates, errors) in zip(methods, outcomes):
                 acc = accs[name]
-                for b, estimates in enumerate(results):
-                    if isinstance(estimates, EstimationError):
-                        acc.failures += 1
-                        continue
-                    acc.sq_sums += _squared_errors(estimates, point.truth,
-                                                   b % n_draws)
-                    acc.used += 1
+                ok = np.array([e is None for e in errors])
+                for row in _squared_errors(estimates, point.truth)[ok]:
+                    acc.sq_sums += row  # trial by trial, in trial order
+                acc.used += int(ok.sum())
+                acc.failures += int((~ok).sum())
 
         crbs = np.array([c for c in crbs if np.isfinite(c).all()])
         crb_point = crbs.mean(axis=0) if len(crbs) else np.full(3, math.nan)

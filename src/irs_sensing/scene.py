@@ -305,7 +305,7 @@ def build_rician_channel(g_los: ChannelMatrix, rician_db: float | None,
     k_lin = 10.0 ** (rician_db / 10.0)
     matrix = (math.sqrt(k_lin / (1 + k_lin)) * g_los.matrix
               + math.sqrt(1 / (1 + k_lin)) * scattered)
-    u_mat, s, vh = np.linalg.svd(matrix)
+    u_mat, s, vh = np.linalg.svd(matrix, full_matrices=False)
     return ChannelMatrix(matrix, RankOneParts(sigma=s[:, 0], u=u_mat[..., 0],
                                               v=vh[:, 0]), s)
 

@@ -103,6 +103,16 @@ def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, yaml_text):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_negative_seed_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["run", "--config", CONFIG, "--preset", "mse_vs_pulses",
+                 "--trials", "2", "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be an int >= 0, not -1\n"
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_3(tmp_path):
     out = tmp_path / "no" / "such" / "dir" / "rows.csv"
     code = main(["run", "--config", CONFIG, "--preset", "mse_vs_pulses",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irs_sensing.config import SPEED_OF_LIGHT, ArrayConfig, default_config
+from irs_sensing.config import ArrayConfig, default_config
 from irs_sensing.cpd import FactorTriple, cp_decompose, raw_delay
 from irs_sensing.errors import (AmbiguousAlignment, DegenerateProfilePair,
                                 DivisionBlowup, NoFeasibleGrid, RankOneChannel,
@@ -376,21 +376,17 @@ def test_estimate_targets_noiseless(cfg, truth, channel, profiles, combiner,
     estimates = estimate_targets(clean_pair[0], clean_pair[1], k,
                                  cfg.scene.doa_prior_rad, channel, profiles,
                                  combiner, cfg.waveform, cfg.arrays)
-    assert len(estimates) == k
-    taus = [e.tau_hat for e in estimates]
-    assert taus == sorted(taus)
+    assert estimates.tau.shape == (k,)
+    assert np.array_equal(estimates.tau, np.sort(estimates.tau))
     order = np.argsort(truth.delay_s)
-    for est, idx in zip(estimates, order):
-        assert abs(est.theta_hat - truth.theta_rad[idx]) < 1e-5
-        assert abs(est.tau_hat - truth.delay_s[idx]) < 1e-12
-        assert abs(est.nu_hat - truth.doppler_hz[idx]) < 1.0
-        assert abs(est.range_hat - SPEED_OF_LIGHT * est.tau_hat / 2) < 1e-6
-        assert abs(est.velocity_hat - est.nu_hat * SPEED_OF_LIGHT
-                   / (2 * cfg.waveform.carrier_freq_hz)) < 1e-9
-        lo, hi = cfg.scene.doa_prior_rad
-        assert lo <= est.theta_hat <= hi
-        window_lo = cfg.waveform.full_symbol_s
-        assert window_lo <= est.tau_hat <= window_lo + cfg.waveform.cyclic_prefix_s
+    assert np.abs(estimates.theta - truth.theta_rad[order]).max() < 1e-5
+    assert np.abs(estimates.tau - truth.delay_s[order]).max() < 1e-12
+    assert np.abs(estimates.nu - truth.doppler_hz[order]).max() < 1.0
+    lo, hi = cfg.scene.doa_prior_rad
+    assert ((lo <= estimates.theta) & (estimates.theta <= hi)).all()
+    window_lo = cfg.waveform.full_symbol_s
+    assert ((window_lo <= estimates.tau) & (
+        estimates.tau <= window_lo + cfg.waveform.cyclic_prefix_s)).all()
 
 
 def test_estimate_targets_single_phase_mode(cfg, truth, profiles, combiner):
@@ -411,7 +407,7 @@ def test_estimate_targets_single_phase_mode(cfg, truth, profiles, combiner):
                                  base.scene.doa_prior_rad, rician, prof, comb,
                                  base.waveform, base.arrays,
                                  single_phase_doa=True)
-    got = np.sort([e.theta_hat for e in estimates])
+    got = np.sort(estimates.theta)
     want = np.sort(truth2.theta_rad)
     assert np.abs(got - want).max() < 1e-3
 
@@ -424,7 +420,7 @@ def test_estimate_targets_warns_on_component_undercount(cfg, truth, channel,
                                      cfg.scene.doa_prior_rad, channel,
                                      profiles, combiner, cfg.waveform,
                                      cfg.arrays)
-    assert len(estimates) == 1
+    assert estimates.tau.shape == (1,)
 
 
 # ---------------------------------------------------------------- grid search
@@ -643,7 +639,7 @@ def test_estimates_same_with_cold_and_warm_cache(cfg, truth, channel,
     cold = run()
     hits = _dictionary.cache_info().hits
     warm = run()
-    assert warm == cold
+    assert [f.tobytes() for f in warm] == [f.tobytes() for f in cold]
     assert _dictionary.cache_info().hits >= hits + 2   # direction and Doppler
 
 

@@ -61,6 +61,11 @@ def test_spec_validation():
         dataclasses.replace(base, sweep_values=())
     with pytest.raises(ConfigError):
         dataclasses.replace(base, sweep_parameter="bandwidth")
+    for field, value in [("seed", -1), ("seed", True), ("seed", 1.0),
+                         ("seed", "1"), ("trials", True), ("trials", 2.5)]:
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(base, **{field: value})
+    assert dataclasses.replace(base, seed=0).seed == 0
 
 
 def test_fading_comparison_preset_shape():

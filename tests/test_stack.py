@@ -11,10 +11,11 @@ from irs_sensing.config import default_config, with_overrides
 from irs_sensing.cpd import (FactorTriple, cp_decompose, cp_reconstruct,
                              reconstruction_error)
 from irs_sensing.errors import (EstimationError, IllConditionedShift,
-                                RankDeficient, UnwrapInfeasible)
-from irs_sensing.estimation import (GRID_SLICE, _gamma_ratio, align_columns,
-                                    estimate_doppler, estimate_targets,
-                                    estimate_trials)
+                                RankDeficient, UniquenessError,
+                                UnwrapInfeasible)
+from irs_sensing.estimation import (GRID_SLICE, Estimates, _gamma_ratio,
+                                    align_columns, estimate_doppler,
+                                    estimate_targets, estimate_trials)
 from irs_sensing.experiments import TRIAL_STACK, build_spec, run_experiment
 from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
                                relayed_response, steering_vector)
@@ -61,19 +62,42 @@ def _outcome(run):
         return exc
 
 
+def _per_trial(result):
+    """Each trial's outcome in an (Estimates, errors) pair of
+    ``estimate_trials``: its error, or its row of the estimates."""
+    estimates, errors = result
+    return [e or Estimates(*(field[b] for field in estimates))
+            for b, e in enumerate(errors)]
+
+
+def _failure(error):
+    return [type(error).__name__, str(error)]
+
+
 def _summary(outcome):
     """[class name, message] of a failure, else (theta, tau, nu) rows."""
     if isinstance(outcome, EstimationError):
-        return [type(outcome).__name__, str(outcome)]
-    return [[e.theta_hat, e.tau_hat, e.nu_hat] for e in outcome]
+        return _failure(outcome)
+    return np.stack([outcome.theta, outcome.tau, outcome.nu], axis=-1).tolist()
 
 
-def _bits(outcome):
-    """[class name, message] of a failure, else the repr of the estimates,
-    which round-trips every float bit for bit."""
-    if isinstance(outcome, EstimationError):
-        return [type(outcome).__name__, str(outcome)]
-    return repr(outcome)
+def _bits(result):
+    """The failures of an (Estimates, errors) pair, and the bytes of its
+    arrays, which hold every estimate bit for bit."""
+    estimates, errors = result
+    return ([e and _failure(e) for e in errors],
+            [field.tobytes() for field in estimates])
+
+
+def _assert_nan_exactly_where_failed(result):
+    """Failed rows are NaN in every array; healthy rows are finite, with
+    their targets sorted by delay."""
+    estimates, errors = result
+    failed = np.array([e is not None for e in errors])
+    for field in estimates:
+        assert np.isnan(field[failed]).all()
+        assert np.isfinite(field[~failed]).all()
+    assert (np.diff(estimates.tau[~failed], axis=-1) >= 0).all()
 
 
 def _assert_same_outcome(got, want, rtol):
@@ -101,7 +125,8 @@ def test_stack_changes_no_trial_outcome(rician_k_db):
     cfg, point = _scene(rician_k_db)
     y1, y2 = _noisy_stack(cfg, point, 21, seed=17)
     args = _args(cfg, point)
-    outcomes = estimate_trials(y1, y2, *args, single_phase_doa=(False, True))
+    outcomes = [_per_trial(r) for r in estimate_trials(
+        y1, y2, *args, single_phase_doa=(False, True))]
     assert any(isinstance(o, UnwrapInfeasible) for o in outcomes[0])
     assert any(not isinstance(o, EstimationError) for o in outcomes[0])
     channel = "los" if rician_k_db is None else "rician"
@@ -176,7 +201,9 @@ def test_ill_conditioned_member_fails_alone():
 
     y1[1] = EchoTensor(data=bad, phase_index=1, noise_sigma=0.0)
     args = _args(cfg, point)
-    [results] = estimate_trials(y1, y2, *args)
+    [result] = estimate_trials(y1, y2, *args)
+    _assert_nan_exactly_where_failed(result)
+    results = _per_trial(result)
     assert isinstance(results[1], IllConditionedShift)
     assert str(results[1]).startswith("phase 1: shift subspace")
     with pytest.raises(IllConditionedShift, match="^phase 1: shift subspace"):
@@ -237,9 +264,12 @@ def test_failed_trials_stay_in_the_stack_without_effect(rician_k_db):
     s1 = [y1[healthy], echo(zero, 1), echo(bad, 1), y1[healthy], y1[unwrap]]
     s2 = [y2[healthy], echo(zero, 2), y2[healthy], echo(zero, 2), y2[unwrap]]
     args = _args(cfg, point)
-    outcomes = estimate_trials(s1, s2, *args, single_phase_doa=(False, True))
+    pairs = estimate_trials(s1, s2, *args, single_phase_doa=(False, True))
+    for result in pairs:
+        _assert_nan_exactly_where_failed(result)
+    outcomes = [_per_trial(r) for r in pairs]
     assert [type(o).__name__ for o in outcomes[0]] == [
-        "list", "RankDeficient", "IllConditionedShift", "RankDeficient",
+        "Estimates", "RankDeficient", "IllConditionedShift", "RankDeficient",
         "UnwrapInfeasible"]
     assert str(outcomes[0][2]) == "phase 1: shift subspace condition number inf"
     assert str(outcomes[0][3]) == "phase 2: zero tensor"
@@ -248,6 +278,28 @@ def test_failed_trials_stay_in_the_stack_without_effect(rician_k_db):
             alone = _outcome(lambda: estimate_targets(
                 s1[b], s2[b], *args, single_phase_doa=single))
             _assert_same_outcome(got, _summary(alone), rtol=0)
+
+
+def test_a_check_the_stack_shares_fails_every_trial():
+    """One subcarrier cannot separate two targets, a check of the tensor
+    shape that the whole stack shares: under both direction methods every
+    trial carries that one UniquenessError, and every row is NaN."""
+    cfg, point = _scene(None)
+    narrow = with_overrides(cfg, n_subcarriers=1)
+    clean = echo_tensors(*point, narrow.waveform, narrow.arrays)
+    y1, y2 = ([apply_noise(t, 10.0, np.random.default_rng((6, b)))
+               for b in range(3)] for t in clean)
+    pairs = estimate_trials(y1, y2, *_args(narrow, point),
+                            single_phase_doa=(False, True))
+    assert len(pairs) == 2
+    for estimates, errors in pairs:
+        assert len(errors) == 3
+        assert isinstance(errors[0], UniquenessError)
+        assert str(errors[0]).startswith("phase 1: ")
+        assert all(e is errors[0] for e in errors)
+        for field in estimates:
+            assert field.shape == (3, point.truth.n_targets)
+            assert np.isnan(field).all()
 
 
 def test_shared_factorization_warns_once_per_phase_for_both_methods():
@@ -288,11 +340,12 @@ def test_grid_slices_change_no_trial_outcome(monkeypatch):
     outcomes = {}
     for size in (len(y1) + 1, 1, 2, 3):
         monkeypatch.setattr(estimation, "GRID_SLICE", size)
-        outcomes[size] = [[_bits(o) for o in results] for results in
+        outcomes[size] = [_bits(r) for r in
                           estimate_trials(y1, y2, *_args(cfg, point),
                                           single_phase_doa=(False, True))]
     whole = outcomes.pop(len(y1) + 1)
-    assert {type(o) for o in whole[0]} == {list, str}  # failures, estimates
+    failures = whole[0][0]
+    assert None in failures and any(failures)  # estimates and failures
     for size, got in outcomes.items():
         assert got == whole, size
 
@@ -337,7 +390,8 @@ def _run_fading_stack(cfg, points, y1, y2):
                stack_channels([p.channel for p in points]), points[0].profiles,
                np.stack([p.combiner for p in points]), cfg.waveform,
                cfg.arrays)
-    outcomes = estimate_trials(y1, y2, *stacked, single_phase_doa=(False, True))
+    outcomes = [_per_trial(r) for r in estimate_trials(
+        y1, y2, *stacked, single_phase_doa=(False, True))]
     for single, results in zip((False, True), outcomes):
         for b, got in enumerate(results):
             alone = _outcome(lambda: estimate_targets(
@@ -373,9 +427,9 @@ def test_a_stack_of_distinct_channels_gives_each_trial_its_own_outcome():
                                            profiles))
 
     outcomes = _run_fading_stack(rician, points, y1, y2)
-    assert [type(o).__name__ for o in outcomes[0]] == ["list"] * 4
+    assert [type(o).__name__ for o in outcomes[0]] == ["Estimates"] * 4
     assert [type(o).__name__ for o in outcomes[1]] == [
-        "RankOneChannel" if b == los else "list" for b in range(4)]
+        "RankOneChannel" if b == los else "Estimates" for b in range(4)]
 
 
 def test_a_failure_in_a_later_grid_slice_lands_on_its_own_trial(monkeypatch):
@@ -390,7 +444,7 @@ def test_a_failure_in_a_later_grid_slice_lands_on_its_own_trial(monkeypatch):
         combiner=np.zeros_like(points[bad].combiner))
     for results in _run_fading_stack(rician, points, y1, y2):
         assert [type(o).__name__ for o in results] == [
-            "DivisionBlowup" if b == bad else "list" for b in range(5)]
+            "DivisionBlowup" if b == bad else "Estimates" for b in range(5)]
         assert str(results[bad]).startswith("phase 1, target 0: all pulse")
 
 
