@@ -14,8 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from irs_sensing.config import SPEED_OF_LIGHT, load_config
 from irs_sensing.estimation import estimate_targets
-from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
-                               sensing_limits, validate_scene)
+from irs_sensing.scene import draw_scene_point, sensing_limits
 from irs_sensing.synthesis import echo_tensors
 
 
@@ -26,11 +25,7 @@ def main() -> int:
     args = parser.parse_args()
 
     cfg = load_config(args.config)
-    validate_scene(cfg.scene, cfg.waveform, cfg.arrays)
-    profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
-                                     cfg.scene.n_subarrays)
-    point = draw_scene_point(cfg, profiles,
-                             [np.random.default_rng(args.seed)]).trial(0)
+    point = draw_scene_point(cfg, [np.random.default_rng(args.seed)]).trial(0)
     truth = point.truth
     limits = sensing_limits(cfg.waveform)
     print(f"range window  [{limits.min_range_m:.3f}, {limits.max_range_m:.3f}] m")
@@ -39,7 +34,7 @@ def main() -> int:
     pair = echo_tensors(*point, cfg.waveform, cfg.arrays)
     estimates = estimate_targets(pair[0], pair[1], truth.n_targets,
                                  cfg.scene.doa_prior_rad, point.channel,
-                                 profiles, point.combiner, cfg.waveform,
+                                 point.profiles, point.combiner, cfg.waveform,
                                  cfg.arrays)
 
     order = np.argsort(truth.delay_s)

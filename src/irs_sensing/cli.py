@@ -20,8 +20,7 @@ from .crb import compute_crb, compute_fim
 from .errors import ConfigError
 from .experiments import (DEFAULT_SEED, PRESET_NAMES, build_spec,
                           emit_results, run_experiment)
-from .scene import (design_phase_profiles, draw_scene_point, sensing_limits,
-                    validate_scene)
+from .scene import draw_scene_point, sensing_limits
 from .synthesis import echo_tensors, noise_sigma_for_snr
 
 CRB_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
@@ -75,11 +74,7 @@ def _cmd_limits(args) -> int:
 
 
 def _crb_rows(config: FullConfig) -> tuple[list[str], list[list[str]]]:
-    validate_scene(config.scene, config.waveform, config.arrays)
-    profiles = design_phase_profiles(config.scene.doa_prior_rad, config.arrays,
-                                     config.scene.n_subarrays)
-    point = draw_scene_point(config, profiles,
-                             [np.random.default_rng(DEFAULT_SEED)]).trial(0)
+    point = draw_scene_point(config, [np.random.default_rng(DEFAULT_SEED)]).trial(0)
     tensors = echo_tensors(*point, config.waveform, config.arrays)
     k_total = point.truth.n_targets
     header = ["snr_db"]

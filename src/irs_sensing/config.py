@@ -124,6 +124,8 @@ class SceneConfig:
             raise ConfigError("subarray count must be >= 1")
         if self.n_nlos_paths < 0:
             raise ConfigError("scattered path count must be >= 0")
+        if any(t.rcs <= 0 for t in self.targets):
+            raise ConfigError("target rcs must be positive")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .config import ArrayConfig, WaveformConfig
 from .errors import SingularFim
-from .cpd import FactorTriple
 from .scene import (ChannelMatrix, PhaseProfile, SceneTruth, relayed_response,
                     steering_derivative)
 from .synthesis import build_factor_matrices, doppler_ramp, echo_tensors
@@ -70,18 +69,18 @@ def _term_rows(n_targets: int) -> np.ndarray:
 
 def jacobian_terms(truth: SceneTruth, channel: ChannelMatrix,
                    profile: PhaseProfile, combiner: np.ndarray,
-                   waveform: WaveformConfig, arrays: ArrayConfig,
-                   factors: FactorTriple | None = None) -> tuple[np.ndarray, ...]:
+                   waveform: WaveformConfig,
+                   arrays: ArrayConfig) -> tuple[np.ndarray, ...]:
     """Factors X (P x 4K), Y (M x 4K), Z (L x 4K) of one phase's Jacobian
     terms x_t o y_t o z_t, in blocks of K targets: direction through the
     combined pulse response, direction through the relayed steering
     vector, Doppler (each pulse times its ramp rate) and delay (each
     subcarrier times its tone rate).  The other modes keep their base
-    columns (``factors``), and gains are held fixed.  A stacked truth,
-    channel and combiner give a stack of terms.
+    columns, and gains are held fixed.  A stacked truth, channel and
+    combiner give a stack of terms.
     """
-    factors = factors or build_factor_matrices(truth, channel, profile,
-                                               combiner, waveform, arrays)
+    factors = build_factor_matrices(truth, channel, profile, combiner,
+                                    waveform, arrays)
     a, b, c = (factors.pulse_factor, factors.antenna_factor,
                factors.subcarrier_factor)
     d_antenna = relayed_response(
@@ -112,8 +111,7 @@ def parameter_jacobian(truth: SceneTruth, channel: ChannelMatrix,
 def compute_fim(truth: SceneTruth, channel: ChannelMatrix,
                 profiles: Sequence[PhaseProfile], combiner: np.ndarray,
                 waveform: WaveformConfig, arrays: ArrayConfig,
-                noise_variances: Sequence[float] | np.ndarray,
-                factors: Sequence[FactorTriple] | None = None) -> FimMatrix:
+                noise_variances: Sequence[float] | np.ndarray) -> FimMatrix:
     """Information matrix for the stacked direction/Doppler/delay vector.
 
     Each phase adds (2/sigma^2) S^T Re(X^H X * Y^H Y * Z^H Z) S (* is
@@ -130,10 +128,9 @@ def compute_fim(truth: SceneTruth, channel: ChannelMatrix,
         raise ValueError("noise variances must be positive")
     rows = _term_rows(truth.n_targets)
     omega = 0.0
-    for profile, s, phase in zip(profiles, sigma_sq,
-                                 factors or (None,) * len(profiles)):
+    for profile, s in zip(profiles, sigma_sq):
         x, y, z = (t.conj().swapaxes(-1, -2) @ t for t in jacobian_terms(
-            truth, channel, profile, combiner, waveform, arrays, phase))
+            truth, channel, profile, combiner, waveform, arrays))
         omega = omega + 2.0 / s[..., None, None] * (rows.T @ (x * y * z).real
                                                     @ rows)
     omega = 0.5 * (omega + omega.swapaxes(-1, -2))

@@ -459,8 +459,7 @@ def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
                                  np.zeros(thetas.shape))
         else:
             thetas, gammas, residuals = resolve_doa(
-                aligned, channel.irs_side_vector(), profiles, doa_prior,
-                arrays, method_errors)
+                aligned, channel.u, profiles, doa_prior, arrays, method_errors)
         dopplers = estimate_doppler(aligned, thetas, channel, profiles,
                                     combiner, waveform, arrays, method_errors)
         delays = estimate_delay(aligned, waveform, method_errors)

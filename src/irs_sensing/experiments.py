@@ -23,10 +23,8 @@ from .config import FullConfig, with_overrides
 from .crb import compute_crb, compute_fim
 from .errors import ConfigError
 from .estimation import Estimates, estimate_trials, greedy_match
-from .scene import (ScenePoint, SceneTruth, design_phase_profiles,
-                    draw_scene_point, validate_scene)
-from .synthesis import (apply_noise, build_factor_matrices, noise_sigma_for_snr,
-                        synthesize_echo_tensor)
+from .scene import ScenePoint, SceneTruth, draw_scene_point
+from .synthesis import apply_noise, echo_tensors, noise_sigma_for_snr
 
 PARAMETER_LABELS = ("theta", "nu", "tau")
 
@@ -122,7 +120,7 @@ def resolve_sweep_point(spec: ExperimentSpec, config: FullConfig,
     """Configuration and noise level at one sweep position.
 
     An invalid configuration raises ConfigError here; the scene itself is
-    validated by the caller, before it is drawn.
+    validated when it is drawn.
     """
     cfg = config
     if spec.n_targets is not None:
@@ -161,7 +159,7 @@ class _Accumulator:
         return self.sq_sums / (self.used * n_targets)
 
 
-def _draw_crbs(point: ScenePoint, factors: list, cfg: FullConfig, snr_db: float,
+def _draw_crbs(point: ScenePoint, cfg: FullConfig, snr_db: float,
                clean: list) -> np.ndarray:
     """Mean-over-targets bound per draw of a stacked point and parameter
     family, at each draw's noise level; NaN for a draw without one."""
@@ -170,7 +168,7 @@ def _draw_crbs(point: ScenePoint, factors: list, cfg: FullConfig, snr_db: float,
     if not (noise_vars > 0).all():
         return np.full((len(clean), 3), math.nan)
     bounds = compute_crb(compute_fim(*point, cfg.waveform, cfg.arrays,
-                                     noise_vars, factors))
+                                     noise_vars))
     return np.stack([bounds.theta.mean(-1), bounds.doppler.mean(-1),
                      bounds.delay.mean(-1)], axis=-1)
 
@@ -192,12 +190,12 @@ def run_experiment(spec: ExperimentSpec,
                    config: FullConfig) -> list[ResultRow]:
     """Execute every sweep position and aggregate per-parameter rows.
 
-    Per position: the scene is validated once, the scene truth and channel
-    are drawn once from the seed (redrawn each trial only when the preset
-    asks for fading averaging), each trial adds fresh noise, runs the
-    estimation pipeline, and pairs estimates with its own truth by delay.
+    Per position: the scene point is validated and drawn once from the
+    seed (redrawn each trial only when the preset asks for fading
+    averaging), each trial adds fresh noise, runs the estimation
+    pipeline, and pairs estimates with its own truth by delay.
     ``TRIAL_STACK`` trials run as one estimator stack, and their draws as
-    one stacked pass of the scene draw, factors, clean tensors and bound
+    one stacked pass of the scene draw, clean tensors and bound
     (a frozen point is the stack of its one generator).  Estimator failures
     are counted and excluded from the error average rather than crashing
     the sweep.
@@ -218,10 +216,7 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for sweep_idx, value in enumerate(spec.sweep_values):
         cfg, snr_db = resolve_sweep_point(spec, config, value)
-        validate_scene(cfg.scene, cfg.waveform, cfg.arrays)
         k_total = len(cfg.scene.targets)
-        profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
-                                         cfg.scene.n_subarrays)
 
         methods = ["two_phase"]
         if spec.compare_single_phase:
@@ -233,17 +228,13 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
             rngs = [np.random.default_rng((spec.seed, sweep_idx, trial)) for trial
                     in range(first, min(first + TRIAL_STACK, spec.trials))]
             if spec.redraw_fading or first == 0:
-                point = draw_scene_point(cfg, profiles, rngs if spec.redraw_fading
+                point = draw_scene_point(cfg, rngs if spec.redraw_fading
                                          else [np.random.default_rng(spec.seed)])
-                factors = [build_factor_matrices(point.truth, point.channel, p,
-                                                 point.combiner, cfg.waveform,
-                                                 cfg.arrays) for p in profiles]
-                phases = [synthesize_echo_tensor(f, p.phase_index)
-                          for f, p in zip(factors, profiles)]
+                phases = echo_tensors(*point, cfg.waveform, cfg.arrays)
                 n_draws = len(point.combiner)
                 clean = [[replace(t, data=t.data[b]) for t in phases]
                          for b in range(n_draws)]
-                crbs.extend(_draw_crbs(point, factors, cfg, snr_db, clean))
+                crbs.extend(_draw_crbs(point, cfg, snr_db, clean))
                 shared = point if spec.redraw_fading else point.trial(0)
             # a frozen point's one draw serves every trial
             stack = [[apply_noise(t, snr_db, rng) for t in clean[b % n_draws]]
@@ -252,7 +243,7 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
                 del phases, clean  # these draws serve this stack alone
             outcomes = estimate_trials(
                 [t[0] for t in stack], [t[1] for t in stack], k_total,
-                cfg.scene.doa_prior_rad, shared.channel, profiles,
+                cfg.scene.doa_prior_rad, shared.channel, point.profiles,
                 shared.combiner, cfg.waveform, cfg.arrays,
                 [name == "single_phase" for name in methods])
             for name, (estimates, errors) in zip(methods, outcomes):

@@ -79,26 +79,15 @@ class SceneTruth:
 
 
 @dataclass(frozen=True)
-class RankOneParts:
-    """Leading singular triple, matrix ~ sigma * outer(u, v)."""
-
-    sigma: float
-    u: np.ndarray   # surface-side unit vector
-    v: np.ndarray   # AP-side unit vector
-
-
-@dataclass(frozen=True)
 class ChannelMatrix:
     """AP-to-surface channel (n_irs_elements x n_ap_antennas), or a stack
-    (B, N, M); ``dominant``, and the singular values of an SVD, as built."""
+    (B, N, M); its dominant unit vectors, matrix ~ s_1 * outer(u, v), and
+    the singular values of an SVD, as built."""
 
     matrix: np.ndarray
-    dominant: RankOneParts
+    u: np.ndarray   # surface side, for the cross-phase DOA ratio
+    v: np.ndarray   # AP side, for the transmit weights
     singular_values: np.ndarray | None = None
-
-    def irs_side_vector(self) -> np.ndarray:
-        """Dominant surface-side vector(s) for the cross-phase DOA ratio."""
-        return self.dominant.u
 
     def singular_ratio(self) -> np.ndarray:
         """Second-to-first singular value ratio of each trial's channel; a
@@ -111,10 +100,9 @@ class ChannelMatrix:
 
     def trials(self, s) -> ChannelMatrix:
         """The channel(s) of trial index or slice s of a stack, or a shared one."""
-        d, sv = self.dominant, self.singular_values
+        sv = self.singular_values
         return self if self.matrix.ndim == 2 else ChannelMatrix(
-            self.matrix[s], RankOneParts(d.sigma[s], d.u[s], d.v[s]),
-            None if sv is None else sv[s])
+            self.matrix[s], self.u[s], self.v[s], None if sv is None else sv[s])
 
 
 @dataclass(frozen=True)
@@ -235,7 +223,7 @@ def derive_target_truth(scene: SceneConfig, waveform: WaveformConfig,
     The lumped gain multiplies the transmit amplitude, two independent
     shadowed leg draws (surface->target and back), the carrier phase of the
     total delay, the modulation symbol, and the symbol duration.  Each array
-    is B x K, a row per generator; the caller validates the scene first.
+    is B x K, a row per generator.
     """
     tau0 = 2 * ap_irs_distance(scene) / SPEED_OF_LIGHT
     geometry = [_target_geometry(scene, waveform, tgt) for tgt in scene.targets]
@@ -243,7 +231,7 @@ def derive_target_truth(scene: SceneConfig, waveform: WaveformConfig,
     def draw_gain(tgt, dist: float, delay: float, rng) -> complex:
         """Scalar math, as a vectorized exp may move an ulp."""
         two_leg = (_shadowed_leg_gain(dist, rng) * _shadowed_leg_gain(dist, rng)
-                   * abs(tgt.rcs))
+                   * tgt.rcs)
         return (math.sqrt(waveform.tx_power_w) * two_leg
                 * np.exp(-2j * np.pi * waveform.carrier_freq_hz * (delay + tau0))
                 * waveform.modulation_symbol * waveform.symbol_duration_s)
@@ -267,11 +255,10 @@ def build_los_channel(scene: SceneConfig, arrays: ArrayConfig,
                            arrays.wavelength_m)
     gains = [_shadowed_leg_gain(dist, rng) for rng in rngs]
     matrix = np.array(gains)[:, None, None] * np.outer(a_irs, a_ap.conj())
-    # phase and magnitude as Python scalars, the phase the second factor of u
+    # the phase as a Python scalar, the second factor of u
     phase = np.array([g / abs(g) for g in gains])
-    return ChannelMatrix(matrix, RankOneParts(
-        sigma=np.array([abs(g) for g in gains]), u=a_irs * phase[:, None],
-        v=np.tile(a_ap.conj(), (len(gains), 1))))
+    return ChannelMatrix(matrix, u=a_irs * phase[:, None],
+                         v=np.tile(a_ap.conj(), (len(gains), 1)))
 
 
 def build_rician_channel(g_los: ChannelMatrix, rician_db: float | None,
@@ -306,8 +293,7 @@ def build_rician_channel(g_los: ChannelMatrix, rician_db: float | None,
     matrix = (math.sqrt(k_lin / (1 + k_lin)) * g_los.matrix
               + math.sqrt(1 / (1 + k_lin)) * scattered)
     u_mat, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    return ChannelMatrix(matrix, RankOneParts(sigma=s[:, 0], u=u_mat[..., 0],
-                                              v=vh[:, 0]), s)
+    return ChannelMatrix(matrix, u_mat[..., 0], vh[:, 0], s)
 
 
 def subarray_beam_directions(doa_prior: tuple[float, float], n_subarrays: int,
@@ -354,7 +340,7 @@ def design_beamformers(channel: ChannelMatrix, n_pulses: int) -> np.ndarray:
     gain (w dotted with the AP-side channel direction) has unit modulus;
     returning the full matrix keeps pulse-varying weights possible.
     """
-    w = channel.dominant.v.conj()
+    w = channel.v.conj()
     w = w / np.array([np.linalg.norm(x) for x in w])[:, None]   # a norm per trial
     return np.repeat(w[..., None], n_pulses, axis=-1)
 
@@ -377,13 +363,17 @@ class ScenePoint(NamedTuple):
                           self.combiner[b])
 
 
-def draw_scene_point(cfg: FullConfig, profiles: tuple[PhaseProfile, PhaseProfile],
+def draw_scene_point(cfg: FullConfig,
                      rngs: Sequence[np.random.Generator]) -> ScenePoint:
-    """One draw per generator, stacked: each draws its truth, then its
-    line-of-sight channel, then its scattered paths (when ``rician_k_db`` is
-    set); the transmit weights follow from the channel.  One draw is
-    ``.trial(0)`` of one generator's.  The caller validates the scene first.
+    """One draw per generator, stacked, of the validated scene: each draws
+    its truth, then its line-of-sight channel, then its scattered paths
+    (when ``rician_k_db`` is set); the two reflection profiles follow from
+    the DOA prior and the transmit weights from the channel.  One draw is
+    ``.trial(0)`` of one generator's.
     """
+    validate_scene(cfg.scene, cfg.waveform, cfg.arrays)
+    profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
+                                     cfg.scene.n_subarrays)
     truth = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays, rngs)
     channel = build_rician_channel(build_los_channel(cfg.scene, cfg.arrays, rngs),
                                    cfg.scene.rician_k_db, cfg.scene.n_nlos_paths,

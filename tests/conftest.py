@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from irs_sensing.config import default_config
-from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
-                               validate_scene)
+from irs_sensing.scene import draw_scene_point
 from irs_sensing.synthesis import build_factor_matrices, echo_tensors
 
 SCENE_SEED = 7
@@ -26,16 +25,13 @@ def cfg():
 
 
 @pytest.fixture(scope="session")
-def profiles(cfg):
-    return design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
-                                 cfg.scene.n_subarrays)
+def scene_point(cfg):
+    return draw_scene_point(cfg, [np.random.default_rng(SCENE_SEED)]).trial(0)
 
 
 @pytest.fixture(scope="session")
-def scene_point(cfg, profiles):
-    validate_scene(cfg.scene, cfg.waveform, cfg.arrays)
-    return draw_scene_point(cfg, profiles,
-                            [np.random.default_rng(SCENE_SEED)]).trial(0)
+def profiles(scene_point):
+    return scene_point.profiles
 
 
 @pytest.fixture(scope="session")

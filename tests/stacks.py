@@ -5,21 +5,18 @@ from typing import Sequence
 
 import numpy as np
 
-from irs_sensing.scene import (ChannelMatrix, RankOneParts, ScenePoint,
-                               SceneTruth, build_rician_channel,
-                               design_beamformers)
+from irs_sensing.scene import (ChannelMatrix, ScenePoint, SceneTruth,
+                               build_rician_channel, design_beamformers)
 
 
 def stack_channels(channels: Sequence[ChannelMatrix]) -> ChannelMatrix:
     """The channels of B trials as one stack along a leading trial axis,
     with the singular values each one's ``singular_ratio`` reads."""
-    parts = [c.dominant for c in channels]
     values = [np.linalg.svd(c.matrix, compute_uv=False)
               if c.singular_values is None else c.singular_values
               for c in channels]
-    return ChannelMatrix(np.stack([c.matrix for c in channels]), RankOneParts(
-        np.array([p.sigma for p in parts]), np.stack([p.u for p in parts]),
-        np.stack([p.v for p in parts])), np.stack(values))
+    return ChannelMatrix(*(np.stack([getattr(c, part) for c in channels])
+                           for part in ("matrix", "u", "v")), np.stack(values))
 
 
 def stack_points(points: Sequence[ScenePoint]) -> ScenePoint:

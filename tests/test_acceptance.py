@@ -24,8 +24,7 @@ from irs_sensing.estimation import (AlignedFactors, align_columns,
                                     estimate_targets)
 from irs_sensing.experiments import build_spec, run_experiment
 from irs_sensing.config import ArrayConfig, FullConfig
-from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
-                               sensing_limits)
+from irs_sensing.scene import draw_scene_point, sensing_limits
 from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
                                    echo_tensors, noise_sigma_for_snr)
 
@@ -183,12 +182,10 @@ def test_score_covariance_matches_information(cfg):
     arrays = ArrayConfig(n_ap_antennas=4,
                          n_irs_elements=cfg.arrays.n_irs_elements,
                          wavelength_m=wf.wavelength_m)
-    profiles = design_phase_profiles(cfg.scene.doa_prior_rad, arrays,
-                                     cfg.scene.n_subarrays)
-    point = draw_scene_point(FullConfig(wf, arrays, cfg.scene), profiles,
+    point = draw_scene_point(FullConfig(wf, arrays, cfg.scene),
                              [np.random.default_rng(7)]).trial(0)
     truth = take_targets(point.truth, slice(1))
-    channel, combiner = point.channel, point.combiner
+    channel, profiles, combiner = point.channel, point.profiles, point.combiner
     tensors = echo_tensors(truth, channel, profiles, combiner, wf, arrays)
     noise_vars = tuple(noise_sigma_for_snr(t, 0.0) ** 2 for t in tensors)
     fim = compute_fim(truth, channel, profiles, combiner, wf, arrays,

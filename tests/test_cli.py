@@ -8,7 +8,7 @@ from irs_sensing.cli import CRB_SNR_GRID, main
 from irs_sensing.config import load_config
 from irs_sensing.crb import compute_crb, compute_fim
 from irs_sensing.experiments import CSV_HEADER, DEFAULT_SEED
-from irs_sensing.scene import design_phase_profiles, draw_scene_point
+from irs_sensing.scene import draw_scene_point
 from irs_sensing.synthesis import echo_tensors, noise_sigma_for_snr
 
 CONFIG = "configs/default.yaml"
@@ -91,6 +91,8 @@ def test_malformed_config_exits_2(tmp_path):
     "scene:\n  ap_position_m: [.nan, 0]\n",
     "scene:\n  rician_k_db: .nan\n",
     "scene:\n  targets: [{position_m: [533.0, -170.0], rcs: .nan}]\n",
+    "scene:\n  targets: [{position_m: [533.0, -170.0], rcs: 0}]\n",
+    "scene:\n  targets: [{position_m: [533.0, -170.0], rcs: -1}]\n",
 ], ids=lambda text: " ".join(text.split()))
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, yaml_text):
     """A bad value is a configuration error: no traceback, no silent change."""
@@ -154,10 +156,7 @@ def test_crb_uses_the_configured_rician_channel(tmp_path, capsys):
     got = _crb_cells(capsys, path)
 
     cfg = load_config(path)
-    profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
-                                     cfg.scene.n_subarrays)
-    point = draw_scene_point(cfg, profiles,
-                             [np.random.default_rng(DEFAULT_SEED)]).trial(0)
+    point = draw_scene_point(cfg, [np.random.default_rng(DEFAULT_SEED)]).trial(0)
     assert point.channel.singular_ratio() > 1e-3   # scattered paths drawn
     tensors = echo_tensors(*point, cfg.waveform, cfg.arrays)
     for row, snr in zip(got, CRB_SNR_GRID):

@@ -14,8 +14,7 @@ from irs_sensing.crb import (FIM_CONDITION_LIMIT, compute_crb, compute_fim,
                              parameter_index, parameter_jacobian, score,
                              score_fd_check)
 from irs_sensing.errors import SingularFim
-from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
-                               steering_derivative, validate_scene)
+from irs_sensing.scene import draw_scene_point, steering_derivative
 from irs_sensing.synthesis import (build_factor_matrices, echo_tensors,
                                    noise_sigma_for_snr)
 
@@ -163,12 +162,10 @@ def test_score_covariance_estimates_information(cfg):
     arrays = ArrayConfig(n_ap_antennas=4,
                          n_irs_elements=cfg.arrays.n_irs_elements,
                          wavelength_m=wf.wavelength_m)
-    profiles = design_phase_profiles(cfg.scene.doa_prior_rad, arrays,
-                                     cfg.scene.n_subarrays)
-    point = draw_scene_point(FullConfig(wf, arrays, cfg.scene), profiles,
+    point = draw_scene_point(FullConfig(wf, arrays, cfg.scene),
                              [np.random.default_rng(7)]).trial(0)
     truth = take_targets(point.truth, slice(1))
-    channel, combiner = point.channel, point.combiner
+    channel, profiles, combiner = point.channel, point.profiles, point.combiner
     tensors = echo_tensors(truth, channel, profiles, combiner, wf, arrays)
     noise_vars = tuple(noise_sigma_for_snr(t, 0.0) ** 2 for t in tensors)
     fim = compute_fim(truth, channel, profiles, combiner, wf, arrays,
@@ -233,10 +230,7 @@ def _mixed_stack(n_targets):
     base = default_config()
     base = with_overrides(base, targets=base.scene.targets[:n_targets])
     rician = with_overrides(base, rician_k_db=5.0)
-    validate_scene(base.scene, base.waveform, base.arrays)
-    profiles = design_phase_profiles(base.scene.doa_prior_rad, base.arrays,
-                                     base.scene.n_subarrays)
-    points = [draw_scene_point(base if b in (1, 3) else rician, profiles,
+    points = [draw_scene_point(base if b in (1, 3) else rician,
                                [np.random.default_rng((12, b))]).trial(0)
               for b in range(5)]
     noise_vars = np.array([[noise_sigma_for_snr(t, 3.0 * b) ** 2 for t in

@@ -191,8 +191,7 @@ def test_gamma_matches_curve_at_truth(cfg, truth, channel, profiles, combiner):
     t1, t2 = _truth_triples(cfg, truth, channel, profiles, combiner)
     out = _passes(align_columns, t1, t2, cfg.waveform.subcarrier_spacing_hz)
     gammas = compute_gamma_statistics(out)
-    curve = gamma_ratio_curve(truth.theta_rad, channel.irs_side_vector(),
-                              profiles, cfg.arrays)
+    curve = gamma_ratio_curve(truth.theta_rad, channel.u, profiles, cfg.arrays)
     np.testing.assert_allclose(gammas[0], curve, rtol=1e-9)
 
 
@@ -200,7 +199,7 @@ def test_gamma_matches_curve_at_truth(cfg, truth, channel, profiles, combiner):
 
 def test_resolve_doa_noiseless(cfg, truth, channel, profiles, aligned):
     thetas, gammas, residuals = _passes(
-        resolve_doa, aligned, channel.irs_side_vector(), profiles,
+        resolve_doa, aligned, channel.u, profiles,
         cfg.scene.doa_prior_rad, cfg.arrays)
     err = np.abs(np.sort(thetas[0]) - np.sort(truth.theta_rad))
     assert err.max() < 1e-5, f"worst angle error {err.max():.3e} rad"
@@ -213,10 +212,9 @@ def test_resolve_doa_never_worse_than_grid(cfg, channel, profiles, aligned):
     lo, hi = cfg.scene.doa_prior_rad
     step = math.radians(0.02)
     grid = np.arange(lo, hi + step * 1e-6, step)
-    curve = gamma_ratio_curve(grid, channel.irs_side_vector(), profiles,
-                              cfg.arrays)
+    curve = gamma_ratio_curve(grid, channel.u, profiles, cfg.arrays)
     gammas = compute_gamma_statistics(aligned)
-    _, _, residuals = _passes(resolve_doa, aligned, channel.irs_side_vector(),
+    _, _, residuals = _passes(resolve_doa, aligned, channel.u,
                               profiles, cfg.scene.doa_prior_rad, cfg.arrays)
     for k, gamma_k in enumerate(gammas[0]):
         grid_best = np.nanmin(np.abs(gamma_k - curve))
@@ -227,7 +225,7 @@ def test_resolve_doa_rejects_identical_profiles(cfg, channel, profiles,
                                                 aligned):
     same = (profiles[0], PhaseProfile(phases=profiles[0].phases,
                                       phase_index=2))
-    assert isinstance(_failure(resolve_doa, aligned, channel.irs_side_vector(),
+    assert isinstance(_failure(resolve_doa, aligned, channel.u,
                                same, cfg.scene.doa_prior_rad, cfg.arrays),
                       DegenerateProfilePair)
 
@@ -263,7 +261,7 @@ def test_multirank_doa_rejects_rank_one_channel(cfg, truth, channel, profiles):
 # ---------------------------------------------------------------- Doppler
 
 def test_doppler_noiseless(cfg, truth, channel, profiles, combiner, aligned):
-    thetas, _, _ = _passes(resolve_doa, aligned, channel.irs_side_vector(),
+    thetas, _, _ = _passes(resolve_doa, aligned, channel.u,
                            profiles, cfg.scene.doa_prior_rad, cfg.arrays)
     nus = _passes(estimate_doppler, aligned, thetas, channel, profiles,
                   combiner, cfg.waveform, cfg.arrays)
@@ -293,7 +291,7 @@ def test_doppler_boundary_warns(cfg, truth, channel, profiles, combiner):
 
 def test_doppler_rejects_nulled_combiner(cfg, truth, channel, profiles,
                                          combiner, aligned):
-    v = channel.dominant.v
+    v = channel.v
     null = np.zeros_like(v)
     null[0], null[1] = v[1], -v[0]       # bilinear null of the AP-side vector
     bad = np.tile(null[:, None], (1, cfg.waveform.n_pulses))
@@ -304,7 +302,7 @@ def test_doppler_rejects_nulled_combiner(cfg, truth, channel, profiles,
 
 def test_doppler_masks_nulled_pulse(cfg, truth, channel, profiles, combiner):
     """A pulse whose combiner nulls the AP-side vector is left out, not fatal."""
-    v = channel.dominant.v
+    v = channel.v
     masked = combiner.copy()
     masked[:, 0] = 0
     masked[0, 0], masked[1, 0] = v[1], -v[0]

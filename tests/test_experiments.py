@@ -186,9 +186,9 @@ def test_scene_point_drawn_once_per_frozen_point_or_fading_trial(monkeypatch):
     calls = []
     real = experiments.draw_scene_point
 
-    def counted(cfg, profiles, rngs):
+    def counted(cfg, rngs):
         calls.append(len(rngs))
-        return real(cfg, profiles, rngs)
+        return real(cfg, rngs)
 
     monkeypatch.setattr(experiments, "draw_scene_point", counted)
     run_experiment(build_spec("rician_comparison", trials=2, seed=3),
@@ -203,8 +203,8 @@ def test_scene_point_drawn_once_per_frozen_point_or_fading_trial(monkeypatch):
 
 
 def test_scene_validated_once_per_sweep_point(monkeypatch):
-    """No draw validates the scene again: one check per sweep point, for
-    the redrawn and the frozen presets alike."""
+    """The scene is checked only in the draw of each stack: one check per
+    sweep point of one stack, for the redrawn and the frozen presets alike."""
     import irs_sensing.scene as scene
     calls = []
     real = scene.validate_scene
@@ -213,7 +213,6 @@ def test_scene_validated_once_per_sweep_point(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(experiments, "validate_scene", counted)
     monkeypatch.setattr(scene, "validate_scene", counted)
     run_experiment(build_spec("rician_comparison", trials=2, seed=3),
                    default_config())
@@ -251,19 +250,19 @@ def test_fading_stack_frees_its_clean_tensors_before_estimation(monkeypatch):
     """A fading stack's clean tensors serve only its own noise and are gone
     when its estimator runs; a frozen point's serve every stack and stay."""
     clean, alive = [], []
-    real_synthesize = experiments.synthesize_echo_tensor
+    real_synthesize = experiments.echo_tensors
     real_estimate = experiments.estimate_trials
 
     def synthesize(*args):
-        tensor = real_synthesize(*args)
-        clean.append(weakref.ref(tensor.data))
-        return tensor
+        tensors = real_synthesize(*args)
+        clean.extend(weakref.ref(t.data) for t in tensors)
+        return tensors
 
     def estimate(*args):
         alive.append(sum(ref() is not None for ref in clean))
         return real_estimate(*args)
 
-    monkeypatch.setattr(experiments, "synthesize_echo_tensor", synthesize)
+    monkeypatch.setattr(experiments, "echo_tensors", synthesize)
     monkeypatch.setattr(experiments, "estimate_trials", estimate)
     trials = experiments.TRIAL_STACK + 1
     run_experiment(dataclasses.replace(

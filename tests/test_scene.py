@@ -156,6 +156,15 @@ def test_validate_scene_range_window(cfg):
         validate_scene(bad.scene, bad.waveform, bad.arrays)
 
 
+def test_draw_rejects_a_target_outside_the_range_window(cfg):
+    """The draw checks the scene itself; no caller has to first."""
+    bad = with_overrides(default_config(), targets=(
+        cfg.scene.targets[0],
+        type(cfg.scene.targets[0])(position_m=(150.0, 80.0)),))
+    with pytest.raises(OutOfRange):
+        draw_scene_point(bad, [np.random.default_rng(0)])
+
+
 def test_validate_scene_duplicate_targets(cfg):
     twin = cfg.scene.targets[0]
     bad = with_overrides(default_config(), targets=(twin, twin))
@@ -174,7 +183,9 @@ def test_los_channel_is_rank_one(cfg, channel):
                                     cfg.arrays.n_ap_antennas)
     assert channel.singular_ratio() < 1e-12
     s = np.linalg.svd(channel.matrix, compute_uv=False)
-    assert s[0] == pytest.approx(abs(channel.dominant.sigma), rel=1e-12)
+    np.testing.assert_allclose(channel.matrix,
+                               s[0] * np.outer(channel.u, channel.v),
+                               rtol=0, atol=1e-12 * s[0])
 
 
 def test_los_channel_directions(cfg, channel):
@@ -182,7 +193,7 @@ def test_los_channel_directions(cfg, channel):
     a45 = steering_vector(math.radians(45.0), cfg.arrays.n_irs_elements,
                           cfg.arrays.element_spacing_m,
                           cfg.arrays.wavelength_m)
-    u = channel.irs_side_vector()
+    u = channel.u
     corr = abs(np.vdot(u, a45)) / (np.linalg.norm(u) * np.linalg.norm(a45))
     assert corr == pytest.approx(1.0, abs=1e-12)
 
@@ -191,7 +202,7 @@ def test_beamformer_matched_to_channel(cfg, channel, combiner):
     assert combiner.shape == (cfg.arrays.n_ap_antennas, cfg.waveform.n_pulses)
     assert np.allclose(combiner, combiner[:, :1])  # identical per pulse
     w = combiner[:, 0]
-    v = channel.dominant.v
+    v = channel.v
     gain = abs(np.vdot(w, v.conj())) / (np.linalg.norm(w) * np.linalg.norm(v))
     assert gain == pytest.approx(1.0, abs=1e-12)
 
@@ -225,9 +236,9 @@ def test_rician_paths_match_the_scalar_steering_loop(cfg, channel):
                                     cfg.arrays, np.random.default_rng(seed))
         assert np.array_equal(got.matrix, want)
         u, s, vh = np.linalg.svd(want)
-        assert got.dominant.sigma == s[0]
-        assert np.array_equal(got.dominant.u, u[:, 0])
-        assert np.array_equal(got.dominant.v, vh[0])
+        assert got.singular_values[0] == s[0]
+        assert np.array_equal(got.u, u[:, 0])
+        assert np.array_equal(got.v, vh[0])
 
 
 def test_rician_channel_power_ratio(cfg, channel):
@@ -249,29 +260,33 @@ def test_rician_none_passthrough(cfg, channel):
 @pytest.mark.parametrize("overrides", [
     {}, {"rician_k_db": 5.0}, {"rician_k_db": 5.0, "n_nlos_paths": 0}],
     ids=["los", "rician", "rician_without_paths"])
-def test_a_stack_of_draws_equals_the_one_draw_calls(profiles, overrides):
+def test_a_stack_of_draws_equals_the_one_draw_calls(overrides):
     """Five generators drawn as one stack give each trial the bits of its
     own one-draw call, and leave each generator where that call leaves it."""
     cfg = with_overrides(default_config(), **overrides)
     seeds = [(4, b) for b in range(5)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    stack = draw_scene_point(cfg, profiles, rngs)
+    stack = draw_scene_point(cfg, rngs)
     assert stack.truth.gain.shape == (5, len(cfg.scene.targets))
     assert stack.channel.matrix.shape == (5, cfg.arrays.n_irs_elements,
                                           cfg.arrays.n_ap_antennas)
     assert stack.combiner.shape == (5, cfg.arrays.n_ap_antennas,
                                     cfg.waveform.n_pulses)
+    for got, want in zip(stack.profiles, design_phase_profiles(
+            cfg.scene.doa_prior_rad, cfg.arrays, cfg.scene.n_subarrays)):
+        assert np.array_equal(got.phases, want.phases)
+        assert got.phase_index == want.phase_index
     for b, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        alone = draw_scene_point(cfg, profiles, [rng]).trial(0)
+        alone = draw_scene_point(cfg, [rng]).trial(0)
         got = stack.trial(b)
         for field in dataclasses.fields(SceneTruth):
             assert np.array_equal(getattr(got.truth, field.name),
                                   getattr(alone.truth, field.name))
         assert np.array_equal(got.channel.matrix, alone.channel.matrix)
-        for part in ("sigma", "u", "v"):
-            assert np.array_equal(getattr(got.channel.dominant, part),
-                                  getattr(alone.channel.dominant, part))
+        for part in ("u", "v"):
+            assert np.array_equal(getattr(got.channel, part),
+                                  getattr(alone.channel, part))
         if overrides:
             assert np.array_equal(got.channel.singular_values,
                                   alone.channel.singular_values)

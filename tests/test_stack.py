@@ -17,8 +17,8 @@ from irs_sensing.estimation import (GRID_SLICE, Estimates, _gamma_ratio,
                                     align_columns, estimate_doppler,
                                     estimate_targets, estimate_trials)
 from irs_sensing.experiments import TRIAL_STACK, build_spec, run_experiment
-from irs_sensing.scene import (design_phase_profiles, draw_scene_point,
-                               relayed_response, steering_vector)
+from irs_sensing.scene import (draw_scene_point, relayed_response,
+                               steering_vector)
 from irs_sensing.synthesis import EchoTensor, apply_noise, echo_tensors
 
 from stacks import stack_channels
@@ -28,9 +28,7 @@ SNRS_DB = np.linspace(-10.0, 20.0, 7)
 
 def _scene(rician_k_db):
     cfg = with_overrides(default_config(), rician_k_db=rician_k_db)
-    profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
-                                     cfg.scene.n_subarrays)
-    point = draw_scene_point(cfg, profiles, [np.random.default_rng(5)]).trial(0)
+    point = draw_scene_point(cfg, [np.random.default_rng(5)]).trial(0)
     return cfg, point
 
 
@@ -370,10 +368,8 @@ def _fading_stack(n_trials, los=None):
     """Draws with their own channel and combiner, trial ``los`` on a
     line-of-sight channel and the others Rician, observed at 20 dB."""
     rician = with_overrides(default_config(), rician_k_db=5.0)
-    profiles = design_phase_profiles(rician.scene.doa_prior_rad,
-                                     rician.arrays, rician.scene.n_subarrays)
     points = [draw_scene_point(default_config() if b == los else rician,
-                               profiles, [np.random.default_rng((8, b))]).trial(0)
+                               [np.random.default_rng((8, b))]).trial(0)
               for b in range(n_trials)]
     y1, y2 = [], []
     for b, point in enumerate(points):
@@ -412,19 +408,18 @@ def test_a_stack_of_distinct_channels_gives_each_trial_its_own_outcome():
                            *rician.arrays.surface)
     truth = steering_vector(np.stack([p.truth.theta_rad for p in points]),
                             *rician.arrays.surface)
-    u = channel.irs_side_vector()
+    u = channel.u
     assert channel.matrix.shape == (4, *points[0].channel.matrix.shape)
     for b, point in enumerate(points):
         alone = point.channel
-        assert np.array_equal(u[b], alone.irs_side_vector())
+        assert np.array_equal(u[b], alone.u)
         assert channel.singular_ratio()[b] == alone.singular_ratio()
         assert np.array_equal(relayed_response(channel, profiles[0], grid)[b],
                               relayed_response(alone, profiles[0], grid))
         assert np.array_equal(relayed_response(channel, profiles[1], truth)[b],
                               relayed_response(alone, profiles[1], truth[b]))
         assert np.array_equal(_gamma_ratio(grid, u, profiles)[b],
-                              _gamma_ratio(grid, alone.irs_side_vector(),
-                                           profiles))
+                              _gamma_ratio(grid, alone.u, profiles))
 
     outcomes = _run_fading_stack(rician, points, y1, y2)
     assert [type(o).__name__ for o in outcomes[0]] == ["Estimates"] * 4
