@@ -31,8 +31,8 @@ def main() -> int:
     print(f"range window  [{limits.min_range_m:.3f}, {limits.max_range_m:.3f}] m")
     print(f"speed limit   {limits.max_speed_mps:.3f} m/s\n")
 
-    pair = echo_tensors(*point, cfg.waveform, cfg.arrays)
-    estimates = estimate_targets(pair[0], pair[1], truth.n_targets,
+    clean = echo_tensors(*point, cfg.waveform, cfg.arrays)
+    estimates = estimate_targets(clean, np.zeros(2), truth.n_targets,
                                  cfg.scene.doa_prior_rad, point.channel,
                                  point.profiles, point.combiner, cfg.waveform,
                                  cfg.arrays)

@@ -35,7 +35,7 @@ from .scene import (ChannelMatrix, PhaseProfile, ScenePoint, SceneTruth,
                     derive_target_truth, design_beamformers,
                     design_phase_profiles, draw_scene_point, relayed_response,
                     sensing_limits, steering_vector, validate_scene)
-from .synthesis import (EchoTensor, apply_noise, build_factor_matrices,
-                        echo_tensors, synthesize_echo_tensor)
+from .synthesis import (apply_noise, build_factor_matrices, echo_tensors,
+                        noise_sigma_for_snr, synthesize_echo_tensor)
 
 __version__ = "1.0.0"

@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .experiments import (DEFAULT_SEED, PRESET_NAMES, build_spec,
                           emit_results, run_experiment)
 from .scene import draw_scene_point, sensing_limits
-from .synthesis import echo_tensors, noise_sigma_for_snr
+from .synthesis import echo_tensors, noise_sigma_for_snr, noise_variance
 
 CRB_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
 
@@ -75,14 +75,14 @@ def _cmd_limits(args) -> int:
 
 def _crb_rows(config: FullConfig) -> tuple[list[str], list[list[str]]]:
     point = draw_scene_point(config, [np.random.default_rng(DEFAULT_SEED)]).trial(0)
-    tensors = echo_tensors(*point, config.waveform, config.arrays)
+    clean = echo_tensors(*point, config.waveform, config.arrays)
     k_total = point.truth.n_targets
     header = ["snr_db"]
     for fam in ("crb_theta", "crb_nu", "crb_tau"):
         header += [f"{fam}_{k + 1}" for k in range(k_total)]
     body = []
     for snr in CRB_SNR_GRID:
-        noise_vars = tuple(noise_sigma_for_snr(t, snr) ** 2 for t in tensors)
+        noise_vars = noise_variance(noise_sigma_for_snr(clean, snr))
         bounds = compute_crb(compute_fim(*point, config.waveform,
                                          config.arrays, noise_vars))
         cells = [f"{snr:.17e}"]

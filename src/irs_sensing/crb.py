@@ -201,7 +201,7 @@ def score(truth: SceneTruth, observed: Sequence[np.ndarray],
         jac = parameter_jacobian(truth, channel, profile, combiner, waveform,
                                  arrays)
         values += (2.0 / sigma_sq) * (jac.conj()
-                                      @ (obs - model.data).ravel()).real
+                                      @ (obs - model).ravel()).real
     return values
 
 
@@ -236,8 +236,7 @@ def score_fd_check(truth: SceneTruth, observed: Sequence[np.ndarray],
     def likelihood_at(shifted: SceneTruth) -> float:
         modeled = echo_tensors(shifted, channel, profiles, combiner, waveform,
                                arrays)
-        return log_likelihood(observed, [t.data for t in modeled],
-                              noise_variances)
+        return log_likelihood(observed, modeled, noise_variances)
 
     worst = 0.0
     for j, step in enumerate(steps):

@@ -32,7 +32,7 @@ from .errors import (AmbiguousAlignment, DegenerateProfilePair, DivisionBlowup,
                      UnwrapInfeasible, record_failures)
 from .scene import (ChannelMatrix, PhaseProfile, relayed_response,
                     steering_vector)
-from .synthesis import EchoTensor, doppler_ramp
+from .synthesis import doppler_ramp
 
 DOA_GRID_STEP_RAD = math.radians(0.02)
 DOPPLER_GRID_POINTS = 2000          # grid step = half-period / this
@@ -395,7 +395,7 @@ def estimate_delay(aligned: AlignedFactors, waveform: WaveformConfig,
 RECON_WARN_FLOOR = 0.1
 
 
-def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
+def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
                     n_targets: int, doa_prior: tuple[float, float],
                     channel: ChannelMatrix,
                     profiles: tuple[PhaseProfile, PhaseProfile],
@@ -405,7 +405,9 @@ def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
                     stacklevel: int = 2) -> list[tuple[Estimates, list]]:
     """Run a stack of trials through the pipeline.
 
-    Trial b observes ``y1[b]`` and ``y2[b]`` through its own entry of a
+    Trial b observes ``y[:, b]`` of the (2, B, P, M, L) observations, one
+    tensor per phase, at the noise levels ``noise_sigma[:, b]`` of a (2, B)
+    array, or of a (2, 1) one the stack shares, through its own entry of a
     stacked ``channel`` (B x N x M) and ``combiner`` (B x M x P), or through
     the ones the stack shares.  Returns one (Estimates, errors) pair per
     entry of ``single_phase_doa`` (a direction method of
@@ -416,12 +418,12 @@ def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
     for all methods.  ``stacklevel`` is that of the reconstruction-residual
     warning.
     """
-    errors = [None] * len(y1)
+    errors = [None] * y.shape[1]
+    sigma = np.broadcast_to(noise_sigma, y.shape[:2])
     try:
         triples = []
-        for tensors in (y1, y2):
-            phase = f"phase {tensors[0].phase_index}"
-            data = np.stack([t.data for t in tensors])
+        for data, data_sigma, profile in zip(y, sigma, profiles):
+            phase = f"phase {profile.phase_index}"
             passed = [e is None for e in errors]
             try:
                 triples.append(cp_decompose(data, n_targets, errors))
@@ -433,7 +435,7 @@ def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
                     exc.args = (f"{phase}: {exc}",)
             recon = reconstruction_error(data, triples[-1], errors)
             for b in np.flatnonzero(recon > RECON_WARN_FLOOR):
-                noise = (tensors[b].noise_sigma * math.sqrt(data[b].size)
+                noise = (data_sigma[b] * math.sqrt(data[b].size)
                          / np.linalg.norm(data[b]))
                 if recon[b] > 3 * noise:
                     warnings.warn(
@@ -472,7 +474,7 @@ def estimate_trials(y1: Sequence[EchoTensor], y2: Sequence[EchoTensor],
     return results
 
 
-def estimate_targets(y1: EchoTensor, y2: EchoTensor, n_targets: int,
+def estimate_targets(y: np.ndarray, noise_sigma: np.ndarray, n_targets: int,
                      doa_prior: tuple[float, float], channel: ChannelMatrix,
                      profiles: tuple[PhaseProfile, PhaseProfile],
                      combiner: np.ndarray, waveform: WaveformConfig,
@@ -480,14 +482,16 @@ def estimate_targets(y1: EchoTensor, y2: EchoTensor, n_targets: int,
                      single_phase_doa: bool = False) -> Estimates:
     """Full pipeline: factorize both phases, align, extract all parameters.
 
-    Returns (K,) estimates sorted by delay.  ``single_phase_doa`` switches
-    the direction step to the correlation method on phase 1 alone (requires
-    a channel of rank >= 2); Doppler and delay always use both phases.
-    This is ``estimate_trials`` on one trial; it raises the trial's error.
+    ``y`` holds one (P, M, L) tensor per phase, at the noise levels
+    ``noise_sigma``.  Returns (K,) estimates sorted by delay.
+    ``single_phase_doa`` switches the direction step to the correlation
+    method on phase 1 alone (requires a channel of rank >= 2); Doppler and
+    delay always use both phases.  This is ``estimate_trials`` on one trial; it raises the trial's error.
     """
     [(estimates, [error])] = estimate_trials(
-        [y1], [y2], n_targets, doa_prior, channel, profiles, combiner,
-        waveform, arrays, (single_phase_doa,), stacklevel=3)
+        y[:, None], np.reshape(noise_sigma, (2, 1)), n_targets, doa_prior,
+        channel, profiles, combiner, waveform, arrays, (single_phase_doa,),
+        stacklevel=3)
     if error is not None:
         raise error
     return Estimates(*(field[0] for field in estimates))

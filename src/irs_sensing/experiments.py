@@ -12,7 +12,7 @@ import csv
 import ctypes
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cache
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -24,7 +24,8 @@ from .crb import compute_crb, compute_fim
 from .errors import ConfigError
 from .estimation import Estimates, estimate_trials, greedy_match
 from .scene import ScenePoint, SceneTruth, draw_scene_point
-from .synthesis import apply_noise, echo_tensors, noise_sigma_for_snr
+from .synthesis import (apply_noise, echo_tensors, noise_sigma_for_snr,
+                        noise_variance)
 
 PARAMETER_LABELS = ("theta", "nu", "tau")
 
@@ -159,14 +160,13 @@ class _Accumulator:
         return self.sq_sums / (self.used * n_targets)
 
 
-def _draw_crbs(point: ScenePoint, cfg: FullConfig, snr_db: float,
-               clean: list) -> np.ndarray:
+def _draw_crbs(point: ScenePoint, cfg: FullConfig,
+               sigma: np.ndarray) -> np.ndarray:
     """Mean-over-targets bound per draw of a stacked point and parameter
-    family, at each draw's noise level; NaN for a draw without one."""
-    noise_vars = np.array([[noise_sigma_for_snr(t, snr_db) ** 2 for t in draw]
-                           for draw in clean]).T
+    family, at each draw's (2, D) noise level; NaN for a draw without one."""
+    noise_vars = noise_variance(sigma)
     if not (noise_vars > 0).all():
-        return np.full((len(clean), 3), math.nan)
+        return np.full((noise_vars.shape[1], 3), math.nan)
     bounds = compute_crb(compute_fim(*point, cfg.waveform, cfg.arrays,
                                      noise_vars))
     return np.stack([bounds.theta.mean(-1), bounds.doppler.mean(-1),
@@ -195,8 +195,8 @@ def run_experiment(spec: ExperimentSpec,
     averaging), each trial adds fresh noise, runs the estimation
     pipeline, and pairs estimates with its own truth by delay.
     ``TRIAL_STACK`` trials run as one estimator stack, and their draws as
-    one stacked pass of the scene draw, clean tensors and bound
-    (a frozen point is the stack of its one generator).  Estimator failures
+    one stacked pass of the scene draw, clean tensors, noise levels and
+    bound (a frozen point is the stack of its one generator).  Estimator failures
     are counted and excluded from the error average rather than crashing
     the sweep.
 
@@ -230,21 +230,17 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
             if spec.redraw_fading or first == 0:
                 point = draw_scene_point(cfg, rngs if spec.redraw_fading
                                          else [np.random.default_rng(spec.seed)])
-                phases = echo_tensors(*point, cfg.waveform, cfg.arrays)
-                n_draws = len(point.combiner)
-                clean = [[replace(t, data=t.data[b]) for t in phases]
-                         for b in range(n_draws)]
-                crbs.extend(_draw_crbs(point, cfg, snr_db, clean))
+                clean = echo_tensors(*point, cfg.waveform, cfg.arrays)
+                sigma = noise_sigma_for_snr(clean, snr_db)
+                crbs.extend(_draw_crbs(point, cfg, sigma))
                 shared = point if spec.redraw_fading else point.trial(0)
             # a frozen point's one draw serves every trial
-            stack = [[apply_noise(t, snr_db, rng) for t in clean[b % n_draws]]
-                     for b, rng in enumerate(rngs)]
+            y = apply_noise(clean, sigma, rngs)
             if spec.redraw_fading:
-                del phases, clean  # these draws serve this stack alone
+                del clean  # these draws serve this stack alone
             outcomes = estimate_trials(
-                [t[0] for t in stack], [t[1] for t in stack], k_total,
-                cfg.scene.doa_prior_rad, shared.channel, point.profiles,
-                shared.combiner, cfg.waveform, cfg.arrays,
+                y, sigma, k_total, cfg.scene.doa_prior_rad, shared.channel,
+                point.profiles, shared.combiner, cfg.waveform, cfg.arrays,
                 [name == "single_phase" for name in methods])
             for name, (estimates, errors) in zip(methods, outcomes):
                 acc = accs[name]

@@ -12,7 +12,6 @@ phase is dropped (it is common to every target).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,19 +21,6 @@ from .cpd import FactorTriple, cp_reconstruct
 from .errors import DimensionMismatch
 from .scene import (ChannelMatrix, PhaseProfile, SceneTruth, relayed_response,
                     steering_vector, trials_first)
-
-
-@dataclass(frozen=True)
-class EchoTensor:
-    """One phase's observation tensor with its noise bookkeeping."""
-
-    data: np.ndarray         # complex, (P, M, L); (B, P, M, L) for a stack
-    phase_index: int
-    noise_sigma: float       # per-entry complex noise standard deviation
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
 
 
 def doppler_ramp(doppler_hz, n_pulses: int, pri_s: float) -> np.ndarray:
@@ -89,40 +75,52 @@ def build_factor_matrices(truth: SceneTruth, channel: ChannelMatrix,
                         generators=signatures[..., 0, :])
 
 
-def synthesize_echo_tensor(factors: FactorTriple,
-                           phase_index: int) -> EchoTensor:
+def synthesize_echo_tensor(factors: FactorTriple) -> np.ndarray:
     """Noiseless tensor of one phase: sum of per-target rank-one terms."""
-    return EchoTensor(data=cp_reconstruct(factors), phase_index=phase_index,
-                      noise_sigma=0.0)
+    return cp_reconstruct(factors)
 
 
 def echo_tensors(truth: SceneTruth, channel: ChannelMatrix,
                  profiles: Sequence[PhaseProfile], combiner: np.ndarray,
-                 waveform: WaveformConfig,
-                 arrays: ArrayConfig) -> tuple[EchoTensor, ...]:
-    """Noiseless echo tensors of every observation phase."""
-    return tuple(synthesize_echo_tensor(build_factor_matrices(
-        truth, channel, profile, combiner, waveform, arrays), profile.phase_index)
-        for profile in profiles)
+                 waveform: WaveformConfig, arrays: ArrayConfig) -> np.ndarray:
+    """Noiseless echo tensors of every observation phase, phase first:
+    (2, P, M, L), or (2, B, P, M, L) for a point drawn as a stack."""
+    return np.stack([synthesize_echo_tensor(build_factor_matrices(
+        truth, channel, profile, combiner, waveform, arrays))
+        for profile in profiles])
 
 
-def apply_noise(tensor: EchoTensor, snr_db: float,
-                rng: np.random.Generator) -> EchoTensor:
-    """Add circular complex Gaussian noise at the requested tensor SNR.
+def noise_sigma_for_snr(clean: np.ndarray, snr_db: float) -> np.ndarray:
+    """Per-entry noise standard deviation that realizes ``snr_db`` on
+    average, one for each (P, M, L) tensor of ``clean``:
+    sigma^2 = ||signal||_F^2 / (P*M*L * 10^(snr/10))."""
+    tensors = clean.reshape(-1, *clean.shape[-3:])
+    energy = np.array([np.linalg.norm(t) ** 2 for t in tensors])
+    return np.sqrt(energy / (tensors[0].size * 10.0 ** (snr_db / 10.0))
+                   ).reshape(clean.shape[:-3])
 
-    The per-entry variance is set from the clean tensor's energy:
-    sigma^2 = ||signal||_F^2 / (P*M*L * 10^(snr/10)).
+
+def noise_variance(sigma: np.ndarray) -> np.ndarray:
+    """sigma^2 of each noise level, squared as a Python float is (libm's
+    pow), which keeps the bounds' digits: NumPy's exact square differs in
+    the last place for roughly one value in 1000 to 2000."""
+    return np.reshape([s ** 2 for s in sigma.ravel().tolist()], sigma.shape)
+
+
+def apply_noise(clean: np.ndarray, sigma: np.ndarray,
+                rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Circular complex Gaussian noise of standard deviation ``sigma`` on
+    the clean (2, D, P, M, L) draws, one noisy trial per generator.
+
+    Trial b observes draw b % D, so one draw of a frozen point serves every
+    trial.  Each generator draws one (phase, real/imaginary, P, M, L) block.
+    Returns the (2, B, P, M, L) observations.
     """
-    if math.isinf(snr_db):
-        return tensor
-    sigma = noise_sigma_for_snr(tensor, snr_db)
-    noise = (sigma / math.sqrt(2)) * (rng.standard_normal(tensor.data.shape)
-                                      + 1j * rng.standard_normal(tensor.data.shape))
-    return EchoTensor(data=tensor.data + noise, phase_index=tensor.phase_index,
-                      noise_sigma=sigma)
-
-
-def noise_sigma_for_snr(tensor: EchoTensor, snr_db: float) -> float:
-    """Per-entry noise standard deviation that realizes ``snr_db`` on average."""
-    signal_energy = float(np.linalg.norm(tensor.data) ** 2)
-    return math.sqrt(signal_energy / (tensor.data.size * 10.0 ** (snr_db / 10.0)))
+    draw_of = np.arange(len(rngs)) % clean.shape[1]
+    noisy = clean[:, draw_of]
+    scale = sigma[:, draw_of] / math.sqrt(2)
+    for b, rng in enumerate(rngs):
+        parts = rng.standard_normal((2, 2, *clean.shape[2:]))
+        noisy[:, b] += scale[:, b, None, None, None] * (parts[:, 0]
+                                                        + 1j * parts[:, 1])
+    return noisy

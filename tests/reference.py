@@ -1,4 +1,5 @@
-"""A time-domain reference for the discrete echo model, for the tests.
+"""References for the tests: a time-domain echo oracle, and the noise of
+one tensor drawn on its own.
 
 The discrete observation model (irs_sensing.synthesis) drops the known
 AP-surface round-trip phase.  The time-domain oracle rebuilds the same
@@ -7,6 +8,8 @@ echo over the sampling window of one pulse, keeping the small
 Doppler-induced subcarrier phase that the discrete model neglects; the
 two agree to the documented tolerance.
 """
+import math
+
 import numpy as np
 
 from irs_sensing.config import ArrayConfig, WaveformConfig
@@ -82,3 +85,16 @@ def oracle_prediction(factors: FactorTriple, sync_delay_s: float,
                         * sync_delay_s)
     return (tensor_slice * sync_phase[None, :]
             / (waveform.modulation_symbol * waveform.symbol_duration_s))
+
+
+def noisy_tensor(tensor: np.ndarray, snr_db: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """One (P, M, L) tensor plus noise at ``snr_db``, drawn as the noise of
+    each phase was before a trial drew both phases in one block: sigma from
+    the tensor's own energy, then the real parts, then the imaginary parts,
+    in two calls on ``rng``."""
+    sigma = math.sqrt(float(np.linalg.norm(tensor) ** 2)
+                      / (tensor.size * 10.0 ** (snr_db / 10.0)))
+    noise = (sigma / math.sqrt(2)) * (rng.standard_normal(tensor.shape)
+                                      + 1j * rng.standard_normal(tensor.shape))
+    return tensor + noise

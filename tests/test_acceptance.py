@@ -8,7 +8,11 @@ measured shortfalls are documented in the project ledger.
 """
 import dataclasses
 import math
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +29,8 @@ from irs_sensing.estimation import (AlignedFactors, align_columns,
 from irs_sensing.experiments import build_spec, run_experiment
 from irs_sensing.config import ArrayConfig, FullConfig
 from irs_sensing.scene import draw_scene_point, sensing_limits
-from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
-                                   echo_tensors, noise_sigma_for_snr)
+from irs_sensing.synthesis import (build_factor_matrices, echo_tensors,
+                                   noise_sigma_for_snr)
 
 from conftest import take_targets
 from reference import oracle_prediction, time_domain_oracle
@@ -45,16 +49,28 @@ def test_noiseless_recovery_is_exact(cfg, truth, channel, profiles, combiner,
                                      clean_pair):
     """Full pipeline on a clean two-target scene recovers all parameters."""
     start = time.perf_counter()
-    estimates = estimate_targets(clean_pair[0], clean_pair[1],
-                                 truth.n_targets, cfg.scene.doa_prior_rad,
-                                 channel, profiles, combiner, cfg.waveform,
-                                 cfg.arrays)
+    estimates = estimate_targets(clean_pair, np.zeros(2), truth.n_targets,
+                                 cfg.scene.doa_prior_rad, channel, profiles,
+                                 combiner, cfg.waveform, cfg.arrays)
     elapsed = time.perf_counter() - start
     order = np.argsort(truth.delay_s)
     assert np.abs(estimates.theta - truth.theta_rad[order]).max() < 1e-5
     assert np.abs(estimates.tau - truth.delay_s[order]).max() < 1e-12
     assert np.abs(estimates.nu - truth.doppler_hz[order]).max() < 1.0
     assert elapsed < 5.0, f"pipeline took {elapsed:.2f} s"
+
+
+def test_noiseless_demo_recovers_the_scene():
+    """The demo script runs the same recovery from the command line."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "scripts/noiseless_demo.py"],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    worst = re.search(r"^worst errors: (\S+) rad, (\S+) s, (\S+) Hz$",
+                      done.stdout, re.MULTILINE)
+    assert worst, done.stdout
+    theta, tau, nu = map(float, worst.groups())
+    assert theta < 1e-5 and tau < 1e-12 and nu < 1e-3
 
 
 # ---------------------------------------------------------------- 2
@@ -67,7 +83,7 @@ def test_single_subcarrier_is_unidentifiable(cfg, truth, channel, profiles,
                         beamformer_alone(channel, narrow.waveform.n_pulses),
                         narrow.waveform, narrow.arrays)
     with pytest.raises(UniquenessError):
-        estimate_targets(pair[0], pair[1], truth.n_targets,
+        estimate_targets(pair, np.zeros(2), truth.n_targets,
                          cfg.scene.doa_prior_rad, channel, profiles,
                          beamformer_alone(channel, narrow.waveform.n_pulses),
                          narrow.waveform, narrow.arrays)
@@ -145,9 +161,8 @@ def test_information_matrix_consistency(cfg, truth, channel, profiles,
     noise_vars = []
     observed = []
     rng = np.random.default_rng(31)
-    for clean in echo_tensors(truth, channel, profiles, combiner,
+    for model in echo_tensors(truth, channel, profiles, combiner,
                               cfg.waveform, cfg.arrays):
-        model = clean.data
         energy = float(np.linalg.norm(model) ** 2)
         sigma_sq = energy / model.size          # 0 dB
         sigma = math.sqrt(sigma_sq)
@@ -186,8 +201,8 @@ def test_score_covariance_matches_information(cfg):
                              [np.random.default_rng(7)]).trial(0)
     truth = take_targets(point.truth, slice(1))
     channel, profiles, combiner = point.channel, point.profiles, point.combiner
-    tensors = echo_tensors(truth, channel, profiles, combiner, wf, arrays)
-    noise_vars = tuple(noise_sigma_for_snr(t, 0.0) ** 2 for t in tensors)
+    noise_vars = noise_sigma_for_snr(echo_tensors(
+        truth, channel, profiles, combiner, wf, arrays), 0.0) ** 2
     fim = compute_fim(truth, channel, profiles, combiner, wf, arrays,
                       noise_vars)
     sample = mc_score_covariance(truth, channel, profiles, combiner, wf,
@@ -226,7 +241,7 @@ def test_ratio_statistic_survives_scaling(cfg, clean_pair):
     """100 random per-column rescalings leave the statistic unchanged."""
     k = len(cfg.scene.targets)
     errors = [None]
-    triples = [cp_decompose(t.data[None], k, errors) for t in clean_pair]
+    triples = [cp_decompose(t[None], k, errors) for t in clean_pair]
     aligned = align_columns(*triples, cfg.waveform.subcarrier_spacing_hz,
                             errors)
     assert errors == [None]

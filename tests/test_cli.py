@@ -9,7 +9,8 @@ from irs_sensing.config import load_config
 from irs_sensing.crb import compute_crb, compute_fim
 from irs_sensing.experiments import CSV_HEADER, DEFAULT_SEED
 from irs_sensing.scene import draw_scene_point
-from irs_sensing.synthesis import echo_tensors, noise_sigma_for_snr
+from irs_sensing.synthesis import (echo_tensors, noise_sigma_for_snr,
+                                   noise_variance)
 
 CONFIG = "configs/default.yaml"
 
@@ -158,9 +159,9 @@ def test_crb_uses_the_configured_rician_channel(tmp_path, capsys):
     cfg = load_config(path)
     point = draw_scene_point(cfg, [np.random.default_rng(DEFAULT_SEED)]).trial(0)
     assert point.channel.singular_ratio() > 1e-3   # scattered paths drawn
-    tensors = echo_tensors(*point, cfg.waveform, cfg.arrays)
+    clean = echo_tensors(*point, cfg.waveform, cfg.arrays)
     for row, snr in zip(got, CRB_SNR_GRID):
-        noise_vars = tuple(noise_sigma_for_snr(t, snr) ** 2 for t in tensors)
+        noise_vars = noise_variance(noise_sigma_for_snr(clean, snr))
         bounds = compute_crb(compute_fim(*point, cfg.waveform, cfg.arrays,
                                          noise_vars))
         assert row == [snr, *bounds.theta, *bounds.doppler, *bounds.delay]

@@ -24,7 +24,7 @@ from stacks import beamformer_alone, stack_points
 
 @pytest.fixture(scope="module")
 def noise_vars(clean_pair):
-    return tuple(noise_sigma_for_snr(t, 0.0) ** 2 for t in clean_pair)
+    return noise_sigma_for_snr(clean_pair, 0.0) ** 2
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,7 @@ def test_pulse_rate_scaling(cfg, truth, channel, profiles, combiner):
 # ------------------------------------------------------------- score
 
 def _model_tensors(*args):
-    return [t.data for t in echo_tensors(*args)]
+    return list(echo_tensors(*args))
 
 
 def test_score_zero_at_truth_without_noise(cfg, truth, channel, profiles,
@@ -166,8 +166,8 @@ def test_score_covariance_estimates_information(cfg):
                              [np.random.default_rng(7)]).trial(0)
     truth = take_targets(point.truth, slice(1))
     channel, profiles, combiner = point.channel, point.profiles, point.combiner
-    tensors = echo_tensors(truth, channel, profiles, combiner, wf, arrays)
-    noise_vars = tuple(noise_sigma_for_snr(t, 0.0) ** 2 for t in tensors)
+    noise_vars = noise_sigma_for_snr(echo_tensors(
+        truth, channel, profiles, combiner, wf, arrays), 0.0) ** 2
     fim = compute_fim(truth, channel, profiles, combiner, wf, arrays,
                       noise_vars)
     sample = mc_score_covariance(truth, channel, profiles, combiner, wf,
@@ -233,9 +233,9 @@ def _mixed_stack(n_targets):
     points = [draw_scene_point(base if b in (1, 3) else rician,
                                [np.random.default_rng((12, b))]).trial(0)
               for b in range(5)]
-    noise_vars = np.array([[noise_sigma_for_snr(t, 3.0 * b) ** 2 for t in
-                            echo_tensors(*p, base.waveform, base.arrays)]
-                           for b, p in enumerate(points)])
+    noise_vars = np.array([noise_sigma_for_snr(echo_tensors(
+        *p, base.waveform, base.arrays), 3.0 * b) ** 2
+        for b, p in enumerate(points)])
     return base, points, noise_vars
 
 

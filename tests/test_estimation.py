@@ -23,7 +23,8 @@ from irs_sensing.experiments import build_spec, run_experiment
 from irs_sensing.scene import (PhaseProfile, build_rician_channel,
                                design_beamformers, steering_vector)
 from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
-                                   doppler_ramp, echo_tensors)
+                                   doppler_ramp, echo_tensors,
+                                   noise_sigma_for_snr)
 
 from conftest import take_targets
 from stacks import rician_alone
@@ -82,7 +83,7 @@ def _truth_triples(cfg, truth, channel, profiles, combiner):
 @pytest.fixture(scope="module")
 def decomposed_pair(cfg, clean_pair):
     k = len(cfg.scene.targets)
-    return tuple(_passes(cp_decompose, t.data[None], k) for t in clean_pair)
+    return tuple(_passes(cp_decompose, t[None], k) for t in clean_pair)
 
 
 @pytest.fixture(scope="module")
@@ -371,7 +372,7 @@ def test_delay_unwrap_infeasible(cfg):
 def test_estimate_targets_noiseless(cfg, truth, channel, profiles, combiner,
                                     clean_pair):
     k = truth.n_targets
-    estimates = estimate_targets(clean_pair[0], clean_pair[1], k,
+    estimates = estimate_targets(clean_pair, np.zeros(2), k,
                                  cfg.scene.doa_prior_rad, channel, profiles,
                                  combiner, cfg.waveform, cfg.arrays)
     assert estimates.tau.shape == (k,)
@@ -401,7 +402,7 @@ def test_estimate_targets_single_phase_mode(cfg, truth, profiles, combiner):
     rician = rician.trials(0)
     prof = profiles
     pair = echo_tensors(truth2, rician, prof, comb, base.waveform, base.arrays)
-    estimates = estimate_targets(pair[0], pair[1], truth2.n_targets,
+    estimates = estimate_targets(pair, np.zeros(2), truth2.n_targets,
                                  base.scene.doa_prior_rad, rician, prof, comb,
                                  base.waveform, base.arrays,
                                  single_phase_doa=True)
@@ -414,7 +415,7 @@ def test_estimate_targets_warns_on_component_undercount(cfg, truth, channel,
                                                         profiles, combiner,
                                                         clean_pair):
     with pytest.warns(UserWarning, match="component count"):
-        estimates = estimate_targets(clean_pair[0], clean_pair[1], 1,
+        estimates = estimate_targets(clean_pair, np.zeros(2), 1,
                                      cfg.scene.doa_prior_rad, channel,
                                      profiles, combiner, cfg.waveform,
                                      cfg.arrays)
@@ -625,11 +626,12 @@ def test_dictionaries_are_read_only(cfg):
 def test_estimates_same_with_cold_and_warm_cache(cfg, truth, channel,
                                                  profiles, combiner,
                                                  clean_pair):
-    rng = np.random.default_rng(5)
-    noisy = tuple(apply_noise(t, 10.0, rng) for t in clean_pair)
+    clean = clean_pair[:, None]
+    sigma = noise_sigma_for_snr(clean, 10.0)
+    noisy = apply_noise(clean, sigma, [np.random.default_rng(5)])[:, 0]
 
     def run():
-        return estimate_targets(noisy[0], noisy[1], truth.n_targets,
+        return estimate_targets(noisy, sigma[:, 0], truth.n_targets,
                                 cfg.scene.doa_prior_rad, channel, profiles,
                                 combiner, cfg.waveform, cfg.arrays)
 

@@ -19,7 +19,7 @@ from irs_sensing.estimation import (GRID_SLICE, Estimates, _gamma_ratio,
 from irs_sensing.experiments import TRIAL_STACK, build_spec, run_experiment
 from irs_sensing.scene import (draw_scene_point, relayed_response,
                                steering_vector)
-from irs_sensing.synthesis import EchoTensor, apply_noise, echo_tensors
+from irs_sensing.synthesis import apply_noise, echo_tensors, noise_sigma_for_snr
 
 from stacks import stack_channels
 
@@ -33,14 +33,14 @@ def _scene(rician_k_db):
 
 
 def _noisy_stack(cfg, point, n_trials, seed):
-    """Trials of one scene point at SNRs cycling from -10 to 20 dB."""
+    """Trials of one scene point at SNRs cycling from -10 to 20 dB: the
+    (2, B, P, M, L) observations and their (2, B) noise levels."""
     clean = echo_tensors(*point, cfg.waveform, cfg.arrays)
-    trials = []
-    for b in range(n_trials):
-        rng = np.random.default_rng((seed, b))
-        trials.append([apply_noise(t, SNRS_DB[b % len(SNRS_DB)], rng)
-                       for t in clean])
-    return [t[0] for t in trials], [t[1] for t in trials]
+    sigma = np.stack([noise_sigma_for_snr(clean, SNRS_DB[b % len(SNRS_DB)])
+                      for b in range(n_trials)], axis=1)
+    rngs = [np.random.default_rng((seed, b)) for b in range(n_trials)]
+    return apply_noise(np.repeat(clean[:, None], n_trials, axis=1), sigma,
+                       rngs), sigma
 
 
 def _args(cfg, point):
@@ -121,19 +121,19 @@ def test_stack_changes_no_trial_outcome(rician_k_db):
     delay unwrap with the two-phase method fails the earlier single-phase
     direction check."""
     cfg, point = _scene(rician_k_db)
-    y1, y2 = _noisy_stack(cfg, point, 21, seed=17)
+    y, sigma = _noisy_stack(cfg, point, 21, seed=17)
     args = _args(cfg, point)
     outcomes = [_per_trial(r) for r in estimate_trials(
-        y1, y2, *args, single_phase_doa=(False, True))]
+        y, sigma, *args, single_phase_doa=(False, True))]
     assert any(isinstance(o, UnwrapInfeasible) for o in outcomes[0])
     assert any(not isinstance(o, EstimationError) for o in outcomes[0])
     channel = "los" if rician_k_db is None else "rician"
     for single, results in zip((False, True), outcomes):
         pinned = PINNED[f"{channel}_{'single' if single else 'two'}_phase"]
-        assert len(results) == len(pinned) == len(y1)
+        assert len(results) == len(pinned) == y.shape[1]
         for b, got in enumerate(results):
             alone = _outcome(lambda: estimate_targets(
-                y1[b], y2[b], *args, single_phase_doa=single))
+                y[:, b], sigma[:, b], *args, single_phase_doa=single))
             _assert_same_outcome(got, _summary(alone), rtol=0)
             _assert_same_outcome(got, pinned[b], rtol=1e-12)
 
@@ -168,11 +168,11 @@ def test_components_on_the_first_subcarrier_only_give_a_zero_shift_operator():
     the later subcarriers are zero, so the shift operator is zero and its
     eigenvalues give no generator; the healthy trial beside it passes."""
     cfg, point = _scene(None)
-    y1, _ = _noisy_stack(cfg, point, 1, seed=2)
+    y, _ = _noisy_stack(cfg, point, 1, seed=2)
     last = _on_last_subcarrier(cfg, np.random.default_rng(3), n_last=2)
     first = np.ascontiguousarray(last[..., ::-1])
     errors = [None, None]
-    cp_decompose(np.stack([y1[0].data, first]), 2, errors)
+    cp_decompose(np.stack([y[0, 0], first]), 2, errors)
     assert errors[0] is None
     assert isinstance(errors[1], IllConditionedShift)
     assert str(errors[1]) == "shift operator has a zero eigenvalue"
@@ -182,9 +182,9 @@ def test_ill_conditioned_member_fails_alone():
     """Only the ill-conditioned trial of a stack fails; the factors of the
     others are those of their own calls, bit for bit."""
     cfg, point = _scene(None)
-    y1, y2 = _noisy_stack(cfg, point, 4, seed=2)
-    bad = _on_last_subcarrier(cfg, np.random.default_rng(3))
-    data = np.stack([y1[0].data, bad, y1[2].data, y1[3].data])
+    y, sigma = _noisy_stack(cfg, point, 4, seed=2)
+    y[0, 1] = _on_last_subcarrier(cfg, np.random.default_rng(3))
+    data = y[0]
     errors = [None] * 4
     triple = cp_decompose(data, 2, errors)
     assert isinstance(errors[1], IllConditionedShift)
@@ -197,18 +197,17 @@ def test_ill_conditioned_member_fails_alone():
                              dataclasses.astuple(alone)):
             assert np.array_equal(got, want)
 
-    y1[1] = EchoTensor(data=bad, phase_index=1, noise_sigma=0.0)
     args = _args(cfg, point)
-    [result] = estimate_trials(y1, y2, *args)
+    [result] = estimate_trials(y, sigma, *args)
     _assert_nan_exactly_where_failed(result)
     results = _per_trial(result)
     assert isinstance(results[1], IllConditionedShift)
     assert str(results[1]).startswith("phase 1: shift subspace")
     with pytest.raises(IllConditionedShift, match="^phase 1: shift subspace"):
-        estimate_targets(y1[1], y2[1], *args)
+        estimate_targets(y[:, 1], sigma[:, 1], *args)
     for b, got in enumerate(results):
         _assert_same_outcome(got, _summary(_outcome(lambda: estimate_targets(
-            y1[b], y2[b], *args))), rtol=0)
+            y[:, b], sigma[:, b], *args))), rtol=0)
 
 
 def test_a_trial_failing_two_checks_reports_the_first():
@@ -228,8 +227,7 @@ def test_a_trial_failing_two_checks_reports_the_first():
 
 def test_residuals_of_a_stack_equal_the_single_calls():
     cfg, point = _scene(None)
-    y1, _ = _noisy_stack(cfg, point, 3, seed=9)
-    data = np.stack([t.data for t in y1])
+    data = _noisy_stack(cfg, point, 3, seed=9)[0][0]
     errors = [None] * 3
     triple = cp_decompose(data, 2, errors)
     recon = reconstruction_error(data, triple, errors)
@@ -252,17 +250,15 @@ def test_failed_trials_stay_in_the_stack_without_effect(rician_k_db):
     pinned = PINNED[f"{'los' if rician_k_db is None else 'rician'}_two_phase"]
     healthy = next(b for b, o in enumerate(pinned) if not isinstance(o[0], str))
     unwrap = next(b for b, o in enumerate(pinned) if o[0] == "UnwrapInfeasible")
-    y1, y2 = _noisy_stack(cfg, point, max(healthy, unwrap) + 1, seed=17)
-    zero = np.zeros_like(y1[0].data)
-    bad = _on_last_subcarrier(cfg, np.random.default_rng(3), n_last=2)
-
-    def echo(data, phase):
-        return EchoTensor(data=data, phase_index=phase, noise_sigma=0.0)
-
-    s1 = [y1[healthy], echo(zero, 1), echo(bad, 1), y1[healthy], y1[unwrap]]
-    s2 = [y2[healthy], echo(zero, 2), y2[healthy], echo(zero, 2), y2[unwrap]]
+    y, sigma = _noisy_stack(cfg, point, max(healthy, unwrap) + 1, seed=17)
+    picks = [healthy] * 4 + [unwrap]
+    s, s_sigma = y[:, picks], sigma[:, picks]
+    s[:, 1] = 0.0  # both phases zero
+    s[0, 2] = _on_last_subcarrier(  # phase 1 ill-conditioned
+        cfg, np.random.default_rng(3), n_last=2)
+    s[1, 3] = 0.0  # phase 2 zero
     args = _args(cfg, point)
-    pairs = estimate_trials(s1, s2, *args, single_phase_doa=(False, True))
+    pairs = estimate_trials(s, s_sigma, *args, single_phase_doa=(False, True))
     for result in pairs:
         _assert_nan_exactly_where_failed(result)
     outcomes = [_per_trial(r) for r in pairs]
@@ -274,7 +270,7 @@ def test_failed_trials_stay_in_the_stack_without_effect(rician_k_db):
     for single, results in zip((False, True), outcomes):
         for b, got in enumerate(results):
             alone = _outcome(lambda: estimate_targets(
-                s1[b], s2[b], *args, single_phase_doa=single))
+                s[:, b], s_sigma[:, b], *args, single_phase_doa=single))
             _assert_same_outcome(got, _summary(alone), rtol=0)
 
 
@@ -284,10 +280,11 @@ def test_a_check_the_stack_shares_fails_every_trial():
     trial carries that one UniquenessError, and every row is NaN."""
     cfg, point = _scene(None)
     narrow = with_overrides(cfg, n_subcarriers=1)
-    clean = echo_tensors(*point, narrow.waveform, narrow.arrays)
-    y1, y2 = ([apply_noise(t, 10.0, np.random.default_rng((6, b)))
-               for b in range(3)] for t in clean)
-    pairs = estimate_trials(y1, y2, *_args(narrow, point),
+    clean = echo_tensors(*point, narrow.waveform, narrow.arrays)[:, None]
+    sigma = noise_sigma_for_snr(clean, 10.0)
+    y = apply_noise(clean, sigma,
+                    [np.random.default_rng((6, b)) for b in range(3)])
+    pairs = estimate_trials(y, sigma, *_args(narrow, point),
                             single_phase_doa=(False, True))
     assert len(pairs) == 2
     for estimates, errors in pairs:
@@ -307,12 +304,12 @@ def test_shared_factorization_warns_once_per_phase_for_both_methods():
     clean = echo_tensors(*point, cfg.waveform, cfg.arrays)
     args = (1, *_args(cfg, point)[1:])
     with pytest.warns(UserWarning, match="component count") as caught:
-        estimate_trials([clean[0]], [clean[1]], *args,
+        estimate_trials(clean[:, None], np.zeros((2, 1)), *args,
                         single_phase_doa=(False, True))
     assert [str(w.message)[:7] for w in caught] == ["phase 1", "phase 2"]
     # both entry points blame their caller's line
     with pytest.warns(UserWarning, match="component count") as alone:
-        estimate_targets(clean[0], clean[1], *args)
+        estimate_targets(clean, np.zeros(2), *args)
     assert {w.filename for w in [*caught, *alone]} == {__file__}
 
 
@@ -334,14 +331,14 @@ def test_grid_slices_change_no_trial_outcome(monkeypatch):
     one search over the whole stack, bit for bit."""
     import irs_sensing.estimation as estimation
     cfg, point = _scene(5.0)
-    y1, y2 = _noisy_stack(cfg, point, 21, seed=17)
+    y, sigma = _noisy_stack(cfg, point, 21, seed=17)
     outcomes = {}
-    for size in (len(y1) + 1, 1, 2, 3):
+    for size in (y.shape[1] + 1, 1, 2, 3):
         monkeypatch.setattr(estimation, "GRID_SLICE", size)
         outcomes[size] = [_bits(r) for r in
-                          estimate_trials(y1, y2, *_args(cfg, point),
+                          estimate_trials(y, sigma, *_args(cfg, point),
                                           single_phase_doa=(False, True))]
-    whole = outcomes.pop(len(y1) + 1)
+    whole = outcomes.pop(y.shape[1] + 1)
     failures = whole[0][0]
     assert None in failures and any(failures)  # estimates and failures
     for size, got in outcomes.items():
@@ -371,27 +368,26 @@ def _fading_stack(n_trials, los=None):
     points = [draw_scene_point(default_config() if b == los else rician,
                                [np.random.default_rng((8, b))]).trial(0)
               for b in range(n_trials)]
-    y1, y2 = [], []
-    for b, point in enumerate(points):
-        rng = np.random.default_rng((9, b))
-        clean = echo_tensors(*point, rician.waveform, rician.arrays)
-        y1.append(apply_noise(clean[0], 20.0, rng))
-        y2.append(apply_noise(clean[1], 20.0, rng))
-    return rician, points, y1, y2
+    clean = np.stack([echo_tensors(*point, rician.waveform, rician.arrays)
+                      for point in points], axis=1)
+    sigma = noise_sigma_for_snr(clean, 20.0)
+    rngs = [np.random.default_rng((9, b)) for b in range(n_trials)]
+    return rician, points, apply_noise(clean, sigma, rngs), sigma
 
 
-def _run_fading_stack(cfg, points, y1, y2):
+def _run_fading_stack(cfg, points, y, sigma):
     """Both direction methods on the stack, and each trial alone."""
     stacked = (points[0].truth.n_targets, cfg.scene.doa_prior_rad,
                stack_channels([p.channel for p in points]), points[0].profiles,
                np.stack([p.combiner for p in points]), cfg.waveform,
                cfg.arrays)
     outcomes = [_per_trial(r) for r in estimate_trials(
-        y1, y2, *stacked, single_phase_doa=(False, True))]
+        y, sigma, *stacked, single_phase_doa=(False, True))]
     for single, results in zip((False, True), outcomes):
         for b, got in enumerate(results):
             alone = _outcome(lambda: estimate_targets(
-                y1[b], y2[b], *_args(cfg, points[b]), single_phase_doa=single))
+                y[:, b], sigma[:, b], *_args(cfg, points[b]),
+                single_phase_doa=single))
             _assert_same_outcome(got, _summary(alone), rtol=0)
     return outcomes
 
@@ -401,7 +397,7 @@ def test_a_stack_of_distinct_channels_gives_each_trial_its_own_outcome():
     sight among scattered ones, end as each does alone; only the
     line-of-sight trial fails, and only the single-phase method."""
     los = 2
-    rician, points, y1, y2 = _fading_stack(4, los)
+    rician, points, y, sigma = _fading_stack(4, los)
     profiles = points[0].profiles
     channel = stack_channels([p.channel for p in points])
     grid = steering_vector(np.linspace(*rician.scene.doa_prior_rad, 9),
@@ -421,7 +417,7 @@ def test_a_stack_of_distinct_channels_gives_each_trial_its_own_outcome():
         assert np.array_equal(_gamma_ratio(grid, u, profiles)[b],
                               _gamma_ratio(grid, alone.u, profiles))
 
-    outcomes = _run_fading_stack(rician, points, y1, y2)
+    outcomes = _run_fading_stack(rician, points, y, sigma)
     assert [type(o).__name__ for o in outcomes[0]] == ["Estimates"] * 4
     assert [type(o).__name__ for o in outcomes[1]] == [
         "RankOneChannel" if b == los else "Estimates" for b in range(4)]
@@ -433,11 +429,11 @@ def test_a_failure_in_a_later_grid_slice_lands_on_its_own_trial(monkeypatch):
     trial of the stacked-channel stack any failure."""
     import irs_sensing.estimation as estimation
     monkeypatch.setattr(estimation, "GRID_SLICE", 2)
-    rician, points, y1, y2 = _fading_stack(5)
+    rician, points, y, sigma = _fading_stack(5)
     bad = 3
     points[bad] = points[bad]._replace(
         combiner=np.zeros_like(points[bad].combiner))
-    for results in _run_fading_stack(rician, points, y1, y2):
+    for results in _run_fading_stack(rician, points, y, sigma):
         assert [type(o).__name__ for o in results] == [
             "DivisionBlowup" if b == bad else "Estimates" for b in range(5)]
         assert str(results[bad]).startswith("phase 1, target 0: all pulse")
@@ -448,13 +444,13 @@ def test_doppler_search_memory_does_not_grow_with_the_stack():
     """The Doppler grid search holds the scores of one slice of trials, so
     its peak allocation on 16 trials is under twice that on 2."""
     cfg, point = _scene(None)
-    y1, y2 = _noisy_stack(cfg, point, 16, seed=3)
+    y, _ = _noisy_stack(cfg, point, 16, seed=3)
 
     def peak(n_trials):
         errors = [None] * n_trials
-        aligned = align_columns(*(cp_decompose(
-            np.stack([t.data for t in y[:n_trials]]), 2, errors)
-            for y in (y1, y2)), cfg.waveform.subcarrier_spacing_hz, errors)
+        aligned = align_columns(*(cp_decompose(phase[:n_trials], 2, errors)
+                                  for phase in y),
+                                cfg.waveform.subcarrier_spacing_hz, errors)
         thetas = np.broadcast_to(point.truth.theta_rad, (n_trials, 2))
         args = (aligned, thetas, point.channel, point.profiles,
                 point.combiner, cfg.waveform, cfg.arrays, errors)

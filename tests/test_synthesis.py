@@ -7,28 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irs_sensing.config import default_config
+from irs_sensing.config import with_overrides
 from irs_sensing.errors import DimensionMismatch, InsufficientSampling
-from irs_sensing.scene import PhaseProfile
+from irs_sensing.scene import PhaseProfile, draw_scene_point
 from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
-                                   delay_signature, doppler_ramp,
-                                   noise_sigma_for_snr, synthesize_echo_tensor)
+                                   delay_signature, doppler_ramp, echo_tensors,
+                                   noise_sigma_for_snr, noise_variance,
+                                   synthesize_echo_tensor)
 
 from conftest import take_targets
-from reference import oracle_prediction, time_domain_oracle
+from reference import noisy_tensor, oracle_prediction, time_domain_oracle
 
 
 # ---------------------------------------------------------------- factors
 
 def test_factor_shapes(cfg, factor_pair, clean_pair):
     k = len(cfg.scene.targets)
-    for fac, tensor, expected_phase in zip(factor_pair, clean_pair, (1, 2)):
+    for fac in factor_pair:
         assert fac.pulse_factor.shape == (cfg.waveform.n_pulses, k)
         assert fac.antenna_factor.shape == (cfg.arrays.n_ap_antennas, k)
         assert fac.subcarrier_factor.shape == (cfg.waveform.n_subcarriers, k)
         assert fac.generators.shape == (k,)
-        assert tensor.phase_index == expected_phase
         assert fac.n_components == k
+    assert clean_pair.shape == (2, cfg.waveform.n_pulses,
+                                cfg.arrays.n_ap_antennas,
+                                cfg.waveform.n_subcarriers)
 
 
 def test_pulse_column_is_combined_gain_times_ramp(cfg, factor_pair):
@@ -72,10 +75,10 @@ def test_empty_scene_gives_zero_tensor(cfg, truth, channel, profiles,
     empty = take_targets(truth, slice(0))
     fac = build_factor_matrices(empty, channel, profiles[0], combiner,
                                 cfg.waveform, cfg.arrays)
-    tensor = synthesize_echo_tensor(fac, profiles[0].phase_index)
+    tensor = synthesize_echo_tensor(fac)
     assert tensor.shape == (cfg.waveform.n_pulses, cfg.arrays.n_ap_antennas,
                             cfg.waveform.n_subcarriers)
-    assert np.all(tensor.data == 0)
+    assert np.all(tensor == 0)
 
 
 def test_tensor_matches_rank_one_sum(factor_pair, clean_pair):
@@ -86,8 +89,7 @@ def test_tensor_matches_rank_one_sum(factor_pair, clean_pair):
             explicit += (fac.pulse_factor[:, k][:, None, None]
                          * fac.antenna_factor[:, k][None, :, None]
                          * fac.subcarrier_factor[:, k][None, None, :])
-        np.testing.assert_allclose(tensor.data, explicit, rtol=1e-12)
-        assert tensor.noise_sigma == 0.0
+        np.testing.assert_allclose(tensor, explicit, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- signatures
@@ -120,33 +122,69 @@ def test_delay_signature_zero_delay_is_flat():
 # ---------------------------------------------------------------- noise
 
 def test_apply_noise_realizes_requested_snr(clean_pair):
-    noisy = apply_noise(clean_pair[0], 0.0, np.random.default_rng(3))
-    noise = noisy.data - clean_pair[0].data
-    realized = 10.0 * math.log10(np.linalg.norm(clean_pair[0].data) ** 2
-                                 / np.linalg.norm(noise) ** 2)
-    # at 0 dB nominal, a 5% linear-power tolerance is about +/-0.21 dB
-    assert abs(realized) < 0.22
-    assert noisy.noise_sigma == pytest.approx(
-        noise_sigma_for_snr(clean_pair[0], 0.0))
+    clean = clean_pair[:, None]
+    sigma = noise_sigma_for_snr(clean, 0.0)
+    noise = apply_noise(clean, sigma, [np.random.default_rng(3)]) - clean
+    for phase in range(2):
+        realized = 10.0 * math.log10(np.linalg.norm(clean[phase]) ** 2
+                                     / np.linalg.norm(noise[phase]) ** 2)
+        # at 0 dB nominal, a 5% linear-power tolerance is about +/-0.21 dB
+        assert abs(realized) < 0.22
 
 
 def test_apply_noise_noiseless_passthrough(clean_pair):
-    out = apply_noise(clean_pair[0], math.inf, np.random.default_rng(0))
-    assert out is clean_pair[0]
+    clean = clean_pair[:, None]
+    sigma = noise_sigma_for_snr(clean, math.inf)
+    assert sigma.shape == (2, 1) and not sigma.any()
+    out = apply_noise(clean, sigma, [np.random.default_rng(0)] * 3)
+    assert out.shape == (2, 3, *clean.shape[2:])
+    assert np.array_equal(out, np.repeat(clean, 3, axis=1))
 
 
 def test_noise_sigma_scaling(clean_pair):
-    s0 = noise_sigma_for_snr(clean_pair[0], 0.0)
-    s10 = noise_sigma_for_snr(clean_pair[0], 10.0)
+    s0 = noise_sigma_for_snr(clean_pair, 0.0)
+    s10 = noise_sigma_for_snr(clean_pair, 10.0)
+    assert s0.shape == (2,)
     assert s10 == pytest.approx(s0 / math.sqrt(10.0), rel=1e-12)
 
 
-def test_apply_noise_deterministic_per_seed(clean_pair):
-    a = apply_noise(clean_pair[0], 5.0, np.random.default_rng(11))
-    b = apply_noise(clean_pair[0], 5.0, np.random.default_rng(11))
-    c = apply_noise(clean_pair[0], 5.0, np.random.default_rng(12))
-    assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, c.data)
+def test_noise_variance_squares_as_python_floats():
+    """The bound's noise variances keep the digits of a Python float's
+    square (libm's pow), which NumPy's square misses in the last place
+    for some values."""
+    sigma = np.random.default_rng(2).uniform(0.1, 10.0, (2, 2000))
+    want = [[s ** 2 for s in row] for row in sigma.tolist()]
+    assert noise_variance(sigma).tolist() == want
+
+
+def test_apply_noise_deterministic_per_seed(cfg, clean_pair):
+    """Each trial's noise is that of its seed: bit for bit the noise drawn
+    one phase, and one real or imaginary part, at a time.  On a fading
+    stack each trial has its own draw, with a noise level per phase; on a
+    frozen point one draw and its levels serve every trial.  The clean
+    draws are left as they were."""
+    snr_db, n_trials = 5.0, 3
+    rician = with_overrides(cfg, rician_k_db=5.0)
+    point = draw_scene_point(rician, [np.random.default_rng((4, b))
+                                      for b in range(n_trials)])
+    fading = echo_tensors(*point, rician.waveform, rician.arrays)
+    for clean in (fading, clean_pair[:, None]):
+        sigma = noise_sigma_for_snr(clean, snr_db)
+        assert sigma.shape == (2, clean.shape[1])
+        assert len(np.unique(sigma)) == sigma.size  # per phase and draw
+        before = clean.copy()
+        noisy = apply_noise(clean, sigma, [np.random.default_rng((11, b))
+                                           for b in range(n_trials)])
+        assert np.array_equal(clean, before)
+        for b in range(n_trials):
+            rng = np.random.default_rng((11, b))
+            for phase in range(2):
+                want = noisy_tensor(clean[phase, b % clean.shape[1]], snr_db,
+                                    rng)
+                assert np.array_equal(noisy[phase, b], want), (b, phase)
+        other = apply_noise(clean, sigma, [np.random.default_rng((12, b))
+                                           for b in range(n_trials)])
+        assert not np.array_equal(noisy, other)
 
 
 # ---------------------------------------------------------------- oracle
