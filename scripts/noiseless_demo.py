@@ -34,8 +34,7 @@ def main() -> int:
     clean = echo_tensors(*point, cfg.waveform, cfg.arrays)
     estimates = estimate_targets(clean, np.zeros(2), truth.n_targets,
                                  cfg.scene.doa_prior_rad, point.channel,
-                                 point.profiles, point.combiner, cfg.waveform,
-                                 cfg.arrays)
+                                 point.profiles, cfg.waveform, cfg.arrays)
 
     order = np.argsort(truth.delay_s)
     speed = SPEED_OF_LIGHT / (2 * cfg.waveform.carrier_freq_hz)  # m/s per Hz

@@ -17,12 +17,11 @@ from .crb import (CrbBounds, FimMatrix, compute_crb, compute_fim,
                   log_likelihood, mc_score_covariance, parameter_jacobian,
                   score, score_fd_check)
 from .errors import (AmbiguousAlignment, ConfigError, DegenerateGeometry,
-                     DegenerateProfilePair, DimensionMismatch, DivisionBlowup,
+                     DegenerateProfilePair, DimensionMismatch,
                      DuplicateParameter, EstimationError, IllConditionedShift,
-                     InfeasibleTiming, InsufficientSampling, InvalidPartition,
-                     NoFeasibleGrid, OutOfRange, RankDeficient, RankOneChannel,
-                     SensingError, SingularFim, UniquenessError,
-                     UnwrapInfeasible)
+                     InfeasibleTiming, InvalidPartition, NoFeasibleGrid,
+                     OutOfRange, RankDeficient, RankOneChannel, SensingError,
+                     SingularFim, UniquenessError, UnwrapInfeasible)
 from .estimation import (AlignedFactors, Estimates, align_columns,
                          compute_gamma_statistics, estimate_delay,
                          estimate_doa_multirank, estimate_doppler,

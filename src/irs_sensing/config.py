@@ -223,8 +223,6 @@ def _coerce_numbers(section: dict, cls) -> dict:
                 value = int(float(value))
             elif kind == "float" or (kind == "float | None" and value is not None):
                 value = _finite(value)
-            elif kind == "complex":
-                value = complex(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
         out[key] = value

@@ -89,7 +89,7 @@ def jacobian_terms(truth: SceneTruth, channel: ChannelMatrix,
     pulse_rate = 2j * np.pi * np.arange(1, waveform.n_pulses + 1) * waveform.pri_s
     tone_rate = (-2j * np.pi * np.arange(1, waveform.n_subcarriers + 1)
                  * waveform.subcarrier_spacing_hz)
-    d_pulse = (combiner.swapaxes(-1, -2) @ d_antenna) * ramps
+    d_pulse = (combiner[..., None, :] @ d_antenna) * ramps
     return (np.concatenate([d_pulse, a, a * pulse_rate[:, None], a], axis=-1),
             np.concatenate([b, d_antenna, b, b], axis=-1),
             np.concatenate([c, c, c, c * tone_rate[:, None]], axis=-1))

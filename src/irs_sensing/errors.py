@@ -39,10 +39,6 @@ class DimensionMismatch(ConfigError):
     """Matrix/tensor operands have inconsistent shapes."""
 
 
-class InsufficientSampling(ConfigError):
-    """Time-domain integration requested with too few sample points."""
-
-
 class EstimationError(SensingError):
     """Base class for recoverable per-trial estimator failures."""
 
@@ -73,10 +69,6 @@ class DegenerateProfilePair(EstimationError):
 
 class RankOneChannel(EstimationError):
     """Single-phase correlation DOA is unreliable on a rank-one channel."""
-
-
-class DivisionBlowup(EstimationError):
-    """All entries of a normalizing divisor were below threshold."""
 
 
 class UnwrapInfeasible(EstimationError):

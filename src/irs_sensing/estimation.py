@@ -11,7 +11,7 @@ from the pulse factor's phase progression and the subcarrier generators.
 Every step takes a stack of trials, its arrays with a leading trial axis,
 and the stack's error list: it records in ``errors[b]`` the first check
 trial b fails and raises only for a check that the whole stack shares;
-its channel and combiner are one per trial or one shared.
+its channel is one per trial or one shared.
 ``estimate_trials`` runs a stack through the pipeline, ``estimate_targets``
 one trial.
 """
@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ArrayConfig, WaveformConfig
 from .cpd import FactorTriple, cp_decompose, raw_delay, reconstruction_error
-from .errors import (AmbiguousAlignment, DegenerateProfilePair, DivisionBlowup,
+from .errors import (AmbiguousAlignment, DegenerateProfilePair,
                      EstimationError, NoFeasibleGrid, RankOneChannel,
                      UnwrapInfeasible, record_failures)
 from .scene import (ChannelMatrix, PhaseProfile, relayed_response,
@@ -38,7 +38,6 @@ DOA_GRID_STEP_RAD = math.radians(0.02)
 DOPPLER_GRID_POINTS = 2000          # grid step = half-period / this
 ALIGNMENT_MARGIN = 1e-6
 GRID_EXCLUSION_RTOL = 1e-8          # drop grid points with tiny denominators
-DIVISOR_FLOOR = 1e-12
 UNWRAP_EDGE_TOL = 0.01              # fraction of the prefix length
 RANK_ONE_RATIO = 1e-3
 GRID_SLICE = 2                      # trials per slice of a grid search
@@ -314,55 +313,34 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
     return thetas
 
 
-def estimate_doppler(aligned: AlignedFactors, theta_hats: np.ndarray,
-                     channel: ChannelMatrix,
+def estimate_doppler(aligned: AlignedFactors,
                      profiles: tuple[PhaseProfile, PhaseProfile],
-                     combiner: np.ndarray, waveform: WaveformConfig,
-                     arrays: ArrayConfig, errors: list) -> np.ndarray:
+                     waveform: WaveformConfig, errors: list) -> np.ndarray:
     """Doppler shifts from the pulse factors' phase progressions.
 
-    For each phase, the aligned pulse column is divided by the predicted
-    combined response at the estimated direction, leaving (up to scale) a
-    pure per-pulse phase ramp that is matched against candidate ramps over
-    half a period each side of zero, GRID_SLICE trials at a time.  Phase
-    estimates are averaged with equal weights.  The divisor and boundary
-    checks run over the whole stack; a failed trial gets no warning.
+    Every pulse carries the same transmit weights, so each aligned pulse
+    column is one constant (the combined gain times the factorization's
+    scale) times a pure per-pulse phase ramp.  The columns of both phases
+    are matched against candidate ramps over half a period each side of
+    zero, GRID_SLICE trials at a time, and the phase estimates averaged
+    with equal weights.  The boundary check runs over the whole stack; a
+    failed trial gets no warning.
     """
     half_span = 1.0 / (2 * waveform.pri_s)
     step = half_span / DOPPLER_GRID_POINTS
     grid, ramps = _dictionary(doppler_ramp, -half_span, half_span, step,
                               waveform.n_pulses, waveform.pri_s)
     k_total = aligned.n_components
-    steer = steering_vector(theta_hats, *arrays.surface)
     # column c is target c % K of phase c // K
-    divisors = np.concatenate(
-        [np.swapaxes(combiner, -1, -2) @ relayed_response(channel, p, steer)
-         for p in profiles],
-        axis=-1)
     pulses = np.concatenate([aligned.phase1.pulse_factor,
                              aligned.phase2.pulse_factor], axis=-1)
-    keep = np.abs(divisors) >= DIVISOR_FLOOR
-    ramp_obs = np.divide(pulses, divisors, where=keep,
-                         out=np.zeros(pulses.shape, dtype=complex))
     idx, offset, _ = _grid_peaks(
-        lambda s: np.abs(ramp_obs[s].conj().swapaxes(-1, -2) @ ramps), errors)
-    at_edge = (idx == 0) | (idx == len(grid) - 1)
-    # only the flagged (trial, column) pairs, in the order one trial meets them
-    for b, col in np.argwhere(~keep.all(axis=-2) | at_edge):
-        if errors[b] is not None:
-            continue
-        where = (f"phase {profiles[col // k_total].phase_index}, "
-                 f"target {col % k_total}")
-        if not keep[b, :, col].any():
-            errors[b] = DivisionBlowup(f"{where}: all pulse divisors below "
-                                       f"{DIVISOR_FLOOR:.0e}")
-            continue
-        if not keep[b, :, col].all():
-            warnings.warn(f"{where}: excluded {int((~keep[b, :, col]).sum())} "
-                          "pulses with near-zero divisors", stacklevel=2)
-        if at_edge[b, col]:
-            warnings.warn(f"{where}: Doppler at the unambiguous boundary; "
-                          "estimate may be wrapped", stacklevel=2)
+        lambda s: np.abs(pulses[s].conj().swapaxes(-1, -2) @ ramps), errors)
+    for b, col in np.argwhere((idx == 0) | (idx == len(grid) - 1)):
+        if errors[b] is None:
+            warnings.warn(f"phase {profiles[col // k_total].phase_index}, "
+                          f"target {col % k_total}: Doppler at the unambiguous "
+                          "boundary; estimate may be wrapped", stacklevel=2)
     return (grid[idx] + offset * step).reshape(-1, 2, k_total).mean(axis=-2)
 
 
@@ -399,8 +377,7 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
                     n_targets: int, doa_prior: tuple[float, float],
                     channel: ChannelMatrix,
                     profiles: tuple[PhaseProfile, PhaseProfile],
-                    combiner: np.ndarray, waveform: WaveformConfig,
-                    arrays: ArrayConfig,
+                    waveform: WaveformConfig, arrays: ArrayConfig,
                     single_phase_doa: Sequence[bool] = (False,),
                     stacklevel: int = 2) -> list[tuple[Estimates, list]]:
     """Run a stack of trials through the pipeline.
@@ -408,15 +385,14 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
     Trial b observes ``y[:, b]`` of the (2, B, P, M, L) observations, one
     tensor per phase, at the noise levels ``noise_sigma[:, b]`` of a (2, B)
     array, or of a (2, 1) one the stack shares, through its own entry of a
-    stacked ``channel`` (B x N x M) and ``combiner`` (B x M x P), or through
-    the ones the stack shares.  Returns one (Estimates, errors) pair per
-    entry of ``single_phase_doa`` (a direction method of
-    ``estimate_targets``): ``errors[b]`` is None or the EstimationError that
-    ``estimate_targets`` raises on trial b alone, the first check it fails,
-    and its row of the estimates is NaN.  A check that the whole stack
-    shares fails every trial.  The factorization and alignment run once
-    for all methods.  ``stacklevel`` is that of the reconstruction-residual
-    warning.
+    stacked ``channel`` (B x N x M), or through one the stack shares.
+    Returns one (Estimates, errors) pair per entry of ``single_phase_doa``
+    (a direction method of ``estimate_targets``): ``errors[b]`` is None or
+    the EstimationError that ``estimate_targets`` raises on trial b alone,
+    the first check it fails, and its row of the estimates is NaN.  A
+    check that the whole stack shares fails every trial.  The
+    factorization and alignment run once for all methods.  ``stacklevel``
+    is that of the reconstruction-residual warning.
     """
     errors = [None] * y.shape[1]
     sigma = np.broadcast_to(noise_sigma, y.shape[:2])
@@ -462,8 +438,7 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
         else:
             thetas, gammas, residuals = resolve_doa(
                 aligned, channel.u, profiles, doa_prior, arrays, method_errors)
-        dopplers = estimate_doppler(aligned, thetas, channel, profiles,
-                                    combiner, waveform, arrays, method_errors)
+        dopplers = estimate_doppler(aligned, profiles, waveform, method_errors)
         delays = estimate_delay(aligned, waveform, method_errors)
         order = np.argsort(delays, axis=-1, kind="stable")
         failed = np.array([e is not None for e in method_errors])[:, None]
@@ -477,8 +452,7 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
 def estimate_targets(y: np.ndarray, noise_sigma: np.ndarray, n_targets: int,
                      doa_prior: tuple[float, float], channel: ChannelMatrix,
                      profiles: tuple[PhaseProfile, PhaseProfile],
-                     combiner: np.ndarray, waveform: WaveformConfig,
-                     arrays: ArrayConfig,
+                     waveform: WaveformConfig, arrays: ArrayConfig,
                      single_phase_doa: bool = False) -> Estimates:
     """Full pipeline: factorize both phases, align, extract all parameters.
 
@@ -486,11 +460,12 @@ def estimate_targets(y: np.ndarray, noise_sigma: np.ndarray, n_targets: int,
     ``noise_sigma``.  Returns (K,) estimates sorted by delay.
     ``single_phase_doa`` switches the direction step to the correlation
     method on phase 1 alone (requires a channel of rank >= 2); Doppler and
-    delay always use both phases.  This is ``estimate_trials`` on one trial; it raises the trial's error.
+    delay always use both phases.  This is ``estimate_trials`` on one
+    trial; it raises the trial's error.
     """
     [(estimates, [error])] = estimate_trials(
         y[:, None], np.reshape(noise_sigma, (2, 1)), n_targets, doa_prior,
-        channel, profiles, combiner, waveform, arrays, (single_phase_doa,),
+        channel, profiles, waveform, arrays, (single_phase_doa,),
         stacklevel=3)
     if error is not None:
         raise error

@@ -233,14 +233,15 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
                 clean = echo_tensors(*point, cfg.waveform, cfg.arrays)
                 sigma = noise_sigma_for_snr(clean, snr_db)
                 crbs.extend(_draw_crbs(point, cfg, sigma))
-                shared = point if spec.redraw_fading else point.trial(0)
+                channel = (point.channel if spec.redraw_fading
+                           else point.channel.trials(0))
             # a frozen point's one draw serves every trial
             y = apply_noise(clean, sigma, rngs)
             if spec.redraw_fading:
                 del clean  # these draws serve this stack alone
             outcomes = estimate_trials(
-                y, sigma, k_total, cfg.scene.doa_prior_rad, shared.channel,
-                point.profiles, shared.combiner, cfg.waveform, cfg.arrays,
+                y, sigma, k_total, cfg.scene.doa_prior_rad, channel,
+                point.profiles, cfg.waveform, cfg.arrays,
                 [name == "single_phase" for name in methods])
             for name, (estimates, errors) in zip(methods, outcomes):
                 acc = accs[name]

@@ -333,16 +333,15 @@ def design_phase_profiles(doa_prior: tuple[float, float], arrays: ArrayConfig,
     return one_profile(0.0, 1), one_profile(0.5, 2)
 
 
-def design_beamformers(channel: ChannelMatrix, n_pulses: int) -> np.ndarray:
-    """Per-pulse transmit weights matched to each trial's AP-side factor.
+def design_beamformers(channel: ChannelMatrix) -> np.ndarray:
+    """Transmit weights matched to each trial's AP-side factor, (B, M).
 
-    Every column is the same unit-norm vector w chosen so the combined
-    gain (w dotted with the AP-side channel direction) has unit modulus;
-    returning the full matrix keeps pulse-varying weights possible.
+    Each row is the unit-norm vector w, sent on every pulse, chosen so the
+    combined gain (w dotted with the AP-side channel direction) has unit
+    modulus.
     """
     w = channel.v.conj()
-    w = w / np.array([np.linalg.norm(x) for x in w])[:, None]   # a norm per trial
-    return np.repeat(w[..., None], n_pulses, axis=-1)
+    return w / np.array([np.linalg.norm(x) for x in w])[:, None]   # a norm per trial
 
 
 class ScenePoint(NamedTuple):
@@ -352,7 +351,7 @@ class ScenePoint(NamedTuple):
     truth: SceneTruth
     channel: ChannelMatrix
     profiles: tuple[PhaseProfile, PhaseProfile]
-    combiner: np.ndarray
+    combiner: np.ndarray    # transmit weights, (M,) or a stack (B, M)
 
     def trial(self, b: int) -> ScenePoint:
         """Draw b of a stacked point, as the point of that one draw."""
@@ -378,5 +377,4 @@ def draw_scene_point(cfg: FullConfig,
     channel = build_rician_channel(build_los_channel(cfg.scene, cfg.arrays, rngs),
                                    cfg.scene.rician_k_db, cfg.scene.n_nlos_paths,
                                    cfg.arrays, rngs)
-    return ScenePoint(truth, channel, profiles,
-                      design_beamformers(channel, cfg.waveform.n_pulses))
+    return ScenePoint(truth, channel, profiles, design_beamformers(channel))

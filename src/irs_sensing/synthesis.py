@@ -60,16 +60,15 @@ def build_factor_matrices(truth: SceneTruth, channel: ChannelMatrix,
                                 f"({n_irs}, {n_ap})")
     if profile.phases.shape != (n_irs,):
         raise DimensionMismatch("profile length != element count")
-    if combiner.shape[-2:] != (n_ap, waveform.n_pulses):
-        raise DimensionMismatch(f"combiner shape {combiner.shape} != "
-                                f"({n_ap}, {waveform.n_pulses})")
+    if combiner.shape[-1:] != (n_ap,):
+        raise DimensionMismatch(f"combiner shape {combiner.shape} != ({n_ap},)")
 
     antenna = relayed_response(channel, profile,
                                steering_vector(truth.theta_rad, *arrays.surface))
     ramps = doppler_ramp(truth.doppler_hz, waveform.n_pulses, waveform.pri_s)
     signatures = delay_signature(truth.delay_s, waveform.n_subcarriers,
                                  waveform.subcarrier_spacing_hz)
-    return FactorTriple(pulse_factor=(combiner.swapaxes(-1, -2) @ antenna) * ramps,
+    return FactorTriple(pulse_factor=(combiner[..., None, :] @ antenna) * ramps,
                         antenna_factor=antenna,
                         subcarrier_factor=truth.gain[..., None, :] * signatures,
                         generators=signatures[..., 0, :])

@@ -14,9 +14,13 @@ import numpy as np
 
 from irs_sensing.config import ArrayConfig, WaveformConfig
 from irs_sensing.cpd import FactorTriple, cp_reconstruct
-from irs_sensing.errors import InsufficientSampling
+from irs_sensing.errors import ConfigError
 from irs_sensing.scene import ChannelMatrix, PhaseProfile, SceneTruth
 from irs_sensing.synthesis import build_factor_matrices
+
+
+class InsufficientSampling(ConfigError):
+    """Time-domain integration requested with too few sample points."""
 
 
 def time_domain_oracle(truth: SceneTruth, channel: ChannelMatrix,

@@ -6,7 +6,7 @@ from typing import Sequence
 import numpy as np
 
 from irs_sensing.scene import (ChannelMatrix, ScenePoint, SceneTruth,
-                               build_rician_channel, design_beamformers)
+                               build_rician_channel)
 
 
 def stack_channels(channels: Sequence[ChannelMatrix]) -> ChannelMatrix:
@@ -32,8 +32,3 @@ def rician_alone(g_los: ChannelMatrix, rician_db, n_nlos: int, arrays,
     """build_rician_channel on one line-of-sight channel and its generator."""
     return build_rician_channel(stack_channels([g_los]), rician_db, n_nlos,
                                 arrays, [rng]).trials(0)
-
-
-def beamformer_alone(channel: ChannelMatrix, n_pulses: int) -> np.ndarray:
-    """design_beamformers on one channel."""
-    return design_beamformers(stack_channels([channel]), n_pulses)[0]

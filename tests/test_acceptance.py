@@ -34,7 +34,6 @@ from irs_sensing.synthesis import (build_factor_matrices, echo_tensors,
 
 from conftest import take_targets
 from reference import oracle_prediction, time_domain_oracle
-from stacks import beamformer_alone
 
 CONFIG = "configs/default.yaml"
 
@@ -45,13 +44,13 @@ def _db(ratio: float) -> float:
 
 # ---------------------------------------------------------------- 1
 
-def test_noiseless_recovery_is_exact(cfg, truth, channel, profiles, combiner,
+def test_noiseless_recovery_is_exact(cfg, truth, channel, profiles,
                                      clean_pair):
     """Full pipeline on a clean two-target scene recovers all parameters."""
     start = time.perf_counter()
     estimates = estimate_targets(clean_pair, np.zeros(2), truth.n_targets,
                                  cfg.scene.doa_prior_rad, channel, profiles,
-                                 combiner, cfg.waveform, cfg.arrays)
+                                 cfg.waveform, cfg.arrays)
     elapsed = time.perf_counter() - start
     order = np.argsort(truth.delay_s)
     assert np.abs(estimates.theta - truth.theta_rad[order]).max() < 1e-5
@@ -79,13 +78,11 @@ def test_single_subcarrier_is_unidentifiable(cfg, truth, channel, profiles,
                                              combiner):
     """One subcarrier cannot separate two targets: the solver must refuse."""
     narrow = with_overrides(cfg, n_subcarriers=1)
-    pair = echo_tensors(truth, channel, profiles,
-                        beamformer_alone(channel, narrow.waveform.n_pulses),
-                        narrow.waveform, narrow.arrays)
+    pair = echo_tensors(truth, channel, profiles, combiner, narrow.waveform,
+                        narrow.arrays)
     with pytest.raises(UniquenessError):
         estimate_targets(pair, np.zeros(2), truth.n_targets,
                          cfg.scene.doa_prior_rad, channel, profiles,
-                         beamformer_alone(channel, narrow.waveform.n_pulses),
                          narrow.waveform, narrow.arrays)
 
 

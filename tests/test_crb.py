@@ -19,7 +19,7 @@ from irs_sensing.synthesis import (build_factor_matrices, echo_tensors,
                                    noise_sigma_for_snr)
 
 from conftest import take_targets
-from stacks import beamformer_alone, stack_points
+from stacks import stack_points
 
 
 @pytest.fixture(scope="module")
@@ -307,11 +307,10 @@ def test_crb_linear_in_noise_power(cfg, truth, channel, profiles, combiner,
 
 
 def test_crb_doppler_improves_with_more_pulses(cfg, truth, channel, profiles,
-                                               noise_vars):
+                                               combiner, noise_vars):
     def doppler_bound(n_pulses):
         wf = dataclasses.replace(cfg.waveform, n_pulses=n_pulses)
-        comb = beamformer_alone(channel, n_pulses)
-        fim = compute_fim(truth, channel, profiles, comb, wf, cfg.arrays,
+        fim = compute_fim(truth, channel, profiles, combiner, wf, cfg.arrays,
                           noise_vars)
         return compute_crb(fim).doppler.mean()
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from irs_sensing.config import ArrayConfig, default_config
 from irs_sensing.cpd import FactorTriple, cp_decompose, raw_delay
 from irs_sensing.errors import (AmbiguousAlignment, DegenerateProfilePair,
-                                DivisionBlowup, NoFeasibleGrid, RankOneChannel,
+                                NoFeasibleGrid, RankOneChannel,
                                 UnwrapInfeasible)
 from irs_sensing.estimation import (DOA_GRID_STEP_RAD, DOPPLER_GRID_POINTS,
                                     AlignedFactors, _dictionary, _grid_peaks,
@@ -261,11 +261,8 @@ def test_multirank_doa_rejects_rank_one_channel(cfg, truth, channel, profiles):
 
 # ---------------------------------------------------------------- Doppler
 
-def test_doppler_noiseless(cfg, truth, channel, profiles, combiner, aligned):
-    thetas, _, _ = _passes(resolve_doa, aligned, channel.u,
-                           profiles, cfg.scene.doa_prior_rad, cfg.arrays)
-    nus = _passes(estimate_doppler, aligned, thetas, channel, profiles,
-                  combiner, cfg.waveform, cfg.arrays)
+def test_doppler_noiseless(cfg, truth, profiles, aligned):
+    nus = _passes(estimate_doppler, aligned, profiles, cfg.waveform)
     err = np.abs(np.sort(nus[0]) - np.sort(truth.doppler_hz))
     assert err.max() < 1e-3, f"worst Doppler error {err.max():.3e} Hz"
 
@@ -274,8 +271,7 @@ def test_doppler_zero_is_exact(cfg, truth, channel, profiles, combiner):
     static = dataclasses.replace(truth, doppler_hz=0.0 * truth.doppler_hz)
     t1, t2 = _truth_triples(cfg, static, channel, profiles, combiner)
     out = _passes(align_columns, t1, t2, cfg.waveform.subcarrier_spacing_hz)
-    nus = _passes(estimate_doppler, out, static.theta_rad[None], channel,
-                  profiles, combiner, cfg.waveform, cfg.arrays)
+    nus = _passes(estimate_doppler, out, profiles, cfg.waveform)
     assert np.abs(nus).max() < 1e-9
 
 
@@ -286,36 +282,48 @@ def test_doppler_boundary_warns(cfg, truth, channel, profiles, combiner):
     t1, t2 = _truth_triples(cfg, spun, channel, profiles, combiner)
     out = _passes(align_columns, t1, t2, cfg.waveform.subcarrier_spacing_hz)
     with pytest.warns(UserWarning, match="boundary"):
-        _passes(estimate_doppler, out, spun.theta_rad[None], channel, profiles,
-                combiner, cfg.waveform, cfg.arrays)
+        _passes(estimate_doppler, out, profiles, cfg.waveform)
 
 
-def test_doppler_rejects_nulled_combiner(cfg, truth, channel, profiles,
-                                         combiner, aligned):
-    v = channel.v
-    null = np.zeros_like(v)
-    null[0], null[1] = v[1], -v[0]       # bilinear null of the AP-side vector
-    bad = np.tile(null[:, None], (1, cfg.waveform.n_pulses))
-    assert isinstance(_failure(estimate_doppler, aligned, truth.theta_rad[None],
-                               channel, profiles, bad, cfg.waveform,
-                               cfg.arrays), DivisionBlowup)
+def test_doppler_ignores_the_scale_of_each_pulse_column(monkeypatch, cfg,
+                                                        profiles, clean_pair):
+    """A pulse column is one constant times a ramp, so scaling each column
+    of each trial by any nonzero constant moves no grid peak and no
+    estimate."""
+    import irs_sensing.estimation as estimation
+    n_trials, k = 5, len(cfg.scene.targets)
+    clean = np.repeat(clean_pair[:, None], n_trials, axis=1)
+    sigma = noise_sigma_for_snr(clean, 5.0)
+    y = apply_noise(clean, sigma, [np.random.default_rng((4, b))
+                                   for b in range(n_trials)])
+    errors = [None] * n_trials
+    aligned = align_columns(*(cp_decompose(phase, k, errors) for phase in y),
+                            cfg.waveform.subcarrier_spacing_hz, errors)
+    assert errors == [None] * n_trials
+    rng = np.random.default_rng(6)
 
+    def rescaled(triple):
+        shape = (n_trials, 1, k)
+        scale = 10.0 ** rng.uniform(-3, 3, shape) * np.exp(
+            2j * np.pi * rng.uniform(size=shape))
+        return dataclasses.replace(triple,
+                                   pulse_factor=triple.pulse_factor * scale)
 
-def test_doppler_masks_nulled_pulse(cfg, truth, channel, profiles, combiner):
-    """A pulse whose combiner nulls the AP-side vector is left out, not fatal."""
-    v = channel.v
-    masked = combiner.copy()
-    masked[:, 0] = 0
-    masked[0, 0], masked[1, 0] = v[1], -v[0]
-    t1, t2 = _truth_triples(cfg, truth, channel, profiles, masked)
-    for triple in (t1, t2):
-        triple.pulse_factor[:, 0, :] = 1e-6   # what noise leaves in the null
-    out = _passes(align_columns, t1, t2, cfg.waveform.subcarrier_spacing_hz)
-    with pytest.warns(UserWarning, match="near-zero divisors"):
-        nus = _passes(estimate_doppler, out, truth.theta_rad[None], channel,
-                      profiles, masked, cfg.waveform, cfg.arrays)
-    err = np.abs(nus[0] - truth.doppler_hz)
-    assert err.max() < 1e-3, f"worst Doppler error {err.max():.3e} Hz"
+    peaks = []
+    grid_peaks = estimation._grid_peaks
+
+    def recorded(score, errors):
+        peaks.append(grid_peaks(score, errors))
+        return peaks[-1]
+
+    monkeypatch.setattr(estimation, "_grid_peaks", recorded)
+    want = estimate_doppler(aligned, profiles, cfg.waveform, errors)
+    got = estimate_doppler(dataclasses.replace(
+        aligned, phase1=rescaled(aligned.phase1),
+        phase2=rescaled(aligned.phase2)), profiles, cfg.waveform, errors)
+    assert errors == [None] * n_trials
+    assert np.array_equal(peaks[1][0], peaks[0][0])
+    assert np.abs(got - want).max() < 1e-9
 
 
 # ---------------------------------------------------------------- delay
@@ -369,12 +377,11 @@ def test_delay_unwrap_infeasible(cfg):
 
 # ---------------------------------------------------------------- pipeline
 
-def test_estimate_targets_noiseless(cfg, truth, channel, profiles, combiner,
-                                    clean_pair):
+def test_estimate_targets_noiseless(cfg, truth, channel, profiles, clean_pair):
     k = truth.n_targets
     estimates = estimate_targets(clean_pair, np.zeros(2), k,
                                  cfg.scene.doa_prior_rad, channel, profiles,
-                                 combiner, cfg.waveform, cfg.arrays)
+                                 cfg.waveform, cfg.arrays)
     assert estimates.tau.shape == (k,)
     assert np.array_equal(estimates.tau, np.sort(estimates.tau))
     order = np.argsort(truth.delay_s)
@@ -388,7 +395,7 @@ def test_estimate_targets_noiseless(cfg, truth, channel, profiles, combiner,
         estimates.tau <= window_lo + cfg.waveform.cyclic_prefix_s)).all()
 
 
-def test_estimate_targets_single_phase_mode(cfg, truth, profiles, combiner):
+def test_estimate_targets_single_phase_mode(cfg, truth, profiles):
     """Correlation-based direction path needs a channel of rank >= 2."""
     base = default_config()
     rng = np.random.default_rng(21)
@@ -398,12 +405,12 @@ def test_estimate_targets_single_phase_mode(cfg, truth, profiles, combiner):
     los = build_los_channel(base.scene, base.arrays, [rng])
     rician = build_rician_channel(los, 13.0, 4, base.arrays,
                                   [np.random.default_rng(22)])
-    comb = design_beamformers(rician, base.waveform.n_pulses)[0]
+    comb = design_beamformers(rician)[0]
     rician = rician.trials(0)
     prof = profiles
     pair = echo_tensors(truth2, rician, prof, comb, base.waveform, base.arrays)
     estimates = estimate_targets(pair, np.zeros(2), truth2.n_targets,
-                                 base.scene.doa_prior_rad, rician, prof, comb,
+                                 base.scene.doa_prior_rad, rician, prof,
                                  base.waveform, base.arrays,
                                  single_phase_doa=True)
     got = np.sort(estimates.theta)
@@ -412,13 +419,11 @@ def test_estimate_targets_single_phase_mode(cfg, truth, profiles, combiner):
 
 
 def test_estimate_targets_warns_on_component_undercount(cfg, truth, channel,
-                                                        profiles, combiner,
-                                                        clean_pair):
+                                                        profiles, clean_pair):
     with pytest.warns(UserWarning, match="component count"):
         estimates = estimate_targets(clean_pair, np.zeros(2), 1,
                                      cfg.scene.doa_prior_rad, channel,
-                                     profiles, combiner, cfg.waveform,
-                                     cfg.arrays)
+                                     profiles, cfg.waveform, cfg.arrays)
     assert estimates.tau.shape == (1,)
 
 
@@ -488,9 +493,16 @@ def test_grid_peaks_match_scalar_reference_on_random_rows():
     _assert_peaks_match_reference(rows.tolist())
 
 
-def test_grid_peaks_rejects_a_row_without_finite_points():
-    stack = np.array([[[1.0, 2.0], [NAN, math.inf]]])
-    assert isinstance(_failure(_grid_peaks, lambda s: stack[s]), NoFeasibleGrid)
+def test_grid_peaks_rejects_a_row_without_finite_points(monkeypatch):
+    """A trial in a later slice of the search fails alone, as itself."""
+    import irs_sensing.estimation as estimation
+    monkeypatch.setattr(estimation, "GRID_SLICE", 2)
+    stack = np.tile([[1.0, 2.0], [0.5, 3.0]], (5, 1, 1))
+    stack[3, 1] = [NAN, math.inf]
+    errors = [None] * 5
+    _grid_peaks(lambda s: stack[s], errors)
+    assert [type(e).__name__ for e in errors] == [
+        "NoFeasibleGrid" if b == 3 else "NoneType" for b in range(5)]
 
 
 @pytest.mark.parametrize("n_points", [1, 2])
@@ -624,8 +636,7 @@ def test_dictionaries_are_read_only(cfg):
 
 
 def test_estimates_same_with_cold_and_warm_cache(cfg, truth, channel,
-                                                 profiles, combiner,
-                                                 clean_pair):
+                                                 profiles, clean_pair):
     clean = clean_pair[:, None]
     sigma = noise_sigma_for_snr(clean, 10.0)
     noisy = apply_noise(clean, sigma, [np.random.default_rng(5)])[:, 0]
@@ -633,7 +644,7 @@ def test_estimates_same_with_cold_and_warm_cache(cfg, truth, channel,
     def run():
         return estimate_targets(noisy, sigma[:, 0], truth.n_targets,
                                 cfg.scene.doa_prior_rad, channel, profiles,
-                                combiner, cfg.waveform, cfg.arrays)
+                                cfg.waveform, cfg.arrays)
 
     _dictionary.cache_clear()
     cold = run()

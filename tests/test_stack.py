@@ -45,7 +45,7 @@ def _noisy_stack(cfg, point, n_trials, seed):
 
 def _args(cfg, point):
     return (point.truth.n_targets, cfg.scene.doa_prior_rad, point.channel,
-            point.profiles, point.combiner, cfg.waveform, cfg.arrays)
+            point.profiles, cfg.waveform, cfg.arrays)
 
 
 def _trial(triple, b):
@@ -362,7 +362,7 @@ def test_fading_draw_factorizes_once_for_both_direction_methods(monkeypatch):
 
 
 def _fading_stack(n_trials, los=None):
-    """Draws with their own channel and combiner, trial ``los`` on a
+    """Draws with their own channel and weights, trial ``los`` on a
     line-of-sight channel and the others Rician, observed at 20 dB."""
     rician = with_overrides(default_config(), rician_k_db=5.0)
     points = [draw_scene_point(default_config() if b == los else rician,
@@ -379,8 +379,7 @@ def _run_fading_stack(cfg, points, y, sigma):
     """Both direction methods on the stack, and each trial alone."""
     stacked = (points[0].truth.n_targets, cfg.scene.doa_prior_rad,
                stack_channels([p.channel for p in points]), points[0].profiles,
-               np.stack([p.combiner for p in points]), cfg.waveform,
-               cfg.arrays)
+               cfg.waveform, cfg.arrays)
     outcomes = [_per_trial(r) for r in estimate_trials(
         y, sigma, *stacked, single_phase_doa=(False, True))]
     for single, results in zip((False, True), outcomes):
@@ -393,7 +392,7 @@ def _run_fading_stack(cfg, points, y, sigma):
 
 
 def test_a_stack_of_distinct_channels_gives_each_trial_its_own_outcome():
-    """Trials with their own channel and combiner, one of them line of
+    """Trials with their own channel and weights, one of them line of
     sight among scattered ones, end as each does alone; only the
     line-of-sight trial fails, and only the single-phase method."""
     los = 2
@@ -424,19 +423,24 @@ def test_a_stack_of_distinct_channels_gives_each_trial_its_own_outcome():
 
 
 def test_a_failure_in_a_later_grid_slice_lands_on_its_own_trial(monkeypatch):
-    """A zeroed combiner gives its trial, in the second slice of the grid
-    searches, DivisionBlowup under both direction methods and no other
-    trial of the stacked-channel stack any failure."""
+    """A channel matrix of NaN, with its singular values intact, gives its
+    trial, in the second slice of the grid searches, NoFeasibleGrid from
+    the single-phase search and no other trial of the stacked-channel
+    stack any failure.  The cross-phase method reads only the dominant
+    vector, so there every trial ends with estimates."""
     import irs_sensing.estimation as estimation
     monkeypatch.setattr(estimation, "GRID_SLICE", 2)
     rician, points, y, sigma = _fading_stack(5)
     bad = 3
-    points[bad] = points[bad]._replace(
-        combiner=np.zeros_like(points[bad].combiner))
-    for results in _run_fading_stack(rician, points, y, sigma):
-        assert [type(o).__name__ for o in results] == [
-            "DivisionBlowup" if b == bad else "Estimates" for b in range(5)]
-        assert str(results[bad]).startswith("phase 1, target 0: all pulse")
+    channel = points[bad].channel
+    points[bad] = points[bad]._replace(channel=dataclasses.replace(
+        channel, matrix=np.full_like(channel.matrix, np.nan),
+        singular_values=np.linalg.svd(channel.matrix, compute_uv=False)))
+    outcomes = _run_fading_stack(rician, points, y, sigma)
+    assert [type(o).__name__ for o in outcomes[0]] == ["Estimates"] * 5
+    assert [type(o).__name__ for o in outcomes[1]] == [
+        "NoFeasibleGrid" if b == bad else "Estimates" for b in range(5)]
+    assert str(outcomes[1][bad]) == "a search row has no finite grid point"
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -451,9 +455,7 @@ def test_doppler_search_memory_does_not_grow_with_the_stack():
         aligned = align_columns(*(cp_decompose(phase[:n_trials], 2, errors)
                                   for phase in y),
                                 cfg.waveform.subcarrier_spacing_hz, errors)
-        thetas = np.broadcast_to(point.truth.theta_rad, (n_trials, 2))
-        args = (aligned, thetas, point.channel, point.profiles,
-                point.combiner, cfg.waveform, cfg.arrays, errors)
+        args = (aligned, point.profiles, cfg.waveform, errors)
         estimate_doppler(*args)  # builds the cached Doppler grid
         tracemalloc.start()
         try:

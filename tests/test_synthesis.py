@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irs_sensing.config import with_overrides
-from irs_sensing.errors import DimensionMismatch, InsufficientSampling
+from irs_sensing.errors import DimensionMismatch
 from irs_sensing.scene import PhaseProfile, draw_scene_point
 from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
                                    delay_signature, doppler_ramp, echo_tensors,
@@ -16,7 +16,8 @@ from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
                                    synthesize_echo_tensor)
 
 from conftest import take_targets
-from reference import noisy_tensor, oracle_prediction, time_domain_oracle
+from reference import (InsufficientSampling, noisy_tensor, oracle_prediction,
+                       time_domain_oracle)
 
 
 # ---------------------------------------------------------------- factors
@@ -35,7 +36,7 @@ def test_factor_shapes(cfg, factor_pair, clean_pair):
 
 
 def test_pulse_column_is_combined_gain_times_ramp(cfg, factor_pair):
-    """Each pulse column must factor as (combiner gain) x (Doppler ramp)."""
+    """Each pulse column must factor as (combined gain) x (Doppler ramp)."""
     fac = factor_pair[0]
     for col in range(fac.n_components):
         z = fac.pulse_factor[:, col]
@@ -66,7 +67,7 @@ def test_dimension_mismatch_guards(cfg, truth, channel, profiles, combiner):
         build_factor_matrices(truth, channel, bad_prof, combiner,
                               cfg.waveform, cfg.arrays)
     with pytest.raises(DimensionMismatch):
-        build_factor_matrices(truth, channel, profiles[0], combiner[:, :-1],
+        build_factor_matrices(truth, channel, profiles[0], combiner[:-1],
                               cfg.waveform, cfg.arrays)
 
 
