@@ -10,27 +10,23 @@ a Monte Carlo benchmarking harness.
 from .config import (SPEED_OF_LIGHT, ArrayConfig, FullConfig, SceneConfig,
                      TargetConfig, WaveformConfig, default_config,
                      load_config, with_overrides)
-from .cpd import (FactorTriple, UniquenessResult, check_uniqueness,
-                  cp_decompose, cp_reconstruct, khatri_rao,
-                  reconstruction_error)
-from .crb import (CrbBounds, FimMatrix, compute_crb, compute_fim,
-                  log_likelihood, mc_score_covariance, parameter_jacobian,
-                  score, score_fd_check)
+from .cpd import (FactorTriple, check_uniqueness, cp_decompose,
+                  cp_reconstruct, khatri_rao, reconstruction_error)
+from .crb import CrbBounds, FimMatrix, compute_crb, compute_fim
 from .errors import (AmbiguousAlignment, ConfigError, DegenerateGeometry,
                      DegenerateProfilePair, DimensionMismatch,
                      DuplicateParameter, EstimationError, IllConditionedShift,
                      InfeasibleTiming, InvalidPartition, NoFeasibleGrid,
                      OutOfRange, RankDeficient, RankOneChannel, SensingError,
                      SingularFim, UniquenessError, UnwrapInfeasible)
-from .estimation import (AlignedFactors, Estimates, align_columns,
-                         compute_gamma_statistics, estimate_delay,
-                         estimate_doa_multirank, estimate_doppler,
-                         estimate_targets, estimate_trials, gamma_ratio_curve,
-                         greedy_match, resolve_doa)
+from .estimation import (Estimates, align_columns, compute_gamma_statistics,
+                         estimate_delay, estimate_doa_multirank,
+                         estimate_doppler, estimate_targets, estimate_trials,
+                         gamma_ratio_curve, greedy_match, resolve_doa)
 from .experiments import (ExperimentSpec, ResultRow, build_spec, emit_results,
                           run_experiment)
-from .scene import (ChannelMatrix, PhaseProfile, ScenePoint, SceneTruth,
-                    SensingLimits, build_los_channel, build_rician_channel,
+from .scene import (ChannelMatrix, ScenePoint, SceneTruth, SensingLimits,
+                    build_los_channel, build_rician_channel,
                     derive_target_truth, design_beamformers,
                     design_phase_profiles, draw_scene_point, relayed_response,
                     sensing_limits, steering_vector, validate_scene)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import FullConfig, load_config
 from .crb import compute_crb, compute_fim
-from .errors import ConfigError
+from .errors import ConfigError, SingularFim
 from .experiments import (DEFAULT_SEED, PRESET_NAMES, build_spec,
                           emit_results, run_experiment)
 from .scene import draw_scene_point, sensing_limits
@@ -83,8 +83,14 @@ def _crb_rows(config: FullConfig) -> tuple[list[str], list[list[str]]]:
     body = []
     for snr in CRB_SNR_GRID:
         noise_vars = noise_variance(noise_sigma_for_snr(clean, snr))
-        bounds = compute_crb(compute_fim(*point, config.waveform,
-                                         config.arrays, noise_vars))
+        if not (noise_vars > 0).all():
+            raise ConfigError(f"echo energy too small for a noise level "
+                              f"at {snr:g} dB SNR; no bound")
+        try:
+            bounds = compute_crb(compute_fim(*point, config.waveform,
+                                             config.arrays, noise_vars))
+        except SingularFim as exc:
+            raise ConfigError(f"no bound at {snr:g} dB SNR: {exc}") from None
         cells = [f"{snr:.17e}"]
         for fam in (bounds.theta, bounds.doppler, bounds.delay):
             cells += [f"{v:.17e}" for v in fam]

@@ -18,7 +18,7 @@ each trial exactly as a stack of that trial alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,33 +39,23 @@ def khatri_rao(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         *x.shape[:-2], x.shape[-2] * y.shape[-2], x.shape[-1])
 
 
-@dataclass(frozen=True)
-class UniquenessResult:
-    unique: bool
-    reason: str
-
-    def __bool__(self) -> bool:
-        return self.unique
-
-
 def check_uniqueness(n_pulses: int, n_antennas: int, n_subcarriers: int,
-                     n_targets: int) -> UniquenessResult:
+                     n_targets: int) -> None:
     """Identifiability of a K-component decomposition with a geometric-
-    progression subcarrier factor: needs (L-1)*M >= K and P >= K."""
+    progression subcarrier factor: needs (L-1)*M >= K and P >= K, else
+    raises UniquenessError."""
     if min(n_pulses, n_antennas, n_subcarriers, n_targets) < 1:
         raise DimensionMismatch("all dimensions must be positive")
     shifted = (n_subcarriers - 1) * n_antennas
     if shifted < n_targets:
-        return UniquenessResult(False, f"(L-1)*M = {shifted} < K = {n_targets}")
+        raise UniquenessError(f"(L-1)*M = {shifted} < K = {n_targets}")
     if n_pulses < n_targets:
-        return UniquenessResult(False, f"P = {n_pulses} < K = {n_targets}")
-    return UniquenessResult(True, "shift subspace and pulse mode both full rank")
+        raise UniquenessError(f"P = {n_pulses} < K = {n_targets}")
 
 
-@dataclass(frozen=True)
-class FactorTriple:
-    """CP factors of one phase plus the subcarrier generators: a scene's
-    exact factors or the estimator's.
+class FactorTriple(NamedTuple):
+    """CP factors plus the subcarrier generators: a scene's exact factors
+    or the estimator's, of one phase or of both stacked phase first.
 
     The estimator rebuilds ``subcarrier_factor`` columns as [t, t^2, ...,
     t^L] from the unit-modulus generators — the unit leading coefficient
@@ -111,9 +101,7 @@ def cp_decompose(data: np.ndarray, n_components: int,
     if data.ndim != 4:
         raise DimensionMismatch("expected a stack of 3-way tensors")
     n_trials, p_dim, m_dim, l_dim = data.shape
-    ok = check_uniqueness(p_dim, m_dim, l_dim, n_components)
-    if not ok:
-        raise UniquenessError(ok.reason)
+    check_uniqueness(p_dim, m_dim, l_dim, n_components)
 
     flat = data.reshape(n_trials, p_dim, m_dim * l_dim)
     _, w = np.linalg.eigh(flat @ flat.conj().swapaxes(-1, -2))

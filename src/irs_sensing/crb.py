@@ -6,41 +6,27 @@ and delay, with channel gains and noise power treated as known.  Every
 parameter enters through one or two factor-matrix columns, so the model's
 derivative with respect to it is a sum of one or two rank-one tensors.
 Stacking these as the rows of a parameter Jacobian J makes each phase's
-information matrix the Gram matrix (2/sigma^2) Re(J* J^T), its score
-(2/sigma^2) Re(J* r) for the residual r, and J the noise templates of the
-Monte Carlo score covariance.  The information matrix is taken from the
-factors of the rank-one terms without forming J, for one draw or a stack
-of draws at once.  Analytic derivatives are validated against finite
-differences of the log-likelihood, and the full matrix against the
-empirical covariance of the score.
+information matrix the Gram matrix (2/sigma^2) Re(J* J^T).  The
+information matrix is taken from the factors of the rank-one terms
+without forming J, for one draw or a stack of draws at once.  Rows are
+ordered all directions, then all Dopplers, then all delays, each block
+in target order.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .config import ArrayConfig, WaveformConfig
 from .errors import SingularFim
-from .scene import (ChannelMatrix, PhaseProfile, SceneTruth, relayed_response,
+from .scene import (ChannelMatrix, SceneTruth, relayed_response,
                     steering_derivative)
-from .synthesis import build_factor_matrices, doppler_ramp, echo_tensors
+from .synthesis import build_factor_matrices, doppler_ramp
 
 FIM_CONDITION_LIMIT = 1e14
-
-PARAMETER_BLOCKS = ("theta", "doppler", "delay")
-_TRUTH_FIELDS = ("theta_rad", "doppler_hz", "delay_s")   # SceneTruth per block
-
-
-def parameter_index(block: str, k: int, n_targets: int) -> int:
-    """Position of (parameter family, target) in the stacked vector.
-
-    Ordering is all directions, then all Dopplers, then all delays,
-    each block in target order.
-    """
-    return PARAMETER_BLOCKS.index(block) * n_targets + k
 
 
 @dataclass(frozen=True)
@@ -68,7 +54,7 @@ def _term_rows(n_targets: int) -> np.ndarray:
 
 
 def jacobian_terms(truth: SceneTruth, channel: ChannelMatrix,
-                   profile: PhaseProfile, combiner: np.ndarray,
+                   profile: np.ndarray, combiner: np.ndarray,
                    waveform: WaveformConfig,
                    arrays: ArrayConfig) -> tuple[np.ndarray, ...]:
     """Factors X (P x 4K), Y (M x 4K), Z (L x 4K) of one phase's Jacobian
@@ -95,21 +81,8 @@ def jacobian_terms(truth: SceneTruth, channel: ChannelMatrix,
             np.concatenate([c, c, c, c * tone_rate[:, None]], axis=-1))
 
 
-def parameter_jacobian(truth: SceneTruth, channel: ChannelMatrix,
-                       profile: PhaseProfile, combiner: np.ndarray,
-                       waveform: WaveformConfig,
-                       arrays: ArrayConfig) -> np.ndarray:
-    """Model derivative of one phase per stacked parameter at ``truth``,
-    one flattened (P, M, L) tensor per row (3K x P*M*L, rows in
-    parameter_index order), summed from the terms of jacobian_terms.
-    """
-    terms = np.einsum("...pt,...mt,...lt->...tpml", *jacobian_terms(
-        truth, channel, profile, combiner, waveform, arrays))
-    return _term_rows(truth.n_targets).T @ terms.reshape(*terms.shape[:-3], -1)
-
-
 def compute_fim(truth: SceneTruth, channel: ChannelMatrix,
-                profiles: Sequence[PhaseProfile], combiner: np.ndarray,
+                profiles: np.ndarray, combiner: np.ndarray,
                 waveform: WaveformConfig, arrays: ArrayConfig,
                 noise_variances: Sequence[float] | np.ndarray) -> FimMatrix:
     """Information matrix for the stacked direction/Doppler/delay vector.
@@ -117,8 +90,9 @@ def compute_fim(truth: SceneTruth, channel: ChannelMatrix,
     Each phase adds (2/sigma^2) S^T Re(X^H X * Y^H Y * Z^H Z) S (* is
     elementwise; jacobian_terms, _term_rows), the Gram matrix of the
     Jacobian rows without forming them: <x o y o z, x' o y' o z'> =
-    (x^H x')(y^H y')(z^H z').  A stacked point with one noise variance per
-    phase and draw gives one matrix per draw.  Ill-conditioning is
+    (x^H x')(y^H y')(z^H z'), for each row of reflection coefficients in
+    ``profiles``.  A stacked point with one noise variance per phase and
+    draw gives one matrix per draw.  Ill-conditioning is
     reported through the condition number; compute_crb inverts.
     """
     sigma_sq = np.asarray(noise_variances, float)
@@ -176,97 +150,3 @@ def compute_crb(fim: FimMatrix) -> CrbBounds:
     k = fim.n_targets
     return CrbBounds(theta=diag[..., 0:k], doppler=diag[..., k:2 * k],
                      delay=diag[..., 2 * k:3 * k])
-
-
-def log_likelihood(observed: Sequence[np.ndarray],
-                   modeled: Sequence[np.ndarray],
-                   noise_variances: Sequence[float]) -> float:
-    """Gaussian log-likelihood up to a parameter-free constant."""
-    total = 0.0
-    for obs, model, sigma_sq in zip(observed, modeled, noise_variances):
-        total -= float(np.linalg.norm(obs - model) ** 2) / sigma_sq
-    return total
-
-
-def score(truth: SceneTruth, observed: Sequence[np.ndarray],
-          channel: ChannelMatrix, profiles: Sequence[PhaseProfile],
-          combiner: np.ndarray, waveform: WaveformConfig,
-          arrays: ArrayConfig,
-          noise_variances: Sequence[float]) -> np.ndarray:
-    """Analytic gradient of the log-likelihood at the given parameters."""
-    values = np.zeros(3 * truth.n_targets)
-    modeled = echo_tensors(truth, channel, profiles, combiner, waveform, arrays)
-    for obs, model, profile, sigma_sq in zip(observed, modeled, profiles,
-                                             noise_variances):
-        jac = parameter_jacobian(truth, channel, profile, combiner, waveform,
-                                 arrays)
-        values += (2.0 / sigma_sq) * (jac.conj()
-                                      @ (obs - model).ravel()).real
-    return values
-
-
-def _shifted_truth(truth: SceneTruth, index: int, delta: float) -> SceneTruth:
-    """Copy of the truth with one stacked parameter moved by delta."""
-    field = _TRUTH_FIELDS[index // truth.n_targets]
-    values = getattr(truth, field).copy()
-    values[index % truth.n_targets] += delta
-    return replace(truth, **{field: values})
-
-
-def parameter_steps(truth: SceneTruth, base_step: float) -> np.ndarray:
-    """Per-parameter finite-difference steps scaled to parameter size."""
-    scale = np.abs(np.concatenate([getattr(truth, f) for f in _TRUTH_FIELDS]))
-    return base_step * np.where(scale > 0, scale, 1.0)
-
-
-def score_fd_check(truth: SceneTruth, observed: Sequence[np.ndarray],
-                   channel: ChannelMatrix, profiles: Sequence[PhaseProfile],
-                   combiner: np.ndarray, waveform: WaveformConfig,
-                   arrays: ArrayConfig, noise_variances: Sequence[float],
-                   base_step: float = 1e-6) -> float:
-    """Worst relative gap between analytic and finite-difference scores.
-
-    Central differences of the log-likelihood, one parameter at a time,
-    with steps proportional to each parameter's magnitude.
-    """
-    analytic = score(truth, observed, channel, profiles, combiner, waveform,
-                     arrays, noise_variances)
-    steps = parameter_steps(truth, base_step)
-
-    def likelihood_at(shifted: SceneTruth) -> float:
-        modeled = echo_tensors(shifted, channel, profiles, combiner, waveform,
-                               arrays)
-        return log_likelihood(observed, modeled, noise_variances)
-
-    worst = 0.0
-    for j, step in enumerate(steps):
-        fd = (likelihood_at(_shifted_truth(truth, j, +step))
-              - likelihood_at(_shifted_truth(truth, j, -step))) / (2 * step)
-        denom = max(abs(analytic[j]), abs(fd))
-        if denom > 0:
-            worst = max(worst, abs(analytic[j] - fd) / denom)
-    return worst
-
-
-def mc_score_covariance(truth: SceneTruth, channel: ChannelMatrix,
-                        profiles: Sequence[PhaseProfile], combiner: np.ndarray,
-                        waveform: WaveformConfig, arrays: ArrayConfig,
-                        noise_variances: Sequence[float], n_draws: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Empirical covariance of the score over noise draws.
-
-    The score is linear in the noise, so each parameter reduces to a fixed
-    tensor contracted with the draw; the sample covariance of the stacked
-    scores estimates the information matrix.
-    """
-    scores = np.zeros((3 * truth.n_targets, n_draws))
-    for profile, sigma_sq in zip(profiles, noise_variances):
-        templates = parameter_jacobian(truth, channel, profile, combiner,
-                                       waveform, arrays)
-        sigma = math.sqrt(sigma_sq)
-        shape = (n_draws, templates.shape[1])
-        noise = sigma / math.sqrt(2) * (rng.standard_normal(shape)
-                                        + 1j * rng.standard_normal(shape))
-        scores += (2.0 / sigma_sq) * (templates.conj() @ noise.T).real
-    centered = scores - scores.mean(axis=1, keepdims=True)
-    return centered @ centered.T / (n_draws - 1)

@@ -11,7 +11,8 @@ from the pulse factor's phase progression and the subcarrier generators.
 Every step takes a stack of trials, its arrays with a leading trial axis,
 and the stack's error list: it records in ``errors[b]`` the first check
 trial b fails and raises only for a check that the whole stack shares;
-its channel is one per trial or one shared.
+its channel is one per trial or one shared.  From the alignment on, the
+factors of both phases are one FactorTriple, phase first (2, B, ..., K).
 ``estimate_trials`` runs a stack through the pipeline, ``estimate_targets``
 one trial.
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,8 +30,7 @@ from .cpd import FactorTriple, cp_decompose, raw_delay, reconstruction_error
 from .errors import (AmbiguousAlignment, DegenerateProfilePair,
                      EstimationError, NoFeasibleGrid, RankOneChannel,
                      UnwrapInfeasible, record_failures)
-from .scene import (ChannelMatrix, PhaseProfile, relayed_response,
-                    steering_vector)
+from .scene import ChannelMatrix, relayed_response, steering_vector
 from .synthesis import doppler_ramp
 
 DOA_GRID_STEP_RAD = math.radians(0.02)
@@ -41,24 +40,6 @@ GRID_EXCLUSION_RTOL = 1e-8          # drop grid points with tiny denominators
 UNWRAP_EDGE_TOL = 0.01              # fraction of the prefix length
 RANK_ONE_RATIO = 1e-3
 GRID_SLICE = 2                      # trials per slice of a grid search
-
-
-@dataclass(frozen=True)
-class AlignedFactors:
-    """Factor triples of the two phases with matched column order.
-
-    ``phase1`` columns are permuted so column k of every matrix in both
-    triples refers to the same physical target; ``permutation[b, k]`` is
-    the aligned position of original phase-1 column k of trial b.
-    """
-
-    phase1: FactorTriple
-    phase2: FactorTriple
-    permutation: np.ndarray
-
-    @property
-    def n_components(self) -> int:
-        return self.phase1.n_components
 
 
 class Estimates(NamedTuple):
@@ -101,19 +82,20 @@ def greedy_match(*costs: np.ndarray) -> list[int]:
     return out
 
 
-def align_columns(triple1: FactorTriple, triple2: FactorTriple,
-                  spacing_hz: float, errors: list) -> AlignedFactors:
+def align_columns(triples: FactorTriple, spacing_hz: float,
+                  errors: list) -> FactorTriple:
     """Match phase-1 columns to phase-2 columns by subcarrier correlation.
 
+    ``triples`` holds the factors of both phases, phase first (2, B, ..., K).
     Greedy maximum assignment on the correlation matrix; exact score ties
     are broken by raw-delay proximity of the generators.  A best-to-second
     margin below ALIGNMENT_MARGIN in any row means two targets are not
     distinguishable by delay and fails the trial with AmbiguousAlignment.
+    Returns the triple with each trial's phase-1 columns permuted so that
+    column k of both phases refers to the same physical target.
     """
-    k = triple1.n_components
-    if triple2.n_components != k:
-        raise AmbiguousAlignment("component counts differ between phases")
-    rho = correlation_matrix(triple1.subcarrier_factor, triple2.subcarrier_factor)
+    k = triples.n_components
+    rho = correlation_matrix(*triples.subcarrier_factor)
     if k > 1:
         top2 = -np.partition(-rho, 1, axis=-1)[..., :2]
         margin = top2[..., 0] - top2[..., 1]
@@ -123,20 +105,16 @@ def align_columns(triple1: FactorTriple, triple2: FactorTriple,
                             f"correlation margin {margin[b, worst[b]]:.2e} "
                             f"for column {worst[b]}"))
 
-    d1 = raw_delay(triple1.generators, spacing_hz)
-    d2 = raw_delay(triple2.generators, spacing_hz)
+    d1, d2 = raw_delay(triples.generators, spacing_hz)
     perm = np.array([greedy_match(-r, np.abs(np.subtract.outer(a, b)))
                      for r, a, b in zip(rho, d1, d2)], dtype=int).reshape(-1, k)
     source = np.argsort(perm)  # aligned column j is phase-1 column source[j]
-    aligned1 = FactorTriple(*(np.take_along_axis(a, source[:, None, :], axis=-1)
-                              for a in (triple1.pulse_factor,
-                                        triple1.antenna_factor,
-                                        triple1.subcarrier_factor)),
-                            np.take_along_axis(triple1.generators, source, axis=-1))
-    return AlignedFactors(aligned1, triple2, perm)
+    index = (source[:, None, :],) * 3 + (source,)  # matrices, then generators
+    return FactorTriple(*(np.stack([np.take_along_axis(f[0], i, axis=-1), f[1]])
+                          for f, i in zip(triples, index)))
 
 
-def compute_gamma_statistics(aligned: AlignedFactors) -> np.ndarray:
+def compute_gamma_statistics(aligned: FactorTriple) -> np.ndarray:
     """Cross-phase ratio statistic per target.
 
     Entry-wise ratios of matched antenna columns are averaged over
@@ -145,11 +123,9 @@ def compute_gamma_statistics(aligned: AlignedFactors) -> np.ndarray:
     coefficient, the factorization scalings cancel in this product and
     the statistic depends on the direction alone.
     """
-    b_ratio = (aligned.phase1.antenna_factor
-               / aligned.phase2.antenna_factor).mean(axis=-2)
-    a_ratio = (aligned.phase1.pulse_factor
-               / aligned.phase2.pulse_factor).mean(axis=-2)
-    return b_ratio * a_ratio
+    b1, b2 = aligned.antenna_factor
+    a1, a2 = aligned.pulse_factor
+    return (b1 / b2).mean(axis=-2) * (a1 / a2).mean(axis=-2)
 
 
 @functools.lru_cache(maxsize=16)
@@ -220,25 +196,24 @@ def _refine_directions(grid: np.ndarray, score, score_at,
             np.where(take, cand_scores, best))
 
 
-def gamma_ratio_curve(grid: np.ndarray, u: np.ndarray,
-                      profiles: tuple[PhaseProfile, PhaseProfile],
+def gamma_ratio_curve(grid: np.ndarray, u: np.ndarray, profiles: np.ndarray,
                       arrays: ArrayConfig) -> np.ndarray:
     """gamma(theta) over a grid; excluded points are NaN.
 
     gamma is the squared ratio of the surface-side beam responses of the
-    two profiles; points where the second profile's response nearly
-    vanishes are excluded from searches.  A (B, K) grid or a (B, N) ``u``
-    is one per trial.
+    two rows of reflection coefficients ``profiles``; points where the
+    second row's response nearly vanishes are excluded from searches.  A
+    (B, K) grid or a (B, N) ``u`` is one per trial.
     """
     return _gamma_ratio(steering_vector(grid, *arrays.surface), u, profiles)
 
 
 def _gamma_ratio(steer: np.ndarray, u: np.ndarray,
-                 profiles: tuple[PhaseProfile, PhaseProfile]) -> np.ndarray:
+                 profiles: np.ndarray) -> np.ndarray:
     """gamma at the directions whose steering vectors are the columns of steer."""
     # each trial's u contracts as a 1 x N row, bit for bit its product alone
-    num = ((u * profiles[0].diagonal())[..., None, :] @ steer)[..., 0, :]
-    den = ((u * profiles[1].diagonal())[..., None, :] @ steer)[..., 0, :]
+    num, den = (((u * profile)[..., None, :] @ steer)[..., 0, :]
+                for profile in profiles)
     out = np.full(num.shape, np.nan, dtype=complex)
     ok = (np.abs(den) >= GRID_EXCLUSION_RTOL
           * np.linalg.norm(u, axis=-1, keepdims=True))
@@ -246,8 +221,7 @@ def _gamma_ratio(steer: np.ndarray, u: np.ndarray,
     return out
 
 
-def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
-                profiles: tuple[PhaseProfile, PhaseProfile],
+def resolve_doa(aligned: FactorTriple, u: np.ndarray, profiles: np.ndarray,
                 doa_prior: tuple[float, float], arrays: ArrayConfig,
                 errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directions from the cross-phase ratio statistic.
@@ -280,7 +254,7 @@ def resolve_doa(aligned: AlignedFactors, u: np.ndarray,
 
 
 def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
-                           profile: PhaseProfile,
+                           profile: np.ndarray,
                            doa_prior: tuple[float, float],
                            arrays: ArrayConfig, errors: list) -> np.ndarray:
     """Single-phase direction estimates by antenna-column correlation.
@@ -313,9 +287,8 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
     return thetas
 
 
-def estimate_doppler(aligned: AlignedFactors,
-                     profiles: tuple[PhaseProfile, PhaseProfile],
-                     waveform: WaveformConfig, errors: list) -> np.ndarray:
+def estimate_doppler(aligned: FactorTriple, waveform: WaveformConfig,
+                     errors: list) -> np.ndarray:
     """Doppler shifts from the pulse factors' phase progressions.
 
     Every pulse carries the same transmit weights, so each aligned pulse
@@ -332,19 +305,18 @@ def estimate_doppler(aligned: AlignedFactors,
                               waveform.n_pulses, waveform.pri_s)
     k_total = aligned.n_components
     # column c is target c % K of phase c // K
-    pulses = np.concatenate([aligned.phase1.pulse_factor,
-                             aligned.phase2.pulse_factor], axis=-1)
+    pulses = np.concatenate(aligned.pulse_factor, axis=-1)
     idx, offset, _ = _grid_peaks(
         lambda s: np.abs(pulses[s].conj().swapaxes(-1, -2) @ ramps), errors)
     for b, col in np.argwhere((idx == 0) | (idx == len(grid) - 1)):
         if errors[b] is None:
-            warnings.warn(f"phase {profiles[col // k_total].phase_index}, "
+            warnings.warn(f"phase {col // k_total + 1}, "
                           f"target {col % k_total}: Doppler at the unambiguous "
                           "boundary; estimate may be wrapped", stacklevel=2)
     return (grid[idx] + offset * step).reshape(-1, 2, k_total).mean(axis=-2)
 
 
-def estimate_delay(aligned: AlignedFactors, waveform: WaveformConfig,
+def estimate_delay(aligned: FactorTriple, waveform: WaveformConfig,
                    errors: list) -> np.ndarray:
     """Delays from the generator phases, unwrapped into the feasible window.
 
@@ -358,16 +330,15 @@ def estimate_delay(aligned: AlignedFactors, waveform: WaveformConfig,
     window_lo = waveform.full_symbol_s
     window_hi = window_lo + waveform.cyclic_prefix_s
     tol = UNWRAP_EDGE_TOL * waveform.cyclic_prefix_s
-    raw = np.stack([raw_delay(triple.generators, waveform.subcarrier_spacing_hz)
-                    for triple in (aligned.phase1, aligned.phase2)], axis=-2)
+    raw = raw_delay(aligned.generators, waveform.subcarrier_spacing_hz)
     candidate = raw + np.ceil((window_lo - tol - raw) / period) * period
-    infeasible = candidate > window_hi + tol
-    for b, phase, k in np.argwhere(infeasible):  # a trial's first one counts
+    # a trial's first infeasible (phase, target) counts, phase 1 first
+    for phase, b, k in np.argwhere(candidate > window_hi + tol):
         if errors[b] is None:
             errors[b] = UnwrapInfeasible(
-                f"target {k}: no alias of {raw[b, phase, k]:.3e} s lands in "
+                f"target {k}: no alias of {raw[phase, b, k]:.3e} s lands in "
                 f"[{window_lo:.3e}, {window_hi:.3e}] s")
-    return np.clip(candidate, window_lo, window_hi).mean(axis=-2)
+    return np.clip(candidate, window_lo, window_hi).mean(axis=0)
 
 
 RECON_WARN_FLOOR = 0.1
@@ -375,8 +346,7 @@ RECON_WARN_FLOOR = 0.1
 
 def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
                     n_targets: int, doa_prior: tuple[float, float],
-                    channel: ChannelMatrix,
-                    profiles: tuple[PhaseProfile, PhaseProfile],
+                    channel: ChannelMatrix, profiles: np.ndarray,
                     waveform: WaveformConfig, arrays: ArrayConfig,
                     single_phase_doa: Sequence[bool] = (False,),
                     stacklevel: int = 2) -> list[tuple[Estimates, list]]:
@@ -398,8 +368,8 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
     sigma = np.broadcast_to(noise_sigma, y.shape[:2])
     try:
         triples = []
-        for data, data_sigma, profile in zip(y, sigma, profiles):
-            phase = f"phase {profile.phase_index}"
+        for i, (data, data_sigma) in enumerate(zip(y, sigma)):
+            phase = f"phase {i + 1}"
             passed = [e is None for e in errors]
             try:
                 triples.append(cp_decompose(data, n_targets, errors))
@@ -419,7 +389,8 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
                         f"exceeds the expected noise level; the component "
                         f"count {n_targets} may not match the scene",
                         stacklevel=stacklevel)
-        aligned = align_columns(*triples, waveform.subcarrier_spacing_hz, errors)
+        aligned = align_columns(FactorTriple(*map(np.stack, zip(*triples))),
+                                waveform.subcarrier_spacing_hz, errors)
     except EstimationError as exc:  # a check that the whole stack shares
         shape = (len(errors), n_targets)
         return [(Estimates(*(np.full(shape, np.nan, dtype) for dtype
@@ -431,14 +402,14 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
         method_errors = list(errors)
         if single_phase:
             thetas = estimate_doa_multirank(
-                aligned.phase1.antenna_factor, channel, profiles[0],
+                aligned.antenna_factor[0], channel, profiles[0],
                 doa_prior, arrays, method_errors)
             gammas, residuals = (compute_gamma_statistics(aligned),
                                  np.zeros(thetas.shape))
         else:
             thetas, gammas, residuals = resolve_doa(
                 aligned, channel.u, profiles, doa_prior, arrays, method_errors)
-        dopplers = estimate_doppler(aligned, profiles, waveform, method_errors)
+        dopplers = estimate_doppler(aligned, waveform, method_errors)
         delays = estimate_delay(aligned, waveform, method_errors)
         order = np.argsort(delays, axis=-1, kind="stable")
         failed = np.array([e is not None for e in method_errors])[:, None]
@@ -451,8 +422,8 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
 
 def estimate_targets(y: np.ndarray, noise_sigma: np.ndarray, n_targets: int,
                      doa_prior: tuple[float, float], channel: ChannelMatrix,
-                     profiles: tuple[PhaseProfile, PhaseProfile],
-                     waveform: WaveformConfig, arrays: ArrayConfig,
+                     profiles: np.ndarray, waveform: WaveformConfig,
+                     arrays: ArrayConfig,
                      single_phase_doa: bool = False) -> Estimates:
     """Full pipeline: factorize both phases, align, extract all parameters.
 

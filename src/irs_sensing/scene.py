@@ -105,28 +105,17 @@ class ChannelMatrix:
             self.matrix[s], self.u[s], self.v[s], None if sv is None else sv[s])
 
 
-@dataclass(frozen=True)
-class PhaseProfile:
-    """Per-element reflection phases in [0, 2*pi) for one observation phase."""
-
-    phases: np.ndarray
-    phase_index: int
-
-    def diagonal(self) -> np.ndarray:
-        return np.exp(1j * self.phases)
-
-
-def relayed_response(channel: ChannelMatrix, profile: PhaseProfile,
+def relayed_response(channel: ChannelMatrix, profile: np.ndarray,
                      steer: np.ndarray) -> np.ndarray:
     """AP-side response H^T diag(phi) a of every surface steering column.
 
-    ``steer`` is N x G (surface steering vectors or their derivatives) or
-    a stack (B, N, G); the result is M x G, with the leading trial axis of
-    a stacked channel or steer.  Every AP-side target response of the
-    model is this one product.
+    ``profile`` is one phase's N reflection coefficients (a row of
+    ``design_phase_profiles``).  ``steer`` is N x G (surface steering
+    vectors or their derivatives) or a stack (B, N, G); the result is
+    M x G, with the leading trial axis of a stacked channel or steer.
+    Every AP-side target response of the model is this one product.
     """
-    return (channel.matrix.swapaxes(-1, -2)
-            @ (profile.diagonal()[:, None] * steer))
+    return channel.matrix.swapaxes(-1, -2) @ (profile[:, None] * steer)
 
 
 @dataclass(frozen=True)
@@ -305,8 +294,9 @@ def subarray_beam_directions(doa_prior: tuple[float, float], n_subarrays: int,
 
 
 def design_phase_profiles(doa_prior: tuple[float, float], arrays: ArrayConfig,
-                          n_subarrays: int = 4) -> tuple[PhaseProfile, PhaseProfile]:
-    """Two diverse reflection profiles from interleaved subarray beams.
+                          n_subarrays: int = 4) -> np.ndarray:
+    """Reflection coefficients exp(j*phi) of the two observation phases,
+    one row each, (2, N), from interleaved subarray beams.
 
     Contiguous subarrays each steer a conjugate-phase beam at one cell
     center of the prior interval; the second profile shifts every beam by
@@ -319,18 +309,15 @@ def design_phase_profiles(doa_prior: tuple[float, float], arrays: ArrayConfig,
             f"{n_elem} elements not divisible into {n_subarrays} subarrays")
     if doa_prior[1] <= doa_prior[0]:
         raise ConfigError("empty DOA prior interval")
-
-    def one_profile(offset_cells: float, index: int) -> PhaseProfile:
+    phases = np.zeros((2, n_elem))
+    size = n_elem // n_subarrays
+    for row, offset_cells in zip(phases, (0.0, 0.5)):
         beams = subarray_beam_directions(doa_prior, n_subarrays, offset_cells)
-        phases = np.zeros(n_elem)
-        size = n_elem // n_subarrays
         for s, beam in enumerate(beams):
             idx = np.arange(s * size, (s + 1) * size)
-            phases[idx] = (-2 * np.pi * idx * arrays.element_spacing_m
-                           * np.sin(beam) / arrays.wavelength_m) % (2 * np.pi)
-        return PhaseProfile(phases=phases, phase_index=index)
-
-    return one_profile(0.0, 1), one_profile(0.5, 2)
+            row[idx] = (-2 * np.pi * idx * arrays.element_spacing_m
+                        * np.sin(beam) / arrays.wavelength_m) % (2 * np.pi)
+    return np.exp(1j * phases)
 
 
 def design_beamformers(channel: ChannelMatrix) -> np.ndarray:
@@ -350,7 +337,7 @@ class ScenePoint(NamedTuple):
 
     truth: SceneTruth
     channel: ChannelMatrix
-    profiles: tuple[PhaseProfile, PhaseProfile]
+    profiles: np.ndarray    # reflection coefficients, (2, N), phase first
     combiner: np.ndarray    # transmit weights, (M,) or a stack (B, M)
 
     def trial(self, b: int) -> ScenePoint:
@@ -366,9 +353,9 @@ def draw_scene_point(cfg: FullConfig,
                      rngs: Sequence[np.random.Generator]) -> ScenePoint:
     """One draw per generator, stacked, of the validated scene: each draws
     its truth, then its line-of-sight channel, then its scattered paths
-    (when ``rician_k_db`` is set); the two reflection profiles follow from
-    the DOA prior and the transmit weights from the channel.  One draw is
-    ``.trial(0)`` of one generator's.
+    (when ``rician_k_db`` is set); the reflection coefficients of both
+    phases follow from the DOA prior and the transmit weights from the
+    channel.  One draw is ``.trial(0)`` of one generator's.
     """
     validate_scene(cfg.scene, cfg.waveform, cfg.arrays)
     profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,

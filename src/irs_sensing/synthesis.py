@@ -19,7 +19,7 @@ import numpy as np
 from .config import ArrayConfig, WaveformConfig
 from .cpd import FactorTriple, cp_reconstruct
 from .errors import DimensionMismatch
-from .scene import (ChannelMatrix, PhaseProfile, SceneTruth, relayed_response,
+from .scene import (ChannelMatrix, SceneTruth, relayed_response,
                     steering_vector, trials_first)
 
 
@@ -43,13 +43,14 @@ def delay_signature(delay_s, n_subcarriers: int,
 
 
 def build_factor_matrices(truth: SceneTruth, channel: ChannelMatrix,
-                          profile: PhaseProfile, combiner: np.ndarray,
+                          profile: np.ndarray, combiner: np.ndarray,
                           waveform: WaveformConfig,
                           arrays: ArrayConfig) -> FactorTriple:
     """Evaluate the exact factor columns for one observation phase.
 
     Both phases share the targets' angles, delays, Dopplers, and gains;
-    only the reflection profile (and hence b and z) changes.  The gains
+    only the reflection coefficients ``profile`` (and hence b and z)
+    change.  The gains
     sit in the subcarrier factor, and the generators are its unit-gain
     first row.  A point drawn as a stack gives stacked factors.
     """
@@ -58,7 +59,7 @@ def build_factor_matrices(truth: SceneTruth, channel: ChannelMatrix,
     if channel.matrix.shape[-2:] != (n_irs, n_ap):
         raise DimensionMismatch(f"channel shape {channel.matrix.shape} != "
                                 f"({n_irs}, {n_ap})")
-    if profile.phases.shape != (n_irs,):
+    if profile.shape != (n_irs,):
         raise DimensionMismatch("profile length != element count")
     if combiner.shape[-1:] != (n_ap,):
         raise DimensionMismatch(f"combiner shape {combiner.shape} != ({n_ap},)")
@@ -80,10 +81,11 @@ def synthesize_echo_tensor(factors: FactorTriple) -> np.ndarray:
 
 
 def echo_tensors(truth: SceneTruth, channel: ChannelMatrix,
-                 profiles: Sequence[PhaseProfile], combiner: np.ndarray,
+                 profiles: np.ndarray, combiner: np.ndarray,
                  waveform: WaveformConfig, arrays: ArrayConfig) -> np.ndarray:
-    """Noiseless echo tensors of every observation phase, phase first:
-    (2, P, M, L), or (2, B, P, M, L) for a point drawn as a stack."""
+    """Noiseless echo tensors of every row of reflection coefficients,
+    phase first: (2, P, M, L), or (2, B, P, M, L) for a point drawn as a
+    stack."""
     return np.stack([synthesize_echo_tensor(build_factor_matrices(
         truth, channel, profile, combiner, waveform, arrays))
         for profile in profiles])

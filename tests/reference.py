@@ -1,5 +1,5 @@
-"""References for the tests: a time-domain echo oracle, and the noise of
-one tensor drawn on its own.
+"""References for the tests: a time-domain echo oracle, the noise of one
+tensor drawn on its own, and the self-checks of the information matrix.
 
 The discrete observation model (irs_sensing.synthesis) drops the known
 AP-surface round-trip phase.  The time-domain oracle rebuilds the same
@@ -7,16 +7,28 @@ per-subcarrier values by numerically integrating the continuous baseband
 echo over the sampling window of one pulse, keeping the small
 Doppler-induced subcarrier phase that the discrete model neglects; the
 two agree to the documented tolerance.
+
+The bound's self-checks materialize the parameter Jacobian J from the
+terms of ``crb.jacobian_terms``: each phase's score is
+(2/sigma^2) Re(J* r) for the residual r, validated against finite
+differences of the log-likelihood, and J gives the noise templates of the
+Monte Carlo score covariance, which estimates the information matrix.
 """
 import math
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
 from irs_sensing.config import ArrayConfig, WaveformConfig
 from irs_sensing.cpd import FactorTriple, cp_reconstruct
+from irs_sensing.crb import _term_rows, jacobian_terms
 from irs_sensing.errors import ConfigError
-from irs_sensing.scene import ChannelMatrix, PhaseProfile, SceneTruth
-from irs_sensing.synthesis import build_factor_matrices
+from irs_sensing.scene import ChannelMatrix, SceneTruth
+from irs_sensing.synthesis import build_factor_matrices, echo_tensors
+
+PARAMETER_BLOCKS = ("theta", "doppler", "delay")
+_TRUTH_FIELDS = ("theta_rad", "doppler_hz", "delay_s")   # SceneTruth per block
 
 
 class InsufficientSampling(ConfigError):
@@ -24,7 +36,7 @@ class InsufficientSampling(ConfigError):
 
 
 def time_domain_oracle(truth: SceneTruth, channel: ChannelMatrix,
-                       profile: PhaseProfile, combiner: np.ndarray,
+                       profile: np.ndarray, combiner: np.ndarray,
                        waveform: WaveformConfig, arrays: ArrayConfig,
                        pulse_index: int, n_samples: int | None = None) -> np.ndarray:
     """Per-subcarrier matched-filter outputs from sampled integration.
@@ -102,3 +114,119 @@ def noisy_tensor(tensor: np.ndarray, snr_db: float,
     noise = (sigma / math.sqrt(2)) * (rng.standard_normal(tensor.shape)
                                       + 1j * rng.standard_normal(tensor.shape))
     return tensor + noise
+
+
+def parameter_index(block: str, k: int, n_targets: int) -> int:
+    """Position of (parameter family, target) in the stacked vector.
+
+    Ordering is all directions, then all Dopplers, then all delays,
+    each block in target order.
+    """
+    return PARAMETER_BLOCKS.index(block) * n_targets + k
+
+
+def parameter_jacobian(truth: SceneTruth, channel: ChannelMatrix,
+                       profile: np.ndarray, combiner: np.ndarray,
+                       waveform: WaveformConfig,
+                       arrays: ArrayConfig) -> np.ndarray:
+    """Model derivative of one phase per stacked parameter at ``truth``,
+    one flattened (P, M, L) tensor per row (3K x P*M*L, rows in
+    parameter_index order), summed from the terms of jacobian_terms.
+    """
+    terms = np.einsum("...pt,...mt,...lt->...tpml", *jacobian_terms(
+        truth, channel, profile, combiner, waveform, arrays))
+    return _term_rows(truth.n_targets).T @ terms.reshape(*terms.shape[:-3], -1)
+
+
+def log_likelihood(observed: Sequence[np.ndarray],
+                   modeled: Sequence[np.ndarray],
+                   noise_variances: Sequence[float]) -> float:
+    """Gaussian log-likelihood up to a parameter-free constant."""
+    total = 0.0
+    for obs, model, sigma_sq in zip(observed, modeled, noise_variances):
+        total -= float(np.linalg.norm(obs - model) ** 2) / sigma_sq
+    return total
+
+
+def score(truth: SceneTruth, observed: Sequence[np.ndarray],
+          channel: ChannelMatrix, profiles: np.ndarray,
+          combiner: np.ndarray, waveform: WaveformConfig,
+          arrays: ArrayConfig,
+          noise_variances: Sequence[float]) -> np.ndarray:
+    """Analytic gradient of the log-likelihood at the given parameters."""
+    values = np.zeros(3 * truth.n_targets)
+    modeled = echo_tensors(truth, channel, profiles, combiner, waveform, arrays)
+    for obs, model, profile, sigma_sq in zip(observed, modeled, profiles,
+                                             noise_variances):
+        jac = parameter_jacobian(truth, channel, profile, combiner, waveform,
+                                 arrays)
+        values += (2.0 / sigma_sq) * (jac.conj()
+                                      @ (obs - model).ravel()).real
+    return values
+
+
+def _shifted_truth(truth: SceneTruth, index: int, delta: float) -> SceneTruth:
+    """Copy of the truth with one stacked parameter moved by delta."""
+    field = _TRUTH_FIELDS[index // truth.n_targets]
+    values = getattr(truth, field).copy()
+    values[index % truth.n_targets] += delta
+    return replace(truth, **{field: values})
+
+
+def parameter_steps(truth: SceneTruth, base_step: float) -> np.ndarray:
+    """Per-parameter finite-difference steps scaled to parameter size."""
+    scale = np.abs(np.concatenate([getattr(truth, f) for f in _TRUTH_FIELDS]))
+    return base_step * np.where(scale > 0, scale, 1.0)
+
+
+def score_fd_check(truth: SceneTruth, observed: Sequence[np.ndarray],
+                   channel: ChannelMatrix, profiles: np.ndarray,
+                   combiner: np.ndarray, waveform: WaveformConfig,
+                   arrays: ArrayConfig, noise_variances: Sequence[float],
+                   base_step: float = 1e-6) -> float:
+    """Worst relative gap between analytic and finite-difference scores.
+
+    Central differences of the log-likelihood, one parameter at a time,
+    with steps proportional to each parameter's magnitude.
+    """
+    analytic = score(truth, observed, channel, profiles, combiner, waveform,
+                     arrays, noise_variances)
+    steps = parameter_steps(truth, base_step)
+
+    def likelihood_at(shifted: SceneTruth) -> float:
+        modeled = echo_tensors(shifted, channel, profiles, combiner, waveform,
+                               arrays)
+        return log_likelihood(observed, modeled, noise_variances)
+
+    worst = 0.0
+    for j, step in enumerate(steps):
+        fd = (likelihood_at(_shifted_truth(truth, j, +step))
+              - likelihood_at(_shifted_truth(truth, j, -step))) / (2 * step)
+        denom = max(abs(analytic[j]), abs(fd))
+        if denom > 0:
+            worst = max(worst, abs(analytic[j] - fd) / denom)
+    return worst
+
+
+def mc_score_covariance(truth: SceneTruth, channel: ChannelMatrix,
+                        profiles: np.ndarray, combiner: np.ndarray,
+                        waveform: WaveformConfig, arrays: ArrayConfig,
+                        noise_variances: Sequence[float], n_draws: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Empirical covariance of the score over noise draws.
+
+    The score is linear in the noise, so each parameter reduces to a fixed
+    tensor contracted with the draw; the sample covariance of the stacked
+    scores estimates the information matrix.
+    """
+    scores = np.zeros((3 * truth.n_targets, n_draws))
+    for profile, sigma_sq in zip(profiles, noise_variances):
+        templates = parameter_jacobian(truth, channel, profile, combiner,
+                                       waveform, arrays)
+        sigma = math.sqrt(sigma_sq)
+        shape = (n_draws, templates.shape[1])
+        noise = sigma / math.sqrt(2) * (rng.standard_normal(shape)
+                                        + 1j * rng.standard_normal(shape))
+        scores += (2.0 / sigma_sq) * (templates.conj() @ noise.T).real
+    centered = scores - scores.mean(axis=1, keepdims=True)
+    return centered @ centered.T / (n_draws - 1)

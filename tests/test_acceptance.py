@@ -20,11 +20,9 @@ import pytest
 from irs_sensing.cli import main as cli_main
 from irs_sensing.config import default_config, with_overrides
 from irs_sensing.cpd import FactorTriple, cp_decompose
-from irs_sensing.crb import (compute_crb, compute_fim, mc_score_covariance,
-                             score_fd_check)
+from irs_sensing.crb import compute_crb, compute_fim
 from irs_sensing.errors import UniquenessError
-from irs_sensing.estimation import (AlignedFactors, align_columns,
-                                    compute_gamma_statistics,
+from irs_sensing.estimation import (align_columns, compute_gamma_statistics,
                                     estimate_targets)
 from irs_sensing.experiments import build_spec, run_experiment
 from irs_sensing.config import ArrayConfig, FullConfig
@@ -33,7 +31,8 @@ from irs_sensing.synthesis import (build_factor_matrices, echo_tensors,
                                    noise_sigma_for_snr)
 
 from conftest import take_targets
-from reference import oracle_prediction, time_domain_oracle
+from reference import (mc_score_covariance, oracle_prediction,
+                       score_fd_check, time_domain_oracle)
 
 CONFIG = "configs/default.yaml"
 
@@ -239,8 +238,8 @@ def test_ratio_statistic_survives_scaling(cfg, clean_pair):
     k = len(cfg.scene.targets)
     errors = [None]
     triples = [cp_decompose(t[None], k, errors) for t in clean_pair]
-    aligned = align_columns(*triples, cfg.waveform.subcarrier_spacing_hz,
-                            errors)
+    aligned = align_columns(FactorTriple(*map(np.stack, zip(*triples))),
+                            cfg.waveform.subcarrier_spacing_hz, errors)
     assert errors == [None]
     base = compute_gamma_statistics(aligned)
     rng = np.random.default_rng(41)
@@ -248,18 +247,10 @@ def test_ratio_statistic_survives_scaling(cfg, clean_pair):
     for _ in range(100):
         scale = 10.0 ** rng.uniform(-3, 3, size=(2, k)) * np.exp(
             2j * np.pi * rng.uniform(size=(2, k)))
-        scaled = AlignedFactors(
-            phase1=FactorTriple(
-                pulse_factor=aligned.phase1.pulse_factor * scale[0],
-                antenna_factor=aligned.phase1.antenna_factor / scale[0],
-                subcarrier_factor=aligned.phase1.subcarrier_factor,
-                generators=aligned.phase1.generators),
-            phase2=FactorTriple(
-                pulse_factor=aligned.phase2.pulse_factor * scale[1],
-                antenna_factor=aligned.phase2.antenna_factor / scale[1],
-                subcarrier_factor=aligned.phase2.subcarrier_factor,
-                generators=aligned.phase2.generators),
-            permutation=aligned.permutation)
+        per_phase = scale[:, None, None, :]
+        scaled = aligned._replace(
+            pulse_factor=aligned.pulse_factor * per_phase,
+            antenna_factor=aligned.antenna_factor / per_phase)
         moved = compute_gamma_statistics(scaled)
         worst = max(worst, float(np.max(np.abs(moved - base) / np.abs(base))))
     assert worst < 1e-12, f"worst relative drift {worst:.3e}"

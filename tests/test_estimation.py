@@ -13,15 +13,15 @@ from irs_sensing.errors import (AmbiguousAlignment, DegenerateProfilePair,
                                 NoFeasibleGrid, RankOneChannel,
                                 UnwrapInfeasible)
 from irs_sensing.estimation import (DOA_GRID_STEP_RAD, DOPPLER_GRID_POINTS,
-                                    AlignedFactors, _dictionary, _grid_peaks,
-                                    align_columns, compute_gamma_statistics,
+                                    _dictionary, _grid_peaks, align_columns,
+                                    compute_gamma_statistics,
                                     estimate_delay, estimate_doa_multirank,
                                     estimate_doppler, estimate_targets,
                                     gamma_ratio_curve, greedy_match,
                                     resolve_doa)
 from irs_sensing.experiments import build_spec, run_experiment
-from irs_sensing.scene import (PhaseProfile, build_rician_channel,
-                               design_beamformers, steering_vector)
+from irs_sensing.scene import (build_rician_channel, design_beamformers,
+                               steering_vector)
 from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
                                    doppler_ramp, echo_tensors,
                                    noise_sigma_for_snr)
@@ -60,35 +60,38 @@ def _triple(rng, n_pulses, n_antennas, n_subcarriers, delays):
 
 
 def _permute(triple, perm):
-    perm = list(perm)
-    return FactorTriple(pulse_factor=triple.pulse_factor[..., perm],
-                        antenna_factor=triple.antenna_factor[..., perm],
-                        subcarrier_factor=triple.subcarrier_factor[..., perm],
-                        generators=triple.generators[..., perm])
+    return FactorTriple(*(f[..., list(perm)] for f in triple))
+
+
+def _phases(*triples):
+    """The triples of both phases as one phase-first triple."""
+    return FactorTriple(*map(np.stack, zip(*triples)))
 
 
 def _truth_triples(cfg, truth, channel, profiles, combiner):
-    """Exact factors of both phases as one-trial stacks."""
-    out = []
-    for prof in profiles:
-        fac = build_factor_matrices(truth, channel, prof, combiner,
-                                    cfg.waveform, cfg.arrays)
-        out.append(FactorTriple(pulse_factor=fac.pulse_factor[None],
-                                antenna_factor=fac.antenna_factor[None],
-                                subcarrier_factor=fac.subcarrier_factor[None],
-                                generators=fac.generators[None]))
-    return out
+    """Exact factors of both phases, phase first, as a one-trial stack."""
+    return _phases(*(FactorTriple(*(f[None] for f in build_factor_matrices(
+        truth, channel, prof, combiner, cfg.waveform, cfg.arrays)))
+        for prof in profiles))
+
+
+def _assert_aligned(out, t1, t2, source):
+    """Aligned phase-1 column j is column source[j] of t1 in every field,
+    bit for bit, and phase 2 is t2 unchanged."""
+    for got, first, second in zip(out, t1, t2):
+        assert np.array_equal(got[0], first[..., list(source)])
+        assert np.array_equal(got[1], second)
 
 
 @pytest.fixture(scope="module")
 def decomposed_pair(cfg, clean_pair):
     k = len(cfg.scene.targets)
-    return tuple(_passes(cp_decompose, t[None], k) for t in clean_pair)
+    return _phases(*(_passes(cp_decompose, t[None], k) for t in clean_pair))
 
 
 @pytest.fixture(scope="module")
 def aligned(cfg, decomposed_pair):
-    return _passes(align_columns, *decomposed_pair,
+    return _passes(align_columns, decomposed_pair,
                    cfg.waveform.subcarrier_spacing_hz)
 
 
@@ -98,20 +101,17 @@ def test_align_identity():
     rng = np.random.default_rng(0)
     t1 = _triple(rng, 6, 5, 8, [3.2e-6, 3.6e-6])
     t2 = _triple(rng, 6, 5, 8, [3.2e-6, 3.6e-6])
-    out = _passes(align_columns, t1, t2, SPACING)
-    assert out.permutation.tolist() == [[0, 1]]
-    np.testing.assert_array_equal(out.phase1.pulse_factor, t1.pulse_factor)
+    out = _passes(align_columns, _phases(t1, t2), SPACING)
+    _assert_aligned(out, t1, t2, [0, 1])
 
 
 def test_align_swap():
     rng = np.random.default_rng(1)
     t1 = _triple(rng, 6, 5, 8, [3.6e-6, 3.2e-6])
     t2 = _triple(rng, 6, 5, 8, [3.2e-6, 3.6e-6])
-    out = _passes(align_columns, t1, t2, SPACING)
-    assert out.permutation.tolist() == [[1, 0]]
-    np.testing.assert_array_equal(out.phase1.antenna_factor[..., 1],
-                                  t1.antenna_factor[..., 0])
-    np.testing.assert_array_equal(out.phase1.generators, t2.generators)
+    out = _passes(align_columns, _phases(t1, t2), SPACING)
+    _assert_aligned(out, t1, t2, [1, 0])
+    np.testing.assert_array_equal(out.generators[0], t2.generators)
 
 
 def test_align_three_cycle():
@@ -119,9 +119,9 @@ def test_align_three_cycle():
     delays = [3.1e-6, 3.5e-6, 3.9e-6]
     t2 = _triple(rng, 6, 5, 8, delays)
     t1 = _permute(t2, [1, 2, 0])       # t1 column i holds t2 column perm[i]
-    out = _passes(align_columns, t1, t2, SPACING)
-    assert out.permutation.tolist() == [[1, 2, 0]]
-    np.testing.assert_array_equal(out.phase1.pulse_factor, t2.pulse_factor)
+    out = _passes(align_columns, _phases(t1, t2), SPACING)
+    _assert_aligned(out, t1, t2, [2, 0, 1])
+    np.testing.assert_array_equal(out.pulse_factor[0], t2.pulse_factor)
 
 
 def test_align_invariant_to_input_order():
@@ -129,33 +129,48 @@ def test_align_invariant_to_input_order():
     rng = np.random.default_rng(3)
     t2 = _triple(rng, 6, 5, 8, [3.1e-6, 3.5e-6, 3.9e-6])
     t1 = _triple(rng, 6, 5, 8, [3.1e-6, 3.5e-6, 3.9e-6])
-    base = _passes(align_columns, t1, t2, SPACING)
-    shuffled = _passes(align_columns, _permute(t1, [2, 0, 1]), t2, SPACING)
-    np.testing.assert_array_equal(base.phase1.pulse_factor,
-                                  shuffled.phase1.pulse_factor)
-    np.testing.assert_array_equal(base.phase1.generators,
-                                  shuffled.phase1.generators)
+    base = _passes(align_columns, _phases(t1, t2), SPACING)
+    shuffled = _passes(align_columns, _phases(_permute(t1, [2, 0, 1]), t2),
+                       SPACING)
+    np.testing.assert_array_equal(base.pulse_factor[0],
+                                  shuffled.pulse_factor[0])
+    np.testing.assert_array_equal(base.generators[0], shuffled.generators[0])
+
+
+def test_align_permutes_each_trial_of_a_stack_on_its_own():
+    """Each trial's phase-2 columns hold its targets in a different order:
+    the stack gives every trial the alignment it gets alone, and leaves
+    every phase-2 column bit for bit."""
+    rng = np.random.default_rng(7)
+    delays = np.array([3.1e-6, 3.5e-6, 3.9e-6])
+    perms = [[2, 0, 1], [1, 2, 0], [0, 2, 1], [2, 1, 0]]
+    first = [_triple(rng, 6, 5, 8, delays) for _ in perms]
+    second = [_triple(rng, 6, 5, 8, delays[p]) for p in perms]
+    stack = _phases(*(FactorTriple(*map(np.concatenate, zip(*triples)))
+                      for triples in (first, second)))
+    errors = [None] * len(perms)
+    out = align_columns(stack, SPACING, errors)
+    assert errors == [None] * len(perms)
+    for got, phases in zip(out, stack):
+        assert np.array_equal(got[1], phases[1])
+    for b, (t1, t2, perm) in enumerate(zip(first, second, perms)):
+        alone = _passes(align_columns, _phases(t1, t2), SPACING)
+        _assert_aligned(alone, t1, t2, perm)
+        for got, want in zip(out, alone):
+            assert np.array_equal(got[:, b:b + 1], want)
 
 
 def test_align_rejects_indistinct_delays():
     rng = np.random.default_rng(4)
     t1 = _triple(rng, 6, 5, 8, [3.4e-6, 3.4e-6])
     t2 = _triple(rng, 6, 5, 8, [3.4e-6, 3.4e-6])
-    assert isinstance(_failure(align_columns, t1, t2, SPACING),
+    assert isinstance(_failure(align_columns, _phases(t1, t2), SPACING),
                       AmbiguousAlignment)
-
-
-def test_align_rejects_count_mismatch():
-    rng = np.random.default_rng(5)
-    t1 = _triple(rng, 6, 5, 8, [3.4e-6])
-    t2 = _triple(rng, 6, 5, 8, [3.2e-6, 3.6e-6])
-    with pytest.raises(AmbiguousAlignment):
-        align_columns(t1, t2, SPACING, [None])
 
 
 def test_aligned_generators_agree_across_phases(aligned):
     """Both phases see the same physical delays, so matched generators agree."""
-    diff = np.abs(aligned.phase1.generators - aligned.phase2.generators)
+    diff = np.abs(aligned.generators[0] - aligned.generators[1])
     assert diff.max() < 1e-9
 
 
@@ -170,18 +185,10 @@ def test_gamma_invariant_under_scaling(aligned):
     for _ in range(100):
         scale = 10.0 ** rng.uniform(-3, 3, size=(2, k)) * np.exp(
             2j * np.pi * rng.uniform(size=(2, k)))
-        scaled = AlignedFactors(
-            phase1=FactorTriple(
-                pulse_factor=aligned.phase1.pulse_factor * scale[0],
-                antenna_factor=aligned.phase1.antenna_factor / scale[0],
-                subcarrier_factor=aligned.phase1.subcarrier_factor,
-                generators=aligned.phase1.generators),
-            phase2=FactorTriple(
-                pulse_factor=aligned.phase2.pulse_factor * scale[1],
-                antenna_factor=aligned.phase2.antenna_factor / scale[1],
-                subcarrier_factor=aligned.phase2.subcarrier_factor,
-                generators=aligned.phase2.generators),
-            permutation=aligned.permutation)
+        per_phase = scale[:, None, None, :]
+        scaled = aligned._replace(
+            pulse_factor=aligned.pulse_factor * per_phase,
+            antenna_factor=aligned.antenna_factor / per_phase)
         moved = compute_gamma_statistics(scaled)
         worst = max(worst, float(np.max(np.abs(moved - base) / np.abs(base))))
     assert worst < 1e-12, f"worst relative drift {worst:.3e}"
@@ -189,8 +196,9 @@ def test_gamma_invariant_under_scaling(aligned):
 
 def test_gamma_matches_curve_at_truth(cfg, truth, channel, profiles, combiner):
     """Exact factors give exactly the ratio curve value at the true angle."""
-    t1, t2 = _truth_triples(cfg, truth, channel, profiles, combiner)
-    out = _passes(align_columns, t1, t2, cfg.waveform.subcarrier_spacing_hz)
+    out = _passes(align_columns,
+                  _truth_triples(cfg, truth, channel, profiles, combiner),
+                  cfg.waveform.subcarrier_spacing_hz)
     gammas = compute_gamma_statistics(out)
     curve = gamma_ratio_curve(truth.theta_rad, channel.u, profiles, cfg.arrays)
     np.testing.assert_allclose(gammas[0], curve, rtol=1e-9)
@@ -224,8 +232,7 @@ def test_resolve_doa_never_worse_than_grid(cfg, channel, profiles, aligned):
 
 def test_resolve_doa_rejects_identical_profiles(cfg, channel, profiles,
                                                 aligned):
-    same = (profiles[0], PhaseProfile(phases=profiles[0].phases,
-                                      phase_index=2))
+    same = profiles[[0, 0]]
     assert isinstance(_failure(resolve_doa, aligned, channel.u,
                                same, cfg.scene.doa_prior_rad, cfg.arrays),
                       DegenerateProfilePair)
@@ -235,8 +242,7 @@ def test_resolve_doa_all_grid_points_excluded(aligned):
     """A null of the second profile across the whole prior is rejected."""
     arrays = ArrayConfig(n_ap_antennas=1, n_irs_elements=2)
     u = np.array([1.0, -1.0]) / math.sqrt(2)
-    prof = (PhaseProfile(phases=np.zeros(2), phase_index=1),
-            PhaseProfile(phases=np.zeros(2), phase_index=2))
+    prof = np.ones((2, 2), complex)   # both phases all zero phase
     assert isinstance(_failure(resolve_doa, aligned, u, prof, (-1e-9, 1e-9),
                                arrays), NoFeasibleGrid)
 
@@ -245,7 +251,7 @@ def test_multirank_doa_on_scattered_channel(cfg, truth, channel, profiles):
     """Every antenna column is searched at once, one direction per column."""
     rician = rician_alone(channel, 5.0, 4, cfg.arrays, np.random.default_rng(9))
     steer = steering_vector(truth.theta_rad, *cfg.arrays.surface)
-    b = rician.matrix.T @ (profiles[0].diagonal()[:, None] * steer)
+    b = rician.matrix.T @ (profiles[0][:, None] * steer)
     est = _passes(estimate_doa_multirank, b[None], rician, profiles[0],
                   cfg.scene.doa_prior_rad, cfg.arrays)
     assert est.shape == (1, truth.n_targets)
@@ -261,17 +267,18 @@ def test_multirank_doa_rejects_rank_one_channel(cfg, truth, channel, profiles):
 
 # ---------------------------------------------------------------- Doppler
 
-def test_doppler_noiseless(cfg, truth, profiles, aligned):
-    nus = _passes(estimate_doppler, aligned, profiles, cfg.waveform)
+def test_doppler_noiseless(cfg, truth, aligned):
+    nus = _passes(estimate_doppler, aligned, cfg.waveform)
     err = np.abs(np.sort(nus[0]) - np.sort(truth.doppler_hz))
     assert err.max() < 1e-3, f"worst Doppler error {err.max():.3e} Hz"
 
 
 def test_doppler_zero_is_exact(cfg, truth, channel, profiles, combiner):
     static = dataclasses.replace(truth, doppler_hz=0.0 * truth.doppler_hz)
-    t1, t2 = _truth_triples(cfg, static, channel, profiles, combiner)
-    out = _passes(align_columns, t1, t2, cfg.waveform.subcarrier_spacing_hz)
-    nus = _passes(estimate_doppler, out, profiles, cfg.waveform)
+    out = _passes(align_columns,
+                  _truth_triples(cfg, static, channel, profiles, combiner),
+                  cfg.waveform.subcarrier_spacing_hz)
+    nus = _passes(estimate_doppler, out, cfg.waveform)
     assert np.abs(nus).max() < 1e-9
 
 
@@ -279,14 +286,15 @@ def test_doppler_boundary_warns(cfg, truth, channel, profiles, combiner):
     half_span = 1.0 / (2 * cfg.waveform.pri_s)
     spun = dataclasses.replace(take_targets(truth, slice(1)),
                                doppler_hz=np.array([half_span]))
-    t1, t2 = _truth_triples(cfg, spun, channel, profiles, combiner)
-    out = _passes(align_columns, t1, t2, cfg.waveform.subcarrier_spacing_hz)
+    out = _passes(align_columns,
+                  _truth_triples(cfg, spun, channel, profiles, combiner),
+                  cfg.waveform.subcarrier_spacing_hz)
     with pytest.warns(UserWarning, match="boundary"):
-        _passes(estimate_doppler, out, profiles, cfg.waveform)
+        _passes(estimate_doppler, out, cfg.waveform)
 
 
 def test_doppler_ignores_the_scale_of_each_pulse_column(monkeypatch, cfg,
-                                                        profiles, clean_pair):
+                                                        clean_pair):
     """A pulse column is one constant times a ramp, so scaling each column
     of each trial by any nonzero constant moves no grid peak and no
     estimate."""
@@ -297,17 +305,17 @@ def test_doppler_ignores_the_scale_of_each_pulse_column(monkeypatch, cfg,
     y = apply_noise(clean, sigma, [np.random.default_rng((4, b))
                                    for b in range(n_trials)])
     errors = [None] * n_trials
-    aligned = align_columns(*(cp_decompose(phase, k, errors) for phase in y),
+    aligned = align_columns(_phases(*(cp_decompose(phase, k, errors)
+                                      for phase in y)),
                             cfg.waveform.subcarrier_spacing_hz, errors)
     assert errors == [None] * n_trials
     rng = np.random.default_rng(6)
 
-    def rescaled(triple):
+    def rescaled(pulse_factor):
         shape = (n_trials, 1, k)
         scale = 10.0 ** rng.uniform(-3, 3, shape) * np.exp(
             2j * np.pi * rng.uniform(size=shape))
-        return dataclasses.replace(triple,
-                                   pulse_factor=triple.pulse_factor * scale)
+        return pulse_factor * scale
 
     peaks = []
     grid_peaks = estimation._grid_peaks
@@ -317,10 +325,9 @@ def test_doppler_ignores_the_scale_of_each_pulse_column(monkeypatch, cfg,
         return peaks[-1]
 
     monkeypatch.setattr(estimation, "_grid_peaks", recorded)
-    want = estimate_doppler(aligned, profiles, cfg.waveform, errors)
-    got = estimate_doppler(dataclasses.replace(
-        aligned, phase1=rescaled(aligned.phase1),
-        phase2=rescaled(aligned.phase2)), profiles, cfg.waveform, errors)
+    want = estimate_doppler(aligned, cfg.waveform, errors)
+    got = estimate_doppler(aligned._replace(pulse_factor=np.stack(
+        [rescaled(p) for p in aligned.pulse_factor])), cfg.waveform, errors)
     assert errors == [None] * n_trials
     assert np.array_equal(peaks[1][0], peaks[0][0])
     assert np.abs(got - want).max() < 1e-9
@@ -338,8 +345,7 @@ def _delay_only_aligned(delays, waveform):
     rng = np.random.default_rng(10)
     t1 = _triple(rng, 4, 3, waveform.n_subcarriers, delays)
     t2 = _triple(rng, 4, 3, waveform.n_subcarriers, delays)
-    return AlignedFactors(phase1=t1, phase2=t2,
-                          permutation=np.arange(len(delays))[None])
+    return _phases(t1, t2)
 
 
 def test_delay_unwraps_alias(cfg):
@@ -348,7 +354,7 @@ def test_delay_unwraps_alias(cfg):
     true_tau = 3.40424344e-6
     wrapped = true_tau - wf.symbol_duration_s     # 1.40424344e-6
     out = _delay_only_aligned([wrapped], wf)
-    assert raw_delay(out.phase1.generators, wf.subcarrier_spacing_hz)[0, 0] == \
+    assert raw_delay(out.generators[0], wf.subcarrier_spacing_hz)[0, 0] == \
         pytest.approx(wrapped, abs=1e-15)
     taus = _passes(estimate_delay, out, wf)
     assert taus[0, 0] == pytest.approx(true_tau, abs=1e-12)
@@ -512,7 +518,7 @@ def test_multirank_doa_on_a_prior_of_one_or_two_grid_points(cfg, truth,
     """The edge rule keeps the search inside grids too short for a parabola."""
     rician = rician_alone(channel, 5.0, 4, cfg.arrays, np.random.default_rng(9))
     steer = steering_vector(truth.theta_rad, *cfg.arrays.surface)
-    b = rician.matrix.T @ (profiles[0].diagonal()[:, None] * steer)
+    b = rician.matrix.T @ (profiles[0][:, None] * steer)
     lo = truth.theta_rad[0]
     prior = (lo, lo + (n_points - 0.5) * DOA_GRID_STEP_RAD)
     grid = lo + DOA_GRID_STEP_RAD * np.arange(n_points)

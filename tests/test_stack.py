@@ -50,7 +50,7 @@ def _args(cfg, point):
 
 def _trial(triple, b):
     """Trial b of a stack of factor triples, as a one-trial stack."""
-    return FactorTriple(*(a[b:b + 1] for a in dataclasses.astuple(triple)))
+    return FactorTriple(*(a[b:b + 1] for a in triple))
 
 
 def _outcome(run):
@@ -193,8 +193,7 @@ def test_ill_conditioned_member_fails_alone():
         alone_errors = [None]
         alone = cp_decompose(data[b:b + 1], 2, alone_errors)
         assert alone_errors == [None]
-        for got, want in zip(dataclasses.astuple(_trial(triple, b)),
-                             dataclasses.astuple(alone)):
+        for got, want in zip(_trial(triple, b), alone):
             assert np.array_equal(got, want)
 
     args = _args(cfg, point)
@@ -452,10 +451,10 @@ def test_doppler_search_memory_does_not_grow_with_the_stack():
 
     def peak(n_trials):
         errors = [None] * n_trials
-        aligned = align_columns(*(cp_decompose(phase[:n_trials], 2, errors)
-                                  for phase in y),
-                                cfg.waveform.subcarrier_spacing_hz, errors)
-        args = (aligned, point.profiles, cfg.waveform, errors)
+        aligned = align_columns(FactorTriple(*map(np.stack, zip(*(
+            cp_decompose(phase[:n_trials], 2, errors) for phase in y)))),
+            cfg.waveform.subcarrier_spacing_hz, errors)
+        args = (aligned, cfg.waveform, errors)
         estimate_doppler(*args)  # builds the cached Doppler grid
         tracemalloc.start()
         try:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from irs_sensing.config import with_overrides
 from irs_sensing.errors import DimensionMismatch
-from irs_sensing.scene import PhaseProfile, draw_scene_point
+from irs_sensing.scene import draw_scene_point
 from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
                                    delay_signature, doppler_ramp, echo_tensors,
                                    noise_sigma_for_snr, noise_variance,
@@ -62,9 +62,8 @@ def test_dimension_mismatch_guards(cfg, truth, channel, profiles, combiner):
     with pytest.raises(DimensionMismatch):
         build_factor_matrices(truth, bad_chan, profiles[0], combiner,
                               cfg.waveform, cfg.arrays)
-    bad_prof = PhaseProfile(phases=profiles[0].phases[:-1], phase_index=1)
     with pytest.raises(DimensionMismatch):
-        build_factor_matrices(truth, channel, bad_prof, combiner,
+        build_factor_matrices(truth, channel, profiles[0][:-1], combiner,
                               cfg.waveform, cfg.arrays)
     with pytest.raises(DimensionMismatch):
         build_factor_matrices(truth, channel, profiles[0], combiner[:-1],
