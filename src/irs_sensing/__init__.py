@@ -8,8 +8,7 @@ factorization, two-phase ambiguity resolution, variance lower bounds, and
 a Monte Carlo benchmarking harness.
 """
 from .config import (SPEED_OF_LIGHT, ArrayConfig, FullConfig, SceneConfig,
-                     TargetConfig, WaveformConfig, default_config,
-                     load_config, with_overrides)
+                     TargetConfig, WaveformConfig, load_config, with_overrides)
 from .cpd import (FactorTriple, check_uniqueness, cp_decompose,
                   cp_reconstruct, khatri_rao, reconstruction_error)
 from .crb import CrbBounds, FimMatrix, compute_crb, compute_fim

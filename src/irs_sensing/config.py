@@ -83,12 +83,6 @@ class ArrayConfig:
         """Surface array as steering_vector arguments (N, spacing, wavelength)."""
         return self.n_irs_elements, self.element_spacing_m, self.wavelength_m
 
-    @classmethod
-    def for_waveform(cls, waveform: WaveformConfig, n_ap_antennas: int = 16,
-                     n_irs_elements: int = 32) -> "ArrayConfig":
-        return cls(n_ap_antennas=n_ap_antennas, n_irs_elements=n_irs_elements,
-                   wavelength_m=waveform.wavelength_m)
-
 
 @dataclass(frozen=True)
 class TargetConfig:
@@ -133,13 +127,6 @@ class FullConfig:
     waveform: WaveformConfig = field(default_factory=WaveformConfig)
     arrays: ArrayConfig = field(default_factory=ArrayConfig)
     scene: SceneConfig = field(default_factory=SceneConfig)
-
-
-def default_config() -> FullConfig:
-    """The reference scenario used throughout the test suite."""
-    waveform = WaveformConfig()
-    return FullConfig(waveform=waveform,
-                      arrays=ArrayConfig.for_waveform(waveform))
 
 
 _WAVEFORM_KEYS = {"carrier_freq_hz", "n_subcarriers", "n_pulses",

@@ -221,15 +221,15 @@ def _gamma_ratio(steer: np.ndarray, u: np.ndarray,
     return out
 
 
-def resolve_doa(aligned: FactorTriple, u: np.ndarray, profiles: np.ndarray,
+def resolve_doa(gammas: np.ndarray, u: np.ndarray, profiles: np.ndarray,
                 doa_prior: tuple[float, float], arrays: ArrayConfig,
-                errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directions from the cross-phase ratio statistic.
+                errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """Directions from the (B, K) cross-phase ratio statistic ``gammas``.
 
-    Matches each target's ratio statistic against gamma(theta) on a grid
-    over the prior by the complex squared error, then refines with a
-    3-point parabola; the refined point is kept only if it does not
-    increase the objective.  Returns (theta_hats, gamma_hats, residuals).
+    Matches each target's statistic against gamma(theta) on a grid over
+    the prior by the complex squared error, then refines with a 3-point
+    parabola; the refined point is kept only if it does not increase the
+    objective.  Returns (theta_hats, residuals).
     """
     grid, steer = _dictionary(steering_vector, *doa_prior, DOA_GRID_STEP_RAD,
                               *arrays.surface)
@@ -243,14 +243,13 @@ def resolve_doa(aligned: FactorTriple, u: np.ndarray, profiles: np.ndarray,
     record_failures(errors, ~(spread > 1e-12), lambda b: DegenerateProfilePair(
         "cross-phase ratio constant over the prior; profiles too similar"))
 
-    gammas = compute_gamma_statistics(aligned)
     curves = np.broadcast_to(curve, (len(errors), len(grid)))  # one per trial
     thetas, best = _refine_directions(
         grid, lambda s: -np.abs(gammas[s, :, None] - curves[s, None, :]) ** 2,
         lambda cand: -np.abs(
             gammas - gamma_ratio_curve(cand, u, profiles, arrays)) ** 2,
         doa_prior, errors)
-    return thetas, gammas, np.sqrt(-best)
+    return thetas, np.sqrt(-best)
 
 
 def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
@@ -360,9 +359,11 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
     (a direction method of ``estimate_targets``): ``errors[b]`` is None or
     the EstimationError that ``estimate_targets`` raises on trial b alone,
     the first check it fails, and its row of the estimates is NaN.  A
-    check that the whole stack shares fails every trial.  The
-    factorization and alignment run once for all methods.  ``stacklevel``
-    is that of the reconstruction-residual warning.
+    check that the whole stack shares fails every trial.  Everything but
+    the direction step runs once for all methods, so a method is its
+    direction step alone, and a trial's direction failure precedes its
+    Doppler or delay one.  ``stacklevel`` is that of the
+    reconstruction-residual warning.
     """
     errors = [None] * y.shape[1]
     sigma = np.broadcast_to(noise_sigma, y.shape[:2])
@@ -397,6 +398,11 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
                              in (float, float, float, complex, float))),
                  [e or exc for e in errors]) for _ in single_phase_doa]
 
+    shared = list(errors)  # the Doppler and delay failures of every method
+    nu = estimate_doppler(aligned, waveform, shared)
+    tau = estimate_delay(aligned, waveform, shared)
+    gammas = compute_gamma_statistics(aligned)
+    order = np.argsort(tau, axis=-1, kind="stable")
     results = []
     for single_phase in single_phase_doa:
         method_errors = list(errors)
@@ -404,19 +410,15 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
             thetas = estimate_doa_multirank(
                 aligned.antenna_factor[0], channel, profiles[0],
                 doa_prior, arrays, method_errors)
-            gammas, residuals = (compute_gamma_statistics(aligned),
-                                 np.zeros(thetas.shape))
+            residuals = np.zeros(thetas.shape)
         else:
-            thetas, gammas, residuals = resolve_doa(
-                aligned, channel.u, profiles, doa_prior, arrays, method_errors)
-        dopplers = estimate_doppler(aligned, waveform, method_errors)
-        delays = estimate_delay(aligned, waveform, method_errors)
-        order = np.argsort(delays, axis=-1, kind="stable")
+            thetas, residuals = resolve_doa(gammas, channel.u, profiles,
+                                            doa_prior, arrays, method_errors)
+        method_errors = [e or s for e, s in zip(method_errors, shared)]
         failed = np.array([e is not None for e in method_errors])[:, None]
         results.append((Estimates(*(
             np.where(failed, np.nan, np.take_along_axis(v, order, axis=-1))
-            for v in (thetas, delays, dopplers, gammas, residuals))),
-            method_errors))
+            for v in (thetas, tau, nu, gammas, residuals))), method_errors))
     return results
 
 

@@ -146,26 +146,12 @@ def _squared_errors(estimates: Estimates, truth: SceneTruth) -> np.ndarray:
     return ((est - matched) ** 2).sum(axis=-2)
 
 
-class _Accumulator:
-    """Running per-family squared-error sums for one estimator variant."""
-
-    def __init__(self):
-        self.sq_sums = np.zeros(3)
-        self.used = 0
-        self.failures = 0
-
-    def mse(self, n_targets: int) -> np.ndarray:
-        if self.used == 0:
-            return np.full(3, math.nan)
-        return self.sq_sums / (self.used * n_targets)
-
-
 def _draw_crbs(point: ScenePoint, cfg: FullConfig,
                sigma: np.ndarray) -> np.ndarray:
     """Mean-over-targets bound per draw of a stacked point and parameter
     family, at each draw's (2, D) noise level; NaN for a draw without one."""
     noise_vars = noise_variance(sigma)
-    if not (noise_vars > 0).all():
+    if not (noise_vars > 0).all():  # a noiseless run, at infinite SNR
         return np.full((noise_vars.shape[1], 3), math.nan)
     bounds = compute_crb(compute_fim(*point, cfg.waveform, cfg.arrays,
                                      noise_vars))
@@ -221,7 +207,8 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
         methods = ["two_phase"]
         if spec.compare_single_phase:
             methods.append("single_phase")
-        accs = {name: _Accumulator() for name in methods}
+        sq_sums = np.zeros((len(methods), 3))
+        used = np.zeros(len(methods), dtype=int)
         crbs = []
 
         for first in range(0, spec.trials, TRIAL_STACK):
@@ -243,19 +230,16 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
                 y, sigma, k_total, cfg.scene.doa_prior_rad, channel,
                 point.profiles, cfg.waveform, cfg.arrays,
                 [name == "single_phase" for name in methods])
-            for name, (estimates, errors) in zip(methods, outcomes):
-                acc = accs[name]
+            for m, (estimates, errors) in enumerate(outcomes):
                 ok = np.array([e is None for e in errors])
                 for row in _squared_errors(estimates, point.truth)[ok]:
-                    acc.sq_sums += row  # trial by trial, in trial order
-                acc.used += int(ok.sum())
-                acc.failures += int((~ok).sum())
+                    sq_sums[m] += row  # trial by trial, in trial order
+                used[m] += ok.sum()
 
         crbs = np.array([c for c in crbs if np.isfinite(c).all()])
         crb_point = crbs.mean(axis=0) if len(crbs) else np.full(3, math.nan)
-        for name in methods:
-            acc = accs[name]
-            mse = acc.mse(k_total)
+        for name, sums, n_used in zip(methods, sq_sums, used.tolist()):
+            mse = sums / (n_used * k_total) if n_used else np.full(3, math.nan)
             sweep_name = (spec.sweep_parameter if len(methods) == 1
                           else f"{spec.sweep_parameter}_{name}")
             for fam, label in enumerate(PARAMETER_LABELS):
@@ -264,8 +248,8 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
                                       parameter=label,
                                       mse=float(mse[fam]),
                                       crb=float(crb_point[fam]),
-                                      trials_used=acc.used,
-                                      failures=acc.failures))
+                                      trials_used=n_used,
+                                      failures=spec.trials - n_used))
     return rows
 
 

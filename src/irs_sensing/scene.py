@@ -205,7 +205,6 @@ def _shadowed_leg_gain(distance_m: float, rng: np.random.Generator) -> complex:
 
 
 def derive_target_truth(scene: SceneConfig, waveform: WaveformConfig,
-                        arrays: ArrayConfig,
                         rngs: Sequence[np.random.Generator]) -> SceneTruth:
     """Geometry-derived per-target parameters plus drawn propagation gains.
 
@@ -360,7 +359,7 @@ def draw_scene_point(cfg: FullConfig,
     validate_scene(cfg.scene, cfg.waveform, cfg.arrays)
     profiles = design_phase_profiles(cfg.scene.doa_prior_rad, cfg.arrays,
                                      cfg.scene.n_subarrays)
-    truth = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays, rngs)
+    truth = derive_target_truth(cfg.scene, cfg.waveform, rngs)
     channel = build_rician_channel(build_los_channel(cfg.scene, cfg.arrays, rngs),
                                    cfg.scene.rician_k_db, cfg.scene.n_nlos_paths,
                                    cfg.arrays, rngs)

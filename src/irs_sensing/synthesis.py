@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ArrayConfig, WaveformConfig
 from .cpd import FactorTriple, cp_reconstruct
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .scene import (ChannelMatrix, SceneTruth, relayed_response,
                     steering_vector, trials_first)
 
@@ -94,11 +94,16 @@ def echo_tensors(truth: SceneTruth, channel: ChannelMatrix,
 def noise_sigma_for_snr(clean: np.ndarray, snr_db: float) -> np.ndarray:
     """Per-entry noise standard deviation that realizes ``snr_db`` on
     average, one for each (P, M, L) tensor of ``clean``:
-    sigma^2 = ||signal||_F^2 / (P*M*L * 10^(snr/10))."""
+    sigma^2 = ||signal||_F^2 / (P*M*L * 10^(snr/10)).  ConfigError where a
+    finite SNR gets a noise variance of 0, an echo too weak to realize it."""
     tensors = clean.reshape(-1, *clean.shape[-3:])
     energy = np.array([np.linalg.norm(t) ** 2 for t in tensors])
-    return np.sqrt(energy / (tensors[0].size * 10.0 ** (snr_db / 10.0))
-                   ).reshape(clean.shape[:-3])
+    sigma = np.sqrt(energy / (tensors[0].size * 10.0 ** (snr_db / 10.0))
+                    ).reshape(clean.shape[:-3])
+    if math.isfinite(snr_db) and not (noise_variance(sigma) > 0).all():
+        raise ConfigError(f"echo energy too small for a noise level "
+                          f"at {snr_db:g} dB SNR; no bound")
+    return sigma
 
 
 def noise_variance(sigma: np.ndarray) -> np.ndarray:

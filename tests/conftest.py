@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from irs_sensing.config import default_config
+from irs_sensing.config import FullConfig
 from irs_sensing.scene import draw_scene_point
 from irs_sensing.synthesis import build_factor_matrices, echo_tensors
 
@@ -21,7 +21,7 @@ def take_targets(truth, index):
 
 @pytest.fixture(scope="session")
 def cfg():
-    return default_config()
+    return FullConfig()
 
 
 @pytest.fixture(scope="session")

@@ -18,14 +18,13 @@ import numpy as np
 import pytest
 
 from irs_sensing.cli import main as cli_main
-from irs_sensing.config import default_config, with_overrides
+from irs_sensing.config import ArrayConfig, FullConfig, with_overrides
 from irs_sensing.cpd import FactorTriple, cp_decompose
 from irs_sensing.crb import compute_crb, compute_fim
 from irs_sensing.errors import UniquenessError
 from irs_sensing.estimation import (align_columns, compute_gamma_statistics,
                                     estimate_targets)
 from irs_sensing.experiments import build_spec, run_experiment
-from irs_sensing.config import ArrayConfig, FullConfig
 from irs_sensing.scene import draw_scene_point, sensing_limits
 from irs_sensing.synthesis import (build_factor_matrices, echo_tensors,
                                    noise_sigma_for_snr)
@@ -89,7 +88,7 @@ def test_three_subcarriers_rarely_fail_at_moderate_snr():
     """At three subcarriers and 5 dB SNR the failure rate stays under 5%."""
     spec = dataclasses.replace(build_spec("mse_vs_subcarriers", trials=200),
                                sweep_values=(3,))
-    rows = run_experiment(spec, default_config())
+    rows = run_experiment(spec, FullConfig())
     failures = rows[0].failures
     rate = failures / spec.trials
     assert rate < 0.05, f"failure rate {rate:.3f} over {spec.trials} trials"
@@ -101,7 +100,7 @@ def test_three_subcarriers_rarely_fail_at_moderate_snr():
 def snr_sweep():
     spec = build_spec("mse_vs_snr", trials=500)
     start = time.perf_counter()
-    rows = run_experiment(spec, default_config())
+    rows = run_experiment(spec, FullConfig())
     elapsed = time.perf_counter() - start
     table = {}
     for row in rows:
@@ -270,7 +269,7 @@ def test_sensing_limit_values(cfg):
 @pytest.fixture(scope="module")
 def scatter_sweep():
     spec = build_spec("rician_comparison")
-    rows = run_experiment(spec, default_config())
+    rows = run_experiment(spec, FullConfig())
     table = {}
     for row in rows:
         table[(row.sweep_name, row.parameter, row.sweep_value)] = row

@@ -184,3 +184,21 @@ def test_crb_without_a_bound_exits_2_with_one_line(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("preset, snr_db", [("mse_vs_snr", -10),
+                                            ("rician_comparison", 10)])
+def test_run_on_an_underflowing_echo_exits_2_with_one_line(tmp_path, capsys,
+                                                           preset, snr_db):
+    """An echo too weak for any noise level at the requested SNR is
+    rejected, not run noiseless; ``sense crb`` shares the check."""
+    path = tmp_path / "weak.yaml"
+    path.write_text("waveform:\n  tx_power_w: 1.0e-300\n")
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--config", str(path), "--preset", preset,
+                 "--out", str(out), "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [
+        f"error: echo energy too small for a noise level at {snr_db} dB SNR; "
+        "no bound"]

@@ -9,7 +9,7 @@ from irs_sensing.config import (_ARRAY_KEYS, _SCENE_KEYS, _TARGET_KEYS,
                                 _WAVEFORM_KEYS, SPEED_OF_LIGHT, ArrayConfig,
                                 FullConfig, TargetConfig, WaveformConfig,
                                 config_from_dict,
-                                default_config, load_config, with_overrides)
+                                load_config, with_overrides)
 from irs_sensing.errors import ConfigError
 
 
@@ -50,7 +50,7 @@ def test_default_scene(cfg):
 
 
 def test_yaml_file_matches_defaults():
-    assert load_config("configs/default.yaml") == default_config()
+    assert load_config("configs/default.yaml") == FullConfig()
 
 
 def test_unknown_section_rejected():
@@ -96,7 +96,7 @@ def test_invalid_array_values_rejected():
 
 
 def test_with_overrides_routes_sections():
-    base = default_config()
+    base = FullConfig()
     out = with_overrides(base, n_pulses=20, n_ap_antennas=8)
     assert out.waveform.n_pulses == 20
     assert out.arrays.n_ap_antennas == 8
@@ -105,11 +105,11 @@ def test_with_overrides_routes_sections():
 
 def test_with_overrides_unknown_key():
     with pytest.raises(ConfigError):
-        with_overrides(default_config(), bogus_knob=3)
+        with_overrides(FullConfig(), bogus_knob=3)
 
 
 def test_wavelength_tracks_carrier_override():
-    out = with_overrides(default_config(), carrier_freq_hz=30e9)
+    out = with_overrides(FullConfig(), carrier_freq_hz=30e9)
     assert out.arrays.wavelength_m == pytest.approx(SPEED_OF_LIGHT / 30e9)
 
 
@@ -157,7 +157,7 @@ def test_non_finite_numbers_and_bools_rejected_through_the_api(override):
     """The config classes check their own numbers, so the Python API takes
     no NaN, infinity or bool that a config file cannot pass either."""
     with pytest.raises(ConfigError) as info:
-        with_overrides(default_config(), **override)
+        with_overrides(FullConfig(), **override)
     assert "\n" not in str(info.value)
     assert repr(next(iter(override))) in str(info.value)
 

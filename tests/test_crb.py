@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import reference
-from irs_sensing.config import (ArrayConfig, FullConfig, default_config,
-                                with_overrides)
+from irs_sensing.config import ArrayConfig, FullConfig, with_overrides
 from irs_sensing.cpd import cp_reconstruct
 from irs_sensing.crb import FIM_CONDITION_LIMIT, compute_crb, compute_fim
 from irs_sensing.errors import SingularFim
@@ -226,7 +225,7 @@ def test_gram_fim_equals_the_jacobian_gram(cfg, truth, channel, profiles,
 def _mixed_stack(n_targets):
     """Five draws, the second and fourth on a line-of-sight channel and the
     others Rician, with noise variances that differ per draw and phase."""
-    base = default_config()
+    base = FullConfig()
     base = with_overrides(base, targets=base.scene.targets[:n_targets])
     rician = with_overrides(base, rician_k_db=5.0)
     points = [draw_scene_point(base if b in (1, 3) else rician,

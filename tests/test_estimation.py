@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irs_sensing.config import ArrayConfig, default_config
+from irs_sensing.config import ArrayConfig, FullConfig
 from irs_sensing.cpd import FactorTriple, cp_decompose, raw_delay
 from irs_sensing.errors import (AmbiguousAlignment, DegenerateProfilePair,
                                 NoFeasibleGrid, RankOneChannel,
@@ -207,13 +207,13 @@ def test_gamma_matches_curve_at_truth(cfg, truth, channel, profiles, combiner):
 # ---------------------------------------------------------------- direction
 
 def test_resolve_doa_noiseless(cfg, truth, channel, profiles, aligned):
-    thetas, gammas, residuals = _passes(
-        resolve_doa, aligned, channel.u, profiles,
+    thetas, residuals = _passes(
+        resolve_doa, compute_gamma_statistics(aligned), channel.u, profiles,
         cfg.scene.doa_prior_rad, cfg.arrays)
     err = np.abs(np.sort(thetas[0]) - np.sort(truth.theta_rad))
     assert err.max() < 1e-5, f"worst angle error {err.max():.3e} rad"
     assert np.all(residuals >= 0)
-    assert gammas.shape == thetas.shape
+    assert residuals.shape == thetas.shape
 
 
 def test_resolve_doa_never_worse_than_grid(cfg, channel, profiles, aligned):
@@ -223,8 +223,8 @@ def test_resolve_doa_never_worse_than_grid(cfg, channel, profiles, aligned):
     grid = np.arange(lo, hi + step * 1e-6, step)
     curve = gamma_ratio_curve(grid, channel.u, profiles, cfg.arrays)
     gammas = compute_gamma_statistics(aligned)
-    _, _, residuals = _passes(resolve_doa, aligned, channel.u,
-                              profiles, cfg.scene.doa_prior_rad, cfg.arrays)
+    _, residuals = _passes(resolve_doa, gammas, channel.u,
+                           profiles, cfg.scene.doa_prior_rad, cfg.arrays)
     for k, gamma_k in enumerate(gammas[0]):
         grid_best = np.nanmin(np.abs(gamma_k - curve))
         assert residuals[0, k] <= grid_best + 1e-15
@@ -233,8 +233,9 @@ def test_resolve_doa_never_worse_than_grid(cfg, channel, profiles, aligned):
 def test_resolve_doa_rejects_identical_profiles(cfg, channel, profiles,
                                                 aligned):
     same = profiles[[0, 0]]
-    assert isinstance(_failure(resolve_doa, aligned, channel.u,
-                               same, cfg.scene.doa_prior_rad, cfg.arrays),
+    assert isinstance(_failure(resolve_doa, compute_gamma_statistics(aligned),
+                               channel.u, same, cfg.scene.doa_prior_rad,
+                               cfg.arrays),
                       DegenerateProfilePair)
 
 
@@ -243,8 +244,8 @@ def test_resolve_doa_all_grid_points_excluded(aligned):
     arrays = ArrayConfig(n_ap_antennas=1, n_irs_elements=2)
     u = np.array([1.0, -1.0]) / math.sqrt(2)
     prof = np.ones((2, 2), complex)   # both phases all zero phase
-    assert isinstance(_failure(resolve_doa, aligned, u, prof, (-1e-9, 1e-9),
-                               arrays), NoFeasibleGrid)
+    assert isinstance(_failure(resolve_doa, compute_gamma_statistics(aligned),
+                               u, prof, (-1e-9, 1e-9), arrays), NoFeasibleGrid)
 
 
 def test_multirank_doa_on_scattered_channel(cfg, truth, channel, profiles):
@@ -403,11 +404,11 @@ def test_estimate_targets_noiseless(cfg, truth, channel, profiles, clean_pair):
 
 def test_estimate_targets_single_phase_mode(cfg, truth, profiles):
     """Correlation-based direction path needs a channel of rank >= 2."""
-    base = default_config()
+    base = FullConfig()
     rng = np.random.default_rng(21)
     from irs_sensing.scene import build_los_channel, derive_target_truth
     truth2 = take_targets(derive_target_truth(base.scene, base.waveform,
-                                              base.arrays, [rng]), 0)
+                                              [rng]), 0)
     los = build_los_channel(base.scene, base.arrays, [rng])
     rician = build_rician_channel(los, 13.0, 4, base.arrays,
                                   [np.random.default_rng(22)])
@@ -664,5 +665,5 @@ def test_doa_dictionary_shared_across_ap_antenna_counts():
     """The surface steering matrix does not depend on the AP array, so the
     antenna sweep builds one direction grid (and one Doppler grid)."""
     _dictionary.cache_clear()
-    run_experiment(build_spec("mse_vs_antennas", trials=2), default_config())
+    run_experiment(build_spec("mse_vs_antennas", trials=2), FullConfig())
     assert _dictionary.cache_info().misses == 2

@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import irs_sensing.experiments as experiments
-from irs_sensing.config import default_config
+from irs_sensing.config import FullConfig
 from irs_sensing.errors import ConfigError
 from irs_sensing.estimation import greedy_match
 from irs_sensing.experiments import (CSV_HEADER, DEFAULT_SEED, DEFAULT_TRIALS,
-                                     PARAMETER_LABELS, PRESET_NAMES,
-                                     ExperimentSpec, ResultRow, build_spec,
-                                     emit_results, read_results_csv,
-                                     resolve_sweep_point, run_experiment)
+                                     PARAMETER_LABELS, PRESET_NAMES, ResultRow,
+                                     build_spec, emit_results,
+                                     read_results_csv, resolve_sweep_point,
+                                     run_experiment)
 
 
 def _rows_equal(a: ResultRow, b: ResultRow) -> bool:
@@ -79,7 +79,7 @@ def test_resolve_sweep_point_rejects_invalid_value():
     spec = dataclasses.replace(build_spec("mse_vs_subcarriers"),
                                sweep_values=(0,))
     with pytest.raises(ConfigError):
-        resolve_sweep_point(spec, default_config(), 0)
+        resolve_sweep_point(spec, FullConfig(), 0)
 
 
 # ---------------------------------------------------------------- matching
@@ -114,7 +114,7 @@ def test_match_by_delay_is_one_to_one(values, data):
 def tiny_rows():
     spec = dataclasses.replace(build_spec("mse_vs_snr", trials=2, seed=3),
                                sweep_values=(10.0, 20.0))
-    return spec, run_experiment(spec, default_config())
+    return spec, run_experiment(spec, FullConfig())
 
 
 def test_run_row_layout(tiny_rows):
@@ -131,7 +131,7 @@ def test_run_row_layout(tiny_rows):
 
 def test_run_is_deterministic(tiny_rows):
     spec, rows = tiny_rows
-    again = run_experiment(spec, default_config())
+    again = run_experiment(spec, FullConfig())
     assert len(again) == len(rows)
     assert all(_rows_equal(a, b) for a, b in zip(rows, again))
 
@@ -139,7 +139,7 @@ def test_run_is_deterministic(tiny_rows):
 def test_run_noiseless_is_near_exact():
     spec = dataclasses.replace(build_spec("mse_vs_snr", trials=1, seed=5),
                                sweep_values=(math.inf,))
-    rows = run_experiment(spec, default_config())
+    rows = run_experiment(spec, FullConfig())
     by_param = {r.parameter: r for r in rows}
     assert by_param["tau"].mse < 1e-24
     assert by_param["theta"].mse < 1e-10
@@ -155,14 +155,14 @@ def test_non_finite_sweep_value_rejected(preset, value):
     spec = dataclasses.replace(build_spec(preset, trials=1, seed=3),
                                sweep_values=(value,))
     with pytest.raises(ConfigError, match="bad value"):
-        run_experiment(spec, default_config())
+        run_experiment(spec, FullConfig())
 
 
 def test_run_counts_unidentifiable_point_as_failures():
     spec = dataclasses.replace(build_spec("mse_vs_subcarriers", trials=2,
                                           seed=3),
                                sweep_values=(1,))
-    rows = run_experiment(spec, default_config())
+    rows = run_experiment(spec, FullConfig())
     assert len(rows) == 3
     for row in rows:
         assert row.failures == spec.trials
@@ -174,7 +174,7 @@ def test_run_comparison_preset_emits_both_methods():
     spec = dataclasses.replace(build_spec("rician_comparison", trials=1,
                                           seed=3),
                                sweep_values=(0.0,))
-    rows = run_experiment(spec, default_config())
+    rows = run_experiment(spec, FullConfig())
     names = {r.sweep_name for r in rows}
     assert names == {"rician_db_two_phase", "rician_db_single_phase"}
     assert len(rows) == 6
@@ -192,12 +192,12 @@ def test_scene_point_drawn_once_per_frozen_point_or_fading_trial(monkeypatch):
 
     monkeypatch.setattr(experiments, "draw_scene_point", counted)
     run_experiment(build_spec("rician_comparison", trials=2, seed=3),
-                   default_config())
+                   FullConfig())
     assert sum(calls) == 3 * 2
     assert calls == [2] * 3    # one stack per sweep point
     calls.clear()
     run_experiment(build_spec("mse_vs_pulses", trials=2, seed=3),
-                   default_config())
+                   FullConfig())
     assert sum(calls) == 4
     assert calls == [1] * 4
 
@@ -215,11 +215,11 @@ def test_scene_validated_once_per_sweep_point(monkeypatch):
 
     monkeypatch.setattr(scene, "validate_scene", counted)
     run_experiment(build_spec("rician_comparison", trials=2, seed=3),
-                   default_config())
+                   FullConfig())
     assert len(calls) == 3
     calls.clear()
     run_experiment(build_spec("mse_vs_pulses", trials=2, seed=3),
-                   default_config())
+                   FullConfig())
     assert len(calls) == 4
 
 
@@ -237,12 +237,12 @@ def test_bound_computed_once_per_stack_of_draws(monkeypatch):
     trials = experiments.TRIAL_STACK + 1
     spec = dataclasses.replace(build_spec("rician_comparison", trials=trials,
                                           seed=3), sweep_values=(5.0,))
-    run_experiment(spec, default_config())
+    run_experiment(spec, FullConfig())
     assert shapes == [(experiments.TRIAL_STACK, 1), (1, 1)]
     shapes.clear()
     run_experiment(dataclasses.replace(build_spec("mse_vs_pulses", trials=trials,
                                                   seed=3), sweep_values=(10,)),
-                   default_config())
+                   FullConfig())
     assert shapes == [(1, 2)]
 
 
@@ -267,13 +267,13 @@ def test_fading_stack_frees_its_clean_tensors_before_estimation(monkeypatch):
     trials = experiments.TRIAL_STACK + 1
     run_experiment(dataclasses.replace(
         build_spec("rician_comparison", trials=trials, seed=3),
-        sweep_values=(5.0,)), default_config())
+        sweep_values=(5.0,)), FullConfig())
     assert alive == [0, 0]
     clean.clear()
     alive.clear()
     run_experiment(dataclasses.replace(
         build_spec("mse_vs_pulses", trials=trials, seed=3),
-        sweep_values=(10,)), default_config())
+        sweep_values=(10,)), FullConfig())
     assert alive == [1, 1]
 
 
@@ -309,7 +309,7 @@ def _spy_on_estimator(monkeypatch, get):
 def test_sweep_runs_on_one_blas_thread(monkeypatch, blas_threads):
     seen = _spy_on_estimator(monkeypatch, blas_threads)
     run_experiment(build_spec("mse_vs_pulses", trials=2, seed=3),
-                   default_config())
+                   FullConfig())
     assert seen == [1] * 4
 
 
@@ -322,13 +322,13 @@ def test_callers_blas_threads_restored_after_return(monkeypatch, blas_threads):
         if not found:
             found.append(blas_threads())
             run_experiment(build_spec("mse_vs_snr", trials=1, seed=3),
-                           default_config())
+                           FullConfig())
             found.append(blas_threads())
         return real(*args)
 
     monkeypatch.setattr(experiments, "resolve_sweep_point", nested)
     run_experiment(build_spec("mse_vs_pulses", trials=1, seed=3),
-                   default_config())
+                   FullConfig())
     assert found == [1, 1]
     assert blas_threads() == 2
 
@@ -339,7 +339,7 @@ def test_callers_blas_threads_restored_after_config_error(monkeypatch,
     spec = dataclasses.replace(build_spec("mse_vs_subcarriers", trials=1,
                                           seed=3), sweep_values=(4, 0))
     with pytest.raises(ConfigError):
-        run_experiment(spec, default_config())
+        run_experiment(spec, FullConfig())
     assert seen == [1]
     assert blas_threads() == 2
 
@@ -350,7 +350,7 @@ def test_run_without_openblas_gives_the_same_rows(monkeypatch, blas_threads,
     seen = _spy_on_estimator(monkeypatch, blas_threads)
     monkeypatch.setattr(experiments, "_openblas_thread_calls", lambda: None)
     spec, rows = tiny_rows
-    again = run_experiment(spec, default_config())
+    again = run_experiment(spec, FullConfig())
     assert seen == [2, 2]
     assert len(again) == len(rows)
     assert all(_rows_equal(a, b) for a, b in zip(rows, again))

@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irs_sensing.config import SPEED_OF_LIGHT, default_config, with_overrides
+from irs_sensing.config import SPEED_OF_LIGHT, FullConfig, with_overrides
 from irs_sensing.errors import (DuplicateParameter, InfeasibleTiming,
                                 OutOfRange)
 from irs_sensing.scene import (SceneTruth, _complex_normal, ap_irs_distance,
-                               build_los_channel, build_rician_channel,
-                               derive_target_truth, design_phase_profiles,
-                               draw_scene_point, sensing_limits,
-                               steering_derivative, steering_vector,
-                               subarray_beam_directions, validate_scene)
+                               build_rician_channel, derive_target_truth,
+                               design_phase_profiles, draw_scene_point,
+                               sensing_limits, steering_derivative,
+                               steering_vector, subarray_beam_directions,
+                               validate_scene)
 
 from stacks import rician_alone, stack_channels
 
@@ -48,7 +48,7 @@ def test_target_ranges_and_delays(truth):
 
 def test_target_dopplers(truth):
     assert truth.doppler_hz == pytest.approx(FROZEN_DOPPLER_HZ, abs=1e-6)
-    cfg = default_config()
+    cfg = FullConfig()
     for doppler, target_cfg in zip(truth.doppler_hz, cfg.scene.targets):
         expected = (2 * target_cfg.radial_velocity_mps
                     * cfg.waveform.carrier_freq_hz / SPEED_OF_LIGHT)
@@ -128,7 +128,7 @@ def test_steering_of_a_stack_equals_its_one_row_calls(cfg):
 def test_leg_gain_statistics(cfg):
     """Per-leg power follows the distance law with log-normal shadowing."""
     rng = np.random.default_rng(0)
-    draws = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays,
+    draws = derive_target_truth(cfg.scene, cfg.waveform,
                                 [rng] * 4000).gain[:, 0]
     # carrier-phase factor is deterministic; spread comes from shadowing
     db = 10 * np.log10(np.abs(draws) ** 2)
@@ -136,9 +136,9 @@ def test_leg_gain_statistics(cfg):
 
 
 def test_truth_is_deterministic_given_stream(cfg):
-    a = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays,
+    a = derive_target_truth(cfg.scene, cfg.waveform,
                             [np.random.default_rng(42)])
-    b = derive_target_truth(cfg.scene, cfg.waveform, cfg.arrays,
+    b = derive_target_truth(cfg.scene, cfg.waveform,
                             [np.random.default_rng(42)])
     for field in dataclasses.fields(a):
         assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
@@ -149,7 +149,7 @@ def test_validate_scene_accepts_default(cfg):
 
 
 def test_validate_scene_range_window(cfg):
-    bad = with_overrides(default_config(), targets=(
+    bad = with_overrides(FullConfig(), targets=(
         cfg.scene.targets[0],
         type(cfg.scene.targets[0])(position_m=(150.0, 80.0)),))
     with pytest.raises(OutOfRange):
@@ -158,7 +158,7 @@ def test_validate_scene_range_window(cfg):
 
 def test_draw_rejects_a_target_outside_the_range_window(cfg):
     """The draw checks the scene itself; no caller has to first."""
-    bad = with_overrides(default_config(), targets=(
+    bad = with_overrides(FullConfig(), targets=(
         cfg.scene.targets[0],
         type(cfg.scene.targets[0])(position_m=(150.0, 80.0)),))
     with pytest.raises(OutOfRange):
@@ -167,13 +167,13 @@ def test_draw_rejects_a_target_outside_the_range_window(cfg):
 
 def test_validate_scene_duplicate_targets(cfg):
     twin = cfg.scene.targets[0]
-    bad = with_overrides(default_config(), targets=(twin, twin))
+    bad = with_overrides(FullConfig(), targets=(twin, twin))
     with pytest.raises(DuplicateParameter):
         validate_scene(bad.scene, bad.waveform, bad.arrays)
 
 
 def test_validate_scene_timing(cfg):
-    bad = with_overrides(default_config(), pri_s=3.1e-6)
+    bad = with_overrides(FullConfig(), pri_s=3.1e-6)
     with pytest.raises(InfeasibleTiming):
         validate_scene(bad.scene, bad.waveform, bad.arrays)
 
@@ -263,7 +263,7 @@ def test_rician_none_passthrough(cfg, channel):
 def test_a_stack_of_draws_equals_the_one_draw_calls(overrides):
     """Five generators drawn as one stack give each trial the bits of its
     own one-draw call, and leave each generator where that call leaves it."""
-    cfg = with_overrides(default_config(), **overrides)
+    cfg = with_overrides(FullConfig(), **overrides)
     seeds = [(4, b) for b in range(5)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     stack = draw_scene_point(cfg, rngs)
@@ -319,8 +319,8 @@ def test_phase_profiles_unit_modulus_and_distinct(cfg, profiles):
 @settings(max_examples=25, deadline=None)
 @given(scale=st.floats(0.5, 4.0))
 def test_limits_scale_with_timing(scale):
-    base = default_config().waveform
-    stretched = with_overrides(default_config(),
+    base = FullConfig().waveform
+    stretched = with_overrides(FullConfig(),
                                symbol_duration_s=base.symbol_duration_s * scale,
                                cyclic_prefix_s=base.cyclic_prefix_s * scale,
                                pri_s=base.pri_s * scale).waveform

@@ -2,12 +2,13 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from irs_sensing.config import default_config, with_overrides
+from irs_sensing.config import FullConfig, with_overrides
 from irs_sensing.cpd import (FactorTriple, cp_decompose, cp_reconstruct,
                              reconstruction_error)
 from irs_sensing.errors import (EstimationError, IllConditionedShift,
@@ -27,7 +28,7 @@ SNRS_DB = np.linspace(-10.0, 20.0, 7)
 
 
 def _scene(rician_k_db):
-    cfg = with_overrides(default_config(), rician_k_db=rician_k_db)
+    cfg = with_overrides(FullConfig(), rician_k_db=rician_k_db)
     point = draw_scene_point(cfg, [np.random.default_rng(5)]).trial(0)
     return cfg, point
 
@@ -156,7 +157,7 @@ def _on_last_subcarrier(cfg, rng, n_last=1):
 
 
 def test_cp_decompose_rejects_ill_conditioned_shift():
-    y = _on_last_subcarrier(default_config(), np.random.default_rng(3))
+    y = _on_last_subcarrier(FullConfig(), np.random.default_rng(3))
     errors = [None]
     cp_decompose(y[None], 2, errors)
     assert isinstance(errors[0], IllConditionedShift)
@@ -212,7 +213,7 @@ def test_ill_conditioned_member_fails_alone():
 def test_a_trial_failing_two_checks_reports_the_first():
     """One component on the last subcarrier only, two requested: the rank
     check fails, and so would the later shift-conditioning check."""
-    y = _on_last_subcarrier(default_config(), np.random.default_rng(3))
+    y = _on_last_subcarrier(FullConfig(), np.random.default_rng(3))
     last_only = np.zeros_like(y)
     last_only[:, :, -1] = np.outer(y[:, 0, -1], y[0, :, -1])
     errors = [None]
@@ -320,7 +321,7 @@ def test_results_do_not_depend_on_the_stack_size(monkeypatch, preset):
     rows = []
     for size in (1, 2, 8, TRIAL_STACK):
         monkeypatch.setattr(experiments, "TRIAL_STACK", size)
-        rows.append(repr(run_experiment(spec, default_config())))
+        rows.append(repr(run_experiment(spec, FullConfig())))
     assert rows == [rows[0]] * len(rows)
 
 
@@ -345,26 +346,74 @@ def test_grid_slices_change_no_trial_outcome(monkeypatch):
 
 
 def test_fading_draw_factorizes_once_for_both_direction_methods(monkeypatch):
+    """The factorization, and the Doppler, delay and ratio-statistic steps
+    after it, run once per stack whatever the number of direction methods.
+    Each call is recorded by the trial count of its stack."""
     import irs_sensing.estimation as estimation
-    calls = []
-    real = estimation.cp_decompose
 
-    def counted(data, n_components, errors):
-        calls.append(len(data))
-        return real(data, n_components, errors)
+    def after_alignment(aligned):
+        return aligned.generators.shape[1]
 
-    monkeypatch.setattr(estimation, "cp_decompose", counted)
+    stack_size = {"cp_decompose": len, "estimate_doppler": after_alignment,
+                  "estimate_delay": after_alignment,
+                  "compute_gamma_statistics": after_alignment}
+    calls = {name: [] for name in stack_size}
+
+    def counted(name):
+        real = getattr(estimation, name)
+
+        def step(first, *rest):
+            calls[name].append(stack_size[name](first))
+            return real(first, *rest)
+        return step
+
+    for name in calls:
+        monkeypatch.setattr(estimation, name, counted(name))
     run_experiment(build_spec("rician_comparison", trials=2, seed=3),
-                   default_config())
-    # points x phases, each a stack of both draws
-    assert calls == [min(TRIAL_STACK, 2)] * (3 * 2)
+                   FullConfig())
+    both = min(TRIAL_STACK, 2)  # each stack holds both draws
+    assert calls == {"cp_decompose": [both] * (3 * 2),  # points x phases
+                     "estimate_doppler": [both] * 3,    # one per point
+                     "estimate_delay": [both] * 3,
+                     "compute_gamma_statistics": [both] * 3}
+
+
+def test_two_methods_warn_once_per_doppler_boundary_event():
+    """A target whose Doppler sits on the unambiguous boundary puts one
+    pulse column of each phase there; a stack run with both direction
+    methods warns once per such column and trial, as a run with either
+    method alone does."""
+    cfg, point = _scene(5.0)
+    half_span = 1.0 / (2 * cfg.waveform.pri_s)
+    doppler = point.truth.doppler_hz.copy()
+    doppler[0] = half_span
+    truth = dataclasses.replace(point.truth, doppler_hz=doppler)
+    clean = echo_tensors(truth, *point[1:], cfg.waveform, cfg.arrays)
+    n_trials = 3
+    sigma = noise_sigma_for_snr(clean, 20.0)[:, None]
+    y = apply_noise(clean[:, None], sigma, [np.random.default_rng((6, b))
+                                             for b in range(n_trials)])
+    args = (y, sigma, *_args(cfg, point))
+
+    def boundary_warnings(methods):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcomes = estimate_trials(*args, single_phase_doa=methods)
+        assert all(e is None for _, errors in outcomes for e in errors)
+        return sorted(str(w.message) for w in caught
+                      if "unambiguous boundary" in str(w.message))
+
+    both = boundary_warnings((False, True))
+    assert len(both) == 2 * n_trials   # one column per phase and trial
+    assert {m[:7] for m in both} == {"phase 1", "phase 2"}
+    assert both == boundary_warnings((False,)) == boundary_warnings((True,))
 
 
 def _fading_stack(n_trials, los=None):
     """Draws with their own channel and weights, trial ``los`` on a
     line-of-sight channel and the others Rician, observed at 20 dB."""
-    rician = with_overrides(default_config(), rician_k_db=5.0)
-    points = [draw_scene_point(default_config() if b == los else rician,
+    rician = with_overrides(FullConfig(), rician_k_db=5.0)
+    points = [draw_scene_point(FullConfig() if b == los else rician,
                                [np.random.default_rng((8, b))]).trial(0)
               for b in range(n_trials)]
     clean = np.stack([echo_tensors(*point, rician.waveform, rician.arrays)
