@@ -35,6 +35,8 @@ from .synthesis import doppler_ramp
 
 DOA_GRID_STEP_RAD = math.radians(0.02)
 DOPPLER_GRID_POINTS = 2000          # grid step = half-period / this
+DOPPLER_COARSE = 16                 # fine steps per coarse Doppler cell
+DOPPLER_WINDOW = 2                  # coarse cells each side of the coarse peak
 ALIGNMENT_MARGIN = 1e-6
 GRID_EXCLUSION_RTOL = 1e-8          # drop grid points with tiny denominators
 UNWRAP_EDGE_TOL = 0.01              # fraction of the prefix length
@@ -168,9 +170,9 @@ def _grid_peaks(score, errors: list) -> tuple[np.ndarray, ...]:
             scores[empty] = 0.0
         idx = np.argmax(scores, axis=-1)
         last = scores.shape[-1] - 1
-        parts.append((empty, idx, *(
-            np.take_along_axis(scores, i[..., None], axis=-1)[..., 0]
-            for i in (np.maximum(idx - 1, 0), idx, np.minimum(idx + 1, last)))))
+        near = np.take_along_axis(
+            scores, (idx[..., None] + [-1, 0, 1]).clip(0, last), axis=-1)
+        parts.append((empty, idx, *np.moveaxis(near, -1, 0)))
     empty, idx, left, peak, right = (np.concatenate(p) for p in zip(*parts))
     curvature = left - 2 * peak + right
     ok = (idx > 0) & (idx < last) & np.isfinite(curvature) & (curvature < 0)
@@ -286,33 +288,67 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
     return thetas
 
 
+def _doppler_peaks(pulses: np.ndarray, waveform: WaveformConfig,
+                   errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """Grid index and refined Doppler of each column a of the (B, P, C)
+    pulse factors, as ``_grid_peaks`` finds them on the whole grid, from
+    every DOPPLER_COARSE-th point and a certified window around their peak,
+    GRID_SLICE trials at a time; an uncertified column gets its whole grid."""
+    n, pri = waveform.n_pulses, waveform.pri_s
+    half_span = 1.0 / (2 * pri)
+    step = half_span / DOPPLER_GRID_POINTS
+    grid, ramps = _dictionary(doppler_ramp, -half_span, half_span, step, n, pri)
+    coarse = np.ascontiguousarray(ramps[:, ::DOPPLER_COARSE])
+    last = coarse.shape[-1] - 1 - 2 * DOPPLER_WINDOW  # the last window's cell
+    width = 2 * DOPPLER_WINDOW * DOPPLER_COARSE + 1
+    shift = doppler_ramp(np.arange(width) * step, n, pri)  # r(w * step)
+    # |score|^2 = Q(x), x = 2*pi*T*nu, exceeds the larger end of a coarse
+    # cell h wide in x by at most h^2/8 max|Q''| <= h^2/8 sum (p-q)^2|a_p||a_q|
+    h = np.pi * DOPPLER_COARSE / DOPPLER_GRID_POINTS
+    bend = (np.subtract.outer(np.arange(n), np.arange(n)) * h) ** 2 / 8
+    spread = ((bend @ abs(pulses)) * abs(pulses)).sum(axis=-2)  # (B, C)
+    firsts = []
+
+    def score(s: slice) -> np.ndarray:
+        a = pulses[s].conj().swapaxes(-1, -2)  # (b, C, P)
+        q = np.abs(a @ coarse)
+        cell = (np.argmax(q, axis=-1, keepdims=True)
+                - DOPPLER_WINDOW).clip(0, last)
+        first = cell[..., 0] * DOPPLER_COARSE
+        window = np.abs((a * ramps.T[first]) @ shift)
+        # a fine point off the window lies in a cell with no end inside it
+        np.put_along_axis(q, cell + np.arange(1, 2 * DOPPLER_WINDOW), 0, axis=-1)
+        certified = (q.max(axis=-1) ** 2 + spread[s]
+                     < window.max(axis=-1) ** 2 * (1 - 1e-9))
+        for b, c in np.argwhere(~certified):
+            full = np.abs(a[b] @ ramps)[c]
+            top = np.argmax(np.where(np.isfinite(full), full, -np.inf))
+            first[b, c] = np.clip(top - width // 2, 0, len(grid) - width)
+            window[b, c] = full[first[b, c]:first[b, c] + width]
+        firsts.append(first)
+        return window
+
+    idx, offset, _ = _grid_peaks(score, errors)
+    idx += np.concatenate(firsts)
+    return idx, grid[idx] + offset * step
+
+
 def estimate_doppler(aligned: FactorTriple, waveform: WaveformConfig,
                      errors: list) -> np.ndarray:
-    """Doppler shifts from the pulse factors' phase progressions.
-
-    Every pulse carries the same transmit weights, so each aligned pulse
-    column is one constant (the combined gain times the factorization's
-    scale) times a pure per-pulse phase ramp.  The columns of both phases
-    are matched against candidate ramps over half a period each side of
-    zero, GRID_SLICE trials at a time, and the phase estimates averaged
-    with equal weights.  The boundary check runs over the whole stack; a
-    failed trial gets no warning.
-    """
-    half_span = 1.0 / (2 * waveform.pri_s)
-    step = half_span / DOPPLER_GRID_POINTS
-    grid, ramps = _dictionary(doppler_ramp, -half_span, half_span, step,
-                              waveform.n_pulses, waveform.pri_s)
+    """Doppler shifts from the pulse factors' phase progressions: one
+    weight vector on every pulse makes each aligned pulse column a constant
+    times a per-pulse phase ramp (``_doppler_peaks``).  The phases'
+    estimates are averaged; a boundary peak warns unless its trial failed."""
     k_total = aligned.n_components
     # column c is target c % K of phase c // K
-    pulses = np.concatenate(aligned.pulse_factor, axis=-1)
-    idx, offset, _ = _grid_peaks(
-        lambda s: np.abs(pulses[s].conj().swapaxes(-1, -2) @ ramps), errors)
-    for b, col in np.argwhere((idx == 0) | (idx == len(grid) - 1)):
+    idx, nu = _doppler_peaks(np.concatenate(aligned.pulse_factor, axis=-1),
+                             waveform, errors)
+    for b, col in np.argwhere((idx == 0) | (idx == 2 * DOPPLER_GRID_POINTS)):
         if errors[b] is None:
             warnings.warn(f"phase {col // k_total + 1}, "
                           f"target {col % k_total}: Doppler at the unambiguous "
                           "boundary; estimate may be wrapped", stacklevel=2)
-    return (grid[idx] + offset * step).reshape(-1, 2, k_total).mean(axis=-2)
+    return nu.reshape(-1, 2, k_total).mean(axis=-2)
 
 
 def estimate_delay(aligned: FactorTriple, waveform: WaveformConfig,
@@ -381,15 +417,16 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
                 if new and exc is not None:
                     exc.args = (f"{phase}: {exc}",)
             recon = reconstruction_error(data, triples[-1], errors)
-            for b in np.flatnonzero(recon > RECON_WARN_FLOOR):
-                noise = (data_sigma[b] * math.sqrt(data[b].size)
-                         / np.linalg.norm(data[b]))
-                if recon[b] > 3 * noise:
-                    warnings.warn(
-                        f"{phase}: reconstruction residual {recon[b]:.3f} "
-                        f"exceeds the expected noise level; the component "
-                        f"count {n_targets} may not match the scene",
-                        stacklevel=stacklevel)
+            flagged = np.flatnonzero(recon > RECON_WARN_FLOOR)
+            v = np.ascontiguousarray(data).reshape(len(data), 1, -1).view(float)
+            norms = np.sqrt((v @ v.swapaxes(1, 2))[flagged, 0, 0])  # re^2 + im^2
+            noise = data_sigma[flagged] * math.sqrt(data[0].size) / norms
+            for b in flagged[recon[flagged] > 3 * noise]:
+                warnings.warn(
+                    f"{phase}: reconstruction residual {recon[b]:.3f} "
+                    f"exceeds the expected noise level; the component "
+                    f"count {n_targets} may not match the scene",
+                    stacklevel=stacklevel)
         aligned = align_columns(FactorTriple(*map(np.stack, zip(*triples))),
                                 waveform.subcarrier_spacing_hz, errors)
     except EstimationError as exc:  # a check that the whole stack shares

@@ -100,7 +100,7 @@ _PRESET_TABLE = {
 PRESET_NAMES = tuple(_PRESET_TABLE)
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 1
-TRIAL_STACK = 16  # trials per estimator stack, frozen or redrawn channel alike
+TRIAL_STACK = 50  # trials per estimator stack, frozen or redrawn channel alike
 
 
 def build_spec(preset: str, trials: int | None = None,
@@ -235,6 +235,7 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
                 for row in _squared_errors(estimates, point.truth)[ok]:
                     sq_sums[m] += row  # trial by trial, in trial order
                 used[m] += ok.sum()
+            del y, outcomes, estimates, errors  # before the next stack's noise
 
         crbs = np.array([c for c in crbs if np.isfinite(c).all()])
         crb_point = crbs.mean(axis=0) if len(crbs) else np.full(3, math.nan)

@@ -281,7 +281,8 @@ def build_rician_channel(g_los: ChannelMatrix, rician_db: float | None,
     matrix = (math.sqrt(k_lin / (1 + k_lin)) * g_los.matrix
               + math.sqrt(1 / (1 + k_lin)) * scattered)
     u_mat, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    return ChannelMatrix(matrix, u_mat[..., 0], vh[:, 0], s)
+    # copies, as a view would keep the whole factors alive with the channel
+    return ChannelMatrix(matrix, u_mat[..., 0].copy(), vh[:, 0].copy(), s)
 
 
 def subarray_beam_directions(doa_prior: tuple[float, float], n_subarrays: int,

@@ -86,9 +86,13 @@ def echo_tensors(truth: SceneTruth, channel: ChannelMatrix,
     """Noiseless echo tensors of every row of reflection coefficients,
     phase first: (2, P, M, L), or (2, B, P, M, L) for a point drawn as a
     stack."""
-    return np.stack([synthesize_echo_tensor(build_factor_matrices(
-        truth, channel, profile, combiner, waveform, arrays))
-        for profile in profiles])
+    for i, profile in enumerate(profiles):  # into one array, not np.stack
+        tensor = synthesize_echo_tensor(build_factor_matrices(
+            truth, channel, profile, combiner, waveform, arrays))
+        if i == 0:
+            out = np.empty((len(profiles), *tensor.shape), complex)
+        out[i] = tensor
+    return out
 
 
 def noise_sigma_for_snr(clean: np.ndarray, snr_db: float) -> np.ndarray:
@@ -123,10 +127,10 @@ def apply_noise(clean: np.ndarray, sigma: np.ndarray,
     Returns the (2, B, P, M, L) observations.
     """
     draw_of = np.arange(len(rngs)) % clean.shape[1]
-    noisy = clean[:, draw_of]
-    scale = sigma[:, draw_of] / math.sqrt(2)
-    for b, rng in enumerate(rngs):
+    noisy = np.take(clean, draw_of, axis=1)  # C order: each phase one block
+    scale = sigma[:, draw_of, None, None, None] / math.sqrt(2)
+    for b, rng in enumerate(rngs):  # in place, without a complex temporary
         parts = rng.standard_normal((2, 2, *clean.shape[2:]))
-        noisy[:, b] += scale[:, b, None, None, None] * (parts[:, 0]
-                                                        + 1j * parts[:, 1])
+        noisy[:, b].real += scale[:, b] * parts[:, 0]
+        noisy[:, b].imag += scale[:, b] * parts[:, 1]
     return noisy

@@ -1,5 +1,6 @@
 """References for the tests: a time-domain echo oracle, the noise of one
-tensor drawn on its own, and the self-checks of the information matrix.
+tensor drawn on its own, the Doppler search over the whole grid, and the
+self-checks of the information matrix.
 
 The discrete observation model (irs_sensing.synthesis) drops the known
 AP-surface round-trip phase.  The time-domain oracle rebuilds the same
@@ -24,8 +25,11 @@ from irs_sensing.config import ArrayConfig, WaveformConfig
 from irs_sensing.cpd import FactorTriple, cp_reconstruct
 from irs_sensing.crb import _term_rows, jacobian_terms
 from irs_sensing.errors import ConfigError
+from irs_sensing.estimation import (DOPPLER_GRID_POINTS, _dictionary,
+                                    _grid_peaks)
 from irs_sensing.scene import ChannelMatrix, SceneTruth
-from irs_sensing.synthesis import build_factor_matrices, echo_tensors
+from irs_sensing.synthesis import (build_factor_matrices, doppler_ramp,
+                                   echo_tensors)
 
 PARAMETER_BLOCKS = ("theta", "doppler", "delay")
 _TRUTH_FIELDS = ("theta_rad", "doppler_hz", "delay_s")   # SceneTruth per block
@@ -114,6 +118,20 @@ def noisy_tensor(tensor: np.ndarray, snr_db: float,
     noise = (sigma / math.sqrt(2)) * (rng.standard_normal(tensor.shape)
                                       + 1j * rng.standard_normal(tensor.shape))
     return tensor + noise
+
+
+def full_grid_doppler(pulses: np.ndarray, waveform: WaveformConfig,
+                      errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """Grid index and refined Doppler of each column of the (B, P, C) pulse
+    factors, every column scored on the whole grid: the search whose peak
+    ``estimation._doppler_peaks`` finds in a certified window."""
+    half_span = 1.0 / (2 * waveform.pri_s)
+    step = half_span / DOPPLER_GRID_POINTS
+    grid, ramps = _dictionary(doppler_ramp, -half_span, half_span, step,
+                              waveform.n_pulses, waveform.pri_s)
+    idx, offset, _ = _grid_peaks(
+        lambda s: np.abs(pulses[s].conj().swapaxes(-1, -2) @ ramps), errors)
+    return idx, grid[idx] + offset * step
 
 
 def parameter_index(block: str, k: int, n_targets: int) -> int:

@@ -13,7 +13,8 @@ from irs_sensing.errors import (AmbiguousAlignment, DegenerateProfilePair,
                                 NoFeasibleGrid, RankOneChannel,
                                 UnwrapInfeasible)
 from irs_sensing.estimation import (DOA_GRID_STEP_RAD, DOPPLER_GRID_POINTS,
-                                    _dictionary, _grid_peaks, align_columns,
+                                    _dictionary, _doppler_peaks, _grid_peaks,
+                                    align_columns,
                                     compute_gamma_statistics,
                                     estimate_delay, estimate_doa_multirank,
                                     estimate_doppler, estimate_targets,
@@ -27,6 +28,7 @@ from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
                                    noise_sigma_for_snr)
 
 from conftest import take_targets
+from reference import full_grid_doppler
 from stacks import rician_alone
 
 SPACING = 500e3
@@ -332,6 +334,88 @@ def test_doppler_ignores_the_scale_of_each_pulse_column(monkeypatch, cfg,
     assert errors == [None] * n_trials
     assert np.array_equal(peaks[1][0], peaks[0][0])
     assert np.abs(got - want).max() < 1e-9
+
+
+def _doppler_columns(kind, waveform, n_columns, rng):
+    """(P, C) pulse columns of one trial: each a complex gain times the
+    ramp of a random Doppler ("random"), of minus or plus half the span
+    ("edge"), or the sum of two such ramps ("lobes"), plus noise; or noise
+    alone ("noise")."""
+    shape = (waveform.n_pulses, n_columns)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "noise":
+        return noise
+    half_span = 1.0 / (2 * waveform.pri_s)
+    n_lobes = 2 if kind == "lobes" else 1
+    nus = (rng.choice([-half_span, half_span], (n_lobes, n_columns))
+           if kind == "edge" else
+           rng.uniform(-half_span, half_span, (n_lobes, n_columns)))
+    gain = rng.standard_normal(n_columns) + 1j * rng.standard_normal(n_columns)
+    return (gain * sum(doppler_ramp(nu, waveform.n_pulses, waveform.pri_s)
+                       for nu in nus) + rng.uniform(0, 0.5) * noise)
+
+
+def _assert_doppler_peaks_match_the_full_grid(pulses, waveform, exact):
+    """``_doppler_peaks`` gives every column the full-grid search's grid
+    index, its refined Doppler bit for bit or within 1e-9 steps, and every
+    trial its failure.  Where the parabola through the peak is flatter than
+    that allows (P = 2 measured up to 3e-8 steps), the vertex is as
+    uncertain in the full-grid search itself: the refined Doppler may then
+    move by 64 roundings of the peak score over the curvature."""
+    errors, want_errors = [None] * len(pulses), [None] * len(pulses)
+    idx, nu = _doppler_peaks(pulses, waveform, errors)
+    want_idx, want_nu = full_grid_doppler(pulses, waveform, want_errors)
+    assert np.array_equal(idx, want_idx)
+    assert [repr(e) for e in errors] == [repr(e) for e in want_errors]
+    if exact:
+        assert nu.tobytes() == want_nu.tobytes()
+        return
+    _, ramps = _dictionary(*_doppler_key(waveform))
+    scores = np.abs(pulses.conj().swapaxes(-1, -2) @ ramps)
+    left, peak, right = (np.take_along_axis(scores, np.clip(
+        want_idx + d, 0, ramps.shape[-1] - 1)[..., None], axis=-1)[..., 0]
+        for d in (-1, 0, 1))
+    gap = np.abs(nu - want_nu) / (1.0 / (2 * waveform.pri_s)
+                                  / DOPPLER_GRID_POINTS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flat = 64 * np.finfo(float).eps * peak / np.abs(left - 2 * peak + right)
+    assert ((gap <= 1e-9) | (gap <= flat)).all(), gap.max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_pulses=st.sampled_from([2, 5, 10, 20]), n_targets=st.integers(1, 2),
+       kinds=st.lists(st.sampled_from(["random", "edge", "lobes", "noise"]),
+                      min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_doppler_window_search_finds_the_full_grid_peak(n_pulses, n_targets,
+                                                        kinds, seed):
+    """Trials of 2K pulse columns each, scored GRID_SLICE trials at a time."""
+    waveform = dataclasses.replace(FullConfig().waveform, n_pulses=n_pulses)
+    rng = np.random.default_rng(seed)
+    pulses = np.stack([_doppler_columns(kind, waveform, 2 * n_targets, rng)
+                       for kind in kinds])
+    _assert_doppler_peaks_match_the_full_grid(pulses, waveform, exact=False)
+
+
+def test_doppler_columns_without_a_certified_window_get_the_full_grid():
+    """No window certifies two equal lobes far apart, a peak at minus or
+    plus half the span (the same ramp), or a column without a finite
+    score; each is scored on the whole grid, so its Doppler is the
+    full-grid search's bit for bit, and a non-finite column fails its
+    trial with NoFeasibleGrid as before."""
+    waveform = FullConfig().waveform
+    half_span = 1.0 / (2 * waveform.pri_s)
+    lobes = doppler_ramp(np.array([-0.4, 0.3]) * half_span + 0.37,
+                         waveform.n_pulses, waveform.pri_s)
+    edge = doppler_ramp(np.array([-half_span, half_span]), waveform.n_pulses,
+                        waveform.pri_s)
+    pulses = np.stack([lobes.sum(axis=-1)[:, None] * [1, 2j],
+                       edge * [3, -1j], np.full((waveform.n_pulses, 2), np.nan)])
+    _assert_doppler_peaks_match_the_full_grid(pulses, waveform, exact=True)
+    errors = [None] * 3
+    _doppler_peaks(pulses, waveform, errors)
+    assert [type(e).__name__ for e in errors] == [
+        "NoneType", "NoneType", "NoFeasibleGrid"]
 
 
 # ---------------------------------------------------------------- delay

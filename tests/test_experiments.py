@@ -277,6 +277,29 @@ def test_fading_stack_frees_its_clean_tensors_before_estimation(monkeypatch):
     assert alive == [1, 1]
 
 
+@pytest.mark.parametrize("preset", ["mse_vs_subcarriers", "rician_comparison"])
+def test_a_stack_drops_its_observations_before_the_next_stack_draws_noise(
+        monkeypatch, preset):
+    """Two stacks' observations never coexist: when a stack's noise is
+    drawn, no earlier stack's observations are alive, also after a
+    factorization check that the whole stack fails (one subcarrier), whose
+    error every trial of the stack holds."""
+    observed, alive = [], []
+    real_noise = experiments.apply_noise
+
+    def noise(*args):
+        alive.append(sum(ref() is not None for ref in observed))
+        y = real_noise(*args)
+        observed.append(weakref.ref(y))
+        return y
+
+    monkeypatch.setattr(experiments, "apply_noise", noise)
+    spec = build_spec(preset, trials=experiments.TRIAL_STACK + 1, seed=3)
+    run_experiment(dataclasses.replace(spec, sweep_values=spec.sweep_values[:2]),
+                   FullConfig())
+    assert alive == [0] * 4
+
+
 # ---------------------------------------------------------------- BLAS threads
 
 @pytest.fixture
