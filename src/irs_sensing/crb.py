@@ -54,23 +54,23 @@ def _term_rows(n_targets: int) -> np.ndarray:
 
 
 def jacobian_terms(truth: SceneTruth, channel: ChannelMatrix,
-                   profile: np.ndarray, combiner: np.ndarray,
+                   profiles: np.ndarray, combiner: np.ndarray,
                    waveform: WaveformConfig,
                    arrays: ArrayConfig) -> tuple[np.ndarray, ...]:
-    """Factors X (P x 4K), Y (M x 4K), Z (L x 4K) of one phase's Jacobian
-    terms x_t o y_t o z_t, in blocks of K targets: direction through the
-    combined pulse response, direction through the relayed steering
-    vector, Doppler (each pulse times its ramp rate) and delay (each
-    subcarrier times its tone rate).  The other modes keep their base
-    columns, and gains are held fixed.  A stacked truth, channel and
-    combiner give a stack of terms.
+    """Factors X (P x 4K), Y (M x 4K), Z (L x 4K) of the Jacobian terms
+    x_t o y_t o z_t of one phase, or of both (X and Y phase first, Z
+    shared), in blocks of K targets: direction through the combined pulse
+    response, direction through the relayed steering vector, Doppler (each
+    pulse times its ramp rate) and delay (each subcarrier times its tone
+    rate).  The other modes keep their base columns, and gains are held
+    fixed.  A stacked truth, channel and combiner give a stack of terms.
     """
-    factors = build_factor_matrices(truth, channel, profile, combiner,
+    factors = build_factor_matrices(truth, channel, profiles, combiner,
                                     waveform, arrays)
     a, b, c = (factors.pulse_factor, factors.antenna_factor,
                factors.subcarrier_factor)
     d_antenna = relayed_response(
-        channel, profile, steering_derivative(truth.theta_rad, *arrays.surface))
+        channel, profiles, steering_derivative(truth.theta_rad, *arrays.surface))
     ramps = doppler_ramp(truth.doppler_hz, waveform.n_pulses, waveform.pri_s)
     pulse_rate = 2j * np.pi * np.arange(1, waveform.n_pulses + 1) * waveform.pri_s
     tone_rate = (-2j * np.pi * np.arange(1, waveform.n_subcarriers + 1)
@@ -91,8 +91,8 @@ def compute_fim(truth: SceneTruth, channel: ChannelMatrix,
     elementwise; jacobian_terms, _term_rows), the Gram matrix of the
     Jacobian rows without forming them: <x o y o z, x' o y' o z'> =
     (x^H x')(y^H y')(z^H z'), for each row of reflection coefficients in
-    ``profiles``.  A stacked point with one noise variance per phase and
-    draw gives one matrix per draw.  Ill-conditioning is
+    ``profiles``.  A stacked point gives one matrix per draw, at one noise
+    variance per phase or per phase and draw.  Ill-conditioning is
     reported through the condition number; compute_crb inverts.
     """
     sigma_sq = np.asarray(noise_variances, float)
@@ -101,12 +101,11 @@ def compute_fim(truth: SceneTruth, channel: ChannelMatrix,
     if np.any(sigma_sq <= 0):
         raise ValueError("noise variances must be positive")
     rows = _term_rows(truth.n_targets)
-    omega = 0.0
-    for profile, s in zip(profiles, sigma_sq):
-        x, y, z = (t.conj().swapaxes(-1, -2) @ t for t in jacobian_terms(
-            truth, channel, profile, combiner, waveform, arrays))
-        omega = omega + 2.0 / s[..., None, None] * (rows.T @ (x * y * z).real
-                                                    @ rows)
+    x, y, z = (t.conj().swapaxes(-1, -2) @ t for t in jacobian_terms(
+        truth, channel, profiles, combiner, waveform, arrays))
+    terms = rows.T @ (x * y * z).real @ rows  # phase first, as sigma_sq
+    axes = tuple(range(sigma_sq.ndim, terms.ndim))
+    omega = (2.0 / np.expand_dims(sigma_sq, axes) * terms).sum(axis=0)
     omega = 0.5 * (omega + omega.swapaxes(-1, -2))
     return FimMatrix(omega=omega, n_targets=truth.n_targets,
                      condition_number=_equilibrated_condition(omega))

@@ -11,7 +11,7 @@ from the pulse factor's phase progression and the subcarrier generators.
 Every step takes a stack of trials, its arrays with a leading trial axis,
 and the stack's error list: it records in ``errors[b]`` the first check
 trial b fails and raises only for a check that the whole stack shares;
-its channel is one per trial or one shared.  From the alignment on, the
+its channel is one per trial or one shared.  From the factorization on, the
 factors of both phases are one FactorTriple, phase first (2, B, ..., K).
 ``estimate_trials`` runs a stack through the pipeline, ``estimate_targets``
 one trial.
@@ -26,7 +26,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import ArrayConfig, WaveformConfig
-from .cpd import FactorTriple, cp_decompose, raw_delay, reconstruction_error
+from .cpd import (FactorTriple, cp_decompose, frobenius_norms, raw_delay,
+                  reconstruction_error)
 from .errors import (AmbiguousAlignment, DegenerateProfilePair,
                      EstimationError, NoFeasibleGrid, RankOneChannel,
                      UnwrapInfeasible, record_failures)
@@ -401,39 +402,35 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
     Doppler or delay one.  ``stacklevel`` is that of the
     reconstruction-residual warning.
     """
-    errors = [None] * y.shape[1]
-    sigma = np.broadcast_to(noise_sigma, y.shape[:2])
+    n = y.shape[1]
+    data = y.reshape(-1, *y.shape[2:])  # phase 1's trials, then phase 2's
+    phase_errors = [None] * len(data)
     try:
-        triples = []
-        for i, (data, data_sigma) in enumerate(zip(y, sigma)):
-            phase = f"phase {i + 1}"
-            passed = [e is None for e in errors]
-            try:
-                triples.append(cp_decompose(data, n_targets, errors))
-            except EstimationError as exc:
-                exc.args = (f"{phase}: {exc}",)
-                raise
-            for exc, new in zip(errors, passed):
-                if new and exc is not None:
-                    exc.args = (f"{phase}: {exc}",)
-            recon = reconstruction_error(data, triples[-1], errors)
-            flagged = np.flatnonzero(recon > RECON_WARN_FLOOR)
-            v = np.ascontiguousarray(data).reshape(len(data), 1, -1).view(float)
-            norms = np.sqrt((v @ v.swapaxes(1, 2))[flagged, 0, 0])  # re^2 + im^2
-            noise = data_sigma[flagged] * math.sqrt(data[0].size) / norms
-            for b in flagged[recon[flagged] > 3 * noise]:
-                warnings.warn(
-                    f"{phase}: reconstruction residual {recon[b]:.3f} "
-                    f"exceeds the expected noise level; the component "
-                    f"count {n_targets} may not match the scene",
-                    stacklevel=stacklevel)
-        aligned = align_columns(FactorTriple(*map(np.stack, zip(*triples))),
-                                waveform.subcarrier_spacing_hz, errors)
+        triple = cp_decompose(data, n_targets, phase_errors)
     except EstimationError as exc:  # a check that the whole stack shares
-        shape = (len(errors), n_targets)
-        return [(Estimates(*(np.full(shape, np.nan, dtype) for dtype
+        exc.args = (f"phase 1: {exc}",)
+        return [(Estimates(*(np.full((n, n_targets), np.nan, dtype) for dtype
                              in (float, float, float, complex, float))),
-                 [e or exc for e in errors]) for _ in single_phase_doa]
+                 [exc] * n) for _ in single_phase_doa]
+    for j, exc in enumerate(phase_errors):
+        if exc is not None:
+            exc.args = (f"phase {j // n + 1}: {exc}",)
+    # a trial keeps its phase-1 failure, and after one its phase-2 residual
+    # goes unchecked
+    errors = [e or f for e, f in zip(phase_errors[:n], phase_errors[n:])]
+    recon = reconstruction_error(data, triple, phase_errors[:n] + errors)
+    flagged = np.flatnonzero(recon > RECON_WARN_FLOOR)
+    noise = (np.broadcast_to(noise_sigma, y.shape[:2]).ravel()[flagged]
+             * math.sqrt(data[0].size) / frobenius_norms(data)[flagged])
+    for j in flagged[recon[flagged] > 3 * noise]:
+        warnings.warn(
+            f"phase {j // n + 1}: reconstruction residual {recon[j]:.3f} "
+            f"exceeds the expected noise level; the component "
+            f"count {n_targets} may not match the scene",
+            stacklevel=stacklevel)
+    aligned = align_columns(
+        FactorTriple(*(f.reshape(2, n, *f.shape[1:]) for f in triple)),
+        waveform.subcarrier_spacing_hz, errors)
 
     shared = list(errors)  # the Doppler and delay failures of every method
     nu = estimate_doppler(aligned, waveform, shared)

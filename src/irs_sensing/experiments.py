@@ -220,14 +220,13 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
                 clean = echo_tensors(*point, cfg.waveform, cfg.arrays)
                 sigma = noise_sigma_for_snr(clean, snr_db)
                 crbs.extend(_draw_crbs(point, cfg, sigma))
-                channel = (point.channel if spec.redraw_fading
-                           else point.channel.trials(0))
             # a frozen point's one draw serves every trial
             y = apply_noise(clean, sigma, rngs)
             if spec.redraw_fading:
                 del clean  # these draws serve this stack alone
             outcomes = estimate_trials(
-                y, sigma, k_total, cfg.scene.doa_prior_rad, channel,
+                y, sigma, k_total, cfg.scene.doa_prior_rad,
+                point.channel.trials(slice(None) if spec.redraw_fading else 0),
                 point.profiles, cfg.waveform, cfg.arrays,
                 [name == "single_phase" for name in methods])
             for m, (estimates, errors) in enumerate(outcomes):
@@ -236,6 +235,8 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
                     sq_sums[m] += row  # trial by trial, in trial order
                 used[m] += ok.sum()
             del y, outcomes, estimates, errors  # before the next stack's noise
+            if spec.redraw_fading:
+                del point  # and its channel, before the next stack's draw
 
         crbs = np.array([c for c in crbs if np.isfinite(c).all()])
         crb_point = crbs.mean(axis=0) if len(crbs) else np.full(3, math.nan)

@@ -109,13 +109,14 @@ def relayed_response(channel: ChannelMatrix, profile: np.ndarray,
                      steer: np.ndarray) -> np.ndarray:
     """AP-side response H^T diag(phi) a of every surface steering column.
 
-    ``profile`` is one phase's N reflection coefficients (a row of
-    ``design_phase_profiles``).  ``steer`` is N x G (surface steering
-    vectors or their derivatives) or a stack (B, N, G); the result is
-    M x G, with the leading trial axis of a stacked channel or steer.
+    ``profile`` is one phase's N reflection coefficients, or both phases'
+    (2, N).  ``steer`` is N x G (surface steering vectors or their
+    derivatives) or a stack (B, N, G); the result is M x G, led by the
+    phase axis of two rows, then the trial axis of a stacked channel or steer.
     Every AP-side target response of the model is this one product.
     """
-    return channel.matrix.swapaxes(-1, -2) @ (profile[:, None] * steer)
+    column = profile.reshape(*profile.shape[:-1], *[1] * (steer.ndim - 2), -1, 1)
+    return channel.matrix.swapaxes(-1, -2) @ (column * steer)
 
 
 @dataclass(frozen=True)

@@ -43,28 +43,30 @@ def delay_signature(delay_s, n_subcarriers: int,
 
 
 def build_factor_matrices(truth: SceneTruth, channel: ChannelMatrix,
-                          profile: np.ndarray, combiner: np.ndarray,
+                          profiles: np.ndarray, combiner: np.ndarray,
                           waveform: WaveformConfig,
                           arrays: ArrayConfig) -> FactorTriple:
-    """Evaluate the exact factor columns for one observation phase.
+    """Evaluate the exact factor columns for one row of reflection
+    coefficients, or for each of the (2, N) rows ``profiles``, phase first.
 
     Both phases share the targets' angles, delays, Dopplers, and gains;
-    only the reflection coefficients ``profile`` (and hence b and z)
-    change.  The gains
-    sit in the subcarrier factor, and the generators are its unit-gain
-    first row.  A point drawn as a stack gives stacked factors.
+    only the reflection coefficients (and hence the pulse and antenna
+    factors) change, so the subcarrier factor and generators carry no
+    phase axis.  The gains sit in the subcarrier factor, and the
+    generators are its unit-gain first row.  A point drawn as a stack gives
+    stacked factors, the trial axis after the phase axis.
     """
     n_irs = arrays.n_irs_elements
     n_ap = arrays.n_ap_antennas
     if channel.matrix.shape[-2:] != (n_irs, n_ap):
         raise DimensionMismatch(f"channel shape {channel.matrix.shape} != "
                                 f"({n_irs}, {n_ap})")
-    if profile.shape != (n_irs,):
+    if profiles.shape[-1:] != (n_irs,):
         raise DimensionMismatch("profile length != element count")
     if combiner.shape[-1:] != (n_ap,):
         raise DimensionMismatch(f"combiner shape {combiner.shape} != ({n_ap},)")
 
-    antenna = relayed_response(channel, profile,
+    antenna = relayed_response(channel, profiles,
                                steering_vector(truth.theta_rad, *arrays.surface))
     ramps = doppler_ramp(truth.doppler_hz, waveform.n_pulses, waveform.pri_s)
     signatures = delay_signature(truth.delay_s, waveform.n_subcarriers,
@@ -76,7 +78,7 @@ def build_factor_matrices(truth: SceneTruth, channel: ChannelMatrix,
 
 
 def synthesize_echo_tensor(factors: FactorTriple) -> np.ndarray:
-    """Noiseless tensor of one phase: sum of per-target rank-one terms."""
+    """Noiseless tensor of the factors: sum of per-target rank-one terms."""
     return cp_reconstruct(factors)
 
 
@@ -86,13 +88,8 @@ def echo_tensors(truth: SceneTruth, channel: ChannelMatrix,
     """Noiseless echo tensors of every row of reflection coefficients,
     phase first: (2, P, M, L), or (2, B, P, M, L) for a point drawn as a
     stack."""
-    for i, profile in enumerate(profiles):  # into one array, not np.stack
-        tensor = synthesize_echo_tensor(build_factor_matrices(
-            truth, channel, profile, combiner, waveform, arrays))
-        if i == 0:
-            out = np.empty((len(profiles), *tensor.shape), complex)
-        out[i] = tensor
-    return out
+    return synthesize_echo_tensor(build_factor_matrices(
+        truth, channel, profiles, combiner, waveform, arrays))
 
 
 def noise_sigma_for_snr(clean: np.ndarray, snr_db: float) -> np.ndarray:

@@ -213,12 +213,12 @@ def test_gram_fim_equals_the_jacobian_gram(cfg, truth, channel, profiles,
                                            combiner, noise_vars):
     """Each phase's factor-Gram matrix is (2/sigma^2) Re(J* J^T) of the
     materialized Jacobian."""
-    for profile, sigma_sq in zip(profiles, noise_vars):
-        args = (channel, profile, combiner, cfg.waveform, cfg.arrays)
+    for i, sigma_sq in enumerate(noise_vars):
+        args = (channel, profiles[i], combiner, cfg.waveform, cfg.arrays)
         jac = parameter_jacobian(truth, *args)
         want = (2.0 / sigma_sq) * (jac.conj() @ jac.T).real
-        got = compute_fim(truth, channel, [profile], combiner, cfg.waveform,
-                          cfg.arrays, [sigma_sq]).omega
+        got = compute_fim(truth, channel, profiles[i:i + 1], combiner,
+                          cfg.waveform, cfg.arrays, [sigma_sq]).omega
         assert _unit_diagonal_gap(got, 0.5 * (want + want.T)) < 1e-13
 
 
@@ -253,6 +253,22 @@ def test_stacked_fim_equals_the_one_draw_calls(n_targets):
         for name in ("theta", "doppler", "delay"):
             np.testing.assert_allclose(getattr(bounds, name)[b],
                                        getattr(want, name), rtol=1e-13)
+
+
+def test_noise_variances_per_phase_serve_every_draw():
+    """(2,) noise variances on a stack of two draws are one per phase,
+    broadcast along the draw axis: the same matrices as the (2, 2) array
+    that repeats them for each draw."""
+    cfg = with_overrides(FullConfig(), rician_k_db=5.0)
+    point = draw_scene_point(cfg, [np.random.default_rng((6, b))
+                                   for b in range(2)])
+    per_phase = noise_sigma_for_snr(echo_tensors(
+        *point, cfg.waveform, cfg.arrays), 5.0)[:, 0] ** 2
+    assert per_phase[0] != per_phase[1]
+    got = compute_fim(*point, cfg.waveform, cfg.arrays, per_phase)
+    want = compute_fim(*point, cfg.waveform, cfg.arrays,
+                       np.repeat(per_phase[:, None], 2, axis=1))
+    assert np.array_equal(got.omega, want.omega)
 
 
 def test_singular_draw_in_a_stack_gets_nan_alone(cfg, scene_point,

@@ -300,6 +300,27 @@ def test_a_stack_drops_its_observations_before_the_next_stack_draws_noise(
     assert alive == [0] * 4
 
 
+def test_a_fading_stack_drops_its_channel_before_the_next_draw(monkeypatch):
+    """A fading stack's draws serve that stack alone: when the next stack,
+    of the same sweep point or the next, is drawn, no earlier stack's
+    channel matrix is alive."""
+    channels, alive = [], []
+    real_draw = experiments.draw_scene_point
+
+    def draw(*args):
+        alive.append(sum(ref() is not None for ref in channels))
+        point = real_draw(*args)
+        channels.append(weakref.ref(point.channel.matrix))
+        return point
+
+    monkeypatch.setattr(experiments, "draw_scene_point", draw)
+    spec = build_spec("rician_comparison", trials=experiments.TRIAL_STACK + 1,
+                      seed=3)
+    run_experiment(dataclasses.replace(spec, sweep_values=spec.sweep_values[:2]),
+                   FullConfig())
+    assert alive == [0] * 4
+
+
 # ---------------------------------------------------------------- BLAS threads
 
 @pytest.fixture

@@ -313,6 +313,23 @@ def test_shared_factorization_warns_once_per_phase_for_both_methods():
     assert {w.filename for w in [*caught, *alone]} == {__file__}
 
 
+def test_a_trial_failed_in_phase_1_gets_no_phase_2_residual_warning():
+    """An undercounted stack warns about each residual of a trial still
+    running, phase 1's before phase 2's; a trial whose phase-1 tensor is
+    zero keeps that failure and is not checked in phase 2."""
+    cfg, point = _scene(None)
+    clean = echo_tensors(*point, cfg.waveform, cfg.arrays)[:, None]
+    sigma = noise_sigma_for_snr(clean, 30.0)
+    y = apply_noise(clean, sigma,
+                    [np.random.default_rng((4, b)) for b in range(3)])
+    y[0, 1] = 0.0
+    with pytest.warns(UserWarning, match="component count") as caught:
+        [(_, errors)] = estimate_trials(y, sigma, 1, *_args(cfg, point)[1:])
+    assert [str(e) for e in errors] == ["None", "phase 1: zero tensor", "None"]
+    assert [str(w.message)[:7] for w in caught] == (["phase 1"] * 2
+                                                    + ["phase 2"] * 2)
+
+
 @pytest.mark.parametrize("preset", ["mse_vs_snr", "rician_comparison"])
 def test_results_do_not_depend_on_the_stack_size(monkeypatch, preset):
     import irs_sensing.experiments as experiments
@@ -372,7 +389,7 @@ def test_fading_draw_factorizes_once_for_both_direction_methods(monkeypatch):
     run_experiment(build_spec("rician_comparison", trials=2, seed=3),
                    FullConfig())
     both = min(TRIAL_STACK, 2)  # each stack holds both draws
-    assert calls == {"cp_decompose": [both] * (3 * 2),  # points x phases
+    assert calls == {"cp_decompose": [2 * both] * 3,  # both phases at once
                      "estimate_doppler": [both] * 3,    # one per point
                      "estimate_delay": [both] * 3,
                      "compute_gamma_statistics": [both] * 3}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irs_sensing.config import with_overrides
+from irs_sensing.crb import jacobian_terms
 from irs_sensing.errors import DimensionMismatch
 from irs_sensing.scene import draw_scene_point
 from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
@@ -54,6 +55,33 @@ def test_subcarrier_column_encodes_gain_and_delay(cfg, truth, factor_pair):
         np.testing.assert_allclose(fac.subcarrier_factor[:, col],
                                    gain * signature, rtol=1e-12)
         assert fac.generators[col] == signature[0]
+
+
+@pytest.mark.parametrize("n_draws", [None, 3])
+def test_phase_rows_equal_the_one_row_calls(cfg, scene_point, n_draws):
+    """Row i of the factors, Jacobian terms and echo tensors of both rows
+    of reflection coefficients is, bit for bit, the call with row i alone,
+    on one draw and on a stack of Rician draws; the subcarrier factor,
+    generators and subcarrier terms are the phases' shared ones."""
+    point = scene_point
+    if n_draws:
+        cfg = with_overrides(cfg, rician_k_db=5.0)
+        point = draw_scene_point(
+            cfg, [np.random.default_rng((6, b)) for b in range(n_draws)])
+    args = (cfg.waveform, cfg.arrays)
+    both = build_factor_matrices(*point, *args)
+    terms = jacobian_terms(*point, *args)
+    tensors = echo_tensors(*point, *args)
+    for i, row in enumerate(point.profiles):
+        alone = point._replace(profiles=row)
+        one = build_factor_matrices(*alone, *args)
+        one_terms = jacobian_terms(*alone, *args)
+        for got, want in zip([*both[:2], *terms[:2], tensors],
+                             [*one[:2], *one_terms[:2],
+                              echo_tensors(*alone, *args)]):
+            assert np.array_equal(got[i], want)
+        for got, want in zip([*both[2:], terms[2]], [*one[2:], one_terms[2]]):
+            assert np.array_equal(got, want)
 
 
 def test_dimension_mismatch_guards(cfg, truth, channel, profiles, combiner):
