@@ -42,7 +42,7 @@ ALIGNMENT_MARGIN = 1e-6
 GRID_EXCLUSION_RTOL = 1e-8          # drop grid points with tiny denominators
 UNWRAP_EDGE_TOL = 0.01              # fraction of the prefix length
 RANK_ONE_RATIO = 1e-3
-GRID_SLICE = 2                      # trials per slice of a grid search
+GRID_SLICE = 2                      # trials per slice of the multirank search
 
 
 class Estimates(NamedTuple):
@@ -64,25 +64,28 @@ def correlation_matrix(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
                * np.linalg.norm(c2, axis=-2)[..., None, :]))
 
 
-def greedy_match(*costs: np.ndarray) -> list[int]:
-    """Greedy one-to-one pairing of rows with columns by ascending cost.
+def greedy_match(*costs: np.ndarray) -> np.ndarray:
+    """Greedy one-to-one pairing of rows with columns by ascending cost,
+    for each trial of (..., R, C) cost stacks at once.
 
     Pairs are taken in lexicographic order of the cost matrices (the first
     decides, later ones break its exact ties), then of row and column; a
     pair is kept when its row and its column are both still free.
-    ``out[i]`` is the column paired with row i, or -1 if none was left.
+    ``out[..., i]`` is the column paired with row i, or -1 if none was left.
     """
-    n_rows, n_cols = costs[0].shape
-    out = [-1] * n_rows
-    col_free = [True] * n_cols
+    n_rows, n_cols = costs[0].shape[-2:]
     # lexsort is stable and sorts by its last key first, so pairs tied in
     # every cost keep their row-major order
-    for flat in np.lexsort([c.ravel() for c in reversed(costs)]):
-        i, j = divmod(int(flat), n_cols)
-        if out[i] == -1 and col_free[j]:
-            out[i] = j
-            col_free[j] = False
-    return out
+    order = np.lexsort([c.reshape(-1, n_rows * n_cols) for c in reversed(costs)],
+                       axis=-1)
+    t = np.arange(len(order))
+    out = np.full((len(order), n_rows), -1)
+    col_free = np.ones((len(order), n_cols), dtype=bool)
+    for i, j in zip(*np.divmod(order.T, n_cols)):  # the r-th pair of each trial
+        take = (out[t, i] == -1) & col_free[t, j]
+        out[t[take], i[take]] = j[take]
+        col_free[t[take], j[take]] = False
+    return out.reshape(costs[0].shape[:-1])
 
 
 def align_columns(triples: FactorTriple, spacing_hz: float,
@@ -109,8 +112,7 @@ def align_columns(triples: FactorTriple, spacing_hz: float,
                             f"for column {worst[b]}"))
 
     d1, d2 = raw_delay(triples.generators, spacing_hz)
-    perm = np.array([greedy_match(-r, np.abs(np.subtract.outer(a, b)))
-                     for r, a, b in zip(rho, d1, d2)], dtype=int).reshape(-1, k)
+    perm = greedy_match(-rho, np.abs(d1[..., :, None] - d2[..., None, :]))
     source = np.argsort(perm)  # aligned column j is phase-1 column source[j]
     index = (source[:, None, :],) * 3 + (source,)  # matrices, then generators
     return FactorTriple(*(np.stack([np.take_along_axis(f[0], i, axis=-1), f[1]])
@@ -149,32 +151,26 @@ def _dictionary(atoms, lo: float, hi: float, step: float,
     return grid, bank
 
 
-def _grid_peaks(score, errors: list) -> tuple[np.ndarray, ...]:
+def _grid_peaks(scores: np.ndarray, errors: list) -> tuple[np.ndarray, ...]:
     """Best finite grid index of each row of scores, its vertex offset, and
     its score.
 
-    ``score(s)`` gives the (b, rows, grid) scores, larger is better, of the
-    trials in slice s of the stack; it is called GRID_SLICE trials at a
-    time, so memory does not grow with the stack.  NaN or infinite points
-    are never chosen, and a row of none fails its trial.  The offset, in
-    grid steps and clipped to one step, is the vertex of the parabola
-    through the peak and its two neighbours: 0 at either edge of the grid,
-    beside a non-finite neighbour, and where the points do not curve down.
+    ``scores`` are the (B, rows, grid) scores of the stack, larger is
+    better.  NaN or infinite points are never chosen, and a row of none
+    fails its trial.  The offset, in grid steps and clipped to one step, is
+    the vertex of the parabola through the peak and its two neighbours: 0
+    at either edge of the grid, beside a non-finite neighbour, and where
+    the points do not curve down.
     """
-    parts = []
-    for first in range(0, len(errors), GRID_SLICE):
-        scores = score(slice(first, first + GRID_SLICE))
-        finite = np.isfinite(scores)
-        empty = ~finite.any(axis=-1)
-        if not finite.all():  # a masked copy only where a point is excluded
-            scores = np.where(finite, scores, -np.inf)
-            scores[empty] = 0.0
-        idx = np.argmax(scores, axis=-1)
-        last = scores.shape[-1] - 1
-        near = np.take_along_axis(
-            scores, (idx[..., None] + [-1, 0, 1]).clip(0, last), axis=-1)
-        parts.append((empty, idx, *np.moveaxis(near, -1, 0)))
-    empty, idx, left, peak, right = (np.concatenate(p) for p in zip(*parts))
+    finite = np.isfinite(scores)
+    empty = ~finite.any(axis=-1)
+    if not finite.all():  # a masked copy only where a point is excluded
+        scores = np.where(finite, scores, -np.inf)
+        scores[empty] = 0.0
+    idx = np.argmax(scores, axis=-1)
+    last = scores.shape[-1] - 1
+    left, peak, right = np.moveaxis(np.take_along_axis(
+        scores, (idx[..., None] + [-1, 0, 1]).clip(0, last), axis=-1), -1, 0)
     curvature = left - 2 * peak + right
     ok = (idx > 0) & (idx < last) & np.isfinite(curvature) & (curvature < 0)
     offset = np.zeros(idx.shape)
@@ -184,14 +180,14 @@ def _grid_peaks(score, errors: list) -> tuple[np.ndarray, ...]:
     return idx, offset, peak
 
 
-def _refine_directions(grid: np.ndarray, score, score_at,
+def _refine_directions(grid: np.ndarray, scores: np.ndarray, score_at,
                        doa_prior: tuple[float, float], errors: list):
     """Grid peak per row, moved to the parabola vertex where that is no worse.
 
-    ``score`` is that of ``_grid_peaks``; ``score_at(thetas)`` scores one
+    ``scores`` are those of ``_grid_peaks``; ``score_at(thetas)`` scores one
     direction per row of the whole stack.  Returns directions and scores.
     """
-    idx, offset, best = _grid_peaks(score, errors)
+    idx, offset, best = _grid_peaks(scores, errors)
     cand = np.clip(grid[idx] + offset * DOA_GRID_STEP_RAD, *doa_prior)
     cand_scores = score_at(cand)
     take = (offset != 0) & (cand_scores >= best)
@@ -246,9 +242,8 @@ def resolve_doa(gammas: np.ndarray, u: np.ndarray, profiles: np.ndarray,
     record_failures(errors, ~(spread > 1e-12), lambda b: DegenerateProfilePair(
         "cross-phase ratio constant over the prior; profiles too similar"))
 
-    curves = np.broadcast_to(curve, (len(errors), len(grid)))  # one per trial
     thetas, best = _refine_directions(
-        grid, lambda s: -np.abs(gammas[s, :, None] - curves[s, None, :]) ** 2,
+        grid, -np.abs(gammas[..., None] - curve[..., None, :]) ** 2,
         lambda cand: -np.abs(
             gammas - gamma_ratio_curve(cand, u, profiles, arrays)) ** 2,
         doa_prior, errors)
@@ -265,7 +260,8 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
     the channel-relayed response over a direction grid.  Needs a channel
     of rank at least two: on a rank-one channel all candidate responses
     are collinear and the correlation carries no direction information.
-    The grid search runs GRID_SLICE trials at a time.
+    The correlations are built GRID_SLICE trials at a time, as each trial's
+    candidates are M x G.
     """
     ratio = np.broadcast_to(channel.singular_ratio(), len(errors))
     record_failures(errors, ratio < RANK_ONE_RATIO, lambda b: RankOneChannel(
@@ -282,7 +278,8 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
         return np.abs(b_hat[s].conj().swapaxes(-1, -2) @ cand) / norms
 
     thetas, _ = _refine_directions(
-        grid, lambda s: corr_at(grid_steer, s),
+        grid, np.concatenate([corr_at(grid_steer, slice(f, f + GRID_SLICE))
+                              for f in range(0, len(errors), GRID_SLICE)]),
         lambda cand: np.diagonal(corr_at(steering_vector(cand, *arrays.surface)),
                                  axis1=-2, axis2=-1),
         doa_prior, errors)
@@ -293,8 +290,8 @@ def _doppler_peaks(pulses: np.ndarray, waveform: WaveformConfig,
                    errors: list) -> tuple[np.ndarray, np.ndarray]:
     """Grid index and refined Doppler of each column a of the (B, P, C)
     pulse factors, as ``_grid_peaks`` finds them on the whole grid, from
-    every DOPPLER_COARSE-th point and a certified window around their peak,
-    GRID_SLICE trials at a time; an uncertified column gets its whole grid."""
+    every DOPPLER_COARSE-th point and a certified window around their peak;
+    an uncertified column gets its whole grid."""
     n, pri = waveform.n_pulses, waveform.pri_s
     half_span = 1.0 / (2 * pri)
     step = half_span / DOPPLER_GRID_POINTS
@@ -308,29 +305,23 @@ def _doppler_peaks(pulses: np.ndarray, waveform: WaveformConfig,
     h = np.pi * DOPPLER_COARSE / DOPPLER_GRID_POINTS
     bend = (np.subtract.outer(np.arange(n), np.arange(n)) * h) ** 2 / 8
     spread = ((bend @ abs(pulses)) * abs(pulses)).sum(axis=-2)  # (B, C)
-    firsts = []
+    a = pulses.conj().swapaxes(-1, -2)  # (B, C, P)
+    q = np.abs(a @ coarse)
+    cell = (np.argmax(q, axis=-1, keepdims=True) - DOPPLER_WINDOW).clip(0, last)
+    first = cell[..., 0] * DOPPLER_COARSE
+    window = np.abs((a * ramps.T[first]) @ shift)
+    # a fine point off the window lies in a cell with no end inside it
+    np.put_along_axis(q, cell + np.arange(1, 2 * DOPPLER_WINDOW), 0, axis=-1)
+    certified = (q.max(axis=-1) ** 2 + spread
+                 < window.max(axis=-1) ** 2 * (1 - 1e-9))
+    for b, c in np.argwhere(~certified):
+        full = np.abs(a[b] @ ramps)[c]
+        top = np.argmax(np.where(np.isfinite(full), full, -np.inf))
+        first[b, c] = np.clip(top - width // 2, 0, len(grid) - width)
+        window[b, c] = full[first[b, c]:first[b, c] + width]
 
-    def score(s: slice) -> np.ndarray:
-        a = pulses[s].conj().swapaxes(-1, -2)  # (b, C, P)
-        q = np.abs(a @ coarse)
-        cell = (np.argmax(q, axis=-1, keepdims=True)
-                - DOPPLER_WINDOW).clip(0, last)
-        first = cell[..., 0] * DOPPLER_COARSE
-        window = np.abs((a * ramps.T[first]) @ shift)
-        # a fine point off the window lies in a cell with no end inside it
-        np.put_along_axis(q, cell + np.arange(1, 2 * DOPPLER_WINDOW), 0, axis=-1)
-        certified = (q.max(axis=-1) ** 2 + spread[s]
-                     < window.max(axis=-1) ** 2 * (1 - 1e-9))
-        for b, c in np.argwhere(~certified):
-            full = np.abs(a[b] @ ramps)[c]
-            top = np.argmax(np.where(np.isfinite(full), full, -np.inf))
-            first[b, c] = np.clip(top - width // 2, 0, len(grid) - width)
-            window[b, c] = full[first[b, c]:first[b, c] + width]
-        firsts.append(first)
-        return window
-
-    idx, offset, _ = _grid_peaks(score, errors)
-    idx += np.concatenate(firsts)
+    idx, offset, _ = _grid_peaks(window, errors)
+    idx += first
     return idx, grid[idx] + offset * step
 
 

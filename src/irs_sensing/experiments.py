@@ -101,6 +101,7 @@ PRESET_NAMES = tuple(_PRESET_TABLE)
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 1
 TRIAL_STACK = 50  # trials per estimator stack, frozen or redrawn channel alike
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt parameters of glibc
 
 
 def build_spec(preset: str, trials: int | None = None,
@@ -140,9 +141,8 @@ def _squared_errors(estimates: Estimates, truth: SceneTruth) -> np.ndarray:
     est = np.stack([estimates.theta, estimates.nu, estimates.tau], axis=-1)
     true = np.broadcast_to(np.stack(
         [truth.theta_rad, truth.doppler_hz, truth.delay_s], axis=-1), est.shape)
-    pairs = [greedy_match(np.abs(np.subtract.outer(e, t)))
-             for e, t in zip(est[..., 2], true[..., 2])]
-    matched = np.take_along_axis(true, np.array(pairs)[..., None], axis=-2)
+    pairs = greedy_match(np.abs(est[..., :, None, 2] - true[..., None, :, 2]))
+    matched = np.take_along_axis(true, pairs[..., None], axis=-2)
     return ((est - matched) ** 2).sum(axis=-2)
 
 
@@ -172,6 +172,16 @@ def _openblas_thread_calls():
                 return calls
 
 
+@cache
+def _mallopt():
+    """The C library's ``mallopt(param, value)``; None where it has none."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+    return mallopt
+
+
 def run_experiment(spec: ExperimentSpec,
                    config: FullConfig) -> list[ResultRow]:
     """Execute every sweep position and aggregate per-parameter rows.
@@ -188,14 +198,25 @@ def run_experiment(spec: ExperimentSpec,
 
     The sweep runs on one OpenBLAS thread, as a second only spins, and restores
     the caller's count on return or raise; a nested call restores the 1 it found.
+    It also keeps its heap: glibc would trim the top of the heap after each
+    stack and map its larger arrays afresh, so the next stack would
+    page-fault its whole working set again.  The trim and mmap thresholds
+    are raised for the sweep and set back to glibc's 128 KiB defaults on
+    return or raise, a nested call's too, as glibc cannot read back the
+    values they had.
     """
     get, put = _openblas_thread_calls() or (lambda: None, lambda n: None)
+    mallopt = _mallopt() or (lambda param, value: None)
     before = get()
     put(1)
+    mallopt(M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)  # glibc's maximum
     try:
         return _run_sweep(spec, config)
     finally:
         put(before)
+        mallopt(M_TRIM_THRESHOLD, 128 << 10)
+        mallopt(M_MMAP_THRESHOLD, 128 << 10)
 
 
 def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:

@@ -130,7 +130,7 @@ def full_grid_doppler(pulses: np.ndarray, waveform: WaveformConfig,
     grid, ramps = _dictionary(doppler_ramp, -half_span, half_span, step,
                               waveform.n_pulses, waveform.pri_s)
     idx, offset, _ = _grid_peaks(
-        lambda s: np.abs(pulses[s].conj().swapaxes(-1, -2) @ ramps), errors)
+        np.abs(pulses.conj().swapaxes(-1, -2) @ ramps), errors)
     return idx, grid[idx] + offset * step
 
 

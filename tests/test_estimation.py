@@ -323,8 +323,8 @@ def test_doppler_ignores_the_scale_of_each_pulse_column(monkeypatch, cfg,
     peaks = []
     grid_peaks = estimation._grid_peaks
 
-    def recorded(score, errors):
-        peaks.append(grid_peaks(score, errors))
+    def recorded(scores, errors):
+        peaks.append(grid_peaks(scores, errors))
         return peaks[-1]
 
     monkeypatch.setattr(estimation, "_grid_peaks", recorded)
@@ -389,7 +389,7 @@ def _assert_doppler_peaks_match_the_full_grid(pulses, waveform, exact):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_doppler_window_search_finds_the_full_grid_peak(n_pulses, n_targets,
                                                         kinds, seed):
-    """Trials of 2K pulse columns each, scored GRID_SLICE trials at a time."""
+    """Trials of 2K pulse columns each, scored as one stack."""
     waveform = dataclasses.replace(FullConfig().waveform, n_pulses=n_pulses)
     rng = np.random.default_rng(seed)
     pulses = np.stack([_doppler_columns(kind, waveform, 2 * n_targets, rng)
@@ -539,7 +539,7 @@ def _reference_peak(row):
 
 def _assert_peaks_match_reference(scores):
     stack = np.asarray(scores, dtype=float)[None]
-    idx, offset, peak = _passes(_grid_peaks, lambda s: stack[s])
+    idx, offset, peak = _passes(_grid_peaks, stack)
     for r, row in enumerate(scores):
         assert (int(idx[0, r]), float(offset[0, r])) == _reference_peak(row), row
         assert peak[0, r] == row[idx[0, r]]
@@ -584,14 +584,12 @@ def test_grid_peaks_match_scalar_reference_on_random_rows():
     _assert_peaks_match_reference(rows.tolist())
 
 
-def test_grid_peaks_rejects_a_row_without_finite_points(monkeypatch):
-    """A trial in a later slice of the search fails alone, as itself."""
-    import irs_sensing.estimation as estimation
-    monkeypatch.setattr(estimation, "GRID_SLICE", 2)
+def test_grid_peaks_rejects_a_row_without_finite_points():
+    """A trial inside the stack fails alone, as itself."""
     stack = np.tile([[1.0, 2.0], [0.5, 3.0]], (5, 1, 1))
     stack[3, 1] = [NAN, math.inf]
     errors = [None] * 5
-    _grid_peaks(lambda s: stack[s], errors)
+    _grid_peaks(stack, errors)
     assert [type(e).__name__ for e in errors] == [
         "NoFeasibleGrid" if b == 3 else "NoneType" for b in range(5)]
 
@@ -647,19 +645,55 @@ def _reference_sorted_pairs(cost):
     return out
 
 
-@given(k=st.integers(1, 5), data=st.data())
+def _reference_one_trial_walk(*costs):
+    """The matcher of one trial at a time: the pairs of one trial's cost
+    matrices in lexsort order, each kept while its row and column are
+    free.  NaN costs sort last."""
+    n_rows, n_cols = costs[0].shape
+    out, col_free = [-1] * n_rows, [True] * n_cols
+    for flat in np.lexsort([c.ravel() for c in reversed(costs)]):
+        i, j = divmod(int(flat), n_cols)
+        if out[i] == -1 and col_free[j]:
+            out[i] = j
+            col_free[j] = False
+    return out
+
+
+def _integer_costs(data, n_trials, rows, cols):
+    """(B, R, C) costs of small integers, so exact ties are common, with
+    the rows of some trials NaN, as a failed trial's are."""
+    cost = np.array(data.draw(st.lists(
+        st.integers(0, 3), min_size=n_trials * rows * cols,
+        max_size=n_trials * rows * cols)), dtype=float).reshape(
+            n_trials, rows, cols)
+    nan_rows = data.draw(st.lists(st.booleans(), min_size=n_trials * rows,
+                                  max_size=n_trials * rows))
+    cost[np.reshape(nan_rows, (n_trials, rows))] = np.nan
+    return cost
+
+
+@given(k=st.integers(1, 5), n_trials=st.integers(1, 5), data=st.data())
 @settings(max_examples=200, deadline=None)
-def test_greedy_match_equals_both_former_matchers(k, data):
-    """Small integer costs make exact ties common."""
-    cells = st.lists(st.integers(0, 3), min_size=k * k, max_size=k * k)
-    rho = np.array(data.draw(cells), dtype=float).reshape(k, k)
-    dist = np.array(data.draw(cells), dtype=float).reshape(k, k)
-    assert greedy_match(-rho, dist) == _reference_triple_loop(rho, dist)
+def test_greedy_match_equals_both_former_matchers(k, n_trials, data):
+    """A stack of trials gives each trial its own one-trial matching, with
+    exact first-cost ties and NaN rows; a trial of finite costs gets both
+    former matchers' result."""
+    rho = _integer_costs(data, n_trials, k, k)
+    dist = _integer_costs(data, n_trials, k, k)
+    got = greedy_match(-rho, dist)
+    assert got.shape == (n_trials, k)
+    for b in range(n_trials):
+        assert got[b].tolist() == _reference_one_trial_walk(-rho[b], dist[b])
+        if np.isfinite(rho[b]).all() and np.isfinite(dist[b]).all():
+            assert got[b].tolist() == _reference_triple_loop(rho[b], dist[b])
     cols = data.draw(st.integers(1, 5))
-    cost = np.array(data.draw(st.lists(st.integers(0, 3), min_size=k * cols,
-                                       max_size=k * cols)),
-                    dtype=float).reshape(k, cols)
-    assert greedy_match(cost) == _reference_sorted_pairs(cost)
+    cost = _integer_costs(data, n_trials, k, cols)
+    got = greedy_match(cost)
+    for b in range(n_trials):
+        assert got[b].tolist() == _reference_one_trial_walk(cost[b])
+        assert greedy_match(cost[b]).tolist() == got[b].tolist()
+        if np.isfinite(cost[b]).all():
+            assert got[b].tolist() == _reference_sorted_pairs(cost[b])
 
 
 # ---------------------------------------------------------------- dictionaries

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import platform
 import subprocess
 import sys
 import weakref
@@ -86,7 +87,7 @@ def test_resolve_sweep_point_rejects_invalid_value():
 
 def _pair_by_delay(estimated, truth):
     """Estimates paired with truth by delay distance, as the sweep does."""
-    return greedy_match(np.abs(np.subtract.outer(estimated, truth)))
+    return greedy_match(np.abs(np.subtract.outer(estimated, truth))).tolist()
 
 
 def test_match_by_delay_identity_and_swap():
@@ -404,10 +405,51 @@ def test_import_looks_up_no_blas_library():
     src = str(Path(experiments.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r});"
             "import irs_sensing, irs_sensing.cli, irs_sensing.experiments as e;"
-            "print(e._openblas_thread_calls.cache_info().misses)")
+            "print(e._openblas_thread_calls.cache_info().misses,"
+            " e._mallopt.cache_info().misses)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "0"
+    assert out.strip() == "0 0"
+
+
+# ---------------------------------------------------------------- heap
+
+def test_heap_thresholds_raised_for_the_sweep_and_reset_after_a_raise(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "_mallopt",
+                        lambda: lambda param, value: calls.append((param, value)))
+    raised = [(-1, 256 << 20), (-3, 32 << 20)]
+    reset = [(-1, 128 << 10), (-3, 128 << 10)]
+    run_experiment(build_spec("mse_vs_pulses", trials=1, seed=3), FullConfig())
+    assert calls == raised + reset
+    calls.clear()
+    spec = dataclasses.replace(build_spec("mse_vs_subcarriers", trials=1,
+                                          seed=3), sweep_values=(4, 0))
+    with pytest.raises(ConfigError):
+        run_experiment(spec, FullConfig())
+    assert calls == raised + reset
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are glibc's")
+def test_a_second_sweep_page_faults_little_new_memory():
+    """The sweep keeps its heap from stack to stack, so a second run of a
+    40-trial ``mse_vs_snr`` sweep maps little memory anew; with glibc
+    trimming the heap after each stack it took about 8100 minor faults.
+    A fresh interpreter keeps the count free of this process's heap."""
+    src = str(Path(experiments.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r});"
+            "import resource; from irs_sensing.config import FullConfig;"
+            "from irs_sensing.experiments import build_spec, run_experiment;"
+            "spec, config = build_spec('mse_vs_snr', trials=40), FullConfig();"
+            "run_experiment(spec, config);"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt;"
+            "run_experiment(spec, config);"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 1000
 
 
 # ---------------------------------------------------------------- emission

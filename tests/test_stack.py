@@ -508,25 +508,37 @@ def test_a_failure_in_a_later_grid_slice_lands_on_its_own_trial(monkeypatch):
     assert str(outcomes[1][bad]) == "a search row has no finite grid point"
 
 
+def _traced_peak(run):
+    """The tracemalloc peak of one call of ``run``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_doppler_search_memory_does_not_grow_with_the_stack():
-    """The Doppler grid search holds the scores of one slice of trials, so
-    its peak allocation on 16 trials is under twice that on 2."""
+def test_the_factorization_sets_the_estimator_memory_peak():
+    """On one 50-trial stack the Doppler search, which scores the whole
+    stack at once, peaks below half of ``cp_decompose`` on both phases, and
+    no step of ``estimate_trials`` peaks above ``cp_decompose``."""
     cfg, point = _scene(None)
-    y, _ = _noisy_stack(cfg, point, 16, seed=3)
-
-    def peak(n_trials):
-        errors = [None] * n_trials
-        aligned = align_columns(FactorTriple(*map(np.stack, zip(*(
-            cp_decompose(phase[:n_trials], 2, errors) for phase in y)))),
-            cfg.waveform.subcarrier_spacing_hz, errors)
-        args = (aligned, cfg.waveform, errors)
-        estimate_doppler(*args)  # builds the cached Doppler grid
-        tracemalloc.start()
-        try:
-            estimate_doppler(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(16) < 2 * peak(2)
+    y, sigma = _noisy_stack(cfg, point, TRIAL_STACK, seed=3)
+    data = y.reshape(-1, *y.shape[2:])  # both phases, as estimate_trials
+    phase_errors = [None] * len(data)
+    triple = cp_decompose(data, 2, phase_errors)
+    errors = [e or f for e, f in zip(phase_errors[:TRIAL_STACK],
+                                     phase_errors[TRIAL_STACK:])]
+    aligned = align_columns(
+        FactorTriple(*(f.reshape(2, TRIAL_STACK, *f.shape[1:]) for f in triple)),
+        cfg.waveform.subcarrier_spacing_hz, errors)
+    args = (y, sigma, *_args(cfg, point))
+    estimate_trials(*args)  # builds the cached grids
+    factorization = _traced_peak(
+        lambda: cp_decompose(data, 2, [None] * len(data)))
+    doppler = _traced_peak(
+        lambda: estimate_doppler(aligned, cfg.waveform, list(errors)))
+    estimator = _traced_peak(lambda: estimate_trials(*args))
+    assert doppler < factorization / 2
+    assert estimator < factorization * 1.01
