@@ -333,7 +333,7 @@ def test_a_trial_failed_in_phase_1_gets_no_phase_2_residual_warning():
 @pytest.mark.parametrize("preset", ["mse_vs_snr", "rician_comparison"])
 def test_results_do_not_depend_on_the_stack_size(monkeypatch, preset):
     import irs_sensing.experiments as experiments
-    # more trials than one stack, and than one slice of the grid searches
+    # more trials than one stack, and than one slice of the multirank search
     spec = build_spec(preset, trials=TRIAL_STACK + GRID_SLICE + 1, seed=4)
     rows = []
     for size in (1, 2, 8, TRIAL_STACK):
@@ -343,9 +343,9 @@ def test_results_do_not_depend_on_the_stack_size(monkeypatch, preset):
 
 
 def test_grid_slices_change_no_trial_outcome(monkeypatch):
-    """Scoring the grid searches in slices of 1, 2 or 3 trials gives every
-    trial of the Rician stack, under both direction methods, the outcome of
-    one search over the whole stack, bit for bit."""
+    """Building the single-phase search's correlations in slices of 1, 2
+    or 3 trials gives every trial of the Rician stack, under both direction
+    methods, the outcome of one slice of the whole stack, bit for bit."""
     import irs_sensing.estimation as estimation
     cfg, point = _scene(5.0)
     y, sigma = _noisy_stack(cfg, point, 21, seed=17)
@@ -489,7 +489,7 @@ def test_a_stack_of_distinct_channels_gives_each_trial_its_own_outcome():
 
 def test_a_failure_in_a_later_grid_slice_lands_on_its_own_trial(monkeypatch):
     """A channel matrix of NaN, with its singular values intact, gives its
-    trial, in the second slice of the grid searches, NoFeasibleGrid from
+    trial, in the second slice of the multirank search, NoFeasibleGrid from
     the single-phase search and no other trial of the stacked-channel
     stack any failure.  The cross-phase method reads only the dominant
     vector, so there every trial ends with estimates."""
