@@ -42,7 +42,8 @@ ALIGNMENT_MARGIN = 1e-6
 GRID_EXCLUSION_RTOL = 1e-8          # drop grid points with tiny denominators
 UNWRAP_EDGE_TOL = 0.01              # fraction of the prefix length
 RANK_ONE_RATIO = 1e-3
-GRID_SLICE = 2                      # trials per slice of the multirank search
+SCAN_WINDOW = 8                     # exact points around a fast direction peak
+SCAN_MARGIN = 1e-9                  # relative, below the window's best exact score
 
 
 class Estimates(NamedTuple):
@@ -250,18 +251,30 @@ def resolve_doa(gammas: np.ndarray, u: np.ndarray, profiles: np.ndarray,
     return thetas, np.sqrt(-best)
 
 
+def _lag_norms(gain: np.ndarray, steer: np.ndarray) -> np.ndarray:
+    """|G a|^2 of each ULA steering column a of steer (N x G) through the
+    (B,) M x N operator G, from its lag sums c_d = sum_n (G^H G)[n, n + d]
+    as Re(sum_d w_d c_d a_d) / sqrt(N) with w = (1, 2, 2, ...); NaN, which
+    no window certifies, below 1e-5 c_0: too near a null for their precision."""
+    n = len(steer)
+    lags = gain.conj().swapaxes(-1, -2) @ gain  # G^H G, then its lag sums
+    lags = np.stack([lags.diagonal(d, -2, -1).sum(-1) for d in range(n)], -1)
+    sq = (lags * np.r_[1, [2] * (n - 1)] @ steer).real / math.sqrt(n)
+    return np.where(sq > 1e-5 * lags[..., :1].real, sq, np.nan)
+
+
 def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
                            profile: np.ndarray,
                            doa_prior: tuple[float, float],
                            arrays: ArrayConfig, errors: list) -> np.ndarray:
     """Single-phase direction estimates by antenna-column correlation.
 
-    Correlates each column of the estimated (B, M, K) antenna factor against
-    the channel-relayed response over a direction grid.  Needs a channel
-    of rank at least two: on a rank-one channel all candidate responses
-    are collinear and the correlation carries no direction information.
-    The correlations are built GRID_SLICE trials at a time, as each trial's
-    candidates are M x G.
+    Scores each column x of the estimated (B, M, K) antenna factor by
+    |x^H r| / (|x| |r|) against r = G a(theta), G = H^T diag(phi), over a
+    direction grid; a rank-one channel makes every r collinear.  One pass
+    over the bank finds each row's peak from x^H G and ``_lag_norms``; the
+    SCAN_WINDOW points around it are scored again from r, as in a product
+    with the whole grid, and the whole row where they do not certify it.
     """
     ratio = np.broadcast_to(channel.singular_ratio(), len(errors))
     record_failures(errors, ratio < RANK_ONE_RATIO, lambda b: RankOneChannel(
@@ -270,20 +283,35 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
     grid, grid_steer = _dictionary(steering_vector, *doa_prior,
                                    DOA_GRID_STEP_RAD, *arrays.surface)
     b_norms = np.linalg.norm(b_hat, axis=-2)
+    (n_trials, k), (n_elem, n_grid) = b_norms.shape, grid_steer.shape
 
     def corr_at(steer: np.ndarray, s: slice = slice(None)) -> np.ndarray:
         cand = relayed_response(channel.trials(s), profile, steer)
-        norms = (b_norms[s, :, None]
-                 * np.linalg.norm(cand, axis=-2)[..., None, :])
+        norms = b_norms[s, :, None] * np.linalg.norm(cand, axis=-2)[..., None, :]
         return np.abs(b_hat[s].conj().swapaxes(-1, -2) @ cand) / norms
 
-    thetas, _ = _refine_directions(
-        grid, np.concatenate([corr_at(grid_steer, slice(f, f + GRID_SLICE))
-                              for f in range(0, len(errors), GRID_SLICE)]),
-        lambda cand: np.diagonal(corr_at(steering_vector(cand, *arrays.surface)),
-                                 axis1=-2, axis2=-1),
-        doa_prior, errors)
-    return thetas
+    def own(steer: np.ndarray) -> np.ndarray:  # row k on the k-th W of K * W columns
+        corr = corr_at(steer).reshape(n_trials, k, k, -1)
+        return np.diagonal(corr, 0, 1, 2).swapaxes(-1, -2)
+
+    gain = relayed_response(channel, profile, np.eye(n_elem))  # G, M x N
+    scores = np.abs((b_hat.conj().swapaxes(-1, -2) @ gain).reshape(-1, n_elem)
+                    @ grid_steer).reshape(n_trials, k, n_grid)
+    scores /= b_norms[..., None] * np.sqrt(_lag_norms(gain, grid_steer))[..., None, :]
+    w = SCAN_WINDOW  # whole column blocks of the BLAS kernels, clear of the grid's tail
+    first = (np.argmax(scores, axis=-1) - w // 2 + 1).clip(0, n_grid - n_grid % w - w)
+    cols = (first[..., None] + np.arange(w)) % n_grid
+    window = own(np.moveaxis(grid_steer[:, cols.reshape(n_trials, -1)], 0, 1))
+    peak = first + np.argmax(window, axis=-1)
+    np.put_along_axis(scores, cols, -np.inf, axis=-1)
+    inner_edge = np.isin(peak - first, (0, w - 1)) & ~np.isin(peak, (0, n_grid - 1))
+    certified = ((scores.max(axis=-1) < window.max(axis=-1) * (1 - SCAN_MARGIN))
+                 & ~inner_edge & (n_grid >= w))
+    np.put_along_axis(scores, cols, window, axis=-1)
+    for b in np.flatnonzero(~certified.all(axis=-1)):
+        scores[b] = corr_at(grid_steer, slice(b, b + 1))[0]
+    return _refine_directions(grid, scores, lambda cand: own(
+        steering_vector(cand, *arrays.surface))[..., 0], doa_prior, errors)[0]
 
 
 def _doppler_peaks(pulses: np.ndarray, waveform: WaveformConfig,
@@ -326,11 +354,11 @@ def _doppler_peaks(pulses: np.ndarray, waveform: WaveformConfig,
 
 
 def estimate_doppler(aligned: FactorTriple, waveform: WaveformConfig,
-                     errors: list) -> np.ndarray:
+                     errors: list, stacklevel: int = 2) -> np.ndarray:
     """Doppler shifts from the pulse factors' phase progressions: one
     weight vector on every pulse makes each aligned pulse column a constant
-    times a per-pulse phase ramp (``_doppler_peaks``).  The phases'
-    estimates are averaged; a boundary peak warns unless its trial failed."""
+    times a per-pulse phase ramp (``_doppler_peaks``).  The phases' estimates
+    are averaged; a boundary peak warns at ``stacklevel`` unless its trial failed."""
     k_total = aligned.n_components
     # column c is target c % K of phase c // K
     idx, nu = _doppler_peaks(np.concatenate(aligned.pulse_factor, axis=-1),
@@ -339,7 +367,7 @@ def estimate_doppler(aligned: FactorTriple, waveform: WaveformConfig,
         if errors[b] is None:
             warnings.warn(f"phase {col // k_total + 1}, "
                           f"target {col % k_total}: Doppler at the unambiguous "
-                          "boundary; estimate may be wrapped", stacklevel=2)
+                          "boundary; estimate may be wrapped", stacklevel=stacklevel)
     return nu.reshape(-1, 2, k_total).mean(axis=-2)
 
 
@@ -391,7 +419,7 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
     the direction step runs once for all methods, so a method is its
     direction step alone, and a trial's direction failure precedes its
     Doppler or delay one.  ``stacklevel`` is that of the
-    reconstruction-residual warning.
+    reconstruction-residual and Doppler-boundary warnings.
     """
     n = y.shape[1]
     data = y.reshape(-1, *y.shape[2:])  # phase 1's trials, then phase 2's
@@ -424,7 +452,7 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
         waveform.subcarrier_spacing_hz, errors)
 
     shared = list(errors)  # the Doppler and delay failures of every method
-    nu = estimate_doppler(aligned, waveform, shared)
+    nu = estimate_doppler(aligned, waveform, shared, stacklevel + 1)
     tau = estimate_delay(aligned, waveform, shared)
     gammas = compute_gamma_statistics(aligned)
     order = np.argsort(tau, axis=-1, kind="stable")

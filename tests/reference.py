@@ -1,6 +1,6 @@
 """References for the tests: a time-domain echo oracle, the noise of one
-tensor drawn on its own, the Doppler search over the whole grid, and the
-self-checks of the information matrix.
+tensor drawn on its own, the Doppler and single-phase direction searches
+over the whole grid, and the self-checks of the information matrix.
 
 The discrete observation model (irs_sensing.synthesis) drops the known
 AP-surface round-trip phase.  The time-domain oracle rebuilds the same
@@ -24,10 +24,12 @@ import numpy as np
 from irs_sensing.config import ArrayConfig, WaveformConfig
 from irs_sensing.cpd import FactorTriple, cp_reconstruct
 from irs_sensing.crb import _term_rows, jacobian_terms
-from irs_sensing.errors import ConfigError
-from irs_sensing.estimation import (DOPPLER_GRID_POINTS, _dictionary,
-                                    _grid_peaks)
-from irs_sensing.scene import ChannelMatrix, SceneTruth
+from irs_sensing.errors import ConfigError, RankOneChannel, record_failures
+from irs_sensing.estimation import (DOA_GRID_STEP_RAD, DOPPLER_GRID_POINTS,
+                                    RANK_ONE_RATIO, _dictionary, _grid_peaks,
+                                    _refine_directions)
+from irs_sensing.scene import (ChannelMatrix, SceneTruth, relayed_response,
+                               steering_vector)
 from irs_sensing.synthesis import (build_factor_matrices, doppler_ramp,
                                    echo_tensors)
 
@@ -132,6 +134,37 @@ def full_grid_doppler(pulses: np.ndarray, waveform: WaveformConfig,
     idx, offset, _ = _grid_peaks(
         np.abs(pulses.conj().swapaxes(-1, -2) @ ramps), errors)
     return idx, grid[idx] + offset * step
+
+
+def whole_grid_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
+                         profile: np.ndarray, doa_prior: tuple[float, float],
+                         arrays: ArrayConfig, errors: list,
+                         grid_slice: int = 2) -> np.ndarray:
+    """Single-phase directions with every row scored on the whole grid from
+    the M x G relayed responses, built ``grid_slice`` trials at a time: the
+    search whose peak ``estimation.estimate_doa_multirank`` finds from its
+    lag-sum scores and an exact window."""
+    ratio = np.broadcast_to(channel.singular_ratio(), len(errors))
+    record_failures(errors, ratio < RANK_ONE_RATIO, lambda b: RankOneChannel(
+        f"singular-value ratio {ratio[b]:.2e}; "
+        "use the cross-phase ratio method instead"))
+    grid, grid_steer = _dictionary(steering_vector, *doa_prior,
+                                   DOA_GRID_STEP_RAD, *arrays.surface)
+    b_norms = np.linalg.norm(b_hat, axis=-2)
+
+    def corr_at(steer: np.ndarray, s: slice = slice(None)) -> np.ndarray:
+        cand = relayed_response(channel.trials(s), profile, steer)
+        norms = (b_norms[s, :, None]
+                 * np.linalg.norm(cand, axis=-2)[..., None, :])
+        return np.abs(b_hat[s].conj().swapaxes(-1, -2) @ cand) / norms
+
+    thetas, _ = _refine_directions(
+        grid, np.concatenate([corr_at(grid_steer, slice(f, f + grid_slice))
+                              for f in range(0, len(errors), grid_slice)]),
+        lambda cand: np.diagonal(corr_at(steering_vector(cand, *arrays.surface)),
+                                 axis1=-2, axis2=-1),
+        doa_prior, errors)
+    return thetas
 
 
 def parameter_index(block: str, k: int, n_targets: int) -> int:

@@ -14,7 +14,7 @@ from irs_sensing.errors import (AmbiguousAlignment, DegenerateProfilePair,
                                 UnwrapInfeasible)
 from irs_sensing.estimation import (DOA_GRID_STEP_RAD, DOPPLER_GRID_POINTS,
                                     _dictionary, _doppler_peaks, _grid_peaks,
-                                    align_columns,
+                                    _lag_norms, align_columns,
                                     compute_gamma_statistics,
                                     estimate_delay, estimate_doa_multirank,
                                     estimate_doppler, estimate_targets,
@@ -22,14 +22,14 @@ from irs_sensing.estimation import (DOA_GRID_STEP_RAD, DOPPLER_GRID_POINTS,
                                     resolve_doa)
 from irs_sensing.experiments import build_spec, run_experiment
 from irs_sensing.scene import (build_rician_channel, design_beamformers,
-                               steering_vector)
+                               relayed_response, steering_vector)
 from irs_sensing.synthesis import (apply_noise, build_factor_matrices,
                                    doppler_ramp, echo_tensors,
                                    noise_sigma_for_snr)
 
 from conftest import take_targets
 from reference import full_grid_doppler
-from stacks import rician_alone
+from stacks import rician_alone, stack_channels
 
 SPACING = 500e3
 
@@ -268,6 +268,34 @@ def test_multirank_doa_rejects_rank_one_channel(cfg, truth, channel, profiles):
                       RankOneChannel)
 
 
+def test_lag_sums_give_the_relayed_norms(cfg, channel, profiles):
+    """Over every direction, |G a|^2 from the lag sums of G^H G is the
+    squared norm of the relayed response to 1e-12 away from its nulls, on
+    the line-of-sight channel and on a stack of Rician ones, and it is NaN
+    only next to a null, as a uniform profile on the line of sight makes."""
+    steer = steering_vector(np.linspace(-np.pi / 2, np.pi / 2, 4001),
+                            *cfg.arrays.surface)
+    rician = build_rician_channel(
+        stack_channels([channel] * 4), 5.0, 4, cfg.arrays,
+        [np.random.default_rng((3, b)) for b in range(4)])
+    uniform = np.ones(len(steer), dtype=complex)
+    nulls = 0
+    for ch, profile in [(channel, p) for p in (*profiles, uniform)] + [
+            (rician, p) for p in profiles]:
+        gain = relayed_response(ch, profile, np.eye(len(steer)))
+        got = _lag_norms(gain, steer)
+        want = np.linalg.norm(relayed_response(ch, profile, steer), axis=-2) ** 2
+        c_0 = np.broadcast_to((np.abs(gain) ** 2).sum(axis=(-2, -1))[..., None],
+                              want.shape)
+        away = want > 1e-2 * c_0
+        assert away.sum() > 400
+        np.testing.assert_allclose(got[away], want[away], rtol=1e-12, atol=0)
+        nan = np.isnan(got)
+        assert (want[nan] < 1.01e-5 * c_0[nan]).all()
+        nulls += nan.sum()
+    assert nulls > 0
+
+
 # ---------------------------------------------------------------- Doppler
 
 def test_doppler_noiseless(cfg, truth, aligned):
@@ -286,14 +314,23 @@ def test_doppler_zero_is_exact(cfg, truth, channel, profiles, combiner):
 
 
 def test_doppler_boundary_warns(cfg, truth, channel, profiles, combiner):
+    """A Doppler on the unambiguous boundary warns, in the name of the code
+    that called ``estimate_doppler`` or ``estimate_targets``."""
     half_span = 1.0 / (2 * cfg.waveform.pri_s)
     spun = dataclasses.replace(take_targets(truth, slice(1)),
                                doppler_hz=np.array([half_span]))
     out = _passes(align_columns,
                   _truth_triples(cfg, spun, channel, profiles, combiner),
                   cfg.waveform.subcarrier_spacing_hz)
-    with pytest.warns(UserWarning, match="boundary"):
+    with pytest.warns(UserWarning, match="boundary") as step:
         _passes(estimate_doppler, out, cfg.waveform)
+    with pytest.warns(UserWarning, match="boundary") as pipeline:
+        estimate_targets(echo_tensors(spun, channel, profiles, combiner,
+                                      cfg.waveform, cfg.arrays),
+                         np.zeros(2), 1, cfg.scene.doa_prior_rad, channel,
+                         profiles, cfg.waveform, cfg.arrays)
+    assert len(step) == len(pipeline) == 2  # one pulse column per phase
+    assert {w.filename for w in [*step, *pipeline]} == {__file__}
 
 
 def test_doppler_ignores_the_scale_of_each_pulse_column(monkeypatch, cfg,

@@ -14,14 +14,15 @@ from irs_sensing.cpd import (FactorTriple, cp_decompose, cp_reconstruct,
 from irs_sensing.errors import (EstimationError, IllConditionedShift,
                                 RankDeficient, UniquenessError,
                                 UnwrapInfeasible)
-from irs_sensing.estimation import (GRID_SLICE, Estimates, _gamma_ratio,
-                                    align_columns, estimate_doppler,
+from irs_sensing.estimation import (Estimates, _gamma_ratio, align_columns,
+                                    estimate_doa_multirank, estimate_doppler,
                                     estimate_targets, estimate_trials)
 from irs_sensing.experiments import TRIAL_STACK, build_spec, run_experiment
 from irs_sensing.scene import (draw_scene_point, relayed_response,
                                steering_vector)
 from irs_sensing.synthesis import apply_noise, echo_tensors, noise_sigma_for_snr
 
+from reference import whole_grid_multirank
 from stacks import stack_channels
 
 SNRS_DB = np.linspace(-10.0, 20.0, 7)
@@ -333,33 +334,13 @@ def test_a_trial_failed_in_phase_1_gets_no_phase_2_residual_warning():
 @pytest.mark.parametrize("preset", ["mse_vs_snr", "rician_comparison"])
 def test_results_do_not_depend_on_the_stack_size(monkeypatch, preset):
     import irs_sensing.experiments as experiments
-    # more trials than one stack, and than one slice of the multirank search
-    spec = build_spec(preset, trials=TRIAL_STACK + GRID_SLICE + 1, seed=4)
+    # more trials than one stack
+    spec = build_spec(preset, trials=TRIAL_STACK + 1, seed=4)
     rows = []
     for size in (1, 2, 8, TRIAL_STACK):
         monkeypatch.setattr(experiments, "TRIAL_STACK", size)
         rows.append(repr(run_experiment(spec, FullConfig())))
     assert rows == [rows[0]] * len(rows)
-
-
-def test_grid_slices_change_no_trial_outcome(monkeypatch):
-    """Building the single-phase search's correlations in slices of 1, 2
-    or 3 trials gives every trial of the Rician stack, under both direction
-    methods, the outcome of one slice of the whole stack, bit for bit."""
-    import irs_sensing.estimation as estimation
-    cfg, point = _scene(5.0)
-    y, sigma = _noisy_stack(cfg, point, 21, seed=17)
-    outcomes = {}
-    for size in (y.shape[1] + 1, 1, 2, 3):
-        monkeypatch.setattr(estimation, "GRID_SLICE", size)
-        outcomes[size] = [_bits(r) for r in
-                          estimate_trials(y, sigma, *_args(cfg, point),
-                                          single_phase_doa=(False, True))]
-    whole = outcomes.pop(y.shape[1] + 1)
-    failures = whole[0][0]
-    assert None in failures and any(failures)  # estimates and failures
-    for size, got in outcomes.items():
-        assert got == whole, size
 
 
 def test_fading_draw_factorizes_once_for_both_direction_methods(monkeypatch):
@@ -417,8 +398,11 @@ def test_two_methods_warn_once_per_doppler_boundary_event():
             warnings.simplefilter("always")
             outcomes = estimate_trials(*args, single_phase_doa=methods)
         assert all(e is None for _, errors in outcomes for e in errors)
-        return sorted(str(w.message) for w in caught
-                      if "unambiguous boundary" in str(w.message))
+        boundary = [w for w in caught
+                    if "unambiguous boundary" in str(w.message)]
+        # in the name of this file, which called estimate_trials
+        assert {w.filename for w in boundary} == {__file__}
+        return sorted(str(w.message) for w in boundary)
 
     both = boundary_warnings((False, True))
     assert len(both) == 2 * n_trials   # one column per phase and trial
@@ -487,25 +471,105 @@ def test_a_stack_of_distinct_channels_gives_each_trial_its_own_outcome():
         "RankOneChannel" if b == los else "Estimates" for b in range(4)]
 
 
-def test_a_failure_in_a_later_grid_slice_lands_on_its_own_trial(monkeypatch):
-    """A channel matrix of NaN, with its singular values intact, gives its
-    trial, in the second slice of the multirank search, NoFeasibleGrid from
-    the single-phase search and no other trial of the stacked-channel
-    stack any failure.  The cross-phase method reads only the dominant
-    vector, so there every trial ends with estimates."""
-    import irs_sensing.estimation as estimation
-    monkeypatch.setattr(estimation, "GRID_SLICE", 2)
-    rician, points, y, sigma = _fading_stack(5)
-    bad = 3
-    channel = points[bad].channel
-    points[bad] = points[bad]._replace(channel=dataclasses.replace(
+def _nan_channel(point):
+    """The draw with a channel matrix of NaN and its singular values intact."""
+    channel = point.channel
+    return point._replace(channel=dataclasses.replace(
         channel, matrix=np.full_like(channel.matrix, np.nan),
         singular_values=np.linalg.svd(channel.matrix, compute_uv=False)))
+
+
+def test_a_nan_channel_fails_only_its_own_trial_in_the_direction_scan():
+    """A channel matrix of NaN, with its singular values intact, gives its
+    trial NoFeasibleGrid from the single-phase scan and no other trial of
+    the stacked-channel stack any failure.  The cross-phase method reads
+    only the dominant vector, so there every trial ends with estimates."""
+    rician, points, y, sigma = _fading_stack(5)
+    bad = 3
+    points[bad] = _nan_channel(points[bad])
     outcomes = _run_fading_stack(rician, points, y, sigma)
     assert [type(o).__name__ for o in outcomes[0]] == ["Estimates"] * 5
     assert [type(o).__name__ for o in outcomes[1]] == [
         "NoFeasibleGrid" if b == bad else "Estimates" for b in range(5)]
     assert str(outcomes[1][bad]) == "a search row has no finite grid point"
+
+
+def _aligned(y, n_targets, waveform):
+    """The aligned factors of the (2, B, P, M, L) observations and the
+    trials' errors, both phases factorized as one stack, as in
+    ``estimate_trials``."""
+    n_trials = y.shape[1]
+    data = y.reshape(-1, *y.shape[2:])
+    phase_errors = [None] * len(data)
+    triple = cp_decompose(data, n_targets, phase_errors)
+    errors = [e or f for e, f in zip(phase_errors[:n_trials],
+                                     phase_errors[n_trials:])]
+    aligned = align_columns(
+        FactorTriple(*(f.reshape(2, n_trials, *f.shape[1:]) for f in triple)),
+        waveform.subcarrier_spacing_hz, errors)
+    return aligned, errors
+
+
+def _scan_inputs(n_trials, los, bad):
+    """The single-phase scan's arguments on a Rician stack of draws with
+    their own channels, trial ``los`` on a line-of-sight channel and trial
+    ``bad`` on a NaN one: each trial's aligned phase-1 antenna columns."""
+    rician, points, y, _ = _fading_stack(n_trials, los)
+    points[bad] = _nan_channel(points[bad])
+    aligned, errors = _aligned(y, points[0].truth.n_targets, rician.waveform)
+    return (aligned.antenna_factor[0],
+            stack_channels([p.channel for p in points]), points[0].profiles[0],
+            rician.scene.doa_prior_rad, rician.arrays), errors
+
+
+def _scan_bits(scan, args, errors):
+    """The bytes of a scan's directions and its failures, on a copy of the
+    error list."""
+    errors = list(errors)
+    thetas = scan(*args, errors)
+    return thetas.tobytes(), [e and _failure(e) for e in errors]
+
+
+def _count_whole_grid_rows(monkeypatch):
+    """A list that grows by one for each trial the scan scores from the
+    relayed responses over the whole grid."""
+    import irs_sensing.estimation as estimation
+    calls = []
+
+    def recorded(channel, profile, steer):
+        if steer.ndim == 2 and steer.shape[-1] > steer.shape[0]:  # a bank
+            calls.append(len(channel.matrix))
+        return relayed_response(channel, profile, steer)
+    monkeypatch.setattr(estimation, "relayed_response", recorded)
+    return calls
+
+
+def test_the_direction_scan_equals_the_whole_grid_search(monkeypatch):
+    """On a 21-draw Rician stack holding one line-of-sight and one
+    NaN-channel trial, the lag-sum scan gives every trial the directions
+    and failure of the whole-grid search bit for bit, and only those two
+    trials are scored over the whole grid."""
+    args, errors = _scan_inputs(21, los=4, bad=11)
+    calls = _count_whole_grid_rows(monkeypatch)
+    got = _scan_bits(estimate_doa_multirank, args, errors)
+    assert calls == [1, 1]
+    assert got == _scan_bits(whole_grid_multirank, args, errors)
+    failures = got[1]
+    assert failures[4][0] == "RankOneChannel"
+    assert failures[11][0] == "NoFeasibleGrid"
+    assert failures.count(None) == 19
+
+
+def test_the_whole_grid_fallback_changes_no_bit(monkeypatch):
+    """With a margin that no window can meet, every trial is scored over
+    the whole grid, and every direction and failure stays the same."""
+    import irs_sensing.estimation as estimation
+    args, errors = _scan_inputs(21, los=4, bad=11)
+    want = _scan_bits(whole_grid_multirank, args, errors)
+    calls = _count_whole_grid_rows(monkeypatch)
+    monkeypatch.setattr(estimation, "SCAN_MARGIN", 1.0)
+    assert _scan_bits(estimate_doa_multirank, args, errors) == want
+    assert calls == [1] * 21
 
 
 def _traced_peak(run):
@@ -526,13 +590,7 @@ def test_the_factorization_sets_the_estimator_memory_peak():
     cfg, point = _scene(None)
     y, sigma = _noisy_stack(cfg, point, TRIAL_STACK, seed=3)
     data = y.reshape(-1, *y.shape[2:])  # both phases, as estimate_trials
-    phase_errors = [None] * len(data)
-    triple = cp_decompose(data, 2, phase_errors)
-    errors = [e or f for e, f in zip(phase_errors[:TRIAL_STACK],
-                                     phase_errors[TRIAL_STACK:])]
-    aligned = align_columns(
-        FactorTriple(*(f.reshape(2, TRIAL_STACK, *f.shape[1:]) for f in triple)),
-        cfg.waveform.subcarrier_spacing_hz, errors)
+    aligned, errors = _aligned(y, 2, cfg.waveform)
     args = (y, sigma, *_args(cfg, point))
     estimate_trials(*args)  # builds the cached grids
     factorization = _traced_peak(
@@ -542,3 +600,23 @@ def test_the_factorization_sets_the_estimator_memory_peak():
     estimator = _traced_peak(lambda: estimate_trials(*args))
     assert doppler < factorization / 2
     assert estimator < factorization * 1.01
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_the_factorization_sets_the_memory_peak_of_both_direction_methods():
+    """On one 50-draw Rician stack, each draw with its own channel, neither
+    direction method, nor both on one call, lifts the ``estimate_trials``
+    peak above that of ``cp_decompose`` on both phases: the single-phase
+    scan scores the stack in one pass but forms no relayed response bank."""
+    rician, points, y, sigma = _fading_stack(TRIAL_STACK)
+    data = y.reshape(-1, *y.shape[2:])  # both phases, as estimate_trials
+    args = (y, sigma, points[0].truth.n_targets, rician.scene.doa_prior_rad,
+            stack_channels([p.channel for p in points]), points[0].profiles,
+            rician.waveform, rician.arrays)
+    estimate_trials(*args, single_phase_doa=(False, True))  # the cached grids
+    factorization = _traced_peak(
+        lambda: cp_decompose(data, 2, [None] * len(data)))
+    for methods in ((False, True), (True,), (False,)):
+        estimator = _traced_peak(
+            lambda: estimate_trials(*args, single_phase_doa=methods))
+        assert estimator < factorization * 1.01, methods
