@@ -11,13 +11,13 @@ from .config import (SPEED_OF_LIGHT, ArrayConfig, FullConfig, SceneConfig,
                      TargetConfig, WaveformConfig, load_config, with_overrides)
 from .cpd import (FactorTriple, check_uniqueness, cp_decompose,
                   cp_reconstruct, khatri_rao, reconstruction_error)
-from .crb import CrbBounds, FimMatrix, compute_crb, compute_fim
+from .crb import CrbBounds, compute_crb, compute_fim
 from .errors import (AmbiguousAlignment, ConfigError, DegenerateGeometry,
                      DegenerateProfilePair, DimensionMismatch,
                      DuplicateParameter, EstimationError, IllConditionedShift,
                      InfeasibleTiming, InvalidPartition, NoFeasibleGrid,
                      OutOfRange, RankDeficient, RankOneChannel, SensingError,
-                     SingularFim, UniquenessError, UnwrapInfeasible)
+                     UniquenessError, UnwrapInfeasible)
 from .estimation import (Estimates, align_columns, compute_gamma_statistics,
                          estimate_delay, estimate_doa_multirank,
                          estimate_doppler, estimate_targets, estimate_trials,

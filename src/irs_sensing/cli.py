@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import FullConfig, load_config
-from .crb import compute_crb, compute_fim
-from .errors import ConfigError, SingularFim
+from .crb import FIM_CONDITION_LIMIT, compute_crb, compute_fim
+from .errors import ConfigError
 from .experiments import (DEFAULT_SEED, PRESET_NAMES, build_spec,
                           emit_results, run_experiment)
 from .scene import draw_scene_point, sensing_limits
@@ -74,24 +74,24 @@ def _cmd_limits(args) -> int:
 
 
 def _crb_rows(config: FullConfig) -> tuple[list[str], list[list[str]]]:
-    point = draw_scene_point(config, [np.random.default_rng(DEFAULT_SEED)]).trial(0)
+    point = draw_scene_point(config, [np.random.default_rng(DEFAULT_SEED)])
     clean = echo_tensors(*point, config.waveform, config.arrays)
+    sigma = np.concatenate([noise_sigma_for_snr(clean, snr)
+                            for snr in CRB_SNR_GRID], axis=1)
+    bounds = compute_crb(compute_fim(*point, config.waveform, config.arrays,
+                                     noise_variance(sigma)))
+    failed = np.flatnonzero(np.isnan(bounds.theta).any(axis=-1))
+    if failed.size:
+        i = failed[0]
+        raise ConfigError(f"no bound at {CRB_SNR_GRID[i]:g} dB SNR: condition "
+                          f"number {bounds.condition_number[i]:.3e} exceeds "
+                          f"{FIM_CONDITION_LIMIT:.0e}")
     k_total = point.truth.n_targets
     header = ["snr_db"]
     for fam in ("crb_theta", "crb_nu", "crb_tau"):
         header += [f"{fam}_{k + 1}" for k in range(k_total)]
-    body = []
-    for snr in CRB_SNR_GRID:
-        noise_vars = noise_variance(noise_sigma_for_snr(clean, snr))
-        try:
-            bounds = compute_crb(compute_fim(*point, config.waveform,
-                                             config.arrays, noise_vars))
-        except SingularFim as exc:
-            raise ConfigError(f"no bound at {snr:g} dB SNR: {exc}") from None
-        cells = [f"{snr:.17e}"]
-        for fam in (bounds.theta, bounds.doppler, bounds.delay):
-            cells += [f"{v:.17e}" for v in fam]
-        body.append(cells)
+    body = [[f"{v:.17e}" for v in (snr, *row)] for snr, row in zip(
+        CRB_SNR_GRID, np.hstack([bounds.theta, bounds.doppler, bounds.delay]))]
     return header, body
 
 

@@ -176,7 +176,8 @@ def cp_reconstruct(triple) -> np.ndarray:
 
 def frobenius_norms(data: np.ndarray) -> np.ndarray:
     """Frobenius norm of each tensor of a stack, with no complex temporary."""
-    v = np.ascontiguousarray(data).reshape(len(data), 1, -1).view(float)
+    v = np.ascontiguousarray(data).view(float)
+    v = v.reshape(len(v), 1, v[:1].size)
     return np.sqrt((v @ v.swapaxes(1, 2))[:, 0, 0])
 
 

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .config import ArrayConfig, WaveformConfig
-from .errors import SingularFim
 from .scene import (ChannelMatrix, SceneTruth, relayed_response,
                     steering_derivative)
 from .synthesis import build_factor_matrices, doppler_ramp
@@ -30,21 +29,14 @@ FIM_CONDITION_LIMIT = 1e14
 
 
 @dataclass(frozen=True)
-class FimMatrix:
-    """Real symmetric information matrix over the stacked parameters."""
-
-    omega: np.ndarray   # (3K, 3K), or (B, 3K, 3K) for a stack of draws
-    n_targets: int
-    condition_number: float | np.ndarray   # one per draw
-
-
-@dataclass(frozen=True)
 class CrbBounds:
-    """Per-target variance lower bounds, one (K,) or (B, K) array per family."""
+    """Per-target variance lower bounds, one (K,) or (B, K) array per family,
+    beside the condition number of each draw's information matrix."""
 
     theta: np.ndarray   # rad^2
     doppler: np.ndarray  # Hz^2
     delay: np.ndarray   # s^2
+    condition_number: np.ndarray   # () or (B,)
 
 
 def _term_rows(n_targets: int) -> np.ndarray:
@@ -84,16 +76,17 @@ def jacobian_terms(truth: SceneTruth, channel: ChannelMatrix,
 def compute_fim(truth: SceneTruth, channel: ChannelMatrix,
                 profiles: np.ndarray, combiner: np.ndarray,
                 waveform: WaveformConfig, arrays: ArrayConfig,
-                noise_variances: Sequence[float] | np.ndarray) -> FimMatrix:
-    """Information matrix for the stacked direction/Doppler/delay vector.
+                noise_variances: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Real symmetric (3K, 3K) information matrix for the stacked
+    direction/Doppler/delay vector, or a (B, 3K, 3K) stack of them.
 
     Each phase adds (2/sigma^2) S^T Re(X^H X * Y^H Y * Z^H Z) S (* is
     elementwise; jacobian_terms, _term_rows), the Gram matrix of the
     Jacobian rows without forming them: <x o y o z, x' o y' o z'> =
     (x^H x')(y^H y')(z^H z'), for each row of reflection coefficients in
     ``profiles``.  A stacked point gives one matrix per draw, at one noise
-    variance per phase or per phase and draw.  Ill-conditioning is
-    reported through the condition number; compute_crb inverts.
+    variance per phase or per phase and draw.  compute_crb checks the
+    conditioning and inverts.
     """
     sigma_sq = np.asarray(noise_variances, float)
     if len(profiles) != len(sigma_sq):
@@ -106,46 +99,31 @@ def compute_fim(truth: SceneTruth, channel: ChannelMatrix,
     terms = rows.T @ (x * y * z).real @ rows  # phase first, as sigma_sq
     axes = tuple(range(sigma_sq.ndim, terms.ndim))
     omega = (2.0 / np.expand_dims(sigma_sq, axes) * terms).sum(axis=0)
-    omega = 0.5 * (omega + omega.swapaxes(-1, -2))
-    return FimMatrix(omega=omega, n_targets=truth.n_targets,
-                     condition_number=_equilibrated_condition(omega))
+    return 0.5 * (omega + omega.swapaxes(-1, -2))
 
 
-def _unit_diagonal(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each matrix scaled to unit diagonal, and the square-root diagonal."""
-    scale = np.sqrt(np.diagonal(omega, axis1=-2, axis2=-1))
-    return omega / (scale[..., :, None] * scale[..., None, :]), scale
-
-
-def _equilibrated_condition(omega: np.ndarray):
-    """Condition number after diagonal scaling to unit diagonal, per draw.
-
-    The stacked parameters carry different physical units, so the raw
-    matrix is badly scaled even when every parameter is comfortably
-    identifiable.  Scaling by the square roots of the diagonal removes
-    the unit disparity; what remains measures genuine coupling.
-    """
-    diag = np.diagonal(omega, axis1=-2, axis2=-1)
-    ok = (diag > 0).all(axis=-1) & np.isfinite(diag).all(axis=-1)
-    cond = np.full(ok.shape, math.inf)
-    cond[ok] = np.linalg.cond(_unit_diagonal(omega[ok])[0])
-    return cond[()]
-
-
-def compute_crb(fim: FimMatrix) -> CrbBounds:
+def compute_crb(fim: np.ndarray) -> CrbBounds:
     """Diagonal of the inverse information matrix, split by family.
 
-    One draw that fails the condition check raises SingularFim; in a stack
-    of draws, such a draw gets NaN bounds and the others are kept.
+    The condition check runs per draw after scaling each matrix to unit
+    diagonal: the stacked parameters carry different physical units, so
+    the raw matrix is badly scaled even when every parameter is
+    comfortably identifiable, and what the scaling leaves measures genuine
+    coupling.  A draw with a non-positive or non-finite diagonal entry has
+    an infinite condition number; one above FIM_CONDITION_LIMIT gets NaN
+    bounds, alone or in a stack, and the others are kept.
     """
-    cond = np.asarray(fim.condition_number)
-    ok = np.isfinite(cond) & (cond <= FIM_CONDITION_LIMIT)
-    if cond.ndim == 0 and not ok:
-        raise SingularFim(f"condition number {fim.condition_number:.3e} "
-                          f"exceeds {FIM_CONDITION_LIMIT:.0e}")
-    diag = np.full(fim.omega.shape[:-1], math.nan)
-    scaled, scale = _unit_diagonal(fim.omega[ok])
-    diag[ok] = np.diagonal(np.linalg.inv(scaled), axis1=-2, axis2=-1) / scale ** 2
-    k = fim.n_targets
-    return CrbBounds(theta=diag[..., 0:k], doppler=diag[..., k:2 * k],
-                     delay=diag[..., 2 * k:3 * k])
+    diag = np.diagonal(fim, axis1=-2, axis2=-1)
+    usable = (diag > 0).all(axis=-1) & np.isfinite(diag).all(axis=-1)
+    scale = np.sqrt(diag[usable])
+    scaled = fim[usable] / (scale[..., :, None] * scale[..., None, :])
+    cond = np.full(usable.shape, math.inf)
+    cond[usable] = np.linalg.cond(scaled)
+    ok = cond <= FIM_CONDITION_LIMIT
+    kept = ok[usable]
+    bounds = np.full(diag.shape, math.nan)
+    bounds[ok] = (np.diagonal(np.linalg.inv(scaled[kept]), axis1=-2, axis2=-1)
+                  / scale[kept] ** 2)
+    k = fim.shape[-1] // 3
+    return CrbBounds(theta=bounds[..., 0:k], doppler=bounds[..., k:2 * k],
+                     delay=bounds[..., 2 * k:3 * k], condition_number=cond)

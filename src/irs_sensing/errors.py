@@ -83,7 +83,3 @@ def record_failures(errors: list, failed, make_error) -> None:
     for b in np.flatnonzero(flags):
         if errors[b] is None:
             errors[b] = make_error(b)
-
-
-class SingularFim(SensingError):
-    """Fisher information matrix numerically singular; bounds undefined."""

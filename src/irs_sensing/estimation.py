@@ -440,7 +440,7 @@ def estimate_trials(y: np.ndarray, noise_sigma: np.ndarray,
     recon = reconstruction_error(data, triple, phase_errors[:n] + errors)
     flagged = np.flatnonzero(recon > RECON_WARN_FLOOR)
     noise = (np.broadcast_to(noise_sigma, y.shape[:2]).ravel()[flagged]
-             * math.sqrt(data[0].size) / frobenius_norms(data)[flagged])
+             * math.sqrt(data[0].size) / frobenius_norms(data[flagged]))
     for j in flagged[recon[flagged] > 3 * noise]:
         warnings.warn(
             f"phase {j // n + 1}: reconstruction residual {recon[j]:.3f} "

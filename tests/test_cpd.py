@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from irs_sensing.cpd import (FactorTriple, check_uniqueness, cp_decompose,
-                             cp_reconstruct, khatri_rao, raw_delay,
-                             reconstruction_error)
+                             cp_reconstruct, frobenius_norms, khatri_rao,
+                             raw_delay, reconstruction_error)
 from irs_sensing.errors import DimensionMismatch, RankDeficient, UniquenessError
 
 
@@ -20,6 +20,19 @@ def test_flat_view_matches_factor_identity():
     c = rng.standard_normal((l, k)) + 1j * rng.standard_normal((l, k))
     y = np.einsum("pk,mk,lk->pml", a, b, c)
     assert y.reshape(p, m * l) == pytest.approx(a @ khatri_rao(b, c).T)
+
+
+def test_frobenius_norms_of_a_selection_are_its_own_bits():
+    """Each tensor's norm is its own product, so the norms of selected
+    tensors equal those of the whole stack bit for bit; selecting none
+    gives none."""
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((9, 10, 16, 10)) + 1j * rng.standard_normal(
+        (9, 10, 16, 10))
+    picked = np.array([1, 4, 8])
+    assert np.array_equal(frobenius_norms(data[picked]),
+                          frobenius_norms(data)[picked])
+    assert frobenius_norms(data[picked[:0]]).shape == (0,)
 
 
 def test_khatri_rao_definition():

@@ -5,12 +5,15 @@ The files under ``tests/data`` were written by
 configuration.  A rerun must reproduce every row and every trial count
 exactly; mse and crb may move only by floating-point reassociation, so
 they are held to 1e-9 relative (NaN where the reference is NaN).
+``crb_default.csv`` is ``sense crb --config configs/default.yaml``, held
+byte for byte.
 """
 import math
 from pathlib import Path
 
 import pytest
 
+from irs_sensing.cli import main
 from irs_sensing.config import load_config
 from irs_sensing.experiments import (PRESET_NAMES, build_spec,
                                      read_results_csv, run_experiment)
@@ -42,3 +45,9 @@ def test_preset_matches_golden_csv(preset):
             (want.trials_used, want.failures), key
         assert _close(got.mse, want.mse), (key, got.mse, want.mse)
         assert _close(got.crb, want.crb), (key, got.crb, want.crb)
+
+
+def test_crb_sweep_matches_golden_bytes(tmp_path):
+    out = tmp_path / "crb.csv"
+    assert main(["crb", "--config", str(CONFIG), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "crb_default.csv").read_bytes()
