@@ -8,8 +8,7 @@ and two moving targets south-east of it.
 from __future__ import annotations
 
 import math
-from dataclasses import (dataclass, field, fields as dataclass_fields,
-                         is_dataclass, replace)
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
 import yaml
@@ -33,7 +32,7 @@ class WaveformConfig:
     modulation_symbol: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        _require_finite(self)
+        _coerce_fields(self)
         if self.n_subcarriers < 1 or self.n_pulses < 1:
             raise ConfigError("subcarrier and pulse counts must be >= 1")
         if min(self.carrier_freq_hz, self.symbol_duration_s,
@@ -68,7 +67,7 @@ class ArrayConfig:
     wavelength_m: float = SPEED_OF_LIGHT / 60e9
 
     def __post_init__(self):
-        _require_finite(self)
+        _coerce_fields(self)
         if self.n_ap_antennas < 1 or self.n_irs_elements < 1:
             raise ConfigError("antenna and element counts must be >= 1")
         if self.wavelength_m <= 0:
@@ -86,7 +85,8 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class TargetConfig:
-    """One point target: 2-D position and radial speed toward the surface."""
+    """One point target: 2-D position and radial speed toward the surface.
+    The scene checks its fields."""
 
     position_m: tuple[float, float]
     radial_velocity_mps: float = 0.0
@@ -109,7 +109,7 @@ class SceneConfig:
     n_nlos_paths: int = 4
 
     def __post_init__(self):
-        _require_finite(self)
+        _coerce_fields(self)
         if len(self.targets) < 1:
             raise ConfigError("at least one target required")
         if self.doa_prior_rad[1] <= self.doa_prior_rad[0]:
@@ -136,84 +136,53 @@ _ARRAY_KEYS = {"n_ap_antennas", "n_irs_elements", "element_spacing_m"}
 _SCENE_KEYS = {"ap_position_m", "irs_position_m", "targets", "doa_prior_deg",
                "n_subarrays", "rician_k_db", "n_nlos_paths"}
 _TARGET_KEYS = {"position_m", "radial_velocity_mps", "rcs"}
+_FILE_SECTIONS = {"waveform": _WAVEFORM_KEYS, "arrays": _ARRAY_KEYS,
+                  "scene": _SCENE_KEYS}
+_OVERRIDE_SECTIONS = {"waveform": _WAVEFORM_KEYS,
+                      "arrays": _ARRAY_KEYS | {"wavelength_m"},
+                      "scene": _SCENE_KEYS - {"doa_prior_deg"} | {"doa_prior_rad"}}
 
 
-def _finite(value) -> float:
-    """``value`` as a finite float; ValueError for a bool, NaN or an infinity."""
-    number = math.nan if isinstance(value, bool) else float(value)
-    if not math.isfinite(number):
-        raise ValueError("not a finite number")
-    return number
+def _coerce_fields(section, name: str = ""):
+    """Set each field of the config ``section`` to its declared type, or
+    raise ConfigError naming the field, or ``name`` if given; returns
+    ``section``.
 
-
-def _require_finite(value, name: str = "") -> None:
-    """ConfigError unless each number in a config section, target, pair or
-    field is finite and no bool (NaN passes every range check); None is unset."""
-    if is_dataclass(value):
-        for f in dataclass_fields(value):
-            _require_finite(getattr(value, f.name), name or f.name)
-    elif isinstance(value, (tuple, list)):
-        for item in value:
-            _require_finite(item, name)
-    elif value is not None:
-        try:
-            _finite(abs(value) if isinstance(value, complex) else value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad value for {name!r}: {value!r}") from None
-
-
-def _pair(key: str, value) -> tuple[float, float]:
-    """Two finite numbers from a two-item list, or ConfigError."""
-    try:
-        if isinstance(value, list) and len(value) == 2:
-            return _finite(value[0]), _finite(value[1])
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{key} must be a list of two finite numbers, got {value!r}")
-
-
-def _build_targets(raw) -> tuple[TargetConfig, ...]:
-    if not isinstance(raw, list):
-        raise ConfigError(f"targets must be a list of mappings, got {raw!r}")
-    targets = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"target {i}: expected a mapping")
-        _reject_unknown(f"target {i}", entry, _TARGET_KEYS)
-        pos = _pair(f"target {i}: position_m", entry.get("position_m"))
-        try:
-            vel = _finite(entry.get("radial_velocity_mps", 0.0))
-            rcs = _finite(entry.get("rcs", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"target {i}: speed and rcs must be finite numbers") from exc
-        targets.append(TargetConfig(position_m=pos, radial_velocity_mps=vel, rcs=rcs))
-    return tuple(targets)
-
-
-def _coerce_numbers(section: dict, cls) -> dict:
-    """Convert scalar fields to their declared numeric types.
-
-    Some YAML parsers read exponent forms like ``60.0e9`` as strings;
-    coercing by the dataclass annotation keeps config files forgiving.
-    An int field takes only whole numbers: 2.7 pulses is an error, not 2.
-    No number may be a bool, NaN or an infinity.
+    A count (an ``int`` field) takes only whole numbers: 2.7 pulses is an
+    error, not 2.  Any other number becomes a finite float, or a complex of
+    finite modulus; a pair becomes two finite floats, and each target's
+    fields are checked under the name ``'targets'``.  No number may be a
+    bool, NaN or an infinity (NaN passes every range check).  A numeric
+    string is a number, since some YAML parsers read exponent forms like
+    ``60.0e9`` as strings.  None stays None where the field allows it.
     """
-    kinds = {f.name: f.type for f in dataclass_fields(cls)}
-    out = {}
-    for key, value in section.items():
-        kind = kinds.get(key)
-        try:
-            if kind == "int":
-                if not _finite(value).is_integer():
-                    raise ValueError("not a whole number")
-                value = int(float(value))
-            elif kind == "float" or (kind == "float | None" and value is not None):
-                value = _finite(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-        out[key] = value
-    return out
+    for f in dataclass_fields(section):
+        object.__setattr__(section, f.name, _coerce(
+            f.type, getattr(section, f.name), name or f.name))
+    return section
+
+
+def _coerce(kind: str, value, name: str):
+    """``value`` as the declared type ``kind`` of field ``name``."""
+    try:
+        if value is None and kind == "float | None":
+            return None
+        if kind == "tuple[TargetConfig, ...]":
+            targets = tuple(value)
+            if not all(isinstance(t, TargetConfig) for t in targets):
+                raise TypeError("not a target")
+            return tuple(_coerce_fields(replace(t), name) for t in targets)
+        if kind == "tuple[float, float]":
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
+                raise TypeError("not a pair")
+            return tuple(_coerce("float", v, name) for v in value)
+        number = math.nan if isinstance(value, bool) else (
+            complex if kind == "complex" else float)(value)
+        if math.isfinite(abs(number)) and (kind != "int" or number.is_integer()):
+            return int(number) if kind == "int" else number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"bad value for {name!r}: {value!r}")
 
 
 def _reject_unknown(name: str, mapping: dict, known: set) -> None:
@@ -222,43 +191,42 @@ def _reject_unknown(name: str, mapping: dict, known: set) -> None:
         raise ConfigError(f"unknown {name} keys: {sorted(bad)}")
 
 
-def _section(raw: dict, name: str, cls, known: set) -> dict:
-    section = raw.get(name) or {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    _reject_unknown(name, section, known)
-    return _coerce_numbers(section, cls)
+def _build_targets(raw) -> tuple[TargetConfig, ...]:
+    """Targets from a list of mappings; the scene checks their values."""
+    if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
+        raise ConfigError(f"targets must be a list of mappings, got {raw!r}")
+    for i, entry in enumerate(raw):
+        _reject_unknown(f"target {i}", entry, _TARGET_KEYS)
+    return tuple(TargetConfig(**{"position_m": None, **entry}) for entry in raw)
 
 
 def config_from_dict(raw: dict) -> FullConfig:
     """Build a FullConfig from a nested dict, overriding defaults.
 
     Recognized top-level sections: ``waveform``, ``arrays``, ``scene``.
-    Unknown keys raise ConfigError rather than being silently ignored.
+    Unknown keys raise ConfigError rather than being silently ignored.  The
+    keys are flattened and passed to ``with_overrides``, so a file and an
+    override are checked alike.
     """
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    _reject_unknown("top-level", raw, {"waveform", "arrays", "scene"})
-    # the known keys are dataclass fields, so the constructors take them all
-    waveform = WaveformConfig(**_section(raw, "waveform", WaveformConfig,
-                                         _WAVEFORM_KEYS))
-    ar_raw = _section(raw, "arrays", ArrayConfig, _ARRAY_KEYS)
-    ar_raw.setdefault("wavelength_m", waveform.wavelength_m)
-    arrays = ArrayConfig(**ar_raw)
-
-    sc_raw = _section(raw, "scene", SceneConfig, _SCENE_KEYS)
-    if "doa_prior_deg" in sc_raw:
-        lo, hi = _pair("doa_prior_deg", sc_raw.pop("doa_prior_deg"))
-        sc_raw["doa_prior_rad"] = (math.radians(lo), math.radians(hi))
-    if "targets" in sc_raw:
-        sc_raw["targets"] = _build_targets(sc_raw["targets"])
-    for key in ("ap_position_m", "irs_position_m"):
-        if key in sc_raw:
-            sc_raw[key] = _pair(key, sc_raw[key])
-    return FullConfig(waveform=waveform, arrays=arrays,
-                      scene=SceneConfig(**sc_raw))
+    _reject_unknown("top-level", raw, set(_FILE_SECTIONS))
+    flat = {}
+    for name, known in _FILE_SECTIONS.items():
+        section = {} if raw.get(name) is None else raw[name]
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be a mapping")
+        _reject_unknown(name, section, known)
+        flat.update(section)
+    if "doa_prior_deg" in flat:
+        lo, hi = _coerce("tuple[float, float]", flat.pop("doa_prior_deg"),
+                         "doa_prior_deg")
+        flat["doa_prior_rad"] = (math.radians(lo), math.radians(hi))
+    if "targets" in flat:
+        flat["targets"] = _build_targets(flat["targets"])
+    return with_overrides(FullConfig(), **flat)
 
 
 def load_config(path: str | Path) -> FullConfig:
@@ -276,24 +244,21 @@ def load_config(path: str | Path) -> FullConfig:
 
 
 def with_overrides(cfg: FullConfig, **kwargs) -> FullConfig:
-    """Return a copy of ``cfg`` with selected scalar fields replaced.
+    """Return a copy of ``cfg`` with selected fields replaced.
 
     Keys are routed to the section that owns them, e.g. ``n_pulses`` to the
-    waveform and ``n_ap_antennas`` to the arrays.  Array wavelength tracks
-    any carrier change.
+    waveform and ``n_ap_antennas`` to the arrays, and each section checks
+    its fields.  Unless given, the array wavelength is the carrier's, and
+    an element spacing of half the old wavelength stays half the new one.
     """
-    wf_kw = {k: v for k, v in kwargs.items() if k in _WAVEFORM_KEYS}
-    ar_kw = {k: v for k, v in kwargs.items()
-             if k in _ARRAY_KEYS or k == "wavelength_m"}
-    sc_kw = {k: v for k, v in kwargs.items()
-             if k in (_SCENE_KEYS - {"doa_prior_deg"}) | {"doa_prior_rad", "targets"}}
-    leftovers = set(kwargs) - set(wf_kw) - set(ar_kw) - set(sc_kw)
+    routed = {name: {k: v for k, v in kwargs.items() if k in keys}
+              for name, keys in _OVERRIDE_SECTIONS.items()}
+    leftovers = set(kwargs).difference(*_OVERRIDE_SECTIONS.values())
     if leftovers:
         raise ConfigError(f"unknown override keys: {sorted(leftovers)}")
-    waveform = replace(cfg.waveform, **wf_kw) if wf_kw else cfg.waveform
-    arrays = cfg.arrays
-    if wf_kw or ar_kw:
-        ar_kw.setdefault("wavelength_m", waveform.wavelength_m)
-        arrays = replace(cfg.arrays, **ar_kw)
-    scene = replace(cfg.scene, **sc_kw) if sc_kw else cfg.scene
-    return FullConfig(waveform=waveform, arrays=arrays, scene=scene)
+    waveform = replace(cfg.waveform, **routed["waveform"])
+    ar_kw = {"wavelength_m": waveform.wavelength_m, **routed["arrays"]}
+    if cfg.arrays.element_spacing_m == cfg.arrays.wavelength_m / 2:
+        ar_kw.setdefault("element_spacing_m", 0.0)  # 0: half the wavelength
+    return FullConfig(waveform, replace(cfg.arrays, **ar_kw),
+                      replace(cfg.scene, **routed["scene"]))

@@ -214,11 +214,11 @@ def _gamma_ratio(steer: np.ndarray, u: np.ndarray,
     # each trial's u contracts as a 1 x N row, bit for bit its product alone
     num, den = (((u * profile)[..., None, :] @ steer)[..., 0, :]
                 for profile in profiles)
-    out = np.full(num.shape, np.nan, dtype=complex)
     ok = (np.abs(den) >= GRID_EXCLUSION_RTOL
           * np.linalg.norm(u, axis=-1, keepdims=True))
-    out[ok] = (num[ok] / den[ok]) ** 2
-    return out
+    out = np.divide(num, den, out=np.full(num.shape, np.nan, dtype=complex),
+                    where=ok)  # in place: no masked copies
+    return np.square(out, out=out)
 
 
 def resolve_doa(gammas: np.ndarray, u: np.ndarray, profiles: np.ndarray,

@@ -82,6 +82,7 @@ def test_malformed_config_exits_2(tmp_path):
     "scene:\n  ap_position_m: [0]\n",
     "scene:\n  n_subarrays: 2.5\n",
     "scene: 5\n",
+    "scene: []\n",
     "waveform:\n  n_pulses: 2.7\n",
     "waveform:\n  n_pulses: .inf\n",
     "arrays:\n  n_ap_antennas: 7.5\n",

@@ -70,10 +70,13 @@ def test_doa_prior_degrees_converted():
 
 
 def test_numeric_strings_coerced():
+    """A file and the Python API read a numeric string as a number."""
     cfg = config_from_dict({"waveform": {"carrier_freq_hz": "60.0e9",
                                          "n_pulses": "8"}})
     assert cfg.waveform.carrier_freq_hz == 60e9
     assert cfg.waveform.n_pulses == 8
+    pulses = with_overrides(FullConfig(), n_pulses="8").waveform.n_pulses
+    assert type(pulses) is int and pulses == 8
 
 
 def test_bad_numeric_string_rejected():
@@ -109,8 +112,17 @@ def test_with_overrides_unknown_key():
 
 
 def test_wavelength_tracks_carrier_override():
+    """The wavelength follows the carrier, and so does a half-wavelength
+    spacing, alike through a file and an override; a spacing given as
+    another length stays."""
     out = with_overrides(FullConfig(), carrier_freq_hz=30e9)
     assert out.arrays.wavelength_m == pytest.approx(SPEED_OF_LIGHT / 30e9)
+    assert out.arrays.element_spacing_m == out.arrays.wavelength_m / 2
+    assert out == config_from_dict({"waveform": {"carrier_freq_hz": 30e9}})
+    spaced = with_overrides(FullConfig(), element_spacing_m=3e-3)
+    moved = with_overrides(spaced, carrier_freq_hz=30e9)
+    assert moved.arrays.element_spacing_m == 3e-3
+    assert moved.arrays.wavelength_m == out.arrays.wavelength_m
 
 
 def test_target_parsing_errors():
@@ -136,10 +148,13 @@ def test_target_parsing_errors():
     {"scene": {"targets": [{"position_m": [533.0, -170.0],
                             "radial_velocity_mps": math.inf}]}},
     {"scene": {"targets": [{"position_m": [533.0, -170.0], "rcs": True}]}},
+    pytest.param({"waveform": {"n_pulses": 10**400}},
+                 id="{'waveform': {'n_pulses': 10**400}}"),
 ], ids=repr)
 def test_non_finite_numbers_and_bools_rejected(raw):
     """NaN passes every range check by comparison, so it is rejected where
-    it is read, as are the infinities and a bool taken as a number."""
+    it is read, as are the infinities, a whole number past the float range
+    and a bool taken as a number."""
     with pytest.raises(ConfigError):
         config_from_dict(raw)
 
@@ -152,10 +167,14 @@ def test_non_finite_numbers_and_bools_rejected(raw):
     {"rician_k_db": -math.inf},
     {"irs_position_m": (math.nan, 100.0)},
     {"targets": (TargetConfig(position_m=(533.0, -170.0), rcs=math.inf),)},
+    {"n_pulses": 2.7},
+    {"n_ap_antennas": 7.5},
+    {"n_subarrays": 2.5},
 ], ids=repr)
 def test_non_finite_numbers_and_bools_rejected_through_the_api(override):
     """The config classes check their own numbers, so the Python API takes
-    no NaN, infinity or bool that a config file cannot pass either."""
+    no NaN, infinity, bool or fractional count that a config file cannot
+    pass either."""
     with pytest.raises(ConfigError) as info:
         with_overrides(FullConfig(), **override)
     assert "\n" not in str(info.value)
@@ -180,7 +199,7 @@ _NOT_A_MAPPING = st.sampled_from([None, 0, 1.5, "x", [], [{}]])
 def _value(key):
     if key == "targets":
         return _TARGETS
-    return _PAIR | _VALUES if key.endswith(("position_m", "_deg")) else _VALUES
+    return _PAIR | _VALUES if key.endswith(("position_m", "_deg", "_rad")) else _VALUES
 
 
 def _mapping(keys):
@@ -213,10 +232,17 @@ def test_any_mapping_gives_a_config_or_config_error(raw):
         cfg = config_from_dict(raw)
     except ConfigError:
         return
+    _assert_typed_and_finite(cfg)
+
+
+def _assert_typed_and_finite(cfg):
+    """An int in every count field of ``cfg`` and a finite float in every
+    other number."""
     assert isinstance(cfg, FullConfig)
     scene = cfg.scene
     fields = [*((k, getattr(cfg.waveform, k)) for k in _WAVEFORM_KEYS),
-              *((k, getattr(cfg.arrays, k)) for k in _ARRAY_KEYS),
+              *((k, getattr(cfg.arrays, k))
+                for k in (*_ARRAY_KEYS, "wavelength_m")),
               *((k, getattr(scene, k)) for k in ("n_subarrays", "n_nlos_paths")),
               *(("pair", x) for x in (*scene.ap_position_m, *scene.irs_position_m,
                                       *scene.doa_prior_rad)),
@@ -227,3 +253,28 @@ def test_any_mapping_gives_a_config_or_config_error(raw):
         assert math.isfinite(value), name
     assert scene.rician_k_db is None or (type(scene.rician_k_db) is float
                                          and math.isfinite(scene.rician_k_db))
+
+
+# Every key that a file can set, as the override key that sets it, and the
+# wavelength, each with any value; the targets as TargetConfig entries, as
+# the API takes them.
+_API_TARGETS = st.lists(st.builds(
+    TargetConfig, position_m=_PAIR | _VALUES, radial_velocity_mps=_VALUES,
+    rcs=_VALUES) | _NOT_A_MAPPING, min_size=1, max_size=3) | _NOT_A_MAPPING
+_OVERRIDE = st.sampled_from(sorted(
+    _WAVEFORM_KEYS | _ARRAY_KEYS | _SCENE_KEYS - {"doa_prior_deg"}
+    | {"doa_prior_rad", "wavelength_m"})).flatmap(
+        lambda key: st.fixed_dictionaries({key: _API_TARGETS if key == "targets"
+                                           else _value(key)}))
+
+
+@given(override=_OVERRIDE)
+@settings(max_examples=300, deadline=None)
+def test_any_override_gives_a_config_or_config_error(override):
+    """Through the Python API too, no value of any key raises anything but
+    ConfigError, and the rest is a config with typed, finite fields."""
+    try:
+        cfg = with_overrides(FullConfig(), **override)
+    except ConfigError:
+        return
+    _assert_typed_and_finite(cfg)
