@@ -18,8 +18,9 @@ import numpy as np
 from .config import FullConfig, load_config
 from .crb import FIM_CONDITION_LIMIT, compute_crb, compute_fim
 from .errors import ConfigError
-from .experiments import (DEFAULT_SEED, PRESET_NAMES, build_spec,
-                          emit_results, run_experiment)
+from .experiments import (DEFAULT_SEED, PARAMETER_LABELS, PRESET_NAMES,
+                          build_spec, emit_results, format_float,
+                          run_experiment)
 from .scene import draw_scene_point, sensing_limits
 from .synthesis import echo_tensors, noise_sigma_for_snr, noise_variance
 
@@ -48,9 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="print the waveform's sensing limits")
     lim_p.add_argument("--config", required=True)
 
-    crb_p = sub.add_parser("crb", help="emit bound curves over a sweep")
+    crb_p = sub.add_parser("crb", help="emit bound curves over an SNR sweep")
     crb_p.add_argument("--config", required=True)
-    crb_p.add_argument("--sweep", choices=("snr",), default="snr")
     crb_p.add_argument("--out", default=None,
                        help="output CSV path (default: stdout)")
     return parser
@@ -88,9 +88,9 @@ def _crb_rows(config: FullConfig) -> tuple[list[str], list[list[str]]]:
                           f"{FIM_CONDITION_LIMIT:.0e}")
     k_total = point.truth.n_targets
     header = ["snr_db"]
-    for fam in ("crb_theta", "crb_nu", "crb_tau"):
-        header += [f"{fam}_{k + 1}" for k in range(k_total)]
-    body = [[f"{v:.17e}" for v in (snr, *row)] for snr, row in zip(
+    for label in PARAMETER_LABELS:
+        header += [f"crb_{label}_{k + 1}" for k in range(k_total)]
+    body = [[format_float(v) for v in (snr, *row)] for snr, row in zip(
         CRB_SNR_GRID, np.hstack([bounds.theta, bounds.doppler, bounds.delay]))]
     return header, body
 

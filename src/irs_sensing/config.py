@@ -16,6 +16,7 @@ import yaml
 from .errors import ConfigError
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s, exact
+MODULATION_SYMBOL = 1.0 + 0.0j  # unit-modulus symbol on every subcarrier
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,6 @@ class WaveformConfig:
     cyclic_prefix_s: float = 1e-6
     pri_s: float = 8e-6
     tx_power_w: float = 1.0
-    modulation_symbol: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         _coerce_fields(self)
@@ -38,8 +38,6 @@ class WaveformConfig:
         if min(self.carrier_freq_hz, self.symbol_duration_s,
                self.cyclic_prefix_s, self.pri_s, self.tx_power_w) <= 0:
             raise ConfigError("waveform durations, carrier, and power must be positive")
-        if abs(abs(self.modulation_symbol) - 1.0) > 1e-12:
-            raise ConfigError("modulation symbol must be unit modulus")
         if self.n_subcarriers * self.subcarrier_spacing_hz >= 0.1 * self.carrier_freq_hz:
             raise ConfigError("occupied bandwidth must stay far below the carrier")
 
@@ -138,8 +136,7 @@ _SCENE_KEYS = {"ap_position_m", "irs_position_m", "targets", "doa_prior_deg",
 _TARGET_KEYS = {"position_m", "radial_velocity_mps", "rcs"}
 _FILE_SECTIONS = {"waveform": _WAVEFORM_KEYS, "arrays": _ARRAY_KEYS,
                   "scene": _SCENE_KEYS}
-_OVERRIDE_SECTIONS = {"waveform": _WAVEFORM_KEYS,
-                      "arrays": _ARRAY_KEYS | {"wavelength_m"},
+_OVERRIDE_SECTIONS = {**_FILE_SECTIONS,
                       "scene": _SCENE_KEYS - {"doa_prior_deg"} | {"doa_prior_rad"}}
 
 
@@ -149,12 +146,12 @@ def _coerce_fields(section, name: str = ""):
     ``section``.
 
     A count (an ``int`` field) takes only whole numbers: 2.7 pulses is an
-    error, not 2.  Any other number becomes a finite float, or a complex of
-    finite modulus; a pair becomes two finite floats, and each target's
-    fields are checked under the name ``'targets'``.  No number may be a
-    bool, NaN or an infinity (NaN passes every range check).  A numeric
-    string is a number, since some YAML parsers read exponent forms like
-    ``60.0e9`` as strings.  None stays None where the field allows it.
+    error, not 2.  Any other number becomes a finite float; a pair becomes
+    two finite floats, and each target's fields are checked under the name
+    ``'targets'``.  No number may be a bool, NaN or an infinity (NaN passes
+    every range check).  A numeric string is a number, since some YAML
+    parsers read exponent forms like ``60.0e9`` as strings.  None stays
+    None where the field allows it.
     """
     for f in dataclass_fields(section):
         object.__setattr__(section, f.name, _coerce(
@@ -176,9 +173,8 @@ def _coerce(kind: str, value, name: str):
             if not isinstance(value, (list, tuple)) or len(value) != 2:
                 raise TypeError("not a pair")
             return tuple(_coerce("float", v, name) for v in value)
-        number = math.nan if isinstance(value, bool) else (
-            complex if kind == "complex" else float)(value)
-        if math.isfinite(abs(number)) and (kind != "int" or number.is_integer()):
+        number = math.nan if isinstance(value, bool) else float(value)
+        if math.isfinite(number) and (kind != "int" or number.is_integer()):
             return int(number) if kind == "int" else number
     except (TypeError, ValueError, OverflowError):
         pass
@@ -248,8 +244,8 @@ def with_overrides(cfg: FullConfig, **kwargs) -> FullConfig:
 
     Keys are routed to the section that owns them, e.g. ``n_pulses`` to the
     waveform and ``n_ap_antennas`` to the arrays, and each section checks
-    its fields.  Unless given, the array wavelength is the carrier's, and
-    an element spacing of half the old wavelength stays half the new one.
+    its fields.  The array wavelength is the carrier's, and an element
+    spacing of half the old wavelength stays half the new one.
     """
     routed = {name: {k: v for k, v in kwargs.items() if k in keys}
               for name, keys in _OVERRIDE_SECTIONS.items()}

@@ -43,7 +43,7 @@ GRID_EXCLUSION_RTOL = 1e-8          # drop grid points with tiny denominators
 UNWRAP_EDGE_TOL = 0.01              # fraction of the prefix length
 RANK_ONE_RATIO = 1e-3
 SCAN_WINDOW = 8                     # exact points around a fast direction peak
-SCAN_MARGIN = 1e-9                  # relative, below the window's best exact score
+SCAN_MARGIN = 1e-9                  # relative, below any fine-grid window's best score
 
 
 class Estimates(NamedTuple):
@@ -302,11 +302,10 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
     first = (np.argmax(scores, axis=-1) - w // 2 + 1).clip(0, n_grid - n_grid % w - w)
     cols = (first[..., None] + np.arange(w)) % n_grid
     window = own(np.moveaxis(grid_steer[:, cols.reshape(n_trials, -1)], 0, 1))
-    peak = first + np.argmax(window, axis=-1)
-    np.put_along_axis(scores, cols, -np.inf, axis=-1)
-    inner_edge = np.isin(peak - first, (0, w - 1)) & ~np.isin(peak, (0, n_grid - 1))
+    # the window's end cells stay in the bound, so a peak on one fails it
+    np.put_along_axis(scores, cols[..., 1:-1], -np.inf, axis=-1)
     certified = ((scores.max(axis=-1) < window.max(axis=-1) * (1 - SCAN_MARGIN))
-                 & ~inner_edge & (n_grid >= w))
+                 & (n_grid >= w))
     np.put_along_axis(scores, cols, window, axis=-1)
     for b in np.flatnonzero(~certified.all(axis=-1)):
         scores[b] = corr_at(grid_steer, slice(b, b + 1))[0]
@@ -341,7 +340,7 @@ def _doppler_peaks(pulses: np.ndarray, waveform: WaveformConfig,
     # a fine point off the window lies in a cell with no end inside it
     np.put_along_axis(q, cell + np.arange(1, 2 * DOPPLER_WINDOW), 0, axis=-1)
     certified = (q.max(axis=-1) ** 2 + spread
-                 < window.max(axis=-1) ** 2 * (1 - 1e-9))
+                 < window.max(axis=-1) ** 2 * (1 - SCAN_MARGIN))
     for b, c in np.argwhere(~certified):
         full = np.abs(a[b] @ ramps)[c]
         top = np.argmax(np.where(np.isfinite(full), full, -np.inf))

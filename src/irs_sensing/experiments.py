@@ -12,7 +12,8 @@ import csv
 import ctypes
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import cache
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -63,11 +64,18 @@ class ExperimentSpec:
             raise ConfigError("sweep must be nonempty")
         if self.sweep_parameter not in SWEEP_CONFIG_KEYS:
             raise ConfigError(f"unknown sweep parameter {self.sweep_parameter!r}")
+        for v in (self.sweep_values if self.sweep_parameter == "snr_db"
+                  else (self.snr_db,)):  # an SNR; +inf dB is the noiseless run
+            if type(v) is bool or not (isinstance(v, numbers.Real) and v > -math.inf):
+                raise ConfigError(f"SNR must be a number of dB above -inf, not {v!r}")
+        if self.n_targets is not None and (type(self.n_targets) is not int
+                                           or self.n_targets < 1):
+            raise ConfigError(f"n_targets must be an int >= 1, not {self.n_targets!r}")
 
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One (sweep value, parameter family) aggregate."""
+    """One (sweep value, parameter family) aggregate; its fields are the columns."""
 
     sweep_name: str
     sweep_value: float
@@ -110,11 +118,10 @@ def build_spec(preset: str, trials: int | None = None,
     if preset not in _PRESET_TABLE:
         raise ConfigError(f"unknown preset {preset!r}; "
                           f"choose from {sorted(_PRESET_TABLE)}")
-    fields = dict(_PRESET_TABLE[preset])
     return ExperimentSpec(preset=preset,
                           trials=DEFAULT_TRIALS if trials is None else trials,
                           seed=DEFAULT_SEED if seed is None else seed,
-                          **fields)
+                          **_PRESET_TABLE[preset])
 
 
 def resolve_sweep_point(spec: ExperimentSpec, config: FullConfig,
@@ -126,6 +133,8 @@ def resolve_sweep_point(spec: ExperimentSpec, config: FullConfig,
     """
     cfg = config
     if spec.n_targets is not None:
+        if spec.n_targets > len(cfg.scene.targets):
+            raise ConfigError(f"n_targets {spec.n_targets} exceeds the scene's targets")
         cfg = with_overrides(cfg, targets=cfg.scene.targets[:spec.n_targets])
     key = SWEEP_CONFIG_KEYS[spec.sweep_parameter]
     if key is None:
@@ -276,11 +285,13 @@ def _run_sweep(spec: ExperimentSpec, config: FullConfig) -> list[ResultRow]:
     return rows
 
 
-CSV_HEADER = ("sweep_name", "sweep_value", "parameter", "mse", "crb",
-              "trials_used", "failures")
+_COLUMNS = fields(ResultRow)
+CSV_HEADER = tuple(f.name for f in _COLUMNS)
+_PARSERS = {"str": str, "float": float, "int": int}  # by declared type
 
 
-def _fmt(value: float) -> str:
+def format_float(value: float) -> str:
+    """Full double precision, so a rerun with the same seed is byte-identical."""
     return f"{float(value):.17e}"
 
 
@@ -288,9 +299,10 @@ def emit_results(rows: Sequence[ResultRow], path: str | Path,
                  fmt: str = "csv") -> None:
     """Write aggregate rows as CSV (default) or JSON.
 
-    CSV numeric fields use full double-precision scientific notation so a
-    rerun with the same seed is byte-identical; counts stay integral.
-    Non-finite values appear as ``nan`` in CSV and null in JSON.
+    The columns are the fields of ``ResultRow``, in order.  A field
+    declared ``float`` is written by ``format_float`` in CSV, where a
+    non-finite one reads ``nan``, ``inf`` or ``-inf``, and as null in JSON;
+    counts stay integral.
     """
     path = Path(path)
     if fmt == "csv":
@@ -298,13 +310,13 @@ def emit_results(rows: Sequence[ResultRow], path: str | Path,
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             for row in rows:
-                writer.writerow([row.sweep_name, _fmt(row.sweep_value),
-                                 row.parameter, _fmt(row.mse), _fmt(row.crb),
-                                 row.trials_used, row.failures])
+                writer.writerow([
+                    format_float(getattr(row, f.name)) if f.type == "float"
+                    else getattr(row, f.name) for f in _COLUMNS])
     elif fmt == "json":
-        payload = [{**asdict(row),
-                    "mse": row.mse if math.isfinite(row.mse) else None,
-                    "crb": row.crb if math.isfinite(row.crb) else None}
+        payload = [{f.name: None if f.type == "float"
+                    and not math.isfinite(getattr(row, f.name))
+                    else getattr(row, f.name) for f in _COLUMNS}
                    for row in rows]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -316,7 +328,5 @@ def emit_results(rows: Sequence[ResultRow], path: str | Path,
 def read_results_csv(path: str | Path) -> list[ResultRow]:
     """Parse a results CSV back into rows (inverse of emit_results)."""
     with open(path, newline="") as fh:
-        return [ResultRow(rec["sweep_name"], float(rec["sweep_value"]),
-                          rec["parameter"], float(rec["mse"]), float(rec["crb"]),
-                          int(rec["trials_used"]), int(rec["failures"]))
+        return [ResultRow(*(_PARSERS[f.type](rec[f.name]) for f in _COLUMNS))
                 for rec in csv.DictReader(fh)]

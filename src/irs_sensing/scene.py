@@ -15,8 +15,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import (SPEED_OF_LIGHT, ArrayConfig, FullConfig, SceneConfig,
-                     WaveformConfig)
+from .config import (MODULATION_SYMBOL, SPEED_OF_LIGHT, ArrayConfig,
+                     FullConfig, SceneConfig, WaveformConfig)
 from .errors import (ConfigError, DegenerateGeometry, DuplicateParameter,
                      InfeasibleTiming, InvalidPartition, OutOfRange)
 
@@ -223,7 +223,7 @@ def derive_target_truth(scene: SceneConfig, waveform: WaveformConfig,
                    * tgt.rcs)
         return (math.sqrt(waveform.tx_power_w) * two_leg
                 * np.exp(-2j * np.pi * waveform.carrier_freq_hz * (delay + tau0))
-                * waveform.modulation_symbol * waveform.symbol_duration_s)
+                * MODULATION_SYMBOL * waveform.symbol_duration_s)
 
     gain = np.array([[draw_gain(tgt, dist, delay, rng) for tgt, (dist, _, delay, _)
                       in zip(scene.targets, geometry)] for rng in rngs])
@@ -295,7 +295,7 @@ def subarray_beam_directions(doa_prior: tuple[float, float], n_subarrays: int,
 
 
 def design_phase_profiles(doa_prior: tuple[float, float], arrays: ArrayConfig,
-                          n_subarrays: int = 4) -> np.ndarray:
+                          n_subarrays: int) -> np.ndarray:
     """Reflection coefficients exp(j*phi) of the two observation phases,
     one row each, (2, N), from interleaved subarray beams.
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from irs_sensing.config import ArrayConfig, WaveformConfig
+from irs_sensing.config import MODULATION_SYMBOL, ArrayConfig, WaveformConfig
 from irs_sensing.cpd import FactorTriple, cp_reconstruct
 from irs_sensing.crb import _term_rows, jacobian_terms
 from irs_sensing.errors import ConfigError, RankOneChannel, record_failures
@@ -65,7 +65,7 @@ def time_domain_oracle(truth: SceneTruth, channel: ChannelMatrix,
     spacing = waveform.subcarrier_spacing_hz
     pri = waveform.pri_s
     full = waveform.full_symbol_s
-    beta = waveform.modulation_symbol
+    beta = MODULATION_SYMBOL
     tau0 = truth.sync_delay_s
 
     start = pulse_index * pri + tau0 + full + waveform.cyclic_prefix_s
@@ -106,7 +106,7 @@ def oracle_prediction(factors: FactorTriple, sync_delay_s: float,
     sync_phase = np.exp(-2j * np.pi * l * waveform.subcarrier_spacing_hz
                         * sync_delay_s)
     return (tensor_slice * sync_phase[None, :]
-            / (waveform.modulation_symbol * waveform.symbol_duration_s))
+            / (MODULATION_SYMBOL * waveform.symbol_duration_s))
 
 
 def noisy_tensor(tensor: np.ndarray, snr_db: float,

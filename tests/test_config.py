@@ -1,14 +1,16 @@
 """Configuration defaults, file loading, and override routing."""
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irs_sensing.config import (_ARRAY_KEYS, _SCENE_KEYS, _TARGET_KEYS,
+from irs_sensing.config import (_ARRAY_KEYS, _FILE_SECTIONS,
+                                _OVERRIDE_SECTIONS, _SCENE_KEYS, _TARGET_KEYS,
                                 _WAVEFORM_KEYS, SPEED_OF_LIGHT, ArrayConfig,
-                                FullConfig, TargetConfig, WaveformConfig,
-                                config_from_dict,
+                                FullConfig, SceneConfig, TargetConfig,
+                                WaveformConfig, config_from_dict,
                                 load_config, with_overrides)
 from irs_sensing.errors import ConfigError
 
@@ -89,8 +91,6 @@ def test_invalid_waveform_values_rejected():
         WaveformConfig(n_subcarriers=0)
     with pytest.raises(ConfigError):
         WaveformConfig(symbol_duration_s=-1e-6)
-    with pytest.raises(ConfigError):
-        WaveformConfig(modulation_symbol=2.0 + 0.0j)
 
 
 def test_invalid_array_values_rejected():
@@ -123,6 +123,22 @@ def test_wavelength_tracks_carrier_override():
     moved = with_overrides(spaced, carrier_freq_hz=30e9)
     assert moved.arrays.element_spacing_m == 3e-3
     assert moved.arrays.wavelength_m == out.arrays.wavelength_m
+
+
+def test_file_and_override_keys_are_the_config_fields():
+    """A file and an override reach every field of the config classes, and
+    nothing else, with two exceptions: a file gives the prior in degrees,
+    and the array wavelength is always the carrier's."""
+    section_fields = {
+        name: {f.name for f in dataclasses.fields(cls)} for name, cls in
+        (("waveform", WaveformConfig), ("arrays", ArrayConfig),
+         ("scene", SceneConfig))}
+    section_fields["arrays"].remove("wavelength_m")  # set from the carrier
+    assert _OVERRIDE_SECTIONS == section_fields
+    section_fields["scene"].remove("doa_prior_rad")
+    section_fields["scene"].add("doa_prior_deg")
+    assert _FILE_SECTIONS == section_fields
+    assert _TARGET_KEYS == {f.name for f in dataclasses.fields(TargetConfig)}
 
 
 def test_target_parsing_errors():
@@ -255,15 +271,13 @@ def _assert_typed_and_finite(cfg):
                                          and math.isfinite(scene.rician_k_db))
 
 
-# Every key that a file can set, as the override key that sets it, and the
-# wavelength, each with any value; the targets as TargetConfig entries, as
-# the API takes them.
+# Every override key, each with any value; the targets as TargetConfig
+# entries, as the API takes them.
 _API_TARGETS = st.lists(st.builds(
     TargetConfig, position_m=_PAIR | _VALUES, radial_velocity_mps=_VALUES,
     rcs=_VALUES) | _NOT_A_MAPPING, min_size=1, max_size=3) | _NOT_A_MAPPING
-_OVERRIDE = st.sampled_from(sorted(
-    _WAVEFORM_KEYS | _ARRAY_KEYS | _SCENE_KEYS - {"doa_prior_deg"}
-    | {"doa_prior_rad", "wavelength_m"})).flatmap(
+_OVERRIDE = st.sampled_from(sorted(set().union(
+    *_OVERRIDE_SECTIONS.values()))).flatmap(
         lambda key: st.fixed_dictionaries({key: _API_TARGETS if key == "targets"
                                            else _value(key)}))
 

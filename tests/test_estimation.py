@@ -455,6 +455,22 @@ def test_doppler_columns_without_a_certified_window_get_the_full_grid():
         "NoneType", "NoneType", "NoFeasibleGrid"]
 
 
+def test_a_margin_no_window_meets_sends_every_doppler_column_to_the_full_grid(
+        monkeypatch):
+    """``_doppler_peaks`` certifies its windows with ``SCAN_MARGIN``: with a
+    margin that no window can meet, every column of every kind is scored
+    on the whole grid, so its grid index, refined Doppler and failure are
+    the full-grid search's bit for bit."""
+    import irs_sensing.estimation as estimation
+    monkeypatch.setattr(estimation, "SCAN_MARGIN", 1.0)
+    waveform = FullConfig().waveform
+    rng = np.random.default_rng(11)
+    pulses = np.stack([*(_doppler_columns(kind, waveform, 4, rng) for kind
+                         in ("random", "edge", "lobes", "noise", "random")),
+                       np.full((waveform.n_pulses, 4), np.nan)])
+    _assert_doppler_peaks_match_the_full_grid(pulses, waveform, exact=True)
+
+
 # ---------------------------------------------------------------- delay
 
 def test_delay_noiseless_exact(cfg, truth, aligned):

@@ -76,6 +76,26 @@ def test_fading_comparison_preset_shape():
     assert spec.sweep_values == (0.0, 5.0, 13.0)
 
 
+@pytest.mark.parametrize("preset,change", [
+    ("mse_vs_pulses", dict(snr_db=None)),
+    ("mse_vs_snr", dict(sweep_values=(0.0, "x"))),
+    ("mse_vs_snr", dict(sweep_values=(math.nan,))),
+    ("mse_vs_pulses", dict(snr_db=-math.inf)),
+    ("rician_comparison", dict(n_targets=2.5)),
+    ("rician_comparison", dict(n_targets=-1)),
+    ("rician_comparison", dict(n_targets=True)),
+    ("rician_comparison", dict(n_targets=5)),
+], ids=repr)
+def test_bad_snr_or_target_count_rejected(preset, change):
+    """An SNR that is not a number of dB above -inf, and a target count that
+    is not a whole number from 1 to the scene's, each give a one-line
+    ConfigError: none raises another error or runs."""
+    with pytest.raises(ConfigError) as info:
+        run_experiment(dataclasses.replace(build_spec(preset, trials=1, seed=3),
+                                           **change), FullConfig())
+    assert "\n" not in str(info.value)
+
+
 def test_resolve_sweep_point_rejects_invalid_value():
     spec = dataclasses.replace(build_spec("mse_vs_subcarriers"),
                                sweep_values=(0,))
@@ -459,6 +479,7 @@ def _sample_rows():
         ResultRow("snr_db", 0.0, "theta", 1.5e-6, 2.5e-7, 200, 0),
         ResultRow("snr_db", 0.0, "nu", 3.25, 1.125, 200, 0),
         ResultRow("snr_db", 0.0, "tau", math.nan, math.nan, 0, 200),
+        ResultRow("snr_db", math.inf, "theta", math.inf, -math.inf, 200, 0),
     ]
 
 
@@ -473,9 +494,10 @@ def test_emit_csv_roundtrip(tmp_path):
     path = tmp_path / "r.csv"
     emit_results(rows, path)
     lines = path.read_text().splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert lines[0] == ",".join(CSV_HEADER)
     back = read_results_csv(path)
+    assert len(back) == len(rows)
     assert all(_rows_equal(a, b) for a, b in zip(rows, back))
 
 
@@ -487,16 +509,22 @@ def test_emit_csv_repeat_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_emit_json(tmp_path):
     rows = _sample_rows()
     path = tmp_path / "r.json"
     emit_results(rows, path, fmt="json")
-    payload = json.loads(path.read_text())
-    assert len(payload) == 3
+    payload = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert len(payload) == 4
+    assert list(payload[0]) == list(CSV_HEADER)
     assert payload[0]["parameter"] == "theta"
     assert payload[0]["mse"] == pytest.approx(1.5e-6)
     assert payload[2]["mse"] is None and payload[2]["crb"] is None
     assert payload[2]["failures"] == 200
+    assert [payload[3][k] for k in ("sweep_value", "mse", "crb")] == [None] * 3
 
 
 def test_emit_unknown_format(tmp_path):
