@@ -13,6 +13,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from irs_sensing.config import SPEED_OF_LIGHT, load_config
+from irs_sensing.errors import ConfigError
 from irs_sensing.estimation import estimate_targets
 from irs_sensing.scene import draw_scene_point, sensing_limits
 from irs_sensing.synthesis import echo_tensors
@@ -23,9 +24,14 @@ def main() -> int:
     parser.add_argument("--config", default="configs/default.yaml")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
+    if args.seed < 0:
+        parser.exit(2, f"error: seed must be an int >= 0, not {args.seed}\n")
 
-    cfg = load_config(args.config)
-    point = draw_scene_point(cfg, [np.random.default_rng(args.seed)]).trial(0)
+    try:
+        cfg = load_config(args.config)
+        point = draw_scene_point(cfg, [np.random.default_rng(args.seed)]).trial(0)
+    except ConfigError as exc:
+        parser.exit(2, f"error: {exc}\n")
     truth = point.truth
     limits = sensing_limits(cfg.waveform)
     print(f"range window  [{limits.min_range_m:.3f}, {limits.max_range_m:.3f}] m")

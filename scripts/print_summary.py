@@ -10,13 +10,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from irs_sensing.experiments import read_results_csv
+from irs_sensing.errors import ConfigError
+from irs_sensing.experiments import ResultRow, read_results_csv
 
 UNITS = {"theta": "rad^2", "nu": "Hz^2", "tau": "s^2"}
 
 
-def summarize(path: str) -> None:
-    rows = read_results_csv(path)
+def summarize(path: str, rows: list[ResultRow]) -> None:
     print(f"\n{path}")
     print(f"{'sweep':<26} {'value':>10} {'param':>6} {'mse':>12} "
           f"{'bound':>12} {'gap_dB':>8} {'used':>5} {'fail':>5}")
@@ -36,8 +36,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("paths", nargs="+", help="results CSV files")
     args = parser.parse_args()
-    for path in args.paths:
-        summarize(path)
+    try:  # every file is read before the first is printed
+        tables = [(path, read_results_csv(path)) for path in args.paths]
+    except (OSError, ConfigError) as exc:
+        parser.exit(2, f"error: {exc}\n")
+    for path, rows in tables:
+        summarize(path, rows)
     return 0
 
 

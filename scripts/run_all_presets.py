@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from irs_sensing.config import load_config
+from irs_sensing.errors import ConfigError
 from irs_sensing.experiments import (PRESET_NAMES, build_spec, emit_results,
                                      run_experiment)
 
@@ -27,22 +28,25 @@ def main() -> int:
                         help="override every preset's trial count")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--presets", nargs="*", default=None,
-                        help=f"subset of: {', '.join(PRESET_NAMES)}")
+                        choices=PRESET_NAMES, help="subset of the presets")
     args = parser.parse_args()
 
-    config = load_config(args.config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    names = args.presets if args.presets else PRESET_NAMES
-    for name in names:
-        spec = build_spec(name, trials=args.trials, seed=args.seed)
-        start = time.perf_counter()
-        rows = run_experiment(spec, config)
-        elapsed = time.perf_counter() - start
-        path = out_dir / f"{name}.csv"
-        emit_results(rows, path)
-        print(f"{name:<22} {len(rows):>3} rows  {elapsed:7.1f} s  -> {path}")
+    try:  # the specs are checked before the first CSV is written
+        config = load_config(args.config)
+        specs = [build_spec(name, trials=args.trials, seed=args.seed)
+                 for name in args.presets or PRESET_NAMES]
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for spec in specs:
+            start = time.perf_counter()
+            rows = run_experiment(spec, config)
+            elapsed = time.perf_counter() - start
+            path = out_dir / f"{spec.preset}.csv"
+            emit_results(rows, path)
+            print(f"{spec.preset:<22} {len(rows):>3} rows  {elapsed:7.1f} s"
+                  f"  -> {path}")
+    except ConfigError as exc:
+        parser.exit(2, f"error: {exc}\n")
     return 0
 
 

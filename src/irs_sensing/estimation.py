@@ -286,9 +286,8 @@ def estimate_doa_multirank(b_hat: np.ndarray, channel: ChannelMatrix,
     (n_trials, k), (n_elem, n_grid) = b_norms.shape, grid_steer.shape
 
     def corr_at(steer: np.ndarray, s: slice = slice(None)) -> np.ndarray:
-        cand = relayed_response(channel.trials(s), profile, steer)
-        norms = b_norms[s, :, None] * np.linalg.norm(cand, axis=-2)[..., None, :]
-        return np.abs(b_hat[s].conj().swapaxes(-1, -2) @ cand) / norms
+        return correlation_matrix(
+            b_hat[s], relayed_response(channel.trials(s), profile, steer))
 
     def own(steer: np.ndarray) -> np.ndarray:  # row k on the k-th W of K * W columns
         corr = corr_at(steer).reshape(n_trials, k, k, -1)

@@ -13,10 +13,10 @@ import ctypes
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,47 +30,41 @@ from .synthesis import (apply_noise, echo_tensors, noise_sigma_for_snr,
 
 PARAMETER_LABELS = ("theta", "nu", "tau")
 
-# Sweepable knobs: config override key, or None when the knob is the
-# noise level rather than a configuration field.
-SWEEP_CONFIG_KEYS: Mapping[str, str | None] = {
-    "snr_db": None,
-    "n_pulses": "n_pulses",
-    "n_subcarriers": "n_subcarriers",
-    "n_ap_antennas": "n_ap_antennas",
-    "rician_db": "rician_k_db",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A fully resolved experiment: what to sweep and how many trials."""
+    """One preset's experiment.  The caller chooses the trial count, the
+    seed and, optionally, the sweep values (None: the preset's own); the
+    preset's row of ``_PRESET_TABLE`` sets every other attribute."""
 
     preset: str
-    sweep_parameter: str
-    sweep_values: tuple[float, ...]
     trials: int
     seed: int
-    snr_db: float | None            # fixed noise level when not swept
-    n_targets: int | None = None    # restrict the scene to the first n
-    redraw_fading: bool = False     # fresh channel/gain draws per trial
-    compare_single_phase: bool = False
+    sweep_values: tuple[float, ...] | None = None
+    sweep_parameter: str = field(init=False)
+    config_key: str | None = field(init=False)  # None: the sweep is the SNR
+    snr_db: float | None = field(init=False)    # fixed noise level otherwise
+    n_targets: int | None = field(init=False, default=None)  # the scene's first n
+    redraw_fading: bool = field(init=False, default=False)  # channel, gains per trial
+    compare_single_phase: bool = field(init=False, default=False)
 
     def __post_init__(self):
+        if self.preset not in _PRESET_TABLE:
+            raise ConfigError(f"unknown preset {self.preset!r}; "
+                              f"choose from {sorted(_PRESET_TABLE)}")
         if type(self.trials) is not int or self.trials < 1:  # bools too
             raise ConfigError("trials must be an int >= 1")
         if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(f"seed must be an int >= 0, not {self.seed!r}")
+        for name, value in _PRESET_TABLE[self.preset].items():
+            if name != "sweep_values" or self.sweep_values is None:
+                object.__setattr__(self, name, value)
         if not self.sweep_values:
             raise ConfigError("sweep must be nonempty")
-        if self.sweep_parameter not in SWEEP_CONFIG_KEYS:
-            raise ConfigError(f"unknown sweep parameter {self.sweep_parameter!r}")
-        for v in (self.sweep_values if self.sweep_parameter == "snr_db"
-                  else (self.snr_db,)):  # an SNR; +inf dB is the noiseless run
+        for v in self.sweep_values if self.config_key is None else ():
+            # an SNR; +inf dB is the noiseless run
             if type(v) is bool or not (isinstance(v, numbers.Real) and v > -math.inf):
                 raise ConfigError(f"SNR must be a number of dB above -inf, not {v!r}")
-        if self.n_targets is not None and (type(self.n_targets) is not int
-                                           or self.n_targets < 1):
-            raise ConfigError(f"n_targets must be an int >= 1, not {self.n_targets!r}")
 
 
 @dataclass(frozen=True)
@@ -86,22 +80,24 @@ class ResultRow:
     failures: int
 
 
+# Each row sweeps one knob, the config field ``config_key`` or the SNR, and
+# holds the rest at the default operating point.
 _PRESET_TABLE = {
-    "mse_vs_snr": dict(sweep_parameter="snr_db",
+    "mse_vs_snr": dict(sweep_parameter="snr_db", config_key=None,
                        sweep_values=(-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0),
-                       snr_db=None, redraw_fading=False),
-    "mse_vs_pulses": dict(sweep_parameter="n_pulses",
-                          sweep_values=(2, 5, 10, 20),
-                          snr_db=5.0, redraw_fading=False),
+                       snr_db=None),
+    "mse_vs_pulses": dict(sweep_parameter="n_pulses", config_key="n_pulses",
+                          sweep_values=(2, 5, 10, 20), snr_db=5.0),
     "mse_vs_subcarriers": dict(sweep_parameter="n_subcarriers",
-                               sweep_values=(1, 2, 4, 8),
-                               snr_db=5.0, redraw_fading=False),
+                               config_key="n_subcarriers",
+                               sweep_values=(1, 2, 4, 8), snr_db=5.0),
     "mse_vs_antennas": dict(sweep_parameter="n_ap_antennas",
-                            sweep_values=(4, 8, 16, 32),
-                            snr_db=5.0, redraw_fading=False),
+                            config_key="n_ap_antennas",
+                            sweep_values=(4, 8, 16, 32), snr_db=5.0),
     "rician_comparison": dict(sweep_parameter="rician_db",
-                              sweep_values=(0.0, 5.0, 13.0),
-                              snr_db=10.0, n_targets=1, redraw_fading=True,
+                              config_key="rician_k_db",
+                              sweep_values=(0.0, 5.0, 13.0), snr_db=10.0,
+                              n_targets=1, redraw_fading=True,
                               compare_single_phase=True),
 }
 
@@ -114,14 +110,10 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt parameters of glibc
 
 def build_spec(preset: str, trials: int | None = None,
                seed: int | None = None) -> ExperimentSpec:
-    """Resolve a preset name into a concrete ExperimentSpec."""
-    if preset not in _PRESET_TABLE:
-        raise ConfigError(f"unknown preset {preset!r}; "
-                          f"choose from {sorted(_PRESET_TABLE)}")
-    return ExperimentSpec(preset=preset,
-                          trials=DEFAULT_TRIALS if trials is None else trials,
-                          seed=DEFAULT_SEED if seed is None else seed,
-                          **_PRESET_TABLE[preset])
+    """The preset's experiment; trials and seed default to DEFAULT_TRIALS
+    and DEFAULT_SEED."""
+    return ExperimentSpec(preset, DEFAULT_TRIALS if trials is None else trials,
+                          DEFAULT_SEED if seed is None else seed)
 
 
 def resolve_sweep_point(spec: ExperimentSpec, config: FullConfig,
@@ -133,14 +125,10 @@ def resolve_sweep_point(spec: ExperimentSpec, config: FullConfig,
     """
     cfg = config
     if spec.n_targets is not None:
-        if spec.n_targets > len(cfg.scene.targets):
-            raise ConfigError(f"n_targets {spec.n_targets} exceeds the scene's targets")
         cfg = with_overrides(cfg, targets=cfg.scene.targets[:spec.n_targets])
-    key = SWEEP_CONFIG_KEYS[spec.sweep_parameter]
-    if key is None:
+    if spec.config_key is None:
         return cfg, float(value)
-    cfg = with_overrides(cfg, **{key: value})
-    return cfg, float(spec.snr_db)
+    return with_overrides(cfg, **{spec.config_key: value}), float(spec.snr_db)
 
 
 def _squared_errors(estimates: Estimates, truth: SceneTruth) -> np.ndarray:
@@ -326,7 +314,15 @@ def emit_results(rows: Sequence[ResultRow], path: str | Path,
 
 
 def read_results_csv(path: str | Path) -> list[ResultRow]:
-    """Parse a results CSV back into rows (inverse of emit_results)."""
+    """Parse a results CSV back into rows (inverse of emit_results); another
+    header, a short or long row or an unparsable cell raises ConfigError."""
     with open(path, newline="") as fh:
-        return [ResultRow(*(_PARSERS[f.type](rec[f.name]) for f in _COLUMNS))
-                for rec in csv.DictReader(fh)]
+        records = list(csv.reader(fh))
+    try:
+        if tuple(records[0]) != CSV_HEADER:
+            raise ValueError(f"header {records[0]}")
+        return [ResultRow(*(_PARSERS[f.type](cell)
+                            for f, cell in zip(_COLUMNS, rec, strict=True)))
+                for rec in records[1:]]
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a results CSV: {exc}") from None

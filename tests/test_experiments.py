@@ -18,10 +18,10 @@ from irs_sensing.config import FullConfig
 from irs_sensing.errors import ConfigError
 from irs_sensing.estimation import greedy_match
 from irs_sensing.experiments import (CSV_HEADER, DEFAULT_SEED, DEFAULT_TRIALS,
-                                     PARAMETER_LABELS, PRESET_NAMES, ResultRow,
-                                     build_spec, emit_results,
-                                     read_results_csv, resolve_sweep_point,
-                                     run_experiment)
+                                     PARAMETER_LABELS, PRESET_NAMES,
+                                     ExperimentSpec, ResultRow, build_spec,
+                                     emit_results, read_results_csv,
+                                     resolve_sweep_point, run_experiment)
 
 
 def _rows_equal(a: ResultRow, b: ResultRow) -> bool:
@@ -60,8 +60,6 @@ def test_spec_validation():
         dataclasses.replace(base, trials=0)
     with pytest.raises(ConfigError):
         dataclasses.replace(base, sweep_values=())
-    with pytest.raises(ConfigError):
-        dataclasses.replace(base, sweep_parameter="bandwidth")
     for field, value in [("seed", -1), ("seed", True), ("seed", 1.0),
                          ("seed", "1"), ("trials", True), ("trials", 2.5)]:
         with pytest.raises(ConfigError, match=field):
@@ -76,6 +74,32 @@ def test_fading_comparison_preset_shape():
     assert spec.sweep_values == (0.0, 5.0, 13.0)
 
 
+def test_spec_holds_the_callers_four_values_and_the_preset_the_rest():
+    """A spec takes the preset, trials, seed and sweep values; every other
+    attribute is the preset's row, set on construction and refused by
+    ``dataclasses.replace``, so an SNR on an SNR sweep or a string flag can
+    no longer be set and then ignored or read for truth.  No sweep values
+    give the preset's own."""
+    assert [f.name for f in dataclasses.fields(ExperimentSpec) if f.init] == [
+        "preset", "trials", "seed", "sweep_values"]
+    for name in PRESET_NAMES:
+        spec = ExperimentSpec(name, 2, 3)
+        row = experiments._PRESET_TABLE[name]
+        assert spec == ExperimentSpec(name, 2, 3, None) == build_spec(name, 2, 3)
+        assert all(getattr(spec, key) == value for key, value in row.items())
+        for field in dataclasses.fields(spec):
+            if not field.init:
+                with pytest.raises(ValueError, match=field.name):
+                    dataclasses.replace(
+                        spec, **{field.name: getattr(spec, field.name)})
+    for change in [dict(sweep_values=(10.0,), snr_db=-5.0),
+                   dict(redraw_fading="no"), dict(sweep_parameter="bandwidth")]:
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(build_spec("mse_vs_snr", trials=2), **change)
+    with pytest.raises(ConfigError, match="unknown preset"):
+        ExperimentSpec("nope", 2, 3)
+
+
 @pytest.mark.parametrize("preset,change", [
     ("mse_vs_pulses", dict(snr_db=None)),
     ("mse_vs_snr", dict(sweep_values=(0.0, "x"))),
@@ -87,10 +111,11 @@ def test_fading_comparison_preset_shape():
     ("rician_comparison", dict(n_targets=5)),
 ], ids=repr)
 def test_bad_snr_or_target_count_rejected(preset, change):
-    """An SNR that is not a number of dB above -inf, and a target count that
-    is not a whole number from 1 to the scene's, each give a one-line
-    ConfigError: none raises another error or runs."""
-    with pytest.raises(ConfigError) as info:
+    """An SNR sweep value that is not a number of dB above -inf gives a
+    one-line ConfigError; the fixed SNR and the target count are the
+    preset's, so setting either is refused.  None runs."""
+    error = ConfigError if "sweep_values" in change else ValueError
+    with pytest.raises(error) as info:
         run_experiment(dataclasses.replace(build_spec(preset, trials=1, seed=3),
                                            **change), FullConfig())
     assert "\n" not in str(info.value)
